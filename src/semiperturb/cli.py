@@ -177,6 +177,8 @@ def _as_atoms(field, value):
         for v in (loc, w):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(field, f"entry {i} has non-numeric value {v!r}")
+            if not math.isfinite(v):
+                raise ConfigError(field, f"entry {i} has non-finite value {v!r}")
         atoms.append((float(loc), float(w)))
     return atoms
 
@@ -274,8 +276,9 @@ def _run_matrix_demo(cfg):
     t0 = cfg.get("t0", 0.5)
     t_values = cfg.get("t_values", [0.5, 1.0, 2.0] if full else [0.5, 1.0])
     if not (isinstance(t_values, (list, tuple)) and t_values
-            and all(isinstance(t, (int, float)) and t > 0 for t in t_values)):
-        raise ConfigError("t_values", "expected a list of positive times")
+            and all(isinstance(t, (int, float)) and math.isfinite(t) and t > 0
+                    for t in t_values)):
+        raise ConfigError("t_values", "expected a list of positive finite times")
     if "matrix" in cfg or "perturbation" in cfg:
         if "matrix" not in cfg or "perturbation" not in cfg:
             raise ConfigError("matrix", "matrix and perturbation must be "

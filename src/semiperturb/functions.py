@@ -16,10 +16,8 @@ supported piecewise-polynomial density) pairs against both.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -47,7 +45,7 @@ def poly_antiderivative(coeffs):
     # constant of integration zero; exact for Fraction inputs
     out = [0 * coeffs[0]]
     for k, c in enumerate(coeffs):
-        out.append(c / (k + 1) if isinstance(c, Fraction) else c / (k + 1))
+        out.append(c / (k + 1))
     return out
 
 
@@ -588,6 +586,34 @@ def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
     return left, 0.5 * (left + right), right
 
 
+def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
+                      dt: float, m_steps: int):
+    """Sided samples of the renewal kernel k(s) = pairing of profile(. + s).
+
+    Returns (left, mid, right) at the lags s = 0, dt, ..., m_steps dt,
+    taking one-sided limits where a shifted profile jump meets an atom.
+    """
+    s = dt * np.arange(m_steps + 1)
+    left = np.zeros(m_steps + 1)
+    mid = np.zeros(m_steps + 1)
+    right = np.zeros(m_steps + 1)
+    for loc, w in measure.atoms:
+        a_l, a_m, a_r = sample_sided(profile, float(loc) + s,
+                                     snap_tol=1e-6 * dt)
+        left += float(w) * a_l
+        mid += float(w) * a_m
+        right += float(w) * a_r
+    if measure.density is not None:
+        dens = np.array([
+            float((measure.density * profile.translate(float(sq)))
+                  .definite_integral())
+            for sq in s])
+        left += dens
+        mid += dens
+        right += dens
+    return left, mid, right
+
+
 # ---------------------------------------------------------------------------
 # stock profiles
 
@@ -635,6 +661,3 @@ def measure_from_dict(d: dict) -> BoundedMeasure:
         density=None if density is None else piecewise_from_dict(density),
     )
 
-
-def dump_json(obj, fh) -> None:
-    json.dump(obj, fh, indent=2, sort_keys=False)

@@ -1,10 +1,11 @@
 """Implemented semigroups on the matrix algebra.
 
 The state space here is the algebra of n x n matrices; the free dynamics
-act by left multiplication with a matrix semigroup, U(t) S = T(t) S.
-Everything the perturbation engine needs carries over by flattening
-matrices to vectors of length n^2, under which left multiplication by B
-becomes the Kronecker product kron(B, I).
+act by left multiplication with a matrix semigroup, U(t) S = T(t) S, and
+a multiplicative perturbation is left multiplication C -> B C.  So the
+perturbation engine runs on the n x n state S itself, with the matrix
+system T and the multiplier B; the n^2 x n^2 flat form kron(B, I) of a
+map is only built to measure norms and module defects.
 
 Finite dimension flattens the analytic subtleties: the extrapolated
 algebra coincides with the algebra itself and every Favard-type space is
@@ -25,7 +26,6 @@ from .semigroup import MatrixSystem, expm, opnorm2
 __all__ = [
     "SuperOperator",
     "ImplementedSemigroup",
-    "implement_left",
     "lift_perturbation",
     "extract_perturbation",
     "perturbed_implemented",
@@ -36,9 +36,6 @@ __all__ = [
     "superop_norm",
     "random_stable_pair",
 ]
-
-_EXACT_NORM_DIM = 8
-
 
 def _vec(S: np.ndarray) -> np.ndarray:
     return np.asarray(S, dtype=float).reshape(-1)
@@ -108,7 +105,7 @@ class SuperOperator:
 
 
 def superop_norm(K: SuperOperator) -> float:
-    """Norm of the flattened map (Frobenius-induced).
+    """Norm of the flattened map (Frobenius-induced), by a dense SVD.
 
     For left multiplications this coincides with the norm induced by the
     spectral norm on matrices, and equals the spectral norm of the
@@ -116,34 +113,7 @@ def superop_norm(K: SuperOperator) -> float:
     the computation here deliberately goes through the flat
     representation instead of shortcutting to the multiplier.
     """
-    if K.dim <= _EXACT_NORM_DIM:
-        return float(np.linalg.norm(K.as_dense(), 2))
-    # power iteration on K^T K without materializing the dense map
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(K.dim ** 2)
-    v /= np.linalg.norm(v)
-    if K.kind == "left":
-        BtB = K.multiplier.T @ K.multiplier
-
-        def step(u):
-            return _vec(BtB @ _unvec(u, K.dim))
-    else:
-        D = K.dense_data
-
-        def step(u):
-            return D.T @ (D @ u)
-
-    lam = 0.0
-    for _ in range(200):
-        w = step(v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v, prev = w / nw, lam
-        lam = nw
-        if abs(lam - prev) <= 1e-14 * lam:
-            break
-    return float(np.sqrt(lam))
+    return float(np.linalg.norm(K.as_dense(), 2))
 
 
 class ImplementedSemigroup:
@@ -152,10 +122,6 @@ class ImplementedSemigroup:
     def __init__(self, system: MatrixSystem):
         self.system = system
         self.dim = system.dim
-        A_flat = np.kron(system.A, np.eye(self.dim))
-        self.super_system = MatrixSystem(
-            A_flat, growth_bound=system.growth_bound,
-            bound_constant=system.bound_constant)
 
     def apply(self, t: float, S: np.ndarray) -> np.ndarray:
         return self.system.propagator(t) @ np.asarray(S, dtype=float)
@@ -163,10 +129,6 @@ class ImplementedSemigroup:
     def probe_seminorm(self, t: float, S, x) -> float:
         """Strong-operator seminorm ||U(t) S x|| for one probe vector."""
         return float(np.linalg.norm(self.apply(t, S) @ np.asarray(x)))
-
-
-def implement_left(system: MatrixSystem) -> ImplementedSemigroup:
-    return ImplementedSemigroup(system)
 
 
 def lift_perturbation(B) -> SuperOperator:
@@ -198,13 +160,14 @@ def perturbed_implemented(impl: ImplementedSemigroup, K: SuperOperator,
                           tol: float = 1e-9) -> np.ndarray:
     """Perturbed implemented semigroup applied to one matrix.
 
-    Runs the Neumann engine on the flattened algebra: the free dynamics
-    are the implemented semigroup, the perturbation is K's flat form.
+    K must be a left multiplication C -> B C (``extract_perturbation``
+    raises NonMultiplicative otherwise).  The Neumann engine then runs on
+    the matrix system with the n x n state S itself: U(t) S = T(t) S, and
+    the lift acts as B C.
     """
-    op = PerturbationOperator.matrix(K.as_dense())
-    out = neumann_semigroup(impl.super_system, op, _vec(S), t, t0, dt,
-                            tol=tol)
-    return _unvec(out, impl.dim)
+    op = PerturbationOperator.matrix(extract_perturbation(K))
+    return neumann_semigroup(impl.system, op, np.asarray(S, dtype=float),
+                             t, t0, dt, tol=tol)
 
 
 def pseudoresolvent_extract(resolvent_fn, lam: float, mu: float) -> dict:

@@ -8,8 +8,9 @@ parameters, admissibility, resolvent bounds, generator action).
 
 Two perturbation kinds are supported:
 
-* ``matrix``   -- B is a plain matrix on R^n; everything is dense linear
-  algebra in regularized coordinates.
+* ``matrix``   -- B is a plain matrix on R^n, where the extrapolation
+  space is the state space itself, so B F is applied as it stands and the
+  convolution is one running sum against the step exponential T(dt).
 * ``rank_one`` -- B f = <f, mu> * g where mu is a bounded measure and g a
   piecewise-polynomial profile that need not lie in the grid state space.
   The convolution collapses to scalar recursions plus one profile
@@ -39,6 +40,7 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    sample_lag_kernel,
     sample_sided,
 )
 from .semigroup import (
@@ -108,19 +110,6 @@ class PerturbationOperator:
 
     # -- constants ---------------------------------------------------------
 
-    def continuity_constant(self, system) -> float:
-        """c with extrapolation-norm(B x) <= c * ||x|| for all states x."""
-        if self.kind == "matrix":
-            R = system.resolvent_matrix(1.0)
-            return opnorm2(R @ self.matrix_data)
-        tv = self.measure.total_variation()
-        # resolvent at 1 is an averaging contraction for sup norms, so
-        # ||R(1) g||_inf <= ||g||_inf always gives a valid constant
-        bound = tv * self.profile.sup_norm()
-        if self.regularized_profile is not None:
-            bound = min(bound, tv * self.regularized_profile.sup_norm())
-        return bound
-
     def analytic_volterra_bound(self, system, t0: float) -> float:
         """Upper bound for the Volterra operator norm on horizon t0.
 
@@ -130,8 +119,8 @@ class PerturbationOperator:
         estimate, so that the resolvent inequality is certified.
         """
         if self.kind == "matrix":
-            dt = t0 / 64.0
-            mhat = max(opnorm2(system.propagator(q * dt)) for q in range(65))
+            props = system.powers(t0 / 64.0, 64)
+            mhat = float(np.max(np.linalg.norm(props, 2, axis=(1, 2))))
             return t0 * mhat * opnorm2(self.matrix_data)
         return t0 * self.measure.total_variation() * self.profile.sup_norm()
 
@@ -154,27 +143,8 @@ class PerturbationOperator:
         key = (dt, m_steps)
         hit = self._kernel_cache.get(key)
         if hit is None:
-            s = dt * np.arange(m_steps + 1)
-            left = np.zeros(m_steps + 1)
-            mid = np.zeros(m_steps + 1)
-            right = np.zeros(m_steps + 1)
-            for loc, w in self.measure.atoms:
-                a_l, a_m, a_r = sample_sided(
-                    self.profile, float(loc) + s, snap_tol=1e-6 * dt)
-                left += float(w) * a_l
-                mid += float(w) * a_m
-                right += float(w) * a_r
-            if self.measure.density is not None:
-                dens = np.empty(m_steps + 1)
-                for q in range(m_steps + 1):
-                    dens[q] = float(
-                        (self.measure.density
-                         * self.profile.translate(float(s[q])))
-                        .definite_integral())
-                left += dens
-                mid += dens
-                right += dens
-            hit = _SidedSamples(left, mid, right)
+            hit = _SidedSamples(*sample_lag_kernel(
+                self.measure, self.profile, dt, m_steps))
             self._kernel_cache[key] = hit
         return hit
 
@@ -185,7 +155,7 @@ class VectorTrajectory:
 
     system: object
     dt: float
-    nodes: np.ndarray  # shape (steps+1, state dimension / grid count)
+    nodes: np.ndarray  # shape (steps+1, n[, k]) or (steps+1, grid count)
 
     @property
     def steps(self) -> int:
@@ -219,13 +189,10 @@ class VectorTrajectory:
             k = system.steps_of(dt)
             rows = np.empty((m + 1, system.count))
             for j in range(m + 1):
-                rows[j] = _shifted(vals, j * k, system.extension)
+                rows[j] = system.shift_values(vals, j * k)
             return cls(system, dt, rows)
         x = np.asarray(x, dtype=float)
-        rows = np.empty((m + 1, x.shape[0]))
-        for j in range(m + 1):
-            rows[j] = system.propagator(j * dt) @ x
-        return cls(system, dt, rows)
+        return cls(system, dt, system.powers(dt, m) @ x)
 
     @classmethod
     def from_callable(cls, system, fn, t0: float, dt: float
@@ -237,18 +204,6 @@ class VectorTrajectory:
             rows.append(e.values if isinstance(e, GridFunction)
                         else np.asarray(e, dtype=float))
         return cls(system, dt, np.array(rows))
-
-
-def _shifted(vals, k, extension):
-    out = np.empty_like(vals)
-    if k == 0:
-        out[:] = vals
-    elif k >= len(vals):
-        out[:] = vals[-1] if extension == "constant" else 0.0
-    else:
-        out[:-k] = vals[k:]
-        out[-k:] = vals[-1] if extension == "constant" else 0.0
-    return out
 
 
 def _density_tail_masses(measure: BoundedMeasure, system: TranslationSystem):
@@ -344,18 +299,21 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
 
 
 def _volterra_matrix(system: MatrixSystem, op, F) -> VectorTrajectory:
+    """Trapezoid convolution by the running sum C[m] = E C[m-1] + B F[m].
+
+    With E = T(dt) and C[0] = B F[0] / 2, node m is dt (C[m] - B F[m] / 2):
+    the trapezoid of T(m dt - r) B F(r), one matrix product per node.
+    """
     dt = F.dt
-    m_top = F.steps
-    RB = system.resolvent_matrix(1.0) @ op.matrix_data
-    U = F.nodes @ RB.T
-    E = np.stack([system.propagator(q * dt) for q in range(m_top + 1)])
-    out_u = np.zeros_like(U)
-    for m in range(1, m_top + 1):
-        block = np.einsum("qab,qb->a", E[m::-1], U[:m + 1])
-        block -= 0.5 * (E[m] @ U[0] + U[m])
-        out_u[m] = dt * block
-    recon = np.eye(system.dim) - system.A
-    return VectorTrajectory(system, dt, out_u @ recon.T)
+    step = system.propagator(dt)
+    BF = np.einsum("ab,qb...->qa...", op.matrix_data, F.nodes)
+    out = np.empty_like(BF)
+    acc = 0.5 * BF[0]
+    out[0] = 0.0
+    for m in range(1, F.steps + 1):
+        acc = step @ acc + BF[m]
+        out[m] = dt * (acc - 0.5 * BF[m])
+    return VectorTrajectory(system, dt, out)
 
 
 def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
@@ -538,7 +496,7 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
     prof = op._profile_lattice(system, m_steps)
     out = []
     for j in node_steps:
-        base = _shifted(vals, j, system.extension)
+        base = system.shift_values(vals, j)
         out.append(system.make(
             base + _profile_convolution(phi_total, j, prof,
                                         system.count, dt)))
@@ -794,7 +752,7 @@ def _regularized_residual(system, op, F, fast_out) -> float:
     u = np.zeros(system.count)
     for j in range(m + 1):
         w = 0.5 if j in (0, m) else 1.0
-        u += w * phi[j] * _shifted(hvals, m - j, system.extension)
+        u += w * phi[j] * system.shift_values(hvals, m - j)
     u *= dt
     try:
         recon = reconstruct(system, ExtrapolatedElement(system, system.make(u)))
@@ -851,8 +809,6 @@ def _resolvent_profile_sup(system: TranslationSystem,
                            g: PiecewiseFunction, lam: float) -> float:
     """Sup over the window of the resolvent applied to the profile."""
     lo, hi = g.support_bounds()
-    if lo is None:
-        return 0.0
     dt = system.spacing
     win = system.window if system.window is not None else \
         CompactInterval(system.origin, system.x_last)
@@ -927,8 +883,7 @@ def favard_seminorm(system, x, alpha: float, s_values) -> float:
         if system.kind == "translation":
             vals = x.values if isinstance(x, GridFunction) \
                 else system.sample(x).values
-            moved = system.make(_shifted(vals, system.steps_of(s),
-                                         system.extension))
+            moved = system.make(system.shift_values(vals, system.steps_of(s)))
             gap = (moved - system.make(vals)).sup_norm()
         else:
             xv = np.asarray(x, dtype=float)
@@ -962,8 +917,8 @@ def comparison_check(system, op: PerturbationOperator, t_values,
                 st = S_eval(t, x)
                 vals = x.values if isinstance(x, GridFunction) \
                     else system.sample(x).values
-                free = system.make(_shifted(vals, system.steps_of(t),
-                                            system.extension))
+                free = system.make(system.shift_values(vals,
+                                                       system.steps_of(t)))
                 worst = max(worst, _element_diff_norm(system, st, free))
             c = worst / t
         rows.append({"t": float(t), "constant": float(c)})

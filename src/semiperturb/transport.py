@@ -32,6 +32,7 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    sample_lag_kernel,
     sample_sided,
     tent,
     three_jump_profile,
@@ -232,28 +233,6 @@ def kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
     return total
 
 
-def _kernel_arrays(measure, profile, dt, m_steps):
-    s = dt * np.arange(m_steps + 1)
-    left = np.zeros(m_steps + 1)
-    mid = np.zeros(m_steps + 1)
-    right = np.zeros(m_steps + 1)
-    for loc, w in measure.atoms:
-        a_l, a_m, a_r = sample_sided(profile, float(loc) + s,
-                                     snap_tol=1e-6 * dt)
-        left += float(w) * a_l
-        mid += float(w) * a_m
-        right += float(w) * a_r
-    if measure.density is not None:
-        dens = np.array([
-            float((measure.density * profile.translate(float(sq)))
-                  .definite_integral())
-            for sq in s])
-        left += dens
-        mid += dens
-        right += dens
-    return left, mid, right
-
-
 def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
                    u0: PiecewiseFunction, t: float, dt: float) -> np.ndarray:
     """Implicit-trapezoid solve of the scalar renewal equation.
@@ -266,7 +245,8 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     m_steps = int(round(t / dt))
     if abs(t - m_steps * dt) > 1e-8 * max(dt, t):
         raise StepSizeError(f"t={t} is not a multiple of dt={dt}")
-    k_left, k_mid, k_right = _kernel_arrays(measure, profile, dt, m_steps)
+    k_left, k_mid, k_right = sample_lag_kernel(measure, profile, dt,
+                                                m_steps)
     diag = 1.0 - 0.5 * dt * k_right[0]
     if diag <= 0:
         raise StepSizeError(

@@ -104,6 +104,20 @@ def test_bad_values_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_non_finite_values_exit_2(tmp_path, capsys):
+    # json.load accepts NaN and Infinity; the config layer must not
+    path = tmp_path / "cfg.json"
+    path.write_text('{"atoms": [[0.0, NaN]]}')
+    assert main(["transport-demo", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "atoms:" in capsys.readouterr().err
+    path.write_text('{"t_values": [Infinity]}')
+    assert main(["matrix-demo", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "t_values:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 def test_convergence_needs_three_levels(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spacings": [4e-3, 2e-3]}))

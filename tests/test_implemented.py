@@ -12,7 +12,6 @@ from semiperturb.implemented import (
     euler_check,
     extract_perturbation,
     hille_yosida_check,
-    implement_left,
     lift_perturbation,
     perturbed_implemented,
     pseudoresolvent_extract,
@@ -70,8 +69,19 @@ def test_superop_norm_equals_matrix_norm():
     assert worst <= 1e-12
 
 
+def test_superop_norm_converged_at_n10():
+    # singular values 1 and 1 - 1e-6 defeat a 200-step power iteration
+    rng = np.random.default_rng(11)
+    U = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    V = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    sv = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 8)])
+    D = U @ np.diag(sv) @ V.T
+    got = superop_norm(SuperOperator.general(np.kron(D, np.eye(10)), 10))
+    assert abs(got - opnorm2(D)) <= 1e-12
+
+
 def test_superop_norm_power_iteration_branch():
-    # dimension above the exact-SVD cutoff takes the iterative path
+    # n = 9: an 81 x 81 flat map, still normed exactly by a dense SVD
     rng = np.random.default_rng(9)
     B = rng.standard_normal((9, 9))
     got = superop_norm(SuperOperator.left_multiplication(B))
@@ -84,7 +94,7 @@ def test_superop_norm_power_iteration_branch():
 
 def test_implement_identity_time_zero():
     A, _ = random_stable_pair(3, seed=0)
-    impl = implement_left(MatrixSystem(A))
+    impl = ImplementedSemigroup(MatrixSystem(A))
     S = np.random.default_rng(0).standard_normal((3, 3))
     assert np.allclose(impl.apply(0.0, S), S, atol=1e-15)
 
@@ -92,14 +102,14 @@ def test_implement_identity_time_zero():
 def test_implement_at_identity_matrix():
     A, _ = random_stable_pair(3, seed=1)
     sys_T = MatrixSystem(A)
-    impl = implement_left(sys_T)
+    impl = ImplementedSemigroup(sys_T)
     assert np.allclose(impl.apply(0.7, np.eye(3)), sys_T.propagator(0.7),
                        atol=1e-15)
 
 
 def test_implement_semigroup_law():
     A, _ = random_stable_pair(3, seed=2)
-    impl = implement_left(MatrixSystem(A))
+    impl = ImplementedSemigroup(MatrixSystem(A))
     S = np.random.default_rng(4).standard_normal((3, 3))
     one = impl.apply(0.8, S)
     two = impl.apply(0.3, impl.apply(0.5, S))
@@ -108,7 +118,7 @@ def test_implement_semigroup_law():
 
 def test_probe_seminorm_matches_direct():
     A, _ = random_stable_pair(3, seed=3)
-    impl = implement_left(MatrixSystem(A))
+    impl = ImplementedSemigroup(MatrixSystem(A))
     S = np.eye(3)
     x = np.array([1.0, -1.0, 0.5])
     got = impl.probe_seminorm(0.5, S, x)
@@ -136,7 +146,7 @@ def test_extract_rejects_rank_one_functional():
 
 def test_perturbed_implemented_matches_exponential():
     A, B = random_stable_pair(3, seed=5)
-    impl = implement_left(MatrixSystem(A))
+    impl = ImplementedSemigroup(MatrixSystem(A))
     K = lift_perturbation(B)
     S = np.random.default_rng(1).standard_normal((3, 3))
     out = perturbed_implemented(impl, K, S, 1.0, 0.5, 1e-3)
@@ -144,9 +154,19 @@ def test_perturbed_implemented_matches_exponential():
     assert opnorm2(out - want) <= 1e-6
 
 
+def test_perturbed_implemented_rejects_non_multiplicative():
+    A, _ = random_stable_pair(3, seed=5)
+    impl = ImplementedSemigroup(MatrixSystem(A))
+    rng = np.random.default_rng(6)
+    K = SuperOperator.rank_one_functional(rng.standard_normal((3, 3)),
+                                          np.eye(3))
+    with pytest.raises(NonMultiplicative):
+        perturbed_implemented(impl, K, np.eye(3), 0.5, 0.5, 1e-2)
+
+
 def test_perturbed_implemented_zero_perturbation():
     A, _ = random_stable_pair(2, seed=6)
-    impl = implement_left(MatrixSystem(A))
+    impl = ImplementedSemigroup(MatrixSystem(A))
     K = lift_perturbation(np.zeros((2, 2)))
     S = np.array([[1.0, 2.0], [0.0, 1.0]])
     out = perturbed_implemented(impl, K, S, 0.6, 0.3, 1e-2)
@@ -157,13 +177,13 @@ def test_superlevel_variation_of_parameters():
     # the flat system satisfies the same fixed-point equation as any
     # matrix system; checked against the dense exponential oracle
     A, B = random_stable_pair(3, seed=8)
-    impl = implement_left(MatrixSystem(A))
+    super_system = MatrixSystem(np.kron(A, np.eye(3)))
     K = lift_perturbation(B)
     S = np.eye(3)
     op = PerturbationOperator.matrix(K.as_dense())
-    C = impl.super_system.A + K.as_dense()
+    C = super_system.A + K.as_dense()
     vec = S.reshape(-1)
-    r = varpar_residual(impl.super_system, op,
+    r = varpar_residual(super_system, op,
                         lambda r_: scipy.linalg.expm(r_ * C) @ vec,
                         1.0, vec, 1e-3)
     assert r <= 1e-6

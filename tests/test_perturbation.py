@@ -120,6 +120,44 @@ def test_volterra_matrix_trapezoid_order():
     assert errs[1] / errs[2] > 3.5
 
 
+def _per_lag_trapezoid(A, B, nodes, dt):
+    """dt * trapezoid over q of expm((m - q) dt A) B F[q], one expm per lag."""
+    props = [scipy.linalg.expm(q * dt * A) for q in range(len(nodes))]
+    out = np.zeros_like(nodes)
+    for m in range(1, len(nodes)):
+        terms = [props[m - q] @ B @ nodes[q] for q in range(m + 1)]
+        out[m] = dt * (sum(terms) - 0.5 * (terms[0] + terms[m]))
+    return out
+
+
+@pytest.mark.parametrize("state_shape", [(3,), (3, 3)],
+                         ids=["vector", "matrix"])
+def test_volterra_matrix_matches_per_lag_reference(state_shape):
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    B = 0.3 * rng.standard_normal((3, 3))
+    dt, m = 1e-2, 40
+    sys_m = MatrixSystem(A)
+    F = VectorTrajectory(sys_m, dt, rng.standard_normal((m + 1,)
+                                                       + state_shape))
+    got = volterra_trajectory(sys_m, PerturbationOperator.matrix(B), F)
+    want = _per_lag_trapezoid(A, B, F.nodes, dt)
+    assert got.nodes.shape == want.shape
+    assert np.max(np.abs(got.nodes - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_analytic_bound_matches_per_lag_sweep():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 4)) - 2.5 * np.eye(4)
+    B = 0.1 * rng.standard_normal((4, 4))
+    t0 = 0.5
+    want = t0 * opnorm2(B) * max(
+        opnorm2(scipy.linalg.expm(q * t0 / 64 * A)) for q in range(65))
+    got = PerturbationOperator.matrix(B).analytic_volterra_bound(
+        MatrixSystem(A), t0)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_volterra_rank_one_constant_probe_exact():
     # mu = delta_0, F constant 1: result(x) = int_x^{x+t} g = G(x+t) - G(x).
     # The integrand is piecewise linear with lattice-aligned kinks, so the
@@ -260,6 +298,17 @@ def test_neumann_matrix_exponential_oracle():
               np.array([0.6, -0.8])):
         out = neumann_semigroup(sys_m, op, x, 1.0, 0.5, 1e-3)
         assert np.max(np.abs(out - S @ x)) < 1e-6
+
+
+def test_neumann_matrix_growth_bound_above_one():
+    # spectral abscissa 1.2: no resolvent at 1 exists, and none is needed
+    A = np.array([[1.2, 0.3], [0.0, -1.0]])
+    B = 0.05 * np.eye(2)
+    x = np.array([0.6, -0.8])
+    out = neumann_semigroup(MatrixSystem(A), PerturbationOperator.matrix(B),
+                            x, 0.4, 0.2, 1e-3)
+    want = scipy.linalg.expm(0.4 * (A + B)) @ x
+    assert np.max(np.abs(out - want)) <= 1e-6
 
 
 def test_neumann_matrix_multi_segment_split():

@@ -94,6 +94,25 @@ def test_matrix_horizon():
     sys.apply(1.0, np.array([1.0]))
     with pytest.raises(HorizonExceeded):
         sys.apply(1.5, np.array([1.0]))
+    with pytest.raises(HorizonExceeded):
+        sys.powers(0.4, 3)
+
+
+def test_matrix_powers_match_per_lag_expm():
+    sys = _stable_system(seed=3)
+    P = sys.powers(0.05, 40)
+    assert P.shape == (41, 4, 4)
+    assert np.array_equal(P[0], np.eye(4))
+    for q in (1, 7, 40):
+        ref = scipy.linalg.expm(q * 0.05 * sys.A)
+        assert opnorm2(P[q] - ref) <= 1e-13 * opnorm2(ref)
+
+
+def test_matrix_bound_constant_matches_linspace_sweep():
+    sys = _stable_system(seed=4)
+    want = max(opnorm2(scipy.linalg.expm(t * sys.A)) * math.exp(
+        -sys.growth_bound * t) for t in np.linspace(0.0, 2.0, 81))
+    assert sys.bound_constant == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
