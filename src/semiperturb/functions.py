@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -447,9 +448,12 @@ class GridFunction:
 
 
 def to_grid(f: PiecewiseFunction, origin, spacing, count, extension="constant") -> GridFunction:
-    """Sample a piecewise function on a uniform grid (left-limit values)."""
+    """Sample a piecewise function on a uniform grid (left-limit values),
+    bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly."""
     xs = float(origin) + float(spacing) * np.arange(count)
-    vals = np.array([float(f.eval(float(x))) for x in xs])
+    floors = [np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
+              else float(b) for b in f.breakpoints]
+    vals = _eval_pieces(f, xs, np.searchsorted(floors, xs))
     return GridFunction(origin, spacing, vals, extension)
 
 
@@ -556,13 +560,26 @@ def _density_node_weights(density: PiecewiseFunction, f: GridFunction) -> np.nda
     return w
 
 
+def _eval_pieces(f: PiecewiseFunction, xs, piece):
+    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]``, one degree at a time."""
+    width = max(len(p) for p in f.pieces)
+    table = np.array([[0.0] * (width - len(p)) + [float(c) for c in p[::-1]]
+                      for p in f.pieces])
+    acc = np.zeros(np.shape(xs))
+    for k in range(width):
+        acc = acc * xs + table[piece, k]
+    return acc
+
+
 def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
     """Vectorized (left, mid, right) limit samples of f at the points xs.
 
-    Points within ``snap_tol`` of a breakpoint are treated as exact hits so
-    that one-sided limits and the jump midpoint are taken there; this is
-    what quadrature rules need when a discontinuity sits on (or within
-    float rounding of) a sample lattice.  Away from breakpoints all three
+    Limits are taken against the float breakpoints ``float(b)``, so at a
+    point on one ``left`` is the half-open ``eval`` value.  Points within
+    ``snap_tol`` of a breakpoint are treated as exact hits so that
+    one-sided limits and the jump midpoint are taken there; this is what
+    quadrature rules need when a discontinuity sits on (or within float
+    rounding of) a sample lattice.  Away from breakpoints all three
     values coincide with ``f.eval``.
     """
     xs = np.asarray(xs, dtype=float)
@@ -574,15 +591,8 @@ def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
             b = breaks[cand]
             hit = np.abs(xs - b) <= snap_tol
             xeff = np.where(hit, b, xeff)
-    il = np.searchsorted(breaks, xeff, side="left")
-    ir = np.searchsorted(breaks, xeff, side="right")
-    left = np.empty_like(xeff)
-    right = np.empty_like(xeff)
-    for idx, out in ((il, left), (ir, right)):
-        for piece in np.unique(idx):
-            mask = idx == piece
-            coeffs = [float(c) for c in f.pieces[piece]]
-            out[mask] = np.polyval(list(reversed(coeffs)), xeff[mask])
+    left = _eval_pieces(f, xeff, np.searchsorted(breaks, xeff, side="left"))
+    right = _eval_pieces(f, xeff, np.searchsorted(breaks, xeff, side="right"))
     return left, 0.5 * (left + right), right
 
 

@@ -230,15 +230,25 @@ def _pair_rows(measure: BoundedMeasure, system: TranslationSystem,
         if abs(pos - i) <= 1e-8 and 0 <= i < system.count:
             out += float(w) * rows[:, i]
         else:
-            for j in range(rows.shape[0]):
-                out[j] += float(w) * float(
-                    system.make(rows[j]).eval(float(loc)))
+            out += float(w) * _interp_rows(system, rows, float(loc))
     if measure.density is not None:
         out += rows @ measure._density_weights(ref)
         lo, hi = _density_tail_masses(measure, system)
         if system.extension == "constant":
             out += lo * rows[:, 0] + hi * rows[:, -1]
     return out
+
+
+def _interp_rows(system: TranslationSystem, rows: np.ndarray, x: float):
+    """``system.make(row).eval(x)`` for every row, in np.interp's arithmetic."""
+    xp = system.nodes()
+    j = int(np.searchsorted(xp, x, side="right")) - 1
+    if 0 <= j < len(xp) - 1 and xp[j] != x:
+        slope = (rows[:, j + 1] - rows[:, j]) / (xp[j + 1] - xp[j])
+        return slope * (x - xp[j]) + rows[:, j]
+    if xp[0] <= x <= xp[-1] or system.extension == "constant":
+        return rows[:, max(j, 0)]
+    return np.zeros(len(rows))
 
 
 def _orbit_pairings(op: PerturbationOperator, system: TranslationSystem,
@@ -288,14 +298,18 @@ def volterra_trajectory(system, op: PerturbationOperator,
 def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
                    t: float):
     """Value of the Volterra operator applied to F at one time t."""
-    m = F.step_of(t)
+    return _volterra_nodes(system, op, F, [F.step_of(t)])[0]
+
+
+def _volterra_nodes(system, op, F: VectorTrajectory, steps):
+    """Values of the Volterra operator applied to F at the lattice steps."""
     if op.kind == "matrix":
-        return _volterra_matrix(system, op, F).node(m)
+        return list(map(_volterra_matrix(system, op, F).node, steps))
     _require_time_grid(system, F.dt)
     phi = _pair_rows(op.measure, system, F.nodes)
     prof = op._profile_lattice(system, F.steps)
-    return system.make(_profile_convolution(phi, m, prof,
-                                            system.count, F.dt))
+    return [system.make(_profile_convolution(phi, m, prof, system.count, F.dt))
+            for m in steps]
 
 
 def _volterra_matrix(system: MatrixSystem, op, F) -> VectorTrajectory:
@@ -695,7 +709,8 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         fn = F.norm()
         if fn == 0:
             continue
-        out = volterra_apply(system, op, F, t0)
+        steps = [F.step_of(r) for r in [t0] + [j * dt for j in sample_steps]]
+        out, *sampled = _volterra_nodes(system, op, F, steps)
         if op.kind == "rank_one" and op.regularized_profile is not None:
             worst_recon = max(worst_recon,
                               _regularized_residual(system, op, F, out))
@@ -711,8 +726,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         m_obs = max(m_obs, out_norm / fn)
         if src > slack * fn + 1e-300:
             khat = max(khat, semi / src)
-        for j in sample_steps:
-            v = volterra_apply(system, op, F, j * dt)
+        for v in sampled:
             vn = float(np.max(np.abs(v))) if op.kind == "matrix" \
                 else v.sup_norm()
             v_lower = max(v_lower, vn / fn)

@@ -239,8 +239,9 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     phi(tau) = pairing(u0 shifted by tau)
                + integral_0^tau phi(r) kernel(tau - r) dr
-    on the lattice 0..t.  The diagonal factor 1 - dt * kernel_right(0)/2
-    must stay positive; otherwise the step size is rejected.
+    on the lattice 0..t, the free term being the left-limit lag sample of
+    u0.  The diagonal factor 1 - dt * kernel_right(0)/2 must stay
+    positive; otherwise the step size is rejected.
     """
     m_steps = int(round(t / dt))
     if abs(t - m_steps * dt) > 1e-8 * max(dt, t):
@@ -251,9 +252,7 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     if diag <= 0:
         raise StepSizeError(
             f"implicit diagonal {diag:.3e} <= 0 at dt={dt}; refine the step")
-    free = np.empty(m_steps + 1)
-    for m in range(m_steps + 1):
-        free[m] = float(measure.pair(u0.translate(m * dt)))
+    free = sample_lag_kernel(measure, u0, dt, m_steps)[0]
     phi = np.empty(m_steps + 1)
     phi[0] = free[0]
     for m in range(1, m_steps + 1):
@@ -472,7 +471,8 @@ def comparison_curve(problem: TransportProblem, t_values,
 
     Evaluated straight from the renewal weights on a fixed evaluation
     lattice inside the window, with a fresh time lattice per t, so dyadic
-    t values need no common grid.
+    t values need no common grid; per (t, probe), one ``sample_sided``
+    call on the lag x point lattice and one trapezoid product.
     """
     if probes is None:
         probes = [problem.initial]
@@ -486,15 +486,11 @@ def comparison_curve(problem: TransportProblem, t_values,
         worst = 0.0
         for u in probes:
             phi = oracle_weights(problem.measure, problem.profile, u, t, dt)
-            m = len(phi) - 1
-            acc = np.zeros(n_eval)
-            for j in range(m + 1):
-                _, g_m, _ = sample_sided(problem.profile,
-                                         xs + (m - j) * dt,
-                                         snap_tol=1e-9 * dt)
-                w = 0.5 if j in (0, m) else 1.0
-                acc += w * phi[j] * g_m
-            worst = max(worst, float(np.max(np.abs(acc))) * dt)
+            lags = dt * np.arange(len(phi) - 1, -1, -1)
+            _, g, _ = sample_sided(problem.profile, xs + lags[:, None],
+                                   snap_tol=1e-9 * dt)
+            phi[[0, -1]] *= 0.5
+            worst = max(worst, float(np.max(np.abs(phi @ g))) * dt)
         rows.append({"t": float(t), "constant": worst / t})
     consts = [r["constant"] for r in rows]
     top = max(consts)

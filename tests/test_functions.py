@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiperturb.functions import (
     BoundedMeasure,
@@ -16,6 +18,7 @@ from semiperturb.functions import (
     measure_to_dict,
     piecewise_from_dict,
     piecewise_to_dict,
+    sample_sided,
     tent,
     three_jump_profile,
     to_grid,
@@ -154,6 +157,57 @@ def test_grid_arithmetic_and_mismatch():
 def test_to_grid_matches_spec_example():
     vals = to_grid(tent(), -2.0, 0.5, 9).values
     assert np.allclose(vals, [0, 0, 0, 0.5, 1.0, 0.5, 0, 0, 0])
+
+
+def test_to_grid_rational_breakpoint_regression():
+    # float(1/10) lies above 1/10, so the node 0.1 is right of the break;
+    # comparing it against float(1/10) would read the left piece
+    f = PiecewiseFunction([Fraction(1, 10)], [[0], [1]])
+    assert to_grid(f, 0.0, 0.1, 3).values.tolist() == [0.0, 1.0, 1.0]
+    assert [float(f.eval(x)) for x in (0.0, 0.1, 0.2)] == [0.0, 1.0, 1.0]
+
+
+_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=20)
+
+
+@st.composite
+def rational_piecewise(draw):
+    """Rational piecewise polynomials: at most 8 pieces, degree at most 4."""
+    breaks = sorted(draw(st.sets(
+        st.fractions(min_value=-3, max_value=3, max_denominator=50),
+        max_size=7)))
+    if not breaks:
+        return PiecewiseFunction([], [[draw(_COEFF)]])
+    inner = [draw(st.lists(_COEFF, min_size=1, max_size=5))
+             for _ in breaks[1:]]
+    return PiecewiseFunction(breaks, [[draw(_COEFF)]] + inner
+                             + [[draw(_COEFF)]])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(f=rational_piecewise(), data=st.data())
+def test_to_grid_matches_per_node_eval(f, data):
+    spacing = data.draw(st.sampled_from([0.1, 0.05, 1 / 3, 0.25, 1e-3]))
+    anchors = [float(b) for b in f.breakpoints] + [-1.7]
+    k = data.draw(st.integers(0, 20))
+    # node k sits on float(b) exactly when the origin is float(b) and k = 0
+    origin = data.draw(st.sampled_from(anchors)) - k * spacing
+    grid = to_grid(f, origin, spacing, 80)
+    ref = [float(f.eval(float(x))) for x in grid.nodes()]
+    assert np.array_equal(grid.values, ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(f=rational_piecewise(),
+       extra=st.lists(st.floats(-4, 4), max_size=20))
+def test_sample_sided_matches_one_sided_limits(f, extra):
+    ff = PiecewiseFunction([float(b) for b in f.breakpoints], f.pieces)
+    xs = np.array([float(b) for b in f.breakpoints] + extra, dtype=float)
+    left, mid, right = sample_sided(f, xs)
+    for side, got in (("left", left), ("right", right)):
+        ref = [float(ff.one_sided_limit(x, side)) for x in xs]
+        assert np.array_equal(got, ref)
+    assert np.array_equal(mid, 0.5 * (left + right))
 
 
 def test_to_grid_round_trip_error_bounded_by_lipschitz():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from semiperturb.functions import (
     PiecewiseFunction,
     tent,
 )
+from semiperturb import perturbation
 from semiperturb.perturbation import (
     MAX_NEUMANN_TERMS,
+    AdmissibilityReport,
     PerturbationOperator,
     VectorTrajectory,
     admissibility_check,
@@ -512,6 +515,70 @@ def test_admissibility_rank_one_pass_then_fail():
     assert not bad.smallness_pass
     assert bad.smallness_analytic == pytest.approx(0.6)
     assert not bad.admissible
+
+
+def test_admissibility_one_volterra_trajectory_per_probe(monkeypatch):
+    sys_m, op = diag_system(), coupled_op()
+    t0, dt = 0.5, 1e-3
+    probes = matrix_probes(sys_m, t0, dt)
+    real = perturbation._volterra_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perturbation, "_volterra_matrix", counted)
+    rep = admissibility_check(sys_m, op, t0, dt, probes)
+    assert len(probes) == 5
+    assert len(calls) == 5
+    monkeypatch.undo()
+
+    # reference: the battery read node by node with volterra_apply
+    m = 500
+    obs = lower = 0.0
+    for F in probes:
+        fn = F.norm()
+        out = volterra_apply(sys_m, op, F, t0)
+        obs = max(obs, float(np.max(np.abs(out))) / fn)
+        for j in sorted({max(1, m // 4), m // 2, 3 * m // 4, m}):
+            v = volterra_apply(sys_m, op, F, j * dt)
+            lower = max(lower, float(np.max(np.abs(v))) / fn)
+    analytic = op.analytic_volterra_bound(sys_m, t0)
+    want = AdmissibilityReport(
+        lands_in_state_space=True, worst_reconstruction_residual=0.0,
+        seminorm_constant=obs, seminorm_window=(-math.inf, math.inf),
+        smallness_observed=obs, smallness_analytic=analytic,
+        smallness_pass=max(obs, analytic) < 0.5,
+        volterra_norm_lower_bound=lower, probes_used=5)
+    assert rep.to_dict() == want.to_dict()
+
+
+def test_admissibility_rank_one_matches_per_node_reference(monkeypatch):
+    prob = delta_problem()
+    dx, t0 = 4e-3, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    op = build_rank_one(prob)
+    probes = translation_probes(sys_t, t0, dx)
+    rep = admissibility_check(sys_t, op, t0, dx, probes)
+    real = perturbation._volterra_nodes
+    monkeypatch.setattr(perturbation, "_volterra_nodes",
+                        lambda s, o, F, steps: [real(s, o, F, [m])[0]
+                                                for m in steps])
+    ref = admissibility_check(sys_t, op, t0, dx, probes)
+    assert rep.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("extension", ["constant", "zero"])
+def test_pair_rows_off_lattice_matches_per_row_eval(extension):
+    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2, extension=extension)
+    rows = np.random.default_rng(5).standard_normal((7, 21))
+    # off the lattice inside the grid, then beyond either edge
+    for loc in (Fraction(1, 3), 1.25, -1.35):
+        got = perturbation._pair_rows(BoundedMeasure.dirac(loc, 0.7),
+                                      sys_t, rows)
+        want = [0.7 * float(sys_t.make(r).eval(float(loc))) for r in rows]
+        assert np.array_equal(got, want)
 
 
 def test_admissibility_report_serializes():

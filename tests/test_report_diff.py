@@ -1,0 +1,66 @@
+from __future__ import annotations
+
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+
+REPORT = {
+    "schema": 1,
+    "subcommand": "convergence",
+    "config": {"t": 1, "gaps": [3.1761213176828562e-05,
+                                7.9399905483779065e-06]},
+    "checks": [
+        {"name": "order-level1", "measured": 2.0000568247491417,
+         "bound": 1.8, "pass": True},
+        {"name": "count", "measured": 3, "bound": 3, "pass": True},
+    ],
+    "passed": True,
+}
+
+
+def _run(tmp_path, b, *flags):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(REPORT))
+    pb.write_text(json.dumps(b))
+    proc = subprocess.run([sys.executable, str(TOOL), str(pa), str(pb),
+                           *flags], capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_reports(tmp_path):
+    code, out = _run(tmp_path, REPORT)
+    assert code == 0
+    assert "0 moved" in out
+
+
+def test_last_digit_moves_are_listed_within_rtol(tmp_path):
+    b = copy.deepcopy(REPORT)
+    b["checks"][0]["measured"] = 2.0000568249105242
+    b["config"]["gaps"][1] = 7.9399905474897281e-06
+    code, out = _run(tmp_path, b)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("checks.order-level1: 2.0000568247491417 -> "
+                               "2.000056824910524  abs 1.614e-10")
+    assert lines[1].startswith("config.gaps[1]: ")
+    assert "2 moved" in lines[-1]
+    # the same moves fail a tighter tolerance
+    code, _ = _run(tmp_path, b, "--rtol", "1e-11")
+    assert code == 1
+
+
+def test_large_moves_and_missing_checks_fail(tmp_path):
+    b = copy.deepcopy(REPORT)
+    b["checks"][1]["measured"] = 4
+    code, out = _run(tmp_path, b)
+    assert code == 1
+    assert "checks.count: 3 -> 4  abs 1.000e+00  rel 3.333e-01" in out
+    b = copy.deepcopy(REPORT)
+    del b["checks"][1]
+    code, out = _run(tmp_path, b)
+    assert code == 1
+    assert "count: only in A" in out

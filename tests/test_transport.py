@@ -11,7 +11,13 @@ from semiperturb.errors import (
     GuardViolation,
     StepSizeError,
 )
-from semiperturb.functions import BoundedMeasure, PiecewiseFunction, tent
+from semiperturb.functions import (
+    BoundedMeasure,
+    PiecewiseFunction,
+    sample_sided,
+    tent,
+    three_jump_profile,
+)
 from semiperturb.transport import (
     TransportProblem,
     build_domain_function,
@@ -223,6 +229,33 @@ def test_oracle_weights_second_order_in_dt():
     assert errs[1] / errs[2] > 3.5
 
 
+@pytest.mark.parametrize("initial", [tent, three_jump_profile])
+def test_oracle_free_term_is_left_limit_lag_sample(initial):
+    # with a zero profile the renewal kernel vanishes and phi is the free term
+    u0 = initial()
+    mu = BoundedMeasure(atoms=[(0, 1), (Fraction(3, 10), Fraction(1, 2))])
+    dt, m_steps = 1e-3, 1500
+    free = oracle_weights(mu, PiecewiseFunction.constant(0), u0,
+                          m_steps * dt, dt)
+    exact = np.array([float(mu.pair(u0.translate(Fraction(m, 1000))))
+                      for m in range(m_steps + 1)])
+    assert np.max(np.abs(free - exact)) <= 1e-12
+    # the float shift agrees except where an atom meets a jump of u0: at
+    # 3/10 + 700 dt the rounded breakpoint 1 - 0.7000000000000001 falls
+    # left of the atom, so the per-step pairing reads the right limit
+    per_step = np.array([float(mu.pair(u0.translate(m * dt)))
+                         for m in range(m_steps + 1)])
+    jumps = {z for z, _, _ in u0.jumps()}
+    hits = [m for m in range(m_steps + 1)
+            if any(loc + Fraction(m, 1000) in jumps for loc, _ in mu.atoms)]
+    off = np.ones(m_steps + 1, dtype=bool)
+    off[hits] = False
+    assert np.max(np.abs(free - per_step)[off]) <= 1e-12
+    if u0.jumps():
+        assert hits == [0, 700, 1000]
+        assert abs(per_step[700] - exact[700]) == pytest.approx(0.5)
+
+
 def test_oracle_step_size_guard():
     prob = delta_problem()
     with pytest.raises(StepSizeError):
@@ -339,6 +372,22 @@ def test_comparison_curve_short_time_limit():
     prob = delta_problem()
     out = comparison_curve(prob, [1e-3])
     assert out["rows"][0]["constant"] == pytest.approx(2.0, rel=5e-3)
+
+
+def test_comparison_curve_matches_per_lag_loop():
+    prob = two_atom_problem()
+    xs = np.linspace(-3.0, 3.0, 601)
+    for t in (1e-3, 0.25):
+        dt = t / 128
+        phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+        acc = np.zeros(xs.size)
+        for j in range(129):
+            _, g, _ = sample_sided(prob.profile, xs + (128 - j) * dt,
+                                   snap_tol=1e-9 * dt)
+            acc += (0.5 if j in (0, 128) else 1.0) * phi[j] * g
+        want = float(np.max(np.abs(acc))) * dt / t
+        got = comparison_curve(prob, [t])["rows"][0]["constant"]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_comparison_curve_dyadic_stability():

@@ -1,0 +1,81 @@
+"""Compare two semiperturb JSON reports check by check.
+
+    python3 tools/report_diff.py A.json B.json [--rtol X]
+
+Checks are matched by ``name``.  Every ``measured`` value that differs
+between the reports is printed with its absolute and relative change
+(relative to A), and so is every moved leaf of ``config``, where some
+subcommands keep their measured series.  The exit status is 1 when a
+relative change exceeds ``--rtol`` (default 1e-9), when a non-numeric
+value differs, or when a check is in only one report; otherwise 0.
+"""
+
+import argparse
+import json
+import sys
+
+
+def _leaves(value, path):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(a: dict, b: dict, rtol: float, out=sys.stdout) -> bool:
+    """Print what moved from report a to report b; True when within rtol."""
+    ok = True
+    checks_a = {c["name"]: c["measured"] for c in a["checks"]}
+    checks_b = {c["name"]: c["measured"] for c in b["checks"]}
+    for name in sorted(set(checks_a) ^ set(checks_b)):
+        side = "A" if name in checks_a else "B"
+        print(f"{name}: only in {side}", file=out)
+        ok = False
+    pairs = [(f"checks.{n}", checks_a[n], checks_b[n])
+             for n in checks_a if n in checks_b]
+    leaves_a = dict(_leaves(a.get("config"), "config"))
+    leaves_b = dict(_leaves(b.get("config"), "config"))
+    pairs += [(p, leaves_a.get(p), leaves_b.get(p))
+              for p in sorted(set(leaves_a) | set(leaves_b), key=str)]
+    moved = 0
+    for path, x, y in pairs:
+        if x == y:
+            continue
+        moved += 1
+        if not (_is_number(x) and _is_number(y)):
+            print(f"{path}: {x!r} -> {y!r}", file=out)
+            ok = False
+            continue
+        diff = abs(y - x)
+        rel = diff / abs(x) if x else float("inf")
+        print(f"{path}: {x!r} -> {y!r}  abs {diff:.3e}  rel {rel:.3e}",
+              file=out)
+        ok = ok and rel <= rtol
+    print(f"{len(pairs)} values compared, {moved} moved, "
+          f"{'within' if ok else 'NOT within'} rtol {rtol:g}", file=out)
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Diff two semiperturb reports check by check.")
+    parser.add_argument("a", help="reference report (JSON)")
+    parser.add_argument("b", help="report to compare (JSON)")
+    parser.add_argument("--rtol", type=float, default=1e-9,
+                        help="largest allowed relative change (default 1e-9)")
+    args = parser.parse_args(argv)
+    with open(args.a) as fa, open(args.b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    return 0 if compare(a, b, args.rtol) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
