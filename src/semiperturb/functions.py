@@ -614,9 +614,10 @@ def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
         mid += float(w) * a_m
         right += float(w) * a_r
     if measure.density is not None:
+        a, b = measure.density.support_bounds()
         dens = np.array([
             float((measure.density * profile.translate(float(sq)))
-                  .definite_integral())
+                  .definite_integral(a, b))
             for sq in s])
         left += dens
         mid += dens

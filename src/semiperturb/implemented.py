@@ -20,7 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonMultiplicative
-from .perturbation import PerturbationOperator, neumann_semigroup
+from .perturbation import (
+    PerturbationOperator,
+    comparison_summary,
+    neumann_semigroup,
+)
 from .semigroup import MatrixSystem, expm, opnorm2
 
 __all__ = [
@@ -243,14 +247,10 @@ def comparison_equivalence(T_system: MatrixSystem, S_system: MatrixSystem,
         worst = max(worst, gap)
         rows.append({"t": float(t), "lhs": float(lhs), "rhs": float(rhs),
                      "gap": float(gap)})
-    consts = [r["rhs"] / r["t"] for r in rows if r["t"] > 0]
-    pos = [c for c in consts if c > 0]
-    return {
-        "rows": rows,
-        "worst_gap": float(worst),
-        "linear_constant": max(consts) if consts else 0.0,
-        "stability_ratio": (max(pos) / min(pos)) if pos else float("inf"),
-    }
+    top, ratio = comparison_summary([r["rhs"] / r["t"] for r in rows
+                                     if r["t"] > 0])
+    return {"rows": rows, "worst_gap": float(worst), "linear_constant": top,
+            "stability_ratio": ratio}
 
 
 def euler_check(K: SuperOperator, t: float, C, n_values) -> dict:

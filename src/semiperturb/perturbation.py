@@ -56,6 +56,10 @@ MAX_NEUMANN_TERMS = 60
 _SidedSamples = namedtuple("_SidedSamples", ["left", "mid", "right"])
 
 
+def _sup(a) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
 def _lattice_steps(t, dt, what="time"):
     m = int(round(t / dt))
     if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
@@ -177,7 +181,7 @@ class VectorTrajectory:
         return m
 
     def norm(self) -> float:
-        return float(np.max(np.abs(self.nodes))) if self.nodes.size else 0.0
+        return _sup(self.nodes)
 
     @classmethod
     def orbit(cls, system, x, t0: float, dt: float) -> "VectorTrajectory":
@@ -291,8 +295,11 @@ def volterra_trajectory(system, op: PerturbationOperator,
     against B F over [0, m dt], reconstructed back into the state space.
     """
     if op.kind == "matrix":
-        return _volterra_matrix(system, op, F)
-    return _volterra_rank_one_all(system, op, F)
+        rows = _volterra_matrix(system, op, F.nodes, F.dt)
+    else:
+        rows = np.array([r.values for r in _volterra_nodes(
+            system, op, F, range(F.steps + 1))])
+    return VectorTrajectory(system, F.dt, rows)
 
 
 def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
@@ -304,30 +311,36 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
 def _volterra_nodes(system, op, F: VectorTrajectory, steps):
     """Values of the Volterra operator applied to F at the lattice steps."""
     if op.kind == "matrix":
-        return list(map(_volterra_matrix(system, op, F).node, steps))
-    _require_time_grid(system, F.dt)
+        out = _volterra_matrix(system, op, F.nodes, F.dt)
+        return [out[m].copy() for m in steps]
     phi = _pair_rows(op.measure, system, F.nodes)
-    prof = op._profile_lattice(system, F.steps)
-    return [system.make(_profile_convolution(phi, m, prof, system.count, F.dt))
+    return _convolved_nodes(system, op, phi, F.dt, steps)
+
+
+def _convolved_nodes(system, op, phi, dt, steps):
+    """Rank-one Volterra values at the steps from the node pairings phi."""
+    _require_time_grid(system, dt)
+    prof = op._profile_lattice(system, len(phi) - 1)
+    return [system.make(_profile_convolution(phi, m, prof, system.count, dt))
             for m in steps]
 
 
-def _volterra_matrix(system: MatrixSystem, op, F) -> VectorTrajectory:
+def _volterra_matrix(system: MatrixSystem, op, nodes, dt) -> np.ndarray:
     """Trapezoid convolution by the running sum C[m] = E C[m-1] + B F[m].
 
-    With E = T(dt) and C[0] = B F[0] / 2, node m is dt (C[m] - B F[m] / 2):
-    the trapezoid of T(m dt - r) B F(r), one matrix product per node.
+    F holds the lattice ``nodes``.  With E = T(dt) and C[0] = B F[0] / 2,
+    node m is dt (C[m] - B F[m] / 2): the trapezoid of T(m dt - r) B F(r),
+    one matrix product per node.
     """
-    dt = F.dt
     step = system.propagator(dt)
-    BF = np.einsum("ab,qb...->qa...", op.matrix_data, F.nodes)
+    BF = np.einsum("ab,qb...->qa...", op.matrix_data, nodes)
     out = np.empty_like(BF)
     acc = 0.5 * BF[0]
     out[0] = 0.0
-    for m in range(1, F.steps + 1):
+    for m in range(1, len(BF)):
         acc = step @ acc + BF[m]
         out[m] = dt * (acc - 0.5 * BF[m])
-    return VectorTrajectory(system, dt, out)
+    return out
 
 
 def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
@@ -351,16 +364,6 @@ def _kernel_step(phi, ker: _SidedSamples, dt):
     out *= dt
     out[0] = 0.0
     return out
-
-
-def _volterra_rank_one_all(system, op, F) -> VectorTrajectory:
-    _require_time_grid(system, F.dt)
-    phi = _pair_rows(op.measure, system, F.nodes)
-    prof = op._profile_lattice(system, F.steps)
-    rows = np.empty_like(F.nodes)
-    for m in range(F.steps + 1):
-        rows[m] = _profile_convolution(phi, m, prof, system.count, F.dt)
-    return VectorTrajectory(system, F.dt, rows)
 
 
 def volterra_norm_estimate(system, op: PerturbationOperator, t0: float,
@@ -401,6 +404,7 @@ class SeriesDiagnostics:
             self.term_norms = other.term_norms
             self.ratios = other.ratios
         self.segments += 1
+        return self
 
 
 def _series_guard(op, system, t0, enforce):
@@ -411,153 +415,115 @@ def _series_guard(op, system, t0, enforce):
             "shorten t0 or shrink the perturbation")
     return bound
 
-def _truncation_ratio(ratios, guard):
-    q = ratios[-1] if ratios else guard
-    return min(max(q, 0.0), 0.999)
 
-
-def _check_divergence(ratios):
-    if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-        raise NonConvergence(
-            "Neumann term norms failed to decay for three consecutive "
-            f"terms (latest ratios {[round(r, 4) for r in ratios[-3:]]})")
-
-
-def _segment_matrix(system, op, x, m_steps, dt, tol, max_terms, guard):
-    term = VectorTrajectory.orbit(system, x, m_steps * dt, dt)
-    total = term.nodes.copy()
-    norms = [term.norm()]
-    ratios = []
-    k = 1
-    while True:
-        term = _volterra_matrix(system, op, term)
-        nrm = term.norm()
-        norms.append(nrm)
-        if len(norms) >= 3:
-            ratios.append(norms[-1] / max(norms[-2], 1e-300))
-            _check_divergence(ratios)
-        if nrm < tol * (1.0 - _truncation_ratio(ratios, guard)):
-            break
-        if k >= max_terms:
-            raise NonConvergence(
-                f"Neumann series did not reach tolerance within {max_terms} "
-                "terms")
-        total += term.nodes
-        k += 1
-    return total, SeriesDiagnostics(k, norms, ratios, guard)
-
-
-def _segment_rank_one_phi(system, op, vals, m_steps, tol, max_terms, guard):
-    """Scalar part of the rank-one series: summed pairing weights.
-
-    Returns (phi_total, diagnostics) where the m-th materialized node is
-    T(m dt) x plus the profile convolution of phi_total[:m+1].  Term norms
-    recorded are certified upper bounds (sup|g| times the trapezoid of
-    |phi|), never the raw grid sups, so the truncation rule stays safe.
-    """
-    dt = system.spacing
-    ker = op._kernel_lattice(dt, m_steps)
-    gsup = float(op.profile.sup_norm())
-    phi = _orbit_pairings(op, system, vals, m_steps)
-    total = np.zeros(m_steps + 1)
-    base = float(np.max(np.abs(vals))) if vals.size else 0.0
+def _neumann_sum(total, term, apply_v, size, base, tol, guard):
+    """Add ``term``, ``apply_v(term)``, ... to ``total`` by the stop rule
+    of ``neumann_nodes``; ``base`` is the recorded size of the orbit."""
     norms = [base]
     ratios = []
     k = 1
     while True:
-        w = np.abs(phi)
-        bound = gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1])
-        norms.append(bound)
+        nrm = size(term)
+        norms.append(nrm)
         if len(norms) >= 3:
             ratios.append(norms[-1] / max(norms[-2], 1e-300))
-            _check_divergence(ratios)
-        if bound < tol * (1.0 - _truncation_ratio(ratios, guard)):
+            if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+                raise NonConvergence(
+                    "Neumann term norms failed to decay for three "
+                    "consecutive terms (latest ratios "
+                    f"{[round(r, 4) for r in ratios[-3:]]})")
+        q = ratios[-1] if ratios else guard
+        if nrm < tol * (1.0 - min(max(q, 0.0), 0.999)):
             break
-        if k >= max_terms:
+        if k >= MAX_NEUMANN_TERMS:
             raise NonConvergence(
-                f"Neumann series did not reach tolerance within {max_terms} "
-                "terms")
-        total += phi
-        phi = _kernel_step(phi, ker, dt)
+                "Neumann series did not reach tolerance within "
+                f"{MAX_NEUMANN_TERMS} terms")
+        total += term
+        term = apply_v(term)
         k += 1
     return total, SeriesDiagnostics(k, norms, ratios, guard)
 
 
 def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
                   node_steps, dt: float, tol: float = 1e-9,
-                  max_terms: int = MAX_NEUMANN_TERMS,
                   enforce_guard: bool = True):
     """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
 
-    This is the workhorse behind ``neumann_semigroup``; exposing the node
-    list keeps difference quotients of S near zero cheap on fine grids.
+    The trajectory of S is the sum of V^k T x, V the Volterra operator.
+    Matrix kind: a term is V^k T x on the lattice, its size the max-abs
+    entry.  Rank-one kind: a term is the pairings phi of V^(k-1) T x with
+    the measure, advanced by the renewal kernel, its size sup|g| times the
+    trapezoid of |phi|; S adds one profile convolution of their sum to T x.
+    The sum stops at the first term of size below tol (1 - q), q the last
+    ratio of consecutive sizes clipped to [0, 0.999] (the guard before
+    the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
+    terms, raise NonConvergence; a NaN or Inf state raises ValueError.
     """
     m_steps = _lattice_steps(t0, dt, "t0")
     guard = _series_guard(op, system, t0, enforce_guard)
     if any(j < 0 or j > m_steps for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
     if op.kind == "matrix":
-        x = np.asarray(x, dtype=float)
-        total, diag = _segment_matrix(system, op, x, m_steps, dt, tol,
-                                      max_terms, guard)
+        vals = np.asarray(x, dtype=float)
+    else:
+        _require_time_grid(system, dt)
+        vals = np.asarray(x.values if isinstance(x, GridFunction)
+                          else system.sample(x).values, dtype=float)
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise ValueError(
+            f"state x: {bad} of {vals.size} entries are NaN or Inf; the "
+            "Neumann series needs a finite state")
+    if op.kind == "matrix":
+        orbit = VectorTrajectory.orbit(system, vals, m_steps * dt, dt).nodes
+        total, diag = _neumann_sum(
+            orbit, _volterra_matrix(system, op, orbit, dt),
+            lambda nodes: _volterra_matrix(system, op, nodes, dt), _sup,
+            _sup(orbit), tol, guard)
         return [total[j].copy() for j in node_steps], diag
-    _require_time_grid(system, dt)
-    vals = x.values if isinstance(x, GridFunction) \
-        else system.sample(x).values
-    vals = np.asarray(vals, dtype=float)
-    phi_total, diag = _segment_rank_one_phi(system, op, vals, m_steps, tol,
-                                            max_terms, guard)
-    prof = op._profile_lattice(system, m_steps)
-    out = []
-    for j in node_steps:
-        base = system.shift_values(vals, j)
-        out.append(system.make(
-            base + _profile_convolution(phi_total, j, prof,
-                                        system.count, dt)))
-    return out, diag
+    ker = op._kernel_lattice(dt, m_steps)
+    gsup = float(op.profile.sup_norm())
+
+    def size(phi):
+        w = np.abs(phi)
+        return float(gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1]))
+
+    phi_total, diag = _neumann_sum(
+        np.zeros(m_steps + 1), _orbit_pairings(op, system, vals, m_steps),
+        lambda phi: _kernel_step(phi, ker, dt), size, _sup(vals), tol, guard)
+    conv = _convolved_nodes(system, op, phi_total, dt, node_steps)
+    return [system.make(system.shift_values(vals, j)) + c
+            for j, c in zip(node_steps, conv)], diag
 
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
                       t0: float, dt: float, tol: float = 1e-9,
-                      max_terms: int = MAX_NEUMANN_TERMS,
                       enforce_guard: bool = True, diagnostics: bool = False):
     """Perturbed semigroup S(t) x via Neumann series plus horizon splitting.
 
     t is split as n * t0 + t1 with both parts on the dt lattice; each
-    segment runs a fresh series seeded by the previous output.  Raises
-    GuardViolation when the analytic Volterra bound reaches 1 and
-    NonConvergence when term norms refuse to decay.
+    segment runs a fresh series seeded by the previous output, the short
+    one first.  Raises GuardViolation when the analytic Volterra bound
+    reaches 1 and NonConvergence when term norms refuse to decay.
     """
     if t < -1e-12:
         raise ValueError("t must be nonnegative")
     m0 = _lattice_steps(t0, dt, "t0")
-    m_total = _lattice_steps(t, dt, "t")
-    n_full, m_rest = divmod(m_total, m0)
+    n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     if op.kind == "matrix":
         state = np.asarray(x, dtype=float)
     else:
         state = x if isinstance(x, GridFunction) else system.sample(x)
     diag_all = None
-
-    def run(steps, cur):
-        nonlocal diag_all
-        out, diag = neumann_nodes(system, op, cur, steps * dt, [steps], dt,
-                                  tol=tol, max_terms=max_terms,
-                                  enforce_guard=enforce_guard)
-        if diag_all is None:
-            diag_all = diag
-        else:
-            diag_all.merge(diag)
-        return out[0]
-
-    if m_rest:
-        state = run(m_rest, state)
-    for _ in range(n_full):
-        state = run(m0, state)
+    for steps in ([m_rest] if m_rest else []) + [m0] * n_full:
+        out, diag = neumann_nodes(system, op, state, steps * dt, [steps], dt,
+                                  tol=tol, enforce_guard=enforce_guard)
+        state = out[0]
+        diag_all = diag if diag_all is None else diag_all.merge(diag)
     if diag_all is None:
-        diag_all = SeriesDiagnostics(0, [], [],
-                                     _series_guard(op, system, t0,
-                                                   enforce_guard))
+        guard = _series_guard(op, system, t0, enforce_guard)
+        diag_all = SeriesDiagnostics(0, [], [], guard)
     return (state, diag_all) if diagnostics else state
 
 
@@ -710,15 +676,17 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         if fn == 0:
             continue
         steps = [F.step_of(r) for r in [t0] + [j * dt for j in sample_steps]]
-        out, *sampled = _volterra_nodes(system, op, F, steps)
-        if op.kind == "rank_one" and op.regularized_profile is not None:
-            worst_recon = max(worst_recon,
-                              _regularized_residual(system, op, F, out))
         if op.kind == "matrix":
-            out_norm = float(np.max(np.abs(out)))
+            out, *sampled = _volterra_nodes(system, op, F, steps)
+            out_norm = _sup(out)
             semi = out_norm
             src = fn
         else:
+            phi = _pair_rows(op.measure, system, F.nodes)
+            out, *sampled = _convolved_nodes(system, op, phi, F.dt, steps)
+            if op.regularized_profile is not None:
+                worst_recon = max(worst_recon, _regularized_residual(
+                    system, op, phi, F.dt, out))
             out_norm = out.sup_norm()
             semi = out.seminorm(seminorm_window)
             src = max(F.node(j).seminorm(src_window)
@@ -727,8 +695,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         if src > slack * fn + 1e-300:
             khat = max(khat, semi / src)
         for v in sampled:
-            vn = float(np.max(np.abs(v))) if op.kind == "matrix" \
-                else v.sup_norm()
+            vn = _sup(v) if op.kind == "matrix" else v.sup_norm()
             v_lower = max(v_lower, vn / fn)
 
     analytic = op.analytic_volterra_bound(system, t0)
@@ -756,12 +723,10 @@ def _measure_window(op) -> CompactInterval | None:
     return CompactInterval(float(min(pts)), float(max(pts)))
 
 
-def _regularized_residual(system, op, F, fast_out) -> float:
+def _regularized_residual(system, op, phi, dt, fast_out) -> float:
     """Sup gap between the fast path and the regularized detour on the window."""
     h = op.regularized_profile
-    phi = _pair_rows(op.measure, system, F.nodes)
-    dt = F.dt
-    m = F.steps
+    m = len(phi) - 1
     hvals = system.sample(h).values
     u = np.zeros(system.count)
     for j in range(m + 1):
@@ -936,15 +901,19 @@ def comparison_check(system, op: PerturbationOperator, t_values,
                 worst = max(worst, _element_diff_norm(system, st, free))
             c = worst / t
         rows.append({"t": float(t), "constant": float(c)})
-    consts = [r["constant"] for r in rows]
-    top = max(consts)
-    bot = min(c for c in consts if c > 0) if any(c > 0 for c in consts) \
-        else 0.0
-    return {
-        "rows": rows,
-        "constant": top,
-        "stability_ratio": (top / bot) if bot else float("inf"),
-    }
+    top, ratio = comparison_summary([r["constant"] for r in rows])
+    return {"rows": rows, "constant": top, "stability_ratio": ratio}
+
+
+def comparison_summary(consts):
+    """(largest constant, max/min ratio of the positive constants).
+
+    The ratio is inf when no constant is positive, and the largest
+    constant 0.0 when there are none.
+    """
+    pos = [c for c in consts if c > 0]
+    top = max(consts, default=0.0)
+    return top, (top / min(pos)) if pos else float("inf")
 
 
 def _dense_exponential(system: MatrixSystem, op, t: float) -> np.ndarray:

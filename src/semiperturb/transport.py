@@ -40,6 +40,7 @@ from .functions import (
 from .perturbation import (
     PerturbationOperator,
     SeriesDiagnostics,
+    comparison_summary,
     neumann_semigroup,
 )
 from .semigroup import TranslationSystem
@@ -229,7 +230,7 @@ def kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
         total = total + w * val
     if measure.density is not None:
         total = total + (measure.density * profile.translate(s)
-                         ).definite_integral()
+                         ).definite_integral(*measure.density.support_bounds())
     return total
 
 
@@ -492,11 +493,5 @@ def comparison_curve(problem: TransportProblem, t_values,
             phi[[0, -1]] *= 0.5
             worst = max(worst, float(np.max(np.abs(phi @ g))) * dt)
         rows.append({"t": float(t), "constant": worst / t})
-    consts = [r["constant"] for r in rows]
-    top = max(consts)
-    bot = min(c for c in consts if c > 0) if any(consts) else 0.0
-    return {
-        "rows": rows,
-        "constant": top,
-        "stability_ratio": (top / bot) if bot else float("inf"),
-    }
+    top, ratio = comparison_summary([r["constant"] for r in rows])
+    return {"rows": rows, "constant": top, "stability_ratio": ratio}

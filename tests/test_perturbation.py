@@ -29,6 +29,7 @@ from semiperturb.perturbation import (
     VectorTrajectory,
     admissibility_check,
     comparison_check,
+    comparison_summary,
     escaping_bumps,
     favard_seminorm,
     generator_check,
@@ -392,6 +393,54 @@ def test_neumann_term_cap_respected():
     assert diag.terms_used <= MAX_NEUMANN_TERMS
 
 
+def test_neumann_rank_one_divergence_detected():
+    # weight 10 puts the guard product at 12; the term sizes grow
+    prob = delta_problem(weight=10)
+    dx, t0 = 1e-2, 0.6
+    sys_t = make_system(prob, dx, t0, t0)
+    with pytest.raises(NonConvergence) as err:
+        neumann_semigroup(sys_t, build_rank_one(prob), prob.initial, t0, t0,
+                          dx, enforce_guard=False)
+    msg = str(err.value)
+    assert "three consecutive terms" in msg
+    assert "[6.1282, 4.0399, 3.018]" in msg
+    assert "np.float64" not in msg
+
+
+def test_neumann_matrix_term_cap_raises(monkeypatch):
+    # tol = 0 is never reached, so the series runs into the term cap
+    real = perturbation._volterra_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perturbation, "_volterra_matrix", counted)
+    with pytest.raises(NonConvergence, match=f"{MAX_NEUMANN_TERMS} terms"):
+        neumann_semigroup(diag_system(), coupled_op(), np.array([1.0, 1.0]),
+                          0.5, 0.5, 1e-2, tol=0.0)
+    assert len(calls) == MAX_NEUMANN_TERMS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_neumann_refuses_non_finite_matrix_state(bad):
+    with pytest.raises(ValueError, match="1 of 2 entries are NaN or Inf"):
+        neumann_semigroup(diag_system(), coupled_op(), np.array([bad, 1.0]),
+                          0.5, 0.5, 1e-2)
+
+
+def test_neumann_refuses_non_finite_transport_state():
+    prob = delta_problem()
+    dx, t0 = 1e-2, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    vals = sys_t.sample(prob.initial).values.copy()
+    vals[5] = math.nan
+    with pytest.raises(ValueError, match=f"1 of {vals.size} entries"):
+        neumann_nodes(sys_t, build_rank_one(prob), sys_t.make(vals), t0,
+                      [sys_t.steps_of(t0)], dx)
+
+
 # ---------------------------------------------------------------------------
 # composition identity
 
@@ -565,6 +614,47 @@ def test_admissibility_rank_one_matches_per_node_reference(monkeypatch):
     monkeypatch.setattr(perturbation, "_volterra_nodes",
                         lambda s, o, F, steps: [real(s, o, F, [m])[0]
                                                 for m in steps])
+    ref = admissibility_check(sys_t, op, t0, dx, probes)
+    assert rep.to_dict() == ref.to_dict()
+
+
+def test_admissibility_pairs_each_rank_one_probe_once(monkeypatch):
+    prob = delta_problem()
+    dx, t0 = 4e-3, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    probes = translation_probes(sys_t, t0, dx)
+    real = perturbation._pair_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perturbation, "_pair_rows", counted)
+    rep = admissibility_check(sys_t, build_rank_one(prob), t0, dx, probes)
+    assert len(probes) == 8
+    assert len(calls) == 8
+    # pinned from the implementation that paired every probe twice
+    assert rep.to_dict() == {
+        "lands_in_state_space": True,
+        "worst_reconstruction_residual": 0.0020000000000032214,
+        "seminorm_constant": 0.38, "seminorm_window": [-3.0, 3.0],
+        "smallness_observed": 0.38, "smallness_analytic": 0.4,
+        "smallness_pass": True, "volterra_norm_lower_bound": 0.38,
+        "probes_used": 8, "admissible": True}
+
+
+def test_admissibility_rank_one_nodes_match_per_node_reference(monkeypatch):
+    prob = delta_problem()
+    dx, t0 = 4e-3, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    op = build_rank_one(prob)
+    probes = translation_probes(sys_t, t0, dx)
+    rep = admissibility_check(sys_t, op, t0, dx, probes)
+    real = perturbation._convolved_nodes
+    monkeypatch.setattr(perturbation, "_convolved_nodes",
+                        lambda s, o, phi, dt, steps:
+                        [real(s, o, phi, dt, [m])[0] for m in steps])
     ref = admissibility_check(sys_t, op, t0, dx, probes)
     assert rep.to_dict() == ref.to_dict()
 
@@ -747,6 +837,12 @@ def test_comparison_dyadic_stability_neutral_system():
     out = comparison_check(sys_m, op, ts)
     assert out["stability_ratio"] <= 2.0
     assert out["constant"] == pytest.approx(opnorm2(op.matrix_data), rel=0.05)
+
+
+def test_comparison_summary_edges():
+    assert comparison_summary([]) == (0.0, math.inf)
+    assert comparison_summary([0.0, 0.0]) == (0.0, math.inf)
+    assert comparison_summary([0.5, 0.0, 2.0]) == (2.0, 4.0)
 
 
 # ---------------------------------------------------------------------------

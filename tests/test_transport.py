@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from semiperturb.errors import (
     DegenerateProfile,
@@ -296,6 +297,39 @@ def test_engine_oracle_refinement_order():
     assert study["orders"][0] >= 1.8
     gaps = [r["gap"] for r in study["rows"]]
     assert gaps[1] < gaps[0]
+
+
+def half_box_density():
+    # density 1/2 on (-1/2, 1/2], total mass 1
+    return PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
+                             [[0], [Fraction(1, 2)], [0]])
+
+
+@pytest.mark.parametrize("atoms", [(), ((0, Fraction(1, 2)),)],
+                         ids=["density", "density+atom"])
+def test_density_measure_engine_oracle_order(atoms):
+    prob = TransportProblem(
+        measure=BoundedMeasure(atoms=atoms, density=half_box_density()),
+        profile=canonical_profile(),
+        initial=tent(),
+        regularizer=canonical_regularizer(),
+    )
+    study = refinement_study(prob, 0.5, [4e-3, 2e-3, 1e-3], 0.2)
+    assert min(study["orders"]) >= 1.9
+    assert study["rows"][-1]["gap"] <= 1e-6
+
+
+def test_kernel_with_density_matches_quadrature():
+    density = half_box_density()
+    mu = BoundedMeasure(density=density)
+    g = canonical_profile()
+    for s in (0.0, 0.3, 0.75, 1.2):
+        breaks = [float(b) - s for b in g.breakpoints]
+        want, _ = scipy.integrate.quad(
+            lambda x: float(density.eval(x)) * float(g.eval(x + s)),
+            -0.5, 0.5, points=[b for b in breaks if -0.5 < b < 0.5],
+            epsabs=1e-13, epsrel=1e-13)
+        assert float(kernel(mu, g, s)) == pytest.approx(want, abs=1e-12)
 
 
 def test_two_atom_headline_configuration():
