@@ -11,7 +11,9 @@ Two concrete representations:
   rule, the working representation for semigroup trajectories.
 
 A :class:`BoundedMeasure` (finite atoms plus an optional compactly
-supported piecewise-polynomial density) pairs against both.
+supported piecewise-polynomial density) pairs against both; grid data,
+one function or a stack of rows, is paired by the one rule
+:func:`pair_rows`.
 """
 
 from __future__ import annotations
@@ -492,8 +494,9 @@ class BoundedMeasure:
         """Integral of f against the measure.
 
         Exact for PiecewiseFunction arguments (rational in, rational out);
-        for GridFunction arguments the density is integrated exactly
-        against the linear interpolant via precomputed node weights.
+        a GridFunction is paired by :func:`pair_rows`, read under its
+        extension rule, the density integrated exactly against the linear
+        interpolant.
         """
         if isinstance(f, PiecewiseFunction):
             total = 0
@@ -505,35 +508,16 @@ class BoundedMeasure:
                 total = total + prod.definite_integral(a, b)
             return total
         if isinstance(f, GridFunction):
-            total = 0.0
-            for loc, w in self.atoms:
-                total += float(w) * f.eval(float(loc))
-            if self.density is not None:
-                total += float(np.dot(self._density_weights(f), f.values))
-                total += self._density_tails(f)
-            return total
+            return pair_rows(self, f, f.values[None])[0]
         raise TypeError(f"cannot pair with {type(f).__name__}")
 
-    def _density_weights(self, f: GridFunction) -> np.ndarray:
-        key = (f.origin, f.spacing, f.count)
+    def _density_weights(self, grid) -> np.ndarray:
+        key = (grid.origin, grid.spacing, grid.count, grid.extension)
         w = self._weight_cache.get(key)
         if w is None:
-            w = _density_node_weights(self.density, f)
+            w = _density_node_weights(self.density, grid)
             self._weight_cache[key] = w
         return w
-
-    def _density_tails(self, f: GridFunction) -> float:
-        # density mass outside the grid hits the extension values
-        d = self.density
-        a, b = d.support_bounds()
-        out = 0.0
-        if a < f.origin:
-            mass = float(d.definite_integral(a, min(b, f.origin)))
-            out += mass * (f.values[0] if f.extension == "constant" else 0.0)
-        if b > f.x_last:
-            mass = float(d.definite_integral(max(a, f.x_last), b))
-            out += mass * (f.values[-1] if f.extension == "constant" else 0.0)
-        return out
 
     def support_points(self):
         pts = [float(loc) for loc, _ in self.atoms]
@@ -542,22 +526,72 @@ class BoundedMeasure:
         return pts
 
 
-def _density_node_weights(density: PiecewiseFunction, f: GridFunction) -> np.ndarray:
-    """W with integral(density * interp(f)) == dot(W, f.values), exact."""
-    w = np.zeros(f.count)
+def _density_node_weights(density: PiecewiseFunction, grid) -> np.ndarray:
+    """W with integral(density * f) == dot(W, f.values), exact, for f the
+    linear interpolant of the values on ``grid`` read under its extension
+    rule: density mass beyond an edge lands on that edge node, or nowhere
+    under zero extension."""
+    w = np.zeros(grid.count)
     a, b = density.support_bounds()
-    lo_i = max(0, int(np.floor((a - f.origin) / f.spacing)))
-    hi_i = min(f.count - 1, int(np.ceil((b - f.origin) / f.spacing)))
+    dx = grid.spacing
+    lo_i = max(0, int(np.floor((a - grid.origin) / dx)))
+    hi_i = min(grid.count - 1, int(np.ceil((b - grid.origin) / dx)))
     for i in range(lo_i, hi_i):
-        x0 = f.origin + i * f.spacing
-        x1 = x0 + f.spacing
+        x0 = grid.origin + i * dx
+        x1 = x0 + dx
         # hat contributions: (x1 - x)/dx toward node i, (x - x0)/dx toward i+1
-        up = PiecewiseFunction([x0, x1], [[0], [-x0 / f.spacing, 1.0 / f.spacing], [0]])
+        up = PiecewiseFunction([x0, x1], [[0], [-x0 / dx, 1.0 / dx], [0]])
         mass = float((density * up).definite_integral(x0, x1))
         cell = float(density.definite_integral(x0, x1))
         w[i + 1] += mass
         w[i] += cell - mass
+    if grid.extension == "constant":
+        if a < grid.origin:
+            w[0] += float(density.definite_integral(a, min(b, grid.origin)))
+        if b > grid.x_last:
+            w[-1] += float(density.definite_integral(max(a, grid.x_last), b))
     return w
+
+
+def pair_rows(measure: BoundedMeasure, grid, rows) -> np.ndarray:
+    """Pairing of the measure with every row of ``rows`` at once.
+
+    Each row holds values on the nodes of ``grid`` (a GridFunction or a
+    TranslationSystem), read under its extension rule.  An atom on a node
+    reads that column; any other atom interpolates its two neighbour
+    columns in np.interp's arithmetic (the edge column or 0 beyond the
+    grid); the density reads the span of its nonzero node weights.  No
+    other column is touched, so ``rows`` may be a read-only strided view,
+    such as the sliding window of an orbit, and is never copied whole.
+    """
+    out = np.zeros(rows.shape[0])
+    for loc, w in measure.atoms:
+        x = float(loc)
+        pos = (x - grid.origin) / grid.spacing
+        i = int(round(pos))
+        if abs(pos - i) <= 1e-8 and 0 <= i < grid.count:
+            out += float(w) * rows[:, i]
+        else:
+            out += float(w) * _interp_rows(grid, rows, x)
+    if measure.density is not None:
+        wts = measure._density_weights(grid)
+        nz = np.flatnonzero(wts)
+        if nz.size:
+            lo, hi = nz[0], nz[-1] + 1
+            out += np.ascontiguousarray(rows[:, lo:hi]) @ wts[lo:hi]
+    return out
+
+
+def _interp_rows(grid, rows, x: float):
+    """``GridFunction.eval(x)`` of every row, in np.interp's arithmetic."""
+    xp = grid.nodes()
+    j = int(np.searchsorted(xp, x, side="right")) - 1
+    if 0 <= j < len(xp) - 1 and xp[j] != x:
+        slope = (rows[:, j + 1] - rows[:, j]) / (xp[j + 1] - xp[j])
+        return slope * (x - xp[j]) + rows[:, j]
+    if xp[0] <= x <= xp[-1] or grid.extension == "constant":
+        return rows[:, max(j, 0)]
+    return np.zeros(len(rows))
 
 
 def _eval_pieces(f: PiecewiseFunction, xs, piece):

@@ -40,6 +40,7 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    pair_rows,
     sample_lag_kernel,
     sample_sided,
 )
@@ -185,16 +186,17 @@ class VectorTrajectory:
 
     @classmethod
     def orbit(cls, system, x, t0: float, dt: float) -> "VectorTrajectory":
-        """Unperturbed orbit T(j dt) x, j = 0..t0/dt."""
+        """Unperturbed orbit T(j dt) x, j = 0..t0/dt.
+
+        On a translation system the nodes are a copy of the orbit window
+        ``_orbit_window``, the rows the Neumann series pairs in place.
+        """
         m = _lattice_steps(t0, dt, "t0")
         if system.kind == "translation":
             vals = x.values if isinstance(x, GridFunction) \
                 else system.sample(x).values
-            k = system.steps_of(dt)
-            rows = np.empty((m + 1, system.count))
-            for j in range(m + 1):
-                rows[j] = system.shift_values(vals, j * k)
-            return cls(system, dt, rows)
+            return cls(system, dt, _orbit_window(
+                system, vals, m, system.steps_of(dt)).copy())
         x = np.asarray(x, dtype=float)
         return cls(system, dt, system.powers(dt, m) @ x)
 
@@ -210,70 +212,16 @@ class VectorTrajectory:
         return cls(system, dt, np.array(rows))
 
 
-def _density_tail_masses(measure: BoundedMeasure, system: TranslationSystem):
-    """Density mass falling left/right of the grid (hits extension values)."""
-    d = measure.density
-    if d is None:
-        return 0.0, 0.0
-    a, b = d.support_bounds()
-    lo = float(d.definite_integral(a, min(b, system.origin))) \
-        if a < system.origin else 0.0
-    hi = float(d.definite_integral(max(a, system.x_last), b)) \
-        if b > system.x_last else 0.0
-    return lo, hi
+def _orbit_window(system: TranslationSystem, vals, m: int, k: int = 1):
+    """Read-only (m+1) x count view whose row j is T(j k spacing) vals.
 
-
-def _pair_rows(measure: BoundedMeasure, system: TranslationSystem,
-               rows: np.ndarray) -> np.ndarray:
-    """Pairing of the measure with every trajectory row at once."""
-    out = np.zeros(rows.shape[0])
-    ref = system.make(rows[0])
-    for loc, w in measure.atoms:
-        pos = (float(loc) - system.origin) / system.spacing
-        i = int(round(pos))
-        if abs(pos - i) <= 1e-8 and 0 <= i < system.count:
-            out += float(w) * rows[:, i]
-        else:
-            out += float(w) * _interp_rows(system, rows, float(loc))
-    if measure.density is not None:
-        out += rows @ measure._density_weights(ref)
-        lo, hi = _density_tail_masses(measure, system)
-        if system.extension == "constant":
-            out += lo * rows[:, 0] + hi * rows[:, -1]
-    return out
-
-
-def _interp_rows(system: TranslationSystem, rows: np.ndarray, x: float):
-    """``system.make(row).eval(x)`` for every row, in np.interp's arithmetic."""
-    xp = system.nodes()
-    j = int(np.searchsorted(xp, x, side="right")) - 1
-    if 0 <= j < len(xp) - 1 and xp[j] != x:
-        slope = (rows[:, j + 1] - rows[:, j]) / (xp[j + 1] - xp[j])
-        return slope * (x - xp[j]) + rows[:, j]
-    if xp[0] <= x <= xp[-1] or system.extension == "constant":
-        return rows[:, max(j, 0)]
-    return np.zeros(len(rows))
-
-
-def _orbit_pairings(op: PerturbationOperator, system: TranslationSystem,
-                    vals: np.ndarray, m_steps: int) -> np.ndarray:
-    """Pairing of the measure with the orbit of vals, without materializing it."""
-    dt = system.spacing
-    phi = np.zeros(m_steps + 1)
-    g = system.make(vals)
-    s = dt * np.arange(m_steps + 1)
-    for loc, w in op.measure.atoms:
-        phi += float(w) * np.asarray(g.eval(float(loc) + s), dtype=float)
-    if op.measure.density is not None:
-        wts = op.measure._density_weights(g)
-        lo, hi = _density_tail_masses(op.measure, system)
-        ext = vals[-1] if system.extension == "constant" else 0.0
-        buf = np.concatenate([vals, np.full(m_steps, ext)])
-        for j in range(m_steps + 1):
-            phi[j] += np.dot(wts, buf[j:j + system.count])
-            if system.extension == "constant":
-                phi[j] += lo * buf[j] + hi * buf[j + system.count - 1]
-    return phi
+    Row j starts j k entries into vals padded with m k extension values
+    (the edge value, or 0), so the rows share one buffer of count + m k
+    doubles.
+    """
+    ext = vals[-1] if system.extension == "constant" else 0.0
+    padded = np.concatenate([vals, np.full(m * k, ext)])
+    return np.lib.stride_tricks.sliding_window_view(padded, system.count)[::k]
 
 
 def _require_time_grid(system: TranslationSystem, dt: float):
@@ -313,7 +261,7 @@ def _volterra_nodes(system, op, F: VectorTrajectory, steps):
     if op.kind == "matrix":
         out = _volterra_matrix(system, op, F.nodes, F.dt)
         return [out[m].copy() for m in steps]
-    phi = _pair_rows(op.measure, system, F.nodes)
+    phi = pair_rows(op.measure, system, F.nodes)
     return _convolved_nodes(system, op, phi, F.dt, steps)
 
 
@@ -455,11 +403,16 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
     entry.  Rank-one kind: a term is the pairings phi of V^(k-1) T x with
     the measure, advanced by the renewal kernel, its size sup|g| times the
     trapezoid of |phi|; S adds one profile convolution of their sum to T x.
+    The first pairings are ``pair_rows`` over the orbit window of x (the
+    rows ``VectorTrajectory.orbit`` copies), read in place.
     The sum stops at the first term of size below tol (1 - q), q the last
     ratio of consecutive sizes clipped to [0, 0.999] (the guard before
     the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
-    terms, raise NonConvergence; a NaN or Inf state raises ValueError.
+    terms, raise NonConvergence; a NaN or Inf state, or a NaN or negative
+    tol, raises ValueError.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     m_steps = _lattice_steps(t0, dt, "t0")
     guard = _series_guard(op, system, t0, enforce_guard)
     if any(j < 0 or j > m_steps for j in node_steps):
@@ -489,11 +442,12 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
         w = np.abs(phi)
         return float(gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1]))
 
+    window = _orbit_window(system, vals, m_steps)
     phi_total, diag = _neumann_sum(
-        np.zeros(m_steps + 1), _orbit_pairings(op, system, vals, m_steps),
+        np.zeros(m_steps + 1), pair_rows(op.measure, system, window),
         lambda phi: _kernel_step(phi, ker, dt), size, _sup(vals), tol, guard)
     conv = _convolved_nodes(system, op, phi_total, dt, node_steps)
-    return [system.make(system.shift_values(vals, j)) + c
+    return [system.make(window[j]) + c
             for j, c in zip(node_steps, conv)], diag
 
 
@@ -682,7 +636,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
             semi = out_norm
             src = fn
         else:
-            phi = _pair_rows(op.measure, system, F.nodes)
+            phi = pair_rows(op.measure, system, F.nodes)
             out, *sampled = _convolved_nodes(system, op, phi, F.dt, steps)
             if op.regularized_profile is not None:
                 worst_recon = max(worst_recon, _regularized_residual(
@@ -793,13 +747,10 @@ def _resolvent_profile_sup(system: TranslationSystem,
         CompactInterval(system.origin, system.x_last)
     x0 = min(float(win.lo), float(lo))
     n = int(np.ceil((float(hi) - x0) / dt)) + 2
-    xs = x0 + dt * np.arange(n)
+    lattice = TranslationSystem(x0, dt, n, 0.0)
+    xs = lattice.nodes()
     _, gm, _ = sample_sided(g, xs, snap_tol=1e-6 * dt)
-    a = float(np.exp(-lam * dt))
-    out = np.zeros(n)
-    half = 0.5 * dt
-    for i in range(n - 2, -1, -1):
-        out[i] = half * (gm[i] + a * gm[i + 1]) + a * out[i + 1]
+    out = lattice.resolvent(lam, lattice.make(gm)).values
     mask = (xs >= float(win.lo) - 1e-12) & (xs <= float(win.hi) + 1e-12)
     return float(np.max(np.abs(out[mask])))
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiperturb.errors import (
     GuardViolation,
@@ -19,6 +21,7 @@ from semiperturb.functions import (
     BoundedMeasure,
     CompactInterval,
     PiecewiseFunction,
+    pair_rows,
     tent,
 )
 from semiperturb import perturbation
@@ -441,6 +444,13 @@ def test_neumann_refuses_non_finite_transport_state():
                       [sys_t.steps_of(t0)], dx)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_neumann_refuses_nan_or_negative_tol(bad):
+    with pytest.raises(ValueError, match="tol must be a nonnegative"):
+        neumann_semigroup(diag_system(), coupled_op(), np.array([1.0, 1.0]),
+                          0.5, 0.5, 1e-2, tol=bad)
+
+
 # ---------------------------------------------------------------------------
 # composition identity
 
@@ -603,34 +613,19 @@ def test_admissibility_one_volterra_trajectory_per_probe(monkeypatch):
     assert rep.to_dict() == want.to_dict()
 
 
-def test_admissibility_rank_one_matches_per_node_reference(monkeypatch):
-    prob = delta_problem()
-    dx, t0 = 4e-3, 0.2
-    sys_t = make_system(prob, dx, t0, t0)
-    op = build_rank_one(prob)
-    probes = translation_probes(sys_t, t0, dx)
-    rep = admissibility_check(sys_t, op, t0, dx, probes)
-    real = perturbation._volterra_nodes
-    monkeypatch.setattr(perturbation, "_volterra_nodes",
-                        lambda s, o, F, steps: [real(s, o, F, [m])[0]
-                                                for m in steps])
-    ref = admissibility_check(sys_t, op, t0, dx, probes)
-    assert rep.to_dict() == ref.to_dict()
-
-
 def test_admissibility_pairs_each_rank_one_probe_once(monkeypatch):
     prob = delta_problem()
     dx, t0 = 4e-3, 0.2
     sys_t = make_system(prob, dx, t0, t0)
     probes = translation_probes(sys_t, t0, dx)
-    real = perturbation._pair_rows
+    real = perturbation.pair_rows
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(perturbation, "_pair_rows", counted)
+    monkeypatch.setattr(perturbation, "pair_rows", counted)
     rep = admissibility_check(sys_t, build_rank_one(prob), t0, dx, probes)
     assert len(probes) == 8
     assert len(calls) == 8
@@ -665,10 +660,126 @@ def test_pair_rows_off_lattice_matches_per_row_eval(extension):
     rows = np.random.default_rng(5).standard_normal((7, 21))
     # off the lattice inside the grid, then beyond either edge
     for loc in (Fraction(1, 3), 1.25, -1.35):
-        got = perturbation._pair_rows(BoundedMeasure.dirac(loc, 0.7),
-                                      sys_t, rows)
+        got = pair_rows(BoundedMeasure.dirac(loc, 0.7), sys_t, rows)
         want = [0.7 * float(sys_t.make(r).eval(float(loc))) for r in rows]
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("extension", ["constant", "zero"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_translation_orbit_matches_per_row_shift(k, extension):
+    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2, extension=extension)
+    vals = np.random.default_rng(3).standard_normal(sys_t.count)
+    m = 10  # for k = 3 the last rows lie past the grid edge
+    F = VectorTrajectory.orbit(sys_t, sys_t.make(vals), m * k * 0.1, k * 0.1)
+    want = [sys_t.shift_values(vals, j * k) for j in range(m + 1)]
+    assert np.array_equal(F.nodes, want)
+    assert F.nodes.flags.writeable
+
+
+class _FirstTerm(Exception):
+    pass
+
+
+def series_first_term(mp, system, op, x, t0, dt):
+    """The first rank-one term that neumann_nodes hands to the series."""
+    def stop(total, term, *rest):
+        raise _FirstTerm(term)
+
+    mp.setattr(perturbation, "_neumann_sum", stop)
+    with pytest.raises(_FirstTerm) as caught:
+        neumann_nodes(system, op, x, t0, [0], dt, enforce_guard=False)
+    return caught.value.args[0]
+
+
+def assert_first_term_pairs_orbit(system, measure, vals, m):
+    dt = system.spacing
+    x = system.make(vals)
+    op = PerturbationOperator.rank_one(measure, canonical_profile())
+    with pytest.MonkeyPatch.context() as mp:
+        first = series_first_term(mp, system, op, x, m * dt, dt)
+    orbit = VectorTrajectory.orbit(system, x, m * dt, dt)
+    assert np.array_equal(first, pair_rows(measure, system, orbit.nodes))
+
+
+_HALF_BOX = PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
+                              [[0], [Fraction(1, 2)], [0]])
+
+
+@pytest.mark.parametrize("extension", ["constant", "zero"])
+@pytest.mark.parametrize("measure", [
+    BoundedMeasure.dirac(Fraction(1, 4), 0.7),
+    BoundedMeasure.dirac(Fraction(1, 3), 0.5),
+    BoundedMeasure.dirac(-1.3, 0.5),
+    BoundedMeasure(density=_HALF_BOX),
+    BoundedMeasure(atoms=[(0, Fraction(1, 2))], density=_HALF_BOX),
+], ids=["on-lattice", "off-lattice", "left-of-origin", "density",
+        "atom+density"])
+def test_series_first_term_pairs_materialised_orbit(measure, extension):
+    # pairing the translate of x on the whole line, instead of the rows
+    # the system stores, puts the atom left of the origin 0.98 off here
+    sys_t = TranslationSystem(-1.0, 0.01, 201, 0.4, extension=extension)
+    vals = np.random.default_rng(11).standard_normal(sys_t.count)
+    assert_first_term_pairs_orbit(sys_t, measure, vals, 40)
+
+
+# grid [-1, 1] at spacing 1/16: every node is a binary float
+_NODE = st.integers(0, 32).map(lambda k: Fraction(-1) + Fraction(k, 16))
+_WEIGHT = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+def _place(lo, hi):
+    return st.one_of(_NODE.filter(lambda x: lo <= x <= hi),
+                     st.fractions(min_value=lo, max_value=hi,
+                                  max_denominator=50))
+
+
+@st.composite
+def rational_measures(draw, lo=-1.5, hi=1.5):
+    """Atoms on and off the lattice, plus an optional step density."""
+    atoms = draw(st.lists(st.tuples(_place(lo, hi), _WEIGHT), max_size=4))
+    density = None
+    if draw(st.booleans()):
+        breaks = sorted(draw(st.sets(_place(lo, hi), min_size=2,
+                                     max_size=4)))
+        steps = draw(st.lists(_WEIGHT, min_size=len(breaks) - 1,
+                              max_size=len(breaks) - 1))
+        density = PiecewiseFunction(breaks,
+                                    [[0]] + [[c] for c in steps] + [[0]])
+    return BoundedMeasure(atoms=atoms, density=density)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(measure=rational_measures(), m=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1),
+       extension=st.sampled_from(["constant", "zero"]))
+def test_series_first_term_pairs_orbit_property(measure, m, seed,
+                                                extension):
+    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25, extension=extension)
+    vals = np.random.default_rng(seed).standard_normal(sys_t.count)
+    assert_first_term_pairs_orbit(sys_t, measure, vals, m)
+
+
+@st.composite
+def node_linear(draw):
+    """Continuous piecewise linear function with breakpoints on nodes."""
+    breaks = sorted(draw(st.sets(_NODE, min_size=1, max_size=6)))
+    vals = draw(st.lists(_WEIGHT, min_size=len(breaks),
+                         max_size=len(breaks)))
+    pieces = [[vals[0]]]
+    for (a, u), (b, v) in zip(zip(breaks, vals), zip(breaks[1:], vals[1:])):
+        slope = (v - u) / (b - a)
+        pieces.append([u - slope * a, slope])
+    return PiecewiseFunction(breaks, pieces + [[vals[-1]]])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(measure=rational_measures(lo=-1, hi=1), f=node_linear(),
+       extension=st.sampled_from(["constant", "zero"]))
+def test_grid_pairing_matches_exact_pairing(measure, f, extension):
+    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25, extension=extension)
+    assert abs(measure.pair(sys_t.sample(f))
+               - float(measure.pair(f))) <= 1e-12
 
 
 def test_admissibility_report_serializes():
