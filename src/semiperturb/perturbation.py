@@ -10,7 +10,8 @@ Two perturbation kinds are supported:
 
 * ``matrix``   -- B is a plain matrix on R^n, where the extrapolation
   space is the state space itself, so B F is applied as it stands and the
-  convolution is one running sum against the step exponential T(dt).
+  convolution is one doubling scan (``lattice_scan``) of the step
+  exponential T(dt) over the lattice.
 * ``rank_one`` -- B f = <f, mu> * g where mu is a bounded measure and g a
   piecewise-polynomial profile that need not lie in the grid state space.
   The convolution collapses to scalar recursions plus one profile
@@ -48,6 +49,8 @@ from .semigroup import (
     ExtrapolatedElement,
     MatrixSystem,
     TranslationSystem,
+    lattice_orbit,
+    lattice_scan,
     opnorm2,
     reconstruct,
 )
@@ -188,8 +191,9 @@ class VectorTrajectory:
     def orbit(cls, system, x, t0: float, dt: float) -> "VectorTrajectory":
         """Unperturbed orbit T(j dt) x, j = 0..t0/dt.
 
-        On a translation system the nodes are a copy of the orbit window
-        ``_orbit_window``, the rows the Neumann series pairs in place.
+        Matrix kind: the ``lattice_orbit`` of T(dt) and x.  Translation
+        kind: a copy of the orbit window ``_orbit_window``, the rows the
+        Neumann series pairs in place.
         """
         m = _lattice_steps(t0, dt, "t0")
         if system.kind == "translation":
@@ -197,8 +201,8 @@ class VectorTrajectory:
                 else system.sample(x).values
             return cls(system, dt, _orbit_window(
                 system, vals, m, system.steps_of(dt)).copy())
-        x = np.asarray(x, dtype=float)
-        return cls(system, dt, system.powers(dt, m) @ x)
+        system._check_time(m * dt)
+        return cls(system, dt, lattice_orbit(system.propagator(dt), x, m))
 
     @classmethod
     def from_callable(cls, system, fn, t0: float, dt: float
@@ -243,7 +247,7 @@ def volterra_trajectory(system, op: PerturbationOperator,
     against B F over [0, m dt], reconstructed back into the state space.
     """
     if op.kind == "matrix":
-        rows = _volterra_matrix(system, op, F.nodes, F.dt)
+        rows = _volterra_matrix(system.propagator(F.dt), op, F.nodes, F.dt)
     else:
         rows = np.array([r.values for r in _volterra_nodes(
             system, op, F, range(F.steps + 1))])
@@ -259,7 +263,7 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
 def _volterra_nodes(system, op, F: VectorTrajectory, steps):
     """Values of the Volterra operator applied to F at the lattice steps."""
     if op.kind == "matrix":
-        out = _volterra_matrix(system, op, F.nodes, F.dt)
+        out = _volterra_matrix(system.propagator(F.dt), op, F.nodes, F.dt)
         return [out[m].copy() for m in steps]
     phi = pair_rows(op.measure, system, F.nodes)
     return _convolved_nodes(system, op, phi, F.dt, steps)
@@ -273,22 +277,19 @@ def _convolved_nodes(system, op, phi, dt, steps):
             for m in steps]
 
 
-def _volterra_matrix(system: MatrixSystem, op, nodes, dt) -> np.ndarray:
-    """Trapezoid convolution by the running sum C[m] = E C[m-1] + B F[m].
+def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
+    """Trapezoid convolution of T(m dt - r) B F(r) over [0, m dt].
 
-    F holds the lattice ``nodes``.  With E = T(dt) and C[0] = B F[0] / 2,
-    node m is dt (C[m] - B F[m] / 2): the trapezoid of T(m dt - r) B F(r),
-    one matrix product per node.
+    F holds the lattice ``nodes`` and ``step`` is E = T(dt).  With C the
+    ``lattice_scan`` of E over B F with its first row halved, node m is
+    dt (C[m] - B F[m] / 2), zero at m = 0.
     """
-    step = system.propagator(dt)
-    BF = np.einsum("ab,qb...->qa...", op.matrix_data, nodes)
-    out = np.empty_like(BF)
-    acc = 0.5 * BF[0]
-    out[0] = 0.0
-    for m in range(1, len(BF)):
-        acc = step @ acc + BF[m]
-        out[m] = dt * (acc - 0.5 * BF[m])
-    return out
+    B = op.matrix_data
+    BF = B @ nodes.reshape(len(nodes), len(B), -1)
+    forcing = BF.copy()
+    forcing[0] *= 0.5
+    return (dt * (lattice_scan(step, forcing) - 0.5 * BF)).reshape(
+        nodes.shape)
 
 
 def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
@@ -429,10 +430,11 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
             f"state x: {bad} of {vals.size} entries are NaN or Inf; the "
             "Neumann series needs a finite state")
     if op.kind == "matrix":
-        orbit = VectorTrajectory.orbit(system, vals, m_steps * dt, dt).nodes
+        step = system.propagator(dt)
+        orbit = lattice_orbit(step, vals, m_steps)
         total, diag = _neumann_sum(
-            orbit, _volterra_matrix(system, op, orbit, dt),
-            lambda nodes: _volterra_matrix(system, op, nodes, dt), _sup,
+            orbit, _volterra_matrix(step, op, orbit, dt),
+            lambda nodes: _volterra_matrix(step, op, nodes, dt), _sup,
             _sup(orbit), tol, guard)
         return [total[j].copy() for j in node_steps], diag
     ker = op._kernel_lattice(dt, m_steps)
@@ -880,18 +882,16 @@ def matrix_probes(system: MatrixSystem, t0: float, dt: float,
                   seed: int = 0, extra: int = 3):
     """Orbit and oscillatory trajectories for matrix admissibility runs."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    out = []
-    for i in range(system.dim):
-        e = np.zeros(system.dim)
-        e[i] = 1.0
-        out.append(VectorTrajectory.orbit(system, e, t0, dt))
     m = _lattice_steps(t0, dt, "t0")
+    props = system.powers(dt, m)
+    out = [VectorTrajectory(system, dt, props[:, :, i].copy())
+           for i in range(system.dim)]
     for _ in range(extra):
         v = rng.standard_normal(system.dim)
         v /= np.max(np.abs(v))
         freq = rng.uniform(0.5, 4.0)
-        rows = np.array([np.cos(freq * j * dt) * v for j in range(m + 1)])
-        out.append(VectorTrajectory(system, dt, rows))
+        out.append(VectorTrajectory(system, dt, np.outer(
+            np.cos(freq * np.arange(m + 1) * dt), v)))
     return out
 
 

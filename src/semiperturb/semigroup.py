@@ -89,13 +89,44 @@ def opnorm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def lattice_scan(E: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[0] = b[0], c[q] = E c[q-1] + b[q] for rows b[q] that are vectors
+    (n,) or n x k matrices, by a Hillis--Steele doubling scan (Blelloch
+    1990, "Prefix sums and their applications").
+
+    The level with shift s adds E^s c[q-s] to c[q] and squares E^s, so
+    ceil(log2(len(b))) levels suffice.  The columns of the rows are kept
+    as rows of one table, where s steps are s k rows: a level is one
+    matrix product.
+    """
+    m1, n = np.shape(b)[:2]
+    cols = np.asarray(b, dtype=float).reshape(m1, n, -1)
+    # a C-ordered copy: flat is a view of it, and b is never written
+    cols = cols.transpose(0, 2, 1).copy()
+    k = cols.shape[1]
+    flat, power, s = cols.reshape(m1 * k, n), E.T, 1
+    while s < m1:
+        flat[s * k:] += flat[:-s * k] @ power
+        s *= 2
+        if s < m1:
+            power = power @ power
+    return cols.transpose(0, 2, 1).reshape(np.shape(b))
+
+
+def lattice_orbit(E: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """E^q x for q = 0..m: the ``lattice_scan`` of E over [x, 0, ..., 0]."""
+    impulse = np.zeros((m + 1,) + np.shape(x))
+    impulse[0] = x
+    return lattice_scan(E, impulse)
+
+
 class MatrixSystem:
     """Uniformly continuous semigroup T(t) = exp(tA) on R^n.
 
     growth_bound defaults to the spectral abscissa of A; bound_constant M
     (with ||T(t)|| <= M e^{growth_bound t}) is calibrated on an 81-point
     lattice unless supplied.  Lattice propagators T(q dt) come from
-    ``powers``, as successive powers of the one step exponential T(dt).
+    ``powers``, the ``lattice_orbit`` of the one step exponential T(dt).
     The state may be a vector or an n x k matrix; T(t) acts from the left.
     """
 
@@ -129,14 +160,9 @@ class MatrixSystem:
         return expm(t * self.A)
 
     def powers(self, dt: float, m: int) -> np.ndarray:
-        """T(q dt) for q = 0..m, stacked, by the semigroup law T(dt)^q."""
+        """T(q dt) = T(dt)^q for q = 0..m, stacked; row 0 is exactly I."""
         self._check_time(m * dt)
-        step = expm(dt * self.A)
-        out = np.empty((m + 1, self.dim, self.dim))
-        out[0] = np.eye(self.dim)
-        for q in range(1, m + 1):
-            out[q] = step @ out[q - 1]
-        return out
+        return lattice_orbit(expm(dt * self.A), np.eye(self.dim), m)
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.propagator(t) @ np.asarray(x, dtype=float)

@@ -11,7 +11,9 @@ import math
 
 import pytest
 
+from semiperturb import cli
 from semiperturb.cli import (
+    SUBCOMMANDS,
     build_parser,
     deterministic_json,
     emit_convergence,
@@ -239,3 +241,24 @@ def test_reports_byte_identical(tmp_path):
             == (b / "matrix-demo-report.json").read_bytes())
     assert ((a / "matrix-demo-gaps.csv").read_bytes()
             == (b / "matrix-demo-gaps.csv").read_bytes())
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_report_round_trip(tmp_path, monkeypatch, sub):
+    # the report as built in memory, caught at its top-level rendering
+    payloads = []
+    render = cli.deterministic_json
+
+    def caught(obj, indent=0):
+        if indent == 0:
+            payloads.append(obj)
+        return render(obj, indent)
+
+    monkeypatch.setattr(cli, "deterministic_json", caught)
+    assert main([sub, "--profile", "fast", "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert len(payloads) == 1
+    text = (tmp_path / f"{sub}-report.json").read_text()
+    assert text == render(payloads[0]) + "\n"
+    assert json.loads(text) == payloads[0]
+    assert render(json.loads(text)) + "\n" == text

@@ -24,7 +24,7 @@ from semiperturb.functions import (
     pair_rows,
     tent,
 )
-from semiperturb import perturbation
+from semiperturb import perturbation, semigroup
 from semiperturb.perturbation import (
     MAX_NEUMANN_TERMS,
     AdmissibilityReport,
@@ -125,6 +125,18 @@ def test_volterra_matrix_trapezoid_order():
         errs.append(abs(volterra_apply(sys_m, op, F, 1.0)[0] - exact))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
+
+
+@pytest.mark.parametrize("state", [np.array([1.0, -2.0]), np.eye(2)],
+                         ids=["vector", "matrix"])
+def test_matrix_lattice_of_one_node(state):
+    sys_m = diag_system()
+    F = VectorTrajectory.orbit(sys_m, state, 0.0, 1e-2)
+    assert F.nodes.shape == (1,) + state.shape
+    assert np.array_equal(F.nodes[0], state)
+    out = volterra_trajectory(sys_m, coupled_op(), F)
+    assert out.nodes.shape == F.nodes.shape
+    assert np.all(out.nodes == 0.0)
 
 
 def _per_lag_trapezoid(A, B, nodes, dt):
@@ -424,6 +436,29 @@ def test_neumann_matrix_term_cap_raises(monkeypatch):
         neumann_semigroup(diag_system(), coupled_op(), np.array([1.0, 1.0]),
                           0.5, 0.5, 1e-2, tol=0.0)
     assert len(calls) == MAX_NEUMANN_TERMS
+
+
+def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
+    # one expm for the guard's power table and one for T(dt), shared by
+    # the orbit and every term, however many terms the tolerance needs
+    real = semigroup.expm
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(semigroup, "expm", counted)
+    sys_m, op = diag_system(), coupled_op()
+    counts, terms = [], []
+    for tol in (1e-6, 1e-12):
+        calls.clear()
+        _, diag = neumann_nodes(sys_m, op, np.array([1.0, 1.0]), 0.5,
+                                [0, 50], 1e-2, tol=tol)
+        counts.append(len(calls))
+        terms.append(diag.terms_used)
+    assert terms[1] > terms[0]
+    assert counts == [2, 2]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

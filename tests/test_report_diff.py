@@ -22,9 +22,9 @@ REPORT = {
 }
 
 
-def _run(tmp_path, b, *flags):
+def _run(tmp_path, b, *flags, a=REPORT):
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    pa.write_text(json.dumps(REPORT))
+    pa.write_text(json.dumps(a))
     pb.write_text(json.dumps(b))
     proc = subprocess.run([sys.executable, str(TOOL), str(pa), str(pb),
                            *flags], capture_output=True, text=True)
@@ -51,6 +51,30 @@ def test_last_digit_moves_are_listed_within_rtol(tmp_path):
     # the same moves fail a tighter tolerance
     code, _ = _run(tmp_path, b, "--rtol", "1e-11")
     assert code == 1
+
+
+def test_absolute_floor_passes_small_values(tmp_path):
+    # a last-digit move of a small gap: 1.1e-15 absolute, 1.4e-10 relative
+    b = copy.deepcopy(REPORT)
+    b["config"]["gaps"][1] = 7.9399905494779065e-06
+    code, out = _run(tmp_path, b, "--rtol", "1e-11")
+    assert code == 1
+    assert "NOT within rtol 1e-11" in out
+    code, out = _run(tmp_path, b, "--rtol", "1e-11", "--atol", "1e-13")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("within rtol 1e-11 or atol 1e-13")
+    # a zero that moves has no finite relative change; only the floor
+    # can pass it
+    a = copy.deepcopy(REPORT)
+    a["config"]["t"] = 0
+    b = copy.deepcopy(REPORT)
+    b["config"]["t"] = 5e-14
+    assert _run(tmp_path, b, a=a)[0] == 1
+    assert _run(tmp_path, b, "--atol", "1e-13", a=a)[0] == 0
+    # the floor does not excuse a real move
+    b = copy.deepcopy(REPORT)
+    b["checks"][1]["measured"] = 4
+    assert _run(tmp_path, b, "--atol", "1e-13")[0] == 1
 
 
 def test_large_moves_and_missing_checks_fail(tmp_path):

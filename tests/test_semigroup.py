@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiperturb.errors import HorizonExceeded, NotInStateSpace, StepMismatch
 from semiperturb.functions import CompactInterval, PiecewiseFunction, tent
@@ -15,6 +17,7 @@ from semiperturb.semigroup import (
     expm,
     extended_apply,
     generator_image,
+    lattice_scan,
     lift,
     opnorm2,
     reconstruct,
@@ -106,6 +109,44 @@ def test_matrix_powers_match_per_lag_expm():
     for q in (1, 7, 40):
         ref = scipy.linalg.expm(q * 0.05 * sys.A)
         assert opnorm2(P[q] - ref) <= 1e-13 * opnorm2(ref)
+
+
+def test_matrix_powers_of_zero_steps_is_identity():
+    sys = _stable_system(seed=3)
+    P = sys.powers(0.05, 0)
+    assert P.shape == (1, 4, 4)
+    assert np.array_equal(P[0], np.eye(4))
+
+
+def _sequential_scan(E, b):
+    """c[q] = E c[q-1] + b[q], one lattice step at a time."""
+    c = np.array(b, dtype=float)
+    for q in range(1, len(c)):
+        c[q] = E @ c[q - 1] + c[q]
+    return c
+
+
+_SCAN_LENGTHS = sorted({1, 2} | {2**j + d for j in range(1, 10)
+                                 for d in (-1, 0, 1)})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(1, 6), k=st.sampled_from([None, 1, 2, 5]),
+       length=st.sampled_from(_SCAN_LENGTHS),
+       radius=st.floats(0.0, 1.05), seed=st.integers(0, 2**32 - 1))
+def test_lattice_scan_matches_sequential_recurrence(n, k, length, radius,
+                                                    seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    E = G * (radius / max(abs(np.linalg.eigvals(G))))
+    b = rng.standard_normal((length, n) if k is None else (length, n, k))
+    before = b.copy()
+    got = lattice_scan(E, b)
+    want = _sequential_scan(E, b)
+    assert got.shape == b.shape
+    assert np.array_equal(b, before)
+    assert np.array_equal(got[0], b[0])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_matrix_bound_constant_matches_linspace_sweep():

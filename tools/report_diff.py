@@ -1,13 +1,15 @@
 """Compare two semiperturb JSON reports check by check.
 
-    python3 tools/report_diff.py A.json B.json [--rtol X]
+    python3 tools/report_diff.py A.json B.json [--rtol X] [--atol Y]
 
 Checks are matched by ``name``.  Every ``measured`` value that differs
 between the reports is printed with its absolute and relative change
 (relative to A), and so is every moved leaf of ``config``, where some
-subcommands keep their measured series.  The exit status is 1 when a
-relative change exceeds ``--rtol`` (default 1e-9), when a non-numeric
-value differs, or when a check is in only one report; otherwise 0.
+subcommands keep their measured series.  A moved number is within
+tolerance when its absolute change is at most ``--atol`` (default 0) or
+its relative change at most ``--rtol`` (default 1e-9).  The exit status
+is 1 when a number moves beyond both, when a non-numeric value differs,
+or when a check is in only one report; otherwise 0.
 """
 
 import argparse
@@ -30,8 +32,10 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def compare(a: dict, b: dict, rtol: float, out=sys.stdout) -> bool:
-    """Print what moved from report a to report b; True when within rtol."""
+def compare(a: dict, b: dict, rtol: float, atol: float = 0.0,
+            out=sys.stdout) -> bool:
+    """Print what moved from report a to report b; True when every moved
+    number is within atol absolute or rtol relative."""
     ok = True
     checks_a = {c["name"]: c["measured"] for c in a["checks"]}
     checks_b = {c["name"]: c["measured"] for c in b["checks"]}
@@ -58,9 +62,10 @@ def compare(a: dict, b: dict, rtol: float, out=sys.stdout) -> bool:
         rel = diff / abs(x) if x else float("inf")
         print(f"{path}: {x!r} -> {y!r}  abs {diff:.3e}  rel {rel:.3e}",
               file=out)
-        ok = ok and rel <= rtol
+        ok = ok and (diff <= atol or rel <= rtol)
     print(f"{len(pairs)} values compared, {moved} moved, "
-          f"{'within' if ok else 'NOT within'} rtol {rtol:g}", file=out)
+          f"{'within' if ok else 'NOT within'} rtol {rtol:g}"
+          + (f" or atol {atol:g}" if atol else ""), file=out)
     return ok
 
 
@@ -71,10 +76,13 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="report to compare (JSON)")
     parser.add_argument("--rtol", type=float, default=1e-9,
                         help="largest allowed relative change (default 1e-9)")
+    parser.add_argument("--atol", type=float, default=0.0,
+                        help="largest absolute change allowed regardless of "
+                             "--rtol (default 0)")
     args = parser.parse_args(argv)
     with open(args.a) as fa, open(args.b) as fb:
         a, b = json.load(fa), json.load(fb)
-    return 0 if compare(a, b, args.rtol) else 1
+    return 0 if compare(a, b, args.rtol, args.atol) else 1
 
 
 if __name__ == "__main__":
