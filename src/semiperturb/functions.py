@@ -13,7 +13,7 @@ Two concrete representations:
 A :class:`BoundedMeasure` (finite atoms plus an optional compactly
 supported piecewise-polynomial density) pairs against both; grid data,
 one function or a stack of rows, is paired by the one rule
-:func:`pair_rows`.
+:func:`pair_rows`, with the exact panel quadrature :func:`hat_moments`.
 """
 
 from __future__ import annotations
@@ -529,22 +529,19 @@ class BoundedMeasure:
 def _density_node_weights(density: PiecewiseFunction, grid) -> np.ndarray:
     """W with integral(density * f) == dot(W, f.values), exact, for f the
     linear interpolant of the values on ``grid`` read under its extension
-    rule: density mass beyond an edge lands on that edge node, or nowhere
-    under zero extension."""
+    rule: h I0 of each cell's :func:`hat_moments` lands on its left node
+    and h I1 on its right one, and density mass beyond an edge lands on
+    that edge node, or nowhere under zero extension."""
     w = np.zeros(grid.count)
     a, b = density.support_bounds()
     dx = grid.spacing
     lo_i = max(0, int(np.floor((a - grid.origin) / dx)))
     hi_i = min(grid.count - 1, int(np.ceil((b - grid.origin) / dx)))
-    for i in range(lo_i, hi_i):
-        x0 = grid.origin + i * dx
-        x1 = x0 + dx
-        # hat contributions: (x1 - x)/dx toward node i, (x - x0)/dx toward i+1
-        up = PiecewiseFunction([x0, x1], [[0], [-x0 / dx, 1.0 / dx], [0]])
-        mass = float((density * up).definite_integral(x0, x1))
-        cell = float(density.definite_integral(x0, x1))
-        w[i + 1] += mass
-        w[i] += cell - mass
+    if hi_i > lo_i:
+        i0, i1 = hat_moments(density, grid.origin + lo_i * dx, dx,
+                             hi_i - lo_i)
+        w[lo_i:hi_i] += dx * i0
+        w[lo_i + 1:hi_i + 1] += dx * i1
     if grid.extension == "constant":
         if a < grid.origin:
             w[0] += float(density.definite_integral(a, min(b, grid.origin)))
@@ -601,8 +598,55 @@ def _eval_pieces(f: PiecewiseFunction, xs, piece):
                       for p in f.pieces])
     acc = np.zeros(np.shape(xs))
     for k in range(width):
-        acc = acc * xs + table[piece, k]
+        acc *= xs
+        acc += table[piece, k]
     return acc
+
+
+def _gauss_panels(lo, width, degree):
+    """(points, weights) on the panels [lo, lo + width], node by node, of
+    the Gauss-Legendre rule exact for polynomials of that degree."""
+    t, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    for tj, wj in zip(0.5 * t + 0.5, 0.5 * w):
+        yield lo + tj * width, wj * width
+
+
+def hat_moments(f: PiecewiseFunction, origin, h, n):
+    """(I0, I1) on the cells [x_k, x_k + h], x_k = origin + k h, k < n:
+    I0[k] = integral over sigma in (0, 1) of (1 - sigma) f(x_k + sigma h),
+    I1[k] its sigma-weighted twin.
+
+    Each cell is cut at f's float breakpoints, and each panel gets the
+    Gauss-Legendre rule exact for f's degree.  Cuts are held in lattice
+    units, cell k and sigma = (b - x_k) / h, so none loses digits to
+    |x_k| / h; a panel reads its piece at its start, node or breakpoint.
+    """
+    xk = origin + h * np.arange(n + 1)
+    breaks = np.array([float(b) for b in f.breakpoints])
+    # x_k + h and x_{k+1} differ by rounding: a breakpoint by a node may
+    # cut the cell on either side of it
+    near = np.searchsorted(xk, breaks, side="right") - 1
+    cell = np.concatenate([near, near - 1])
+    at = np.concatenate([breaks, breaks])
+    sig = (at - xk[np.clip(cell, 0, n)]) / h
+    inner = (cell >= 0) & (cell < n) & (sig > 0) & (sig < 1)
+    order = np.lexsort((sig[inner], cell[inner]))
+    cut_cell, cut_sig, cut_at = (v[inner][order] for v in (cell, sig, at))
+    # panels in lattice order: each cell's start, then its inner cuts
+    cell = np.insert(np.arange(n), cut_cell + 1, cut_cell)
+    lo = np.insert(np.zeros(n), cut_cell + 1, cut_sig)
+    piece = np.searchsorted(breaks, np.insert(xk[:n], cut_cell + 1, cut_at),
+                            side="right")
+    width = np.append(lo[1:], 0.0)
+    width[width == 0.0] = 1.0  # the next panel starts a new cell
+    width -= lo
+    x0, i0, i1 = xk[cell], np.zeros(lo.size), np.zeros(lo.size)
+    for sigma, wts in _gauss_panels(lo, width, max(len(p) for p in f.pieces)):
+        vals = _eval_pieces(f, x0 + h * sigma, piece)
+        vals *= wts
+        i0 += (1.0 - sigma) * vals
+        i1 += sigma * vals
+    return np.bincount(cell, i0, n), np.bincount(cell, i1, n)
 
 
 def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
@@ -636,6 +680,9 @@ def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     Returns (left, mid, right) at the lags s = 0, dt, ..., m_steps dt,
     taking one-sided limits where a shifted profile jump meets an atom.
+    The density part, integral of d(x) profile(x + s) dx, is continuous;
+    it is :func:`hat_moments`' panel rule on one (lags x panels) table,
+    row s cut at d's breakpoints and the profile's, shifted by -s.
     """
     s = dt * np.arange(m_steps + 1)
     left = np.zeros(m_steps + 1)
@@ -648,11 +695,22 @@ def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
         mid += float(w) * a_m
         right += float(w) * a_r
     if measure.density is not None:
-        a, b = measure.density.support_bounds()
-        dens = np.array([
-            float((measure.density * profile.translate(float(sq)))
-                  .definite_integral(a, b))
-            for sq in s])
+        d, g = measure.density, profile
+        a, b = (float(v) for v in d.support_bounds())
+        d_breaks = np.array([float(v) for v in d.breakpoints])
+        g_breaks = np.array([float(v) for v in g.breakpoints])
+        cuts = np.sort(np.concatenate(
+            [np.broadcast_to(d_breaks, (s.size, d_breaks.size)),
+             np.clip(g_breaks - s[:, None], a, b)], axis=1), axis=1)
+        lo, width = cuts[:, :-1], np.diff(cuts, axis=1)
+        mid_x, shift = lo + 0.5 * width, s[:, None]
+        d_piece = np.searchsorted(d_breaks, mid_x)
+        g_piece = np.searchsorted(g_breaks, mid_x + shift)
+        dens = np.zeros(s.size)
+        for x, wts in _gauss_panels(lo, width, max(len(p) for p in d.pieces)
+                                    + max(len(p) for p in g.pieces) - 2):
+            dens += (wts * _eval_pieces(d, x, d_piece)
+                     * _eval_pieces(g, x + shift, g_piece)).sum(axis=1)
         left += dens
         mid += dens
         right += dens

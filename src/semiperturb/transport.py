@@ -14,9 +14,11 @@ times the jump gaps.  This module owns
 * ``run_perturbed``, the high-level driver wiring a grid system and a
   rank-one operator into the Neumann engine.
 
-Oracle and engine share only low-level sampling primitives; the time
-stepping (implicit fixed-point solve here, explicit truncated series
-there) and the free-part handling are deliberately different routes.
+Oracle and engine share only low-level sampling primitives and the
+exact panel quadrature ``hat_moments``, which the tests check against
+exact rational hat products.  The time stepping (implicit fixed-point
+solve here, explicit truncated series there) and the free-part handling
+are deliberately different routes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    hat_moments,
     sample_lag_kernel,
     sample_sided,
     tent,
@@ -211,29 +214,6 @@ def build_domain_function(problem: "TransportProblem",
 # scalar renewal oracle
 
 
-def kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
-           s, side: str = "left"):
-    """Pairing of the shifted profile: the renewal kernel at lag s.
-
-    Exact piecewise evaluation (rational in, rational out); ``side``
-    selects the one-sided limit taken at profile jumps, with "mid" the
-    jump midpoint that trapezoid stepping wants at interior lattice hits.
-    """
-    total = 0
-    for loc, w in measure.atoms:
-        x = loc + s
-        if side == "mid":
-            val = (profile.one_sided_limit(x, "left")
-                   + profile.one_sided_limit(x, "right")) / 2
-        else:
-            val = profile.one_sided_limit(x, side)
-        total = total + w * val
-    if measure.density is not None:
-        total = total + (measure.density * profile.translate(s)
-                         ).definite_integral(*measure.density.support_bounds())
-    return total
-
-
 def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
                    u0: PiecewiseFunction, t: float, dt: float) -> np.ndarray:
     """Implicit-trapezoid solve of the scalar renewal equation.
@@ -264,53 +244,6 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     return phi
 
 
-_GAUSS_NODES, _GAUSS_WTS = np.polynomial.legendre.leggauss(4)
-_GAUSS_NODES = 0.5 * (_GAUSS_NODES + 1.0)
-_GAUSS_WTS = 0.5 * _GAUSS_WTS
-
-
-def _cell_moments(profile: PiecewiseFunction, origin: float, spacing: float,
-                  n_cells: int):
-    """First-order moments of the profile over every lattice cell.
-
-    Returns (I0, I1) with I0[k] = integral over sigma in (0,1) of
-    (1 - sigma) * profile(x_k + sigma h) and I1[k] the sigma-weighted
-    twin.  Four-point Gauss per cell is exact for polynomial pieces up
-    to degree 6; cells straddling an off-lattice breakpoint are redone
-    with an exact split so the jump never sits inside a Gauss panel.
-    """
-    xs = origin + spacing * np.arange(n_cells)
-    i0 = np.zeros(n_cells)
-    i1 = np.zeros(n_cells)
-    for sg, wg in zip(_GAUSS_NODES, _GAUSS_WTS):
-        _, vals, _ = sample_sided(profile, xs + sg * spacing)
-        i0 += wg * (1.0 - sg) * vals
-        i1 += wg * sg * vals
-    for b in profile.breakpoints:
-        pos = (float(b) - origin) / spacing
-        k = int(np.floor(pos))
-        if abs(pos - round(pos)) <= 1e-6 or k < 0 or k >= n_cells:
-            continue
-        i0[k], i1[k] = _split_cell_moments(profile, origin + k * spacing,
-                                           spacing)
-    return i0, i1
-
-
-def _split_cell_moments(profile, x0: float, spacing: float):
-    cuts = [x0] + [float(b) for b in profile.breakpoints
-                   if x0 < float(b) < x0 + spacing] + [x0 + spacing]
-    m0 = m1 = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        frac = (b - a) / spacing
-        for sg, wg in zip(_GAUSS_NODES, _GAUSS_WTS):
-            x = a + sg * (b - a)
-            sigma = (x - x0) / spacing
-            _, v, _ = sample_sided(profile, np.array([x]))
-            m0 += wg * frac * (1.0 - sigma) * v[0]
-            m1 += wg * frac * sigma * v[0]
-    return m0, m1
-
-
 def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
                     u0: PiecewiseFunction, system: TranslationSystem,
                     t: float, phi: np.ndarray | None = None) -> GridFunction:
@@ -318,9 +251,10 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     Free part sampled exactly from the shifted initial profile.  The
     series part integrates the linear interpolant of the renewal weights
-    against the exact profile, cell by cell, which is a second-order
-    reconstruction with different plumbing (and a different error
-    constant) than the engine's sampled trapezoid.
+    against the exact profile, cell by cell: two correlations of the
+    weights with the profile's :func:`hat_moments`.  That is a
+    second-order reconstruction with different plumbing (and a different
+    error constant) than the engine's sampled trapezoid.
     """
     dt = system.spacing
     if phi is None:
@@ -328,8 +262,8 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     m = len(phi) - 1
     vals = system.sample(u0.translate(t)).values.copy()
     if m > 0:
-        i0, i1 = _cell_moments(profile, system.origin, dt,
-                               system.count + m - 1)
+        i0, i1 = hat_moments(profile, system.origin, dt,
+                             system.count + m - 1)
         newest = phi[m:0:-1]   # weight at the cell edge nearer to time t
         oldest = phi[m - 1::-1]
         vals += dt * (np.correlate(i0, newest, mode="valid")

@@ -6,18 +6,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import hat_moments_exact, kernel
 from semiperturb.functions import (
     BoundedMeasure,
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    hat_moments,
     measure_from_dict,
     measure_to_dict,
+    pair_rows,
     piecewise_from_dict,
     piecewise_to_dict,
+    poly_eval,
+    sample_lag_kernel,
     sample_sided,
     tent,
     three_jump_profile,
@@ -320,3 +326,154 @@ def test_compact_interval():
     assert K.length == 3.0
     with pytest.raises(ValueError):
         CompactInterval(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# panel quadrature: hat moments and the density lag kernel
+
+
+def _float_scale(pieces, x_abs):
+    """Largest sum |c_j| |x|^j over the pieces: the size of the terms that
+    float Horner evaluation adds up at |x| <= x_abs."""
+    return max(sum(abs(float(c)) * x_abs ** j for j, c in enumerate(p))
+               for p in pieces)
+
+
+@st.composite
+def hat_inputs(draw):
+    """A rational piecewise polynomial of degree 0-7 with breakpoints on,
+    within 1e-12 of, and off a float lattice, and that lattice."""
+    h = draw(st.sampled_from([2.5e-4, 1e-3, 1 / 300, 0.05, 0.5]))
+    origin = draw(st.floats(-6, 6))
+    n = draw(st.integers(1, 6))
+    nodes = [origin + h * k for k in range(n + 1)]
+    breaks = set()
+    for _ in range(draw(st.integers(1, 5))):
+        x = draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from(["on", "near", "off"]))
+        if kind == "near":
+            x += draw(st.sampled_from([-1e-12, 1e-12]))
+        elif kind == "off":
+            x += h * draw(st.floats(-0.5, 0.99))
+        breaks.add(Fraction(x))
+    breaks = sorted(breaks)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    inner = [draw(st.lists(coeff, min_size=1, max_size=8))
+             for _ in breaks[1:]]
+    f = PiecewiseFunction(breaks, [[draw(coeff)]] + inner + [[draw(coeff)]])
+    return f, origin, h, n
+
+
+def _cell_scale(f, x0: float, h: float) -> float:
+    """Size of the float terms of the pieces that cell [x0, x0 + h] meets."""
+    lo = f._piece_index(Fraction(x0), "right")
+    hi = f._piece_index(Fraction(x0) + Fraction(h), "left")
+    return _float_scale(f.pieces[lo:hi + 1], abs(x0) + h)
+
+
+def _quad_hat(f, x0: float, h: float):
+    """(I0, I1) of one cell by scipy quad, one panel per piece: sigma is
+    cut exactly where f's breakpoints fall, and each panel integrates its
+    own polynomial, so no quadrature node reads across a jump."""
+    x0_q, h_q = Fraction(x0), Fraction(h)
+    cuts = sorted({Fraction(0), Fraction(1)}
+                  | {(b - x0_q) / h_q for b in f.breakpoints
+                     if x0_q < b < x0_q + h_q})
+    m0 = m1 = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        c = [float(v) for v in
+             f.pieces[f._piece_index(x0_q + h_q * (lo + hi) / 2)]]
+        tol = 1e-14 * _float_scale([c], abs(x0) + h) + 1e-300
+        m0 += scipy.integrate.quad(
+            lambda sg: (1 - sg) * poly_eval(c, x0 + sg * h),
+            float(lo), float(hi), epsabs=tol, epsrel=0)[0]
+        m1 += scipy.integrate.quad(
+            lambda sg: sg * poly_eval(c, x0 + sg * h),
+            float(lo), float(hi), epsabs=tol, epsrel=0)[0]
+    return m0, m1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(hat_inputs())
+def test_hat_moments_exact_for_every_degree(args):
+    f, origin, h, n = args
+    i0, i1 = hat_moments(f, origin, h, n)
+    e0, e1 = hat_moments_exact(f, origin, h, n)
+    for k in range(n):
+        scale = _cell_scale(f, origin + h * k, h)
+        assert abs(i0[k] - e0[k]) <= 1e-13 * scale
+        assert abs(i1[k] - e1[k]) <= 1e-13 * scale
+    q0, q1 = _quad_hat(f, origin, h)
+    assert abs(i0[0] - q0) <= 1e-13 * _cell_scale(f, origin, h)
+    assert abs(i1[0] - q1) <= 1e-13 * _cell_scale(f, origin, h)
+
+
+def test_hat_moments_degree_seven_cell():
+    # sigma * x^7 has degree 8, one more than a 4-point Gauss rule
+    # integrates exactly; that rule misses I1 = 1/9 by 2.3e-5
+    f = PiecewiseFunction([0, 1], [[0], [0] * 7 + [1], [0]])
+    i0, i1 = hat_moments(f, 0.0, 1.0, 1)
+    assert abs(i0[0] - 1 / 72) <= 1e-16
+    assert abs(i1[0] - 1 / 9) <= 1e-16
+    t, w = np.polynomial.legendre.leggauss(4)
+    assert abs(0.5 * w @ (0.5 * t + 0.5) ** 8 - 1 / 9) > 1e-6
+
+
+@st.composite
+def rational_density(draw):
+    """Compactly supported rational density: 1-4 pieces of degree 0-7."""
+    breaks = sorted(draw(st.sets(
+        st.fractions(min_value=-2, max_value=2, max_denominator=40),
+        min_size=2, max_size=5)))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    inner = [draw(st.lists(coeff, min_size=1, max_size=8))
+             for _ in breaks[1:]]
+    return PiecewiseFunction(breaks, [[0]] + inner + [[0]])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(d=rational_density(), g=rational_piecewise(),
+       dt=st.sampled_from([0.3, 0.05, 1 / 64, 2.5e-4]),
+       m=st.integers(0, 12))
+def test_density_lag_kernel_matches_exact(d, g, dt, m):
+    mu = BoundedMeasure(density=d)
+    left, mid, right = sample_lag_kernel(mu, g, dt, m)
+    assert np.array_equal(left, mid) and np.array_equal(mid, right)
+    a, b = d.support_bounds()
+    reach = float(max(abs(a), abs(b)))
+    scale = (float(b - a) * _float_scale(d.pieces, reach)
+             * _float_scale(g.pieces, reach + m * dt))
+    for j in range(m + 1):
+        want = kernel(mu, g, Fraction(float(dt * j)))
+        assert abs(mid[j] - float(want)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), extension=st.sampled_from(["constant", "zero"]))
+def test_pair_rows_is_linear(data, extension):
+    grid = GridFunction(-1.0, 1 / 16, np.zeros(33), extension=extension)
+    on_node = st.integers(-20, 52).map(lambda k: -1.0 + k / 16)
+    atoms = data.draw(st.lists(st.tuples(
+        st.one_of(on_node, st.floats(-1.5, 1.5)), st.floats(-2, 2)),
+        max_size=4))
+    density = data.draw(st.one_of(st.none(), rational_density()))
+    mu = BoundedMeasure(atoms=atoms, density=density)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    U, V = rng.uniform(-1, 1, size=(2, 3, 33))
+    a, b = data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2))
+    lhs = pair_rows(mu, grid, a * U + b * V)
+    rhs = a * pair_rows(mu, grid, U) + b * pair_rows(mu, grid, V)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(f=rational_piecewise(),
+       d=st.fractions(min_value=-3, max_value=3, max_denominator=50),
+       x=st.fractions(min_value=-6, max_value=6, max_denominator=50))
+def test_translate_matches_shifted_eval(f, d, x):
+    g = f.translate(d)
+    # the shifted breakpoints are where the half-open convention bites
+    for y in [b - d for b in f.breakpoints] + [x]:
+        assert g.eval(y) == f.eval(y + d)
+        for side in ("left", "right"):
+            assert g.one_sided_limit(y, side) == f.one_sided_limit(y + d, side)

@@ -88,3 +88,35 @@ def test_large_moves_and_missing_checks_fail(tmp_path):
     code, out = _run(tmp_path, b)
     assert code == 1
     assert "count: only in A" in out
+
+
+def test_directories_diff_every_report(tmp_path):
+    def run(*args):
+        proc = subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    dir_a.mkdir()
+    dir_b.mkdir()
+    moved = copy.deepcopy(REPORT)
+    moved["checks"][0]["measured"] = 2.0000568249105242
+    for d, second in ((dir_a, REPORT), (dir_b, moved)):
+        (d / "convergence-report.json").write_text(json.dumps(REPORT))
+        (d / "matrix-demo-report.json").write_text(json.dumps(second))
+        (d / "convergence.csv").write_text("dt,error,order\n")
+    code, out = run(dir_a, dir_b)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("==")] \
+        == ["== convergence-report.json", "== matrix-demo-report.json"]
+    assert out.count("values compared") == 2
+    assert "checks.order-level1: 2.0000568247491417 -> " in out
+    # one failing pair fails the whole run
+    assert run(dir_a, dir_b, "--rtol", "1e-11")[0] == 1
+    # so does a report on one side only
+    (dir_b / "admissibility-report.json").write_text(json.dumps(REPORT))
+    code, out = run(dir_a, dir_b)
+    assert code == 1
+    assert "== admissibility-report.json\nonly in B" in out
+    # a report against a directory is a usage error
+    assert run(dir_a / "convergence-report.json", dir_b)[0] == 2

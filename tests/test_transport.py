@@ -15,6 +15,7 @@ from semiperturb.errors import (
 from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
+    sample_lag_kernel,
     sample_sided,
     tent,
     three_jump_profile,
@@ -31,7 +32,6 @@ from semiperturb.transport import (
     corner_profile,
     domain_check,
     engine_vs_oracle,
-    kernel,
     make_system,
     oracle_solution,
     oracle_solve,
@@ -40,6 +40,8 @@ from semiperturb.transport import (
     run_perturbed,
     sawtooth_profile,
 )
+
+from exact_reference import kernel
 
 
 def delta_problem(weight=1):
@@ -323,13 +325,17 @@ def test_kernel_with_density_matches_quadrature():
     density = half_box_density()
     mu = BoundedMeasure(density=density)
     g = canonical_profile()
-    for s in (0.0, 0.3, 0.75, 1.2):
+    # the library's density branch, at lattice lags 0, 2, 5 and 8 of 0.15
+    lagged = sample_lag_kernel(mu, g, 0.15, 8)
+    for j, s in ((0, 0.0), (2, 0.3), (5, 0.75), (8, 1.2)):
         breaks = [float(b) - s for b in g.breakpoints]
         want, _ = scipy.integrate.quad(
             lambda x: float(density.eval(x)) * float(g.eval(x + s)),
             -0.5, 0.5, points=[b for b in breaks if -0.5 < b < 0.5],
             epsabs=1e-13, epsrel=1e-13)
         assert float(kernel(mu, g, s)) == pytest.approx(want, abs=1e-12)
+        for samples in lagged:
+            assert samples[j] == pytest.approx(want, abs=1e-12)
 
 
 def test_two_atom_headline_configuration():

@@ -1,6 +1,7 @@
 """Compare two semiperturb JSON reports check by check.
 
     python3 tools/report_diff.py A.json B.json [--rtol X] [--atol Y]
+    python3 tools/report_diff.py DIR_A DIR_B [--rtol X] [--atol Y]
 
 Checks are matched by ``name``.  Every ``measured`` value that differs
 between the reports is printed with its absolute and relative change
@@ -10,11 +11,16 @@ tolerance when its absolute change is at most ``--atol`` (default 0) or
 its relative change at most ``--rtol`` (default 1e-9).  The exit status
 is 1 when a number moves beyond both, when a non-numeric value differs,
 or when a check is in only one report; otherwise 0.
+
+Given two directories, it compares every ``*-report.json`` found in
+either one, under a ``== NAME`` header per file, and exits 1 when any
+pair fails or a report exists on one side only.
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 
 def _leaves(value, path):
@@ -72,17 +78,36 @@ def compare(a: dict, b: dict, rtol: float, atol: float = 0.0,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Diff two semiperturb reports check by check.")
-    parser.add_argument("a", help="reference report (JSON)")
-    parser.add_argument("b", help="report to compare (JSON)")
+    parser.add_argument("a", help="reference report (JSON) or directory")
+    parser.add_argument("b", help="report (JSON) or directory to compare")
     parser.add_argument("--rtol", type=float, default=1e-9,
                         help="largest allowed relative change (default 1e-9)")
     parser.add_argument("--atol", type=float, default=0.0,
                         help="largest absolute change allowed regardless of "
                              "--rtol (default 0)")
     args = parser.parse_args(argv)
-    with open(args.a) as fa, open(args.b) as fb:
+    dir_a, dir_b = Path(args.a), Path(args.b)
+    if dir_a.is_dir() != dir_b.is_dir():
+        parser.error("compare two reports or two directories")
+    if not dir_a.is_dir():
+        return 0 if _compare_files(dir_a, dir_b, args) else 1
+    names = sorted({p.name for d in (dir_a, dir_b)
+                    for p in d.glob("*-report.json")})
+    ok = True
+    for name in names:
+        print(f"== {name}")
+        if not (dir_a / name).exists() or not (dir_b / name).exists():
+            print(f"only in {'A' if (dir_a / name).exists() else 'B'}")
+            ok = False
+            continue
+        ok = _compare_files(dir_a / name, dir_b / name, args) and ok
+    return 0 if ok else 1
+
+
+def _compare_files(path_a, path_b, args) -> bool:
+    with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
-    return 0 if compare(a, b, args.rtol, args.atol) else 1
+    return compare(a, b, args.rtol, args.atol)
 
 
 if __name__ == "__main__":
