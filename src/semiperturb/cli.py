@@ -166,6 +166,14 @@ def _as_nonneg_int(field, value) -> int:
     return value
 
 
+def _as_finite(field, v, where=""):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(field, f"{where}non-numeric value {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(field, f"{where}non-finite value {v!r}")
+    return float(v)
+
+
 def _as_atoms(field, value):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(field, "expected a list of [location, weight] pairs")
@@ -173,13 +181,8 @@ def _as_atoms(field, value):
     for i, pair in enumerate(value):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigError(field, f"entry {i} is not a [location, weight] pair")
-        loc, w = pair
-        for v in (loc, w):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(field, f"entry {i} has non-numeric value {v!r}")
-            if not math.isfinite(v):
-                raise ConfigError(field, f"entry {i} has non-finite value {v!r}")
-        atoms.append((float(loc), float(w)))
+        atoms.append(tuple(_as_finite(field, v, f"entry {i} has ")
+                           for v in pair))
     return atoms
 
 
@@ -227,6 +230,16 @@ def load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _as_piecewise(field, value):
+    try:
+        f = piecewise_from_dict(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(field, f"bad piecewise definition: {exc}")
+    for v in f.breakpoints + [c for p in f.pieces for c in p]:
+        _as_finite(field, v)
+    return f
+
+
 def _resolve_transport_problem(cfg) -> TransportProblem:
     atoms = _as_atoms("atoms", cfg.get("atoms", [[0.0, 1.0]]))
     g_sel = cfg.get("g", "canonical")
@@ -235,11 +248,7 @@ def _resolve_transport_problem(cfg) -> TransportProblem:
     elif g_sel == "sawtooth":
         profile, reg = sawtooth_profile(), None
     elif isinstance(g_sel, dict):
-        try:
-            profile = piecewise_from_dict(g_sel)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("g", f"bad piecewise definition: {exc}")
-        reg = None
+        profile, reg = _as_piecewise("g", g_sel), None
     else:
         raise ConfigError("g", "expected canonical, sawtooth, or a piecewise "
                                f"object, got {g_sel!r}")
@@ -247,10 +256,7 @@ def _resolve_transport_problem(cfg) -> TransportProblem:
     if init_sel == "tent":
         initial = tent()
     elif isinstance(init_sel, dict):
-        try:
-            initial = piecewise_from_dict(init_sel)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("initial", f"bad piecewise definition: {exc}")
+        initial = _as_piecewise("initial", init_sel)
     else:
         raise ConfigError("initial", f"expected tent or a piecewise object, "
                                      f"got {init_sel!r}")

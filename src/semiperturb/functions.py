@@ -18,6 +18,7 @@ one function or a stack of rows, is paired by the one rule
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -603,11 +604,20 @@ def _eval_pieces(f: PiecewiseFunction, xs, piece):
     return acc
 
 
+@functools.cache
+def _gauss_rule(points):
+    """Read-only Gauss-Legendre (nodes, weights) on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    rule = (0.5 * t + 0.5, 0.5 * w)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_panels(lo, width, degree):
     """(points, weights) on the panels [lo, lo + width], node by node, of
     the Gauss-Legendre rule exact for polynomials of that degree."""
-    t, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
-    for tj, wj in zip(0.5 * t + 0.5, 0.5 * w):
+    for tj, wj in zip(*_gauss_rule(degree // 2 + 1)):
         yield lo + tj * width, wj * width
 
 

@@ -139,14 +139,15 @@ def lift_perturbation(B) -> SuperOperator:
     return SuperOperator.left_multiplication(B)
 
 
-def extract_perturbation(K: SuperOperator, tol: float = 1e-10) -> np.ndarray:
+def extract_perturbation(K: SuperOperator) -> np.ndarray:
     """Multiplier of a module homomorphism, recovered from K(Id).
 
     A map on the algebra is a left multiplication exactly when it agrees
     with multiplication by its value at the identity; the defect of that
-    agreement is measured in the flat norm and anything above ``tol``
-    (relative to the map's size) is rejected.
+    agreement is measured in the flat norm and anything above 1e-10
+    relative to the map's size (at least 1) is rejected.
     """
+    tol = 1e-10
     B = K.apply(np.eye(K.dim))
     recon = np.kron(B, np.eye(K.dim))
     dense = K.as_dense()
@@ -160,18 +161,17 @@ def extract_perturbation(K: SuperOperator, tol: float = 1e-10) -> np.ndarray:
 
 
 def perturbed_implemented(impl: ImplementedSemigroup, K: SuperOperator,
-                          S, t: float, t0: float, dt: float,
-                          tol: float = 1e-9) -> np.ndarray:
+                          S, t: float, t0: float, dt: float) -> np.ndarray:
     """Perturbed implemented semigroup applied to one matrix.
 
     K must be a left multiplication C -> B C (``extract_perturbation``
     raises NonMultiplicative otherwise).  The Neumann engine then runs on
     the matrix system with the n x n state S itself: U(t) S = T(t) S, and
-    the lift acts as B C.
+    the lift acts as B C; the series runs to its default tol.
     """
     op = PerturbationOperator.matrix(extract_perturbation(K))
     return neumann_semigroup(impl.system, op, np.asarray(S, dtype=float),
-                             t, t0, dt, tol=tol)
+                             t, t0, dt)
 
 
 def pseudoresolvent_extract(resolvent_fn, lam: float, mu: float) -> dict:

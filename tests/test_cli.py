@@ -117,6 +117,17 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
     assert main(["matrix-demo", "--config", str(path),
                  "--out", str(tmp_path)]) == 2
     assert "t_values:" in capsys.readouterr().err
+    # a NaN profile coefficient and an infinite initial slope
+    path.write_text('{"g": {"breakpoints": [-1, 0, 1], '
+                    '"pieces": [[0], [NaN, 1], [2, -1], [0]]}}')
+    assert main(["transport-demo", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "g: non-finite value nan" in capsys.readouterr().err
+    path.write_text('{"initial": {"breakpoints": [-1, 0, 1], '
+                    '"pieces": [[0], [1, Infinity], [1, -1], [0]]}}')
+    assert main(["transport-demo", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "initial: non-finite value inf" in capsys.readouterr().err
     assert not list(tmp_path.glob("*-report.json"))
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import hat_moments_exact, kernel
+from semiperturb import functions
 from semiperturb.functions import (
     BoundedMeasure,
     CompactInterval,
@@ -417,6 +418,33 @@ def test_hat_moments_degree_seven_cell():
     assert abs(i1[0] - 1 / 9) <= 1e-16
     t, w = np.polynomial.legendre.leggauss(4)
     assert abs(0.5 * w @ (0.5 * t + 0.5) ** 8 - 1 / 9) > 1e-6
+
+
+def test_hat_moments_build_each_gauss_rule_once(monkeypatch):
+    real = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    functions._gauss_rule.cache_clear()
+    cubic = PiecewiseFunction([0, 1], [[0], [0, 0, 0, 1], [0]])
+    first = [hat_moments(f, -0.35, 0.1, 20) for f in (tent(), cubic)]
+    for _ in range(5):
+        for f, want in zip((tent(), cubic), first):
+            got = hat_moments(f, -0.35, 0.1, 20)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # two coefficients take the 2-point rule, four the 3-point one
+    assert calls == [2, 3]
+    nodes, weights = functions._gauss_rule(3)
+    t, w = real(3)
+    assert np.array_equal(nodes, 0.5 * t + 0.5)
+    assert np.array_equal(weights, 0.5 * w)
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    functions._gauss_rule.cache_clear()
 
 
 @st.composite

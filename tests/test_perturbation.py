@@ -486,6 +486,46 @@ def test_neumann_refuses_nan_or_negative_tol(bad):
                           0.5, 0.5, 1e-2, tol=bad)
 
 
+@pytest.mark.parametrize("kind", ["matrix", "rank_one"])
+def test_neumann_semigroup_computes_the_guard_once(monkeypatch, kind):
+    # t = 2 is four full segments of t0 = 0.5 under one analytic guard
+    real = PerturbationOperator.analytic_volterra_bound
+    horizons = []
+
+    def counted(self, system, t0):
+        horizons.append(t0)
+        return real(self, system, t0)
+
+    monkeypatch.setattr(PerturbationOperator, "analytic_volterra_bound",
+                        counted)
+    if kind == "matrix":
+        system, op, x, dt = diag_system(), coupled_op(), np.ones(2), 1e-2
+    else:
+        prob = TransportProblem(BoundedMeasure.dirac(0, Fraction(1, 2)),
+                                canonical_profile(), tent())
+        dt = 1e-2
+        system = make_system(prob, dt, 2.0, 0.5)
+        op, x = build_rank_one(prob, require_regularized=False), prob.initial
+    _, diag = neumann_semigroup(system, op, x, 2.0, 0.5, dt,
+                                diagnostics=True)
+    assert horizons == [0.5]
+    assert diag.segments == 4
+    assert diag.guard_bound == real(op, system, 0.5)
+
+
+def test_neumann_semigroup_at_time_zero():
+    x = np.array([1.0, -1.0])
+    out, diag = neumann_semigroup(diag_system(), coupled_op(), x, 0.0, 0.5,
+                                  1e-2, diagnostics=True)
+    assert np.array_equal(out, x)
+    assert (diag.segments, diag.terms_used, diag.term_norms) == (0, 0, [])
+    assert diag.guard_bound == coupled_op().analytic_volterra_bound(
+        diag_system(), 0.5)
+    with pytest.raises(ValueError, match="tol must be a nonnegative"):
+        neumann_semigroup(diag_system(), coupled_op(), x, 0.0, 0.5, 1e-2,
+                          tol=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # composition identity
 
@@ -985,6 +1025,13 @@ def test_comparison_dyadic_stability_neutral_system():
     assert out["constant"] == pytest.approx(opnorm2(op.matrix_data), rel=0.05)
 
 
+def test_comparison_check_refuses_rank_one():
+    prob = delta_problem()
+    sys_t = make_system(prob, 1e-2, 0.5, 0.2)
+    with pytest.raises(ValueError, match="transport.comparison_curve"):
+        comparison_check(sys_t, build_rank_one(prob), [0.25, 0.5])
+
+
 def test_comparison_summary_edges():
     assert comparison_summary([]) == (0.0, math.inf)
     assert comparison_summary([0.0, 0.0]) == (0.0, math.inf)
@@ -1007,7 +1054,7 @@ def test_matrix_probes_deterministic():
 def test_escaping_bumps_lose_window_mass():
     prob = delta_problem()
     sys_t = make_system(prob, 1e-2, 1.0, 0.2)
-    bumps = escaping_bumps(sys_t, n=4)
+    bumps = escaping_bumps(sys_t)
     sups = [b.sup_norm() for b in bumps]
     semis = [b.seminorm(prob.window) for b in bumps]
     assert all(abs(s - 1.0) < 1e-12 for s in sups)

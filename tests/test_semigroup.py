@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -73,6 +77,27 @@ def _stable_system(seed=1, n=4):
 def test_matrix_system_validate():
     sys = _stable_system()
     assert sys.validate()
+
+
+def test_matrix_system_validate_reports_identity_gap():
+    # T(0) = exp(0) + 1e-9 I misses the identity; a bare assert would
+    # let that pass silently under python -O
+    code = ("import numpy as np\n"
+            "from semiperturb.semigroup import MatrixSystem\n"
+            "class S(MatrixSystem):\n"
+            "    def propagator(self, t):\n"
+            "        return super().propagator(t) + 1e-9 * np.eye(2)\n"
+            "try:\n"
+            "    S(np.diag([-1.0, -2.0])).validate()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "T(0) misses the identity by 1.000e-09"
 
 
 def test_matrix_resolvent_identity():
