@@ -659,6 +659,31 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     return np.bincount(cell, i0, n), np.bincount(cell, i1, n)
 
 
+_DIRECT_CONVOLVE_MAX = 512
+
+
+def lattice_convolve(a, b, n):
+    """First n entries (all, when fewer) of the linear convolution of
+    the 1-d arrays a and b.
+
+    Entries past n need no operand entry past n, so both are cut there.
+    When the shorter operand has at most 512 entries this is the direct
+    ``np.convolve``, whose rounding is causal: entry k reads a[:k+1] and
+    b[:k+1] only.  Longer operands go through one power-of-two real FFT
+    product, O(L log L) for L = len(a) + len(b) - 1, with rounding that is
+    global: about eps * ||a||_1 ||b||_inf on every entry.
+    """
+    a = np.asarray(a, dtype=float)[:n]
+    b = np.asarray(b, dtype=float)[:n]
+    if min(a.size, b.size) <= _DIRECT_CONVOLVE_MAX:
+        return np.convolve(a, b)[:n]
+    full = a.size + b.size - 1
+    size = 1 << (full - 1).bit_length()
+    spec = np.fft.rfft(a, size)
+    spec *= np.fft.rfft(b, size)
+    return np.fft.irfft(spec, size)[:min(n, full)]
+
+
 def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
     """Vectorized (left, mid, right) limit samples of f at the points xs.
 

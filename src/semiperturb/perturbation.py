@@ -41,6 +41,7 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    lattice_convolve,
     pair_rows,
     sample_lag_kernel,
     sample_sided,
@@ -299,7 +300,7 @@ def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
     """Trapezoid of phi(r) g(x + (m-j) dt) over j = 0..m on every grid node."""
     if m == 0:
         return np.zeros(count)
-    conv = np.convolve(phi[:m + 1], prof.mid)[m:m + count]
+    conv = lattice_convolve(phi[:m + 1], prof.mid, m + count)[m:]
     out = conv - phi[0] * prof.mid[m:m + count] - phi[m] * prof.mid[:count]
     out += 0.5 * phi[0] * prof.left[m:m + count]
     out += 0.5 * phi[m] * prof.right[:count]
@@ -309,7 +310,7 @@ def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
 def _kernel_step(phi, ker: _SidedSamples, dt):
     """One scalar Volterra iteration: next(m) = int_0^{m dt} phi kernel."""
     m_top = len(phi) - 1
-    conv = np.convolve(phi, ker.mid)[:m_top + 1]
+    conv = lattice_convolve(phi, ker.mid, m_top + 1)
     out = conv - phi[0] * ker.mid[:m_top + 1] - phi * ker.mid[0]
     out += 0.5 * phi[0] * ker.left[:m_top + 1]
     out += 0.5 * phi * ker.right[0]

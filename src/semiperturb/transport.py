@@ -5,20 +5,23 @@ times a discontinuous profile; its domain consists of continuous functions
 whose derivative kinks at the profile jumps are exactly the pairing value
 times the jump gaps.  This module owns
 
-* the independent oracle: an implicit-trapezoid solve of the scalar
-  renewal equation for phi(tau) = pairing of the perturbed orbit, plus an
-  exact reconstruction of the solution from phi;
+* the independent oracle: a blocked exact solve of the implicit
+  trapezoid system of the scalar renewal equation for phi(tau) = pairing
+  of the perturbed orbit, plus an exact reconstruction of the solution
+  from phi;
 * domain bookkeeping with exact rational arithmetic (membership residuals
   are identically zero, not merely small, for the canonical examples);
 * constructors for the stock profiles and domain functions;
 * ``run_perturbed``, the high-level driver wiring a grid system and a
   rank-one operator into the Neumann engine.
 
-Oracle and engine share only low-level sampling primitives and the
+Oracle and engine share only low-level sampling primitives, the
 exact panel quadrature ``hat_moments``, which the tests check against
-exact rational hat products.  The time stepping (implicit fixed-point
-solve here, explicit truncated series there) and the free-part handling
-are deliberately different routes.
+exact rational hat products, and the lattice convolution
+``lattice_convolve``, which the tests check against ``np.convolve``.
+The time stepping (an implicit system solved exactly here, an explicit
+truncated series there) and the free-part handling are deliberately
+different routes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .functions import (
     GridFunction,
     PiecewiseFunction,
     hat_moments,
+    lattice_convolve,
     sample_lag_kernel,
     sample_sided,
     tent,
@@ -213,6 +217,9 @@ def build_domain_function(problem: "TransportProblem",
 # scalar renewal oracle
 
 
+_BLOCK = 512  # at most the direct-convolution size: causal block rounding
+
+
 def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
                    u0: PiecewiseFunction, t: float, dt: float) -> np.ndarray:
     """Implicit-trapezoid solve of the scalar renewal equation.
@@ -220,8 +227,20 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     phi(tau) = pairing(u0 shifted by tau)
                + integral_0^tau phi(r) kernel(tau - r) dr
     on the lattice 0..t, the free term being the left-limit lag sample of
-    u0.  The diagonal factor 1 - dt * kernel_right(0)/2 must stay
-    positive; otherwise the step size is rejected.
+    u0.  Step m > 0 is the lower-triangular Toeplitz system
+
+        diag phi[m] - dt sum_{0<j<m} k_mid[m-j] phi[j]
+            = free[m] + dt phi[0] k_left[m] / 2,
+
+    diag = 1 - dt * k_right(0)/2, which must stay positive; otherwise the
+    step size is rejected.  It is solved exactly, in blocks of 512 steps:
+    the history of earlier blocks enters through one
+    :func:`lattice_convolve`, and each block multiplies by the reciprocal
+    series of the symbol (diag, -dt k_mid[1], -dt k_mid[2], ...), cut to
+    one block and built once per call.  The block products run on the
+    direct convolution, so the rounding of phi[m] scales with
+    max|phi[:m+1]|, never with later weights: a prefix phi[:k+1] is as
+    accurate as a solve that stops at step k.
     """
     m_steps = int(round(t / dt))
     if abs(t - m_steps * dt) > 1e-8 * max(dt, t):
@@ -235,12 +254,34 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     free = sample_lag_kernel(measure, u0, dt, m_steps)[0]
     phi = np.empty(m_steps + 1)
     phi[0] = free[0]
-    for m in range(1, m_steps + 1):
-        acc = 0.5 * phi[0] * k_left[m]
-        if m > 1:
-            acc += float(np.dot(phi[1:m], k_mid[m - 1:0:-1]))
-        phi[m] = (free[m] + dt * acc) / diag
+    # psi = phi[1:] solves sum_{j<=i} c[i-j] psi[j] = rhs[i], c the symbol
+    rhs = free[1:] + 0.5 * dt * phi[0] * k_left[1:]
+    symbol = -dt * k_mid[:_BLOCK]
+    symbol[0] = diag
+    inverse = _reciprocal_series(symbol)
+    psi = phi[1:]
+    for lo in range(0, m_steps, _BLOCK):
+        hi = min(lo + _BLOCK, m_steps)
+        block = rhs[lo:hi]
+        if lo:
+            block = block + dt * lattice_convolve(psi[:lo], k_mid, hi)[lo:]
+        psi[lo:hi] = lattice_convolve(inverse, block, hi - lo)
     return phi
+
+
+def _reciprocal_series(c):
+    """First len(c) terms of the power series 1 / c(x), c[0] != 0.
+
+    Newton doubling: with d exact to k terms, the next terms are
+    -d * (c d)[k:2k], since c d = 1 + x^k (c d)[k:].
+    """
+    d = np.array([1.0 / c[0]])
+    while d.size < c.size:
+        k = d.size
+        top = min(2 * k, c.size)
+        defect = lattice_convolve(c, d, top)[k:]
+        d = np.concatenate([d, -lattice_convolve(d, defect, top - k)])
+    return d
 
 
 def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
@@ -250,10 +291,11 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     Free part sampled exactly from the shifted initial profile.  The
     series part integrates the linear interpolant of the renewal weights
-    against the exact profile, cell by cell: two correlations of the
-    weights with the profile's :func:`hat_moments`.  That is a
-    second-order reconstruction with different plumbing (and a different
-    error constant) than the engine's sampled trapezoid.
+    against the exact profile, cell by cell: two :func:`lattice_convolve`
+    products of the weights with the profile's :func:`hat_moments`, on
+    the FFT once t spans more than 512 steps.  That is a second-order
+    reconstruction with different plumbing (and a different error
+    constant) than the engine's sampled trapezoid.
     """
     dt = system.spacing
     if phi is None:
@@ -263,10 +305,11 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     if m > 0:
         i0, i1 = hat_moments(profile, system.origin, dt,
                              system.count + m - 1)
-        newest = phi[m:0:-1]   # weight at the cell edge nearer to time t
-        oldest = phi[m - 1::-1]
-        vals += dt * (np.correlate(i0, newest, mode="valid")
-                      + np.correlate(i1, oldest, mode="valid"))
+        # node k reads cell k + m - j with weights phi[j] (nearer edge)
+        # and phi[j - 1], j = 1..m
+        n = system.count + m - 1
+        vals += dt * (lattice_convolve(i0, phi[1:], n)[m - 1:]
+                      + lattice_convolve(i1, phi[:m], n)[m - 1:])
     return system.make(vals)
 
 

@@ -1,16 +1,26 @@
-"""Exact rational references for the library's quadratures.
+"""References for the library's quadratures and its renewal solve.
 
-They share no code path with ``functions.hat_moments`` or the density
-branch of ``functions.sample_lag_kernel``: every integral here is a
+The quadrature references share no code path with
+``functions.hat_moments`` or the density branch of
+``functions.sample_lag_kernel``: every integral here is a
 ``PiecewiseFunction`` product integrated in closed form, so with
-``Fraction`` data the results are exact.
+``Fraction`` data the results are exact.  The renewal reference solves
+the oracle's implicit-trapezoid system by plain forward substitution,
+one step at a time, on the library's kernel samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from semiperturb.functions import BoundedMeasure, PiecewiseFunction
+import numpy as np
+
+from semiperturb.errors import StepSizeError
+from semiperturb.functions import (
+    BoundedMeasure,
+    PiecewiseFunction,
+    sample_lag_kernel,
+)
 
 
 def kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
@@ -55,3 +65,25 @@ def hat_moments_exact(f: PiecewiseFunction, origin, h, n):
         i0.append(cell - rise)
         i1.append(rise)
     return i0, i1
+
+
+def renewal_forward_substitution(measure: BoundedMeasure,
+                                 profile: PiecewiseFunction,
+                                 u0: PiecewiseFunction, t: float, dt: float):
+    """``transport.oracle_weights`` step by step: phi[m] from phi[:m] by
+    one dot product, O(m^2) in all; rounding is causal by construction."""
+    m_steps = int(round(t / dt))
+    k_left, k_mid, k_right = sample_lag_kernel(measure, profile, dt,
+                                                m_steps)
+    diag = 1.0 - 0.5 * dt * k_right[0]
+    if diag <= 0:
+        raise StepSizeError(f"implicit diagonal {diag:.3e} <= 0")
+    free = sample_lag_kernel(measure, u0, dt, m_steps)[0]
+    phi = np.empty(m_steps + 1)
+    phi[0] = free[0]
+    for m in range(1, m_steps + 1):
+        acc = 0.5 * phi[0] * k_left[m]
+        if m > 1:
+            acc += float(np.dot(phi[1:m], k_mid[m - 1:0:-1]))
+        phi[m] = (free[m] + dt * acc) / diag
+    return phi

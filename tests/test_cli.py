@@ -215,6 +215,25 @@ def test_admissibility_pass_and_fail(tmp_path):
     assert bad["config"]["report"]["smallness_pass"] is False
 
 
+def test_admissibility_without_regularizer_says_so(tmp_path):
+    # the sawtooth has no regularizer: the landing cross-check cannot run,
+    # and the report must not list it as passed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"g": "sawtooth"}))
+    assert main(["admissibility", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    report = _report(tmp_path, "admissibility")
+    assert [c["name"] for c in report["checks"]] \
+        == ["smallness-analytic", "smallness-observed"]
+    assert report["config"]["regularized_cross_check"] \
+        == "not run: g has no regularizer"
+
+    assert main(["admissibility", "--out", str(tmp_path)]) == 0
+    stock = _report(tmp_path, "admissibility")
+    assert stock["checks"][0]["name"] == "lands-in-state-space"
+    assert "regularized_cross_check" not in stock["config"]
+
+
 def test_implemented_demo_passes(tmp_path):
     code = main(["implemented-demo", "--out", str(tmp_path)])
     assert code == 0

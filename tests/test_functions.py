@@ -18,6 +18,7 @@ from semiperturb.functions import (
     GridFunction,
     PiecewiseFunction,
     hat_moments,
+    lattice_convolve,
     measure_from_dict,
     measure_to_dict,
     pair_rows,
@@ -505,3 +506,37 @@ def test_translate_matches_shifted_eval(f, d, x):
         assert g.eval(y) == f.eval(y + d)
         for side in ("left", "right"):
             assert g.one_sided_limit(y, side) == f.one_sided_limit(y + d, side)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(la=st.integers(1, 2000), lb=st.integers(1, 2000),
+       ea=st.integers(-8, 8), eb=st.integers(-8, 8), data=st.data())
+def test_lattice_convolve_matches_np_convolve(la, lb, ea, eb, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal(la) * 10.0 ** ea
+    b = rng.standard_normal(lb) * 10.0 ** eb
+    n = data.draw(st.integers(1, la + lb - 1))
+    got = lattice_convolve(a, b, n)
+    want = np.convolve(a, b)[:n]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) \
+        <= 1e-12 * np.abs(a).sum() * np.abs(b).max()
+
+
+@pytest.mark.parametrize("la, lb, direct", [
+    (512, 2000, True), (2000, 512, True), (513, 513, False),
+    (2000, 1500, False)])
+def test_lattice_convolve_crossover(la, lb, direct):
+    # the direct side is np.convolve itself; past it a cut to n still
+    # gives the first n entries, and more than the length gives them all
+    rng = np.random.default_rng(la + lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    want = np.convolve(a, b)
+    for n in (1, 600, la + lb - 1, la + lb + 5):
+        got = lattice_convolve(a, b, n)
+        assert got.shape == want[:n].shape
+        if direct:
+            assert np.array_equal(got, want[:n])
+        else:
+            assert np.max(np.abs(got - want[:n])) \
+                <= 1e-12 * np.abs(a).sum() * np.abs(b).max()

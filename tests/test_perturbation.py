@@ -1060,3 +1060,33 @@ def test_escaping_bumps_lose_window_mass():
     assert all(abs(s - 1.0) < 1e-12 for s in sups)
     assert all(semis[i + 1] <= semis[i] + 1e-12 for i in range(len(semis) - 1))
     assert semis[-1] == 0.0
+
+
+def test_engine_convolutions_match_direct_form():
+    # m = 800 puts both lattice convolutions past the direct size, on the
+    # FFT product; the direct np.convolve form is the reference
+    dt, m = 2.5e-4, 800
+    sys_t = TranslationSystem(-3.0, dt, 24001, m * dt)
+    op = PerturbationOperator.rank_one(
+        BoundedMeasure(atoms=[(0, 1), (Fraction(1, 3), 0.5)]),
+        canonical_profile())
+    phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
+        * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
+    prof = op._profile_lattice(sys_t, m)
+    want = (np.convolve(phi, prof.mid)[m:m + sys_t.count]
+            - phi[0] * prof.mid[m:m + sys_t.count]
+            - phi[m] * prof.mid[:sys_t.count]
+            + 0.5 * phi[0] * prof.left[m:m + sys_t.count]
+            + 0.5 * phi[m] * prof.right[:sys_t.count]) * dt
+    got = perturbation._profile_convolution(phi, m, prof, sys_t.count, dt)
+    scale = dt * np.abs(phi).sum() * np.abs(prof.mid).max()
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    ker = op._kernel_lattice(dt, m)
+    want = (np.convolve(phi, ker.mid)[:m + 1] - phi[0] * ker.mid[:m + 1]
+            - phi * ker.mid[0] + 0.5 * phi[0] * ker.left[:m + 1]
+            + 0.5 * phi * ker.right[0]) * dt
+    want[0] = 0.0
+    got = perturbation._kernel_step(phi, ker, dt)
+    scale = dt * np.abs(phi).sum() * np.abs(ker.mid).max()
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale

@@ -15,6 +15,7 @@ from semiperturb.errors import (
 from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
+    hat_moments,
     sample_lag_kernel,
     sample_sided,
     tent,
@@ -41,7 +42,7 @@ from semiperturb.transport import (
     sawtooth_profile,
 )
 
-from exact_reference import kernel
+from exact_reference import kernel, renewal_forward_substitution
 
 
 def delta_problem(weight=1):
@@ -61,6 +62,12 @@ def two_atom_problem():
         initial=tent(),
         regularizer=canonical_regularizer(),
     )
+
+
+def half_box_density():
+    # density 1/2 on (-1/2, 1/2], total mass 1
+    return PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
+                             [[0], [Fraction(1, 2)], [0]])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,58 @@ def test_oracle_step_size_guard():
         oracle_weights(prob.measure, prob.profile, prob.initial, 3.0, 1.5)
 
 
+@pytest.mark.parametrize("measure, profile, t, dt", [
+    (BoundedMeasure.dirac(0), three_jump_profile(), 2.0, 1e-3),
+    (BoundedMeasure.dirac(Fraction(1, 3)), three_jump_profile(), 2.0, 1e-3),
+    (two_atom_problem().measure, three_jump_profile(), 1.5, 1e-3),
+    (two_atom_problem().measure, sawtooth_profile(), 1.5, 1e-3),
+    (BoundedMeasure(density=half_box_density()), three_jump_profile(),
+     1.2, 1e-3),
+    (BoundedMeasure.dirac(0, 3), three_jump_profile(), 4.0, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 1e-3, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 0.3, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 0.512, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 0.513, 1e-3),
+], ids=["dirac-0", "dirac-third", "two-atoms", "two-atoms-sawtooth",
+        "density", "weight-3-t4", "m1", "m300", "m512", "m513"])
+def test_oracle_weights_match_forward_substitution(measure, profile, t, dt):
+    # the blocked solve (blocks of 512 steps) against the step-by-step
+    # one, entry by entry, relative to the largest weight so far: its
+    # rounding stays causal; 2000 and 513 steps end inside a block
+    phi = oracle_weights(measure, profile, tent(), t, dt)
+    want = renewal_forward_substitution(measure, profile, tent(), t, dt)
+    assert phi.shape == want.shape
+    prefix = np.maximum.accumulate(np.abs(want))
+    assert np.all(np.abs(phi - want) <= 1e-13 * prefix)
+
+
+@pytest.mark.parametrize("solve", [oracle_weights,
+                                   renewal_forward_substitution])
+def test_oracle_step_size_guard_at_zero_diagonal(solve):
+    # canonical profile, unit atom at 0: diag = 1 - dt is exactly 0
+    prob = delta_problem()
+    with pytest.raises(StepSizeError):
+        solve(prob.measure, prob.profile, prob.initial, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("t, dt", [(0.5, 2e-3), (2.0, 2e-3)],
+                         ids=["direct", "fft"])
+def test_oracle_solution_matches_correlation_form(t, dt):
+    prob = two_atom_problem()
+    system = make_system(prob, dt, t, 0.0)
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+    got = oracle_solution(prob.measure, prob.profile, prob.initial, system,
+                          t, phi=phi).values
+    m = len(phi) - 1
+    i0, i1 = hat_moments(prob.profile, system.origin, dt,
+                         system.count + m - 1)
+    want = system.sample(prob.initial.translate(t)).values + dt * (
+        np.correlate(i0, phi[m:0:-1], mode="valid")
+        + np.correlate(i1, phi[m - 1::-1], mode="valid"))
+    scale = dt * np.abs(phi).sum() * float(prob.profile.sup_norm())
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_oracle_solution_zero_measure_is_translation():
     prob = delta_problem(weight=0)
     dx = 1e-2
@@ -299,12 +358,6 @@ def test_engine_oracle_refinement_order():
     assert study["orders"][0] >= 1.8
     gaps = [r["gap"] for r in study["rows"]]
     assert gaps[1] < gaps[0]
-
-
-def half_box_density():
-    # density 1/2 on (-1/2, 1/2], total mass 1
-    return PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
-                             [[0], [Fraction(1, 2)], [0]])
 
 
 @pytest.mark.parametrize("atoms", [(), ((0, Fraction(1, 2)),)],
