@@ -63,7 +63,6 @@ from .transport import (
     domain_check,
     engine_vs_oracle,
     oracle_solution,
-    oracle_solve,
     refinement_study,
     run_perturbed,
     sawtooth_profile,
@@ -124,7 +123,6 @@ __all__ = [
     "neumann_semigroup",
     "opnorm2",
     "oracle_solution",
-    "oracle_solve",
     "perturbed_implemented",
     "pseudoresolvent_extract",
     "refinement_study",

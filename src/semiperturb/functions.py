@@ -7,8 +7,9 @@ Two concrete representations:
   exact integration.  Coefficient arithmetic is scalar-generic: feed it
   floats for ordinary numerics or :class:`fractions.Fraction` throughout
   to get exact rational results (the domain checks rely on this).
-* :class:`GridFunction` -- uniform-grid samples with a declared extension
-  rule, the working representation for semigroup trajectories.
+* :class:`GridFunction` -- uniform-grid samples that continue their edge
+  values beyond the grid, the working representation for semigroup
+  trajectories.
 
 A :class:`BoundedMeasure` (finite atoms plus an optional compactly
 supported piecewise-polynomial density) pairs against both; grid data,
@@ -110,13 +111,6 @@ class CompactInterval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def length(self):
-        return self.hi - self.lo
-
 
 class PiecewiseFunction:
     """Piecewise polynomial with half-open pieces.
@@ -166,12 +160,6 @@ class PiecewiseFunction:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         return poly_eval(self.pieces[self._piece_index(x, side)], x)
-
-    def eval_mid(self, x):
-        """Average of the one-sided limits; the quadrature sampling value."""
-        lo = self.one_sided_limit(x, "left")
-        hi = self.one_sided_limit(x, "right")
-        return (lo + hi) / 2
 
     def one_sided_derivative(self, x, side):
         coeffs = self.pieces[self._piece_index(x, side)]
@@ -308,9 +296,6 @@ class PiecewiseFunction:
                 out.append((b, lo, hi))
         return out
 
-    def is_continuous(self) -> bool:
-        return not self.jumps()
-
     def support_bounds(self):
         """Outermost breakpoints; beyond them the function is constant."""
         if not self.breakpoints:
@@ -324,24 +309,20 @@ class PiecewiseFunction:
 class GridFunction:
     """Samples on the uniform grid ``origin + spacing * k``.
 
-    ``extension`` says how values beyond the grid are read: ``"constant"``
-    continues the edge values, ``"zero"`` reads 0.  Off-node evaluation is
-    linear interpolation.
+    Values beyond the grid continue the edge values; off-node evaluation
+    is linear interpolation.
     """
 
-    __slots__ = ("origin", "spacing", "values", "extension")
+    __slots__ = ("origin", "spacing", "values")
 
-    def __init__(self, origin, spacing, values, extension="constant"):
+    def __init__(self, origin, spacing, values):
         if spacing <= 0:
             raise ValueError("spacing must be positive")
-        if extension not in ("constant", "zero"):
-            raise ValueError(f"unknown extension rule: {extension!r}")
         self.origin = float(origin)
         self.spacing = float(spacing)
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("values must be a 1-d array with >= 2 samples")
-        self.extension = extension
 
     @property
     def count(self) -> int:
@@ -366,13 +347,11 @@ class GridFunction:
             raise ValueError("grid mismatch")
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.origin, self.spacing, values, self.extension)
+        return GridFunction(self.origin, self.spacing, values)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.nodes(), self.values)
-        if self.extension == "zero":
-            out = np.where((x < self.origin) | (x > self.x_last), 0.0, out)
         return out if out.ndim else float(out)
 
     def __call__(self, x):
@@ -420,44 +399,15 @@ class GridFunction:
             if close:
                 fh.close()
 
-    @classmethod
-    def from_csv(cls, fh, extension="constant") -> "GridFunction":
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh)
-            close = True
-        try:
-            header = fh.readline().strip()
-            if header != "x,value":
-                raise ValueError(f"bad header: {header!r}")
-            xs, vs = [], []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                xs.append(float(a))
-                vs.append(float(b))
-        finally:
-            if close:
-                fh.close()
-        if len(xs) < 2:
-            raise ValueError("need at least two samples")
-        spacing = xs[1] - xs[0]
-        steps = np.diff(xs)
-        if np.max(np.abs(steps - spacing)) > 1e-9 * max(abs(spacing), 1.0):
-            raise ValueError("non-uniform grid in CSV")
-        return cls(xs[0], spacing, vs, extension)
 
-
-def to_grid(f: PiecewiseFunction, origin, spacing, count, extension="constant") -> GridFunction:
+def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
     """Sample a piecewise function on a uniform grid (left-limit values),
     bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly."""
     xs = float(origin) + float(spacing) * np.arange(count)
     floors = [np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
               else float(b) for b in f.breakpoints]
     vals = _eval_pieces(f, xs, np.searchsorted(floors, xs))
-    return GridFunction(origin, spacing, vals, extension)
+    return GridFunction(origin, spacing, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +445,8 @@ class BoundedMeasure:
         """Integral of f against the measure.
 
         Exact for PiecewiseFunction arguments (rational in, rational out);
-        a GridFunction is paired by :func:`pair_rows`, read under its
-        extension rule, the density integrated exactly against the linear
-        interpolant.
+        a GridFunction is paired by :func:`pair_rows`, the density
+        integrated exactly against the linear interpolant.
         """
         if isinstance(f, PiecewiseFunction):
             total = 0
@@ -513,7 +462,7 @@ class BoundedMeasure:
         raise TypeError(f"cannot pair with {type(f).__name__}")
 
     def _density_weights(self, grid) -> np.ndarray:
-        key = (grid.origin, grid.spacing, grid.count, grid.extension)
+        key = (grid.origin, grid.spacing, grid.count)
         w = self._weight_cache.get(key)
         if w is None:
             w = _density_node_weights(self.density, grid)
@@ -529,10 +478,9 @@ class BoundedMeasure:
 
 def _density_node_weights(density: PiecewiseFunction, grid) -> np.ndarray:
     """W with integral(density * f) == dot(W, f.values), exact, for f the
-    linear interpolant of the values on ``grid`` read under its extension
-    rule: h I0 of each cell's :func:`hat_moments` lands on its left node
-    and h I1 on its right one, and density mass beyond an edge lands on
-    that edge node, or nowhere under zero extension."""
+    linear interpolant of the values on ``grid``: h I0 of each cell's
+    :func:`hat_moments` lands on its left node and h I1 on its right one,
+    and density mass beyond an edge lands on that edge node."""
     w = np.zeros(grid.count)
     a, b = density.support_bounds()
     dx = grid.spacing
@@ -543,11 +491,10 @@ def _density_node_weights(density: PiecewiseFunction, grid) -> np.ndarray:
                              hi_i - lo_i)
         w[lo_i:hi_i] += dx * i0
         w[lo_i + 1:hi_i + 1] += dx * i1
-    if grid.extension == "constant":
-        if a < grid.origin:
-            w[0] += float(density.definite_integral(a, min(b, grid.origin)))
-        if b > grid.x_last:
-            w[-1] += float(density.definite_integral(max(a, grid.x_last), b))
+    if a < grid.origin:
+        w[0] += float(density.definite_integral(a, min(b, grid.origin)))
+    if b > grid.x_last:
+        w[-1] += float(density.definite_integral(max(a, grid.x_last), b))
     return w
 
 
@@ -555,12 +502,12 @@ def pair_rows(measure: BoundedMeasure, grid, rows) -> np.ndarray:
     """Pairing of the measure with every row of ``rows`` at once.
 
     Each row holds values on the nodes of ``grid`` (a GridFunction or a
-    TranslationSystem), read under its extension rule.  An atom on a node
-    reads that column; any other atom interpolates its two neighbour
-    columns in np.interp's arithmetic (the edge column or 0 beyond the
-    grid); the density reads the span of its nonzero node weights.  No
-    other column is touched, so ``rows`` may be a read-only strided view,
-    such as the sliding window of an orbit, and is never copied whole.
+    TranslationSystem).  An atom on a node reads that column; any other
+    atom interpolates its two neighbour columns in np.interp's arithmetic
+    (the edge column beyond the grid); the density reads the span of its
+    nonzero node weights.  No other column is touched, so ``rows`` may be
+    a read-only strided view, such as the sliding window of an orbit, and
+    is never copied whole.
     """
     out = np.zeros(rows.shape[0])
     for loc, w in measure.atoms:
@@ -587,9 +534,7 @@ def _interp_rows(grid, rows, x: float):
     if 0 <= j < len(xp) - 1 and xp[j] != x:
         slope = (rows[:, j + 1] - rows[:, j]) / (xp[j + 1] - xp[j])
         return slope * (x - xp[j]) + rows[:, j]
-    if xp[0] <= x <= xp[-1] or grid.extension == "constant":
-        return rows[:, max(j, 0)]
-    return np.zeros(len(rows))
+    return rows[:, max(j, 0)]
 
 
 def _eval_pieces(f: PiecewiseFunction, xs, piece):
@@ -771,31 +716,8 @@ def three_jump_profile() -> PiecewiseFunction:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def piecewise_to_dict(f: PiecewiseFunction) -> dict:
-    return {
-        "breakpoints": [float(b) for b in f.breakpoints],
-        "pieces": [[float(c) for c in p] for p in f.pieces],
-    }
+# JSON input
 
 
 def piecewise_from_dict(d: dict) -> PiecewiseFunction:
     return PiecewiseFunction(d["breakpoints"], d["pieces"])
-
-
-def measure_to_dict(mu: BoundedMeasure) -> dict:
-    return {
-        "atoms": [[float(loc), float(w)] for loc, w in mu.atoms],
-        "density": None if mu.density is None else piecewise_to_dict(mu.density),
-    }
-
-
-def measure_from_dict(d: dict) -> BoundedMeasure:
-    density = d.get("density")
-    return BoundedMeasure(
-        atoms=[(loc, w) for loc, w in d.get("atoms", [])],
-        density=None if density is None else piecewise_from_dict(density),
-    )
-

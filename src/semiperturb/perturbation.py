@@ -47,7 +47,6 @@ from .functions import (
     sample_sided,
 )
 from .semigroup import (
-    ExtrapolatedElement,
     MatrixSystem,
     TranslationSystem,
     expm,
@@ -200,13 +199,11 @@ class VectorTrajectory:
         Neumann series pairs in place.
         """
         m = _lattice_steps(t0, dt, "t0")
+        vals = system.state_values(x)
         if system.kind == "translation":
-            vals = x.values if isinstance(x, GridFunction) \
-                else system.sample(x).values
             return cls(system, dt, _orbit_window(
                 system, vals, m, system.steps_of(dt)).copy())
-        system._check_time(m * dt)
-        return cls(system, dt, lattice_orbit(system.propagator(dt), x, m))
+        return cls(system, dt, lattice_orbit(system.propagator(dt), vals, m))
 
     @classmethod
     def from_callable(cls, system, fn, t0: float, dt: float
@@ -223,12 +220,10 @@ class VectorTrajectory:
 def _orbit_window(system: TranslationSystem, vals, m: int, k: int = 1):
     """Read-only (m+1) x count view whose row j is T(j k spacing) vals.
 
-    Row j starts j k entries into vals padded with m k extension values
-    (the edge value, or 0), so the rows share one buffer of count + m k
-    doubles.
+    Row j starts j k entries into vals padded with m k copies of its edge
+    value, so the rows share one buffer of count + m k doubles.
     """
-    ext = vals[-1] if system.extension == "constant" else 0.0
-    padded = np.concatenate([vals, np.full(m * k, ext)])
+    padded = np.concatenate([vals, np.full(m * k, vals[-1])])
     return np.lib.stride_tricks.sliding_window_view(padded, system.count)[::k]
 
 
@@ -429,12 +424,7 @@ def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
     """The series of ``neumann_nodes`` on [0, m dt] under a given guard."""
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
-    if op.kind == "matrix":
-        vals = np.asarray(x, dtype=float)
-    else:
-        _require_time_grid(system, dt)
-        vals = np.asarray(x.values if isinstance(x, GridFunction)
-                          else system.sample(x).values, dtype=float)
+    vals = system.state_values(x)
     bad = int(np.count_nonzero(~np.isfinite(vals)))
     if bad:
         raise ValueError(
@@ -448,6 +438,7 @@ def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
             lambda nodes: _volterra_matrix(step, op, nodes, dt), _sup,
             _sup(orbit), tol, guard)
         return [total[j].copy() for j in node_steps], diag
+    _require_time_grid(system, dt)
     ker = op._kernel_lattice(dt, m)
     gsup = float(op.profile.sup_norm())
 
@@ -480,10 +471,9 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     m0 = _lattice_steps(t0, dt, "t0")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, enforce_guard, tol)
-    if op.kind == "matrix":
-        state = np.asarray(x, dtype=float)
-    else:
-        state = x if isinstance(x, GridFunction) else system.sample(x)
+    state = system.state_values(x)
+    if system.kind == "translation":
+        state = system.make(state)
     diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
     for steps in ([m_rest] if m_rest else []) + [m0] * n_full:
         out, diag = _neumann_segment(system, op, state, steps, [steps], dt,
@@ -696,7 +686,7 @@ def _regularized_residual(system, op, phi, dt, fast_out) -> float:
         u += w * phi[j] * system.shift_values(hvals, m - j)
     u *= dt
     try:
-        recon = reconstruct(system, ExtrapolatedElement(system, system.make(u)))
+        recon = reconstruct(system, system.make(u))
     except NotInStateSpace:
         return float("inf")
     return (recon - fast_out).seminorm(system.window)
@@ -798,18 +788,16 @@ def generator_check(system, op: PerturbationOperator, f, h_steps,
 
 def favard_seminorm(system, x, alpha: float, s_values) -> float:
     """sup over the sample times of ||T(s) x - x|| / s^alpha."""
+    vals = system.state_values(x)
     best = 0.0
     for s in s_values:
         if s <= 0:
             raise ValueError("sample times must be positive")
         if system.kind == "translation":
-            vals = x.values if isinstance(x, GridFunction) \
-                else system.sample(x).values
-            moved = system.make(system.shift_values(vals, system.steps_of(s)))
-            gap = (moved - system.make(vals)).sup_norm()
+            moved = system.shift_values(vals, system.steps_of(s))
         else:
-            xv = np.asarray(x, dtype=float)
-            gap = float(np.max(np.abs(system.propagator(s) @ xv - xv)))
+            moved = system.propagator(s) @ vals
+        gap = _sup(moved - vals)
         best = max(best, gap / s ** alpha)
     return best
 

@@ -6,20 +6,23 @@ Two system kinds back every experiment:
   scaling-and-squaring.
 * :class:`TranslationSystem` -- (T(t)f)(x) = f(x + t) on a uniform grid,
   applied as an exact index shift (time steps are locked to the grid
-  spacing), with a declared extension rule at the right edge.
+  spacing); grids continue their edge values, so translation pulls the
+  right edge value in.
 
 Elements of the extrapolation completion are stored in regularized
 coordinates: the element F is represented by u = R(1, A_ext) F, an
-ordinary state-space element, with norm and seminorms read off u.
-Reconstruction applies (1 - A) to u and, on grids, rejects results whose
-discrete curvature blows up like 1/spacing (the signature of a function
-that left the state space).
+ordinary state-space element, with norm and seminorms read off u.  The
+embedding of a state x is u = R(1, A) x, the generator image A_ext x is
+u = R(1, A) x - x (the resolvent identity, no derivative of x formed),
+and the extended semigroup acts on u as T(t) does.  :func:`reconstruct`
+applies (1 - A) to u and, on grids, rejects results whose discrete
+curvature blows up like 1/spacing (the signature of a function that left
+the state space).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, exp, log2
+from math import ceil, exp, isfinite, log2
 
 import numpy as np
 
@@ -123,37 +126,39 @@ def lattice_orbit(E: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 class MatrixSystem:
     """Uniformly continuous semigroup T(t) = exp(tA) on R^n.
 
-    growth_bound defaults to the spectral abscissa of A; bound_constant M
-    (with ||T(t)|| <= M e^{growth_bound t}) is calibrated on an 81-point
-    lattice unless supplied.  Lattice propagators T(q dt) come from
+    growth_bound is the spectral abscissa of A; bound_constant M (with
+    ||T(t)|| <= M e^{growth_bound t}) is calibrated on an 81-point
+    lattice of [0, 2].  Lattice propagators T(q dt) come from
     ``powers``, the ``lattice_orbit`` of the one step exponential T(dt).
     The state may be a vector or an n x k matrix; T(t) acts from the left.
     """
 
     kind = "matrix"
 
-    def __init__(self, A, growth_bound=None, bound_constant=None, horizon=None):
+    def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         self.dim = n
-        if growth_bound is None:
-            growth_bound = float(np.max(np.linalg.eigvals(self.A).real))
-        self.growth_bound = float(growth_bound)
-        self.horizon = horizon
-        if bound_constant is None:
-            dt = (2.0 if horizon is None else horizon) / 80
-            norms = np.linalg.norm(self.powers(dt, 80), 2, axis=(1, 2))
-            decay = np.exp(-self.growth_bound * dt * np.arange(81))
-            bound_constant = np.max(norms * decay)
-        self.bound_constant = float(bound_constant)
+        self.growth_bound = float(np.max(np.linalg.eigvals(self.A).real))
+        dt = 2.0 / 80
+        norms = np.linalg.norm(self.powers(dt, 80), 2, axis=(1, 2))
+        decay = np.exp(-self.growth_bound * dt * np.arange(81))
+        self.bound_constant = float(np.max(norms * decay))
 
     def _check_time(self, t: float):
         if t < 0:
             raise HorizonExceeded("negative time")
-        if self.horizon is not None and t > self.horizon + 1e-12:
-            raise HorizonExceeded(f"t = {t} beyond horizon {self.horizon}")
+
+    def state_values(self, x) -> np.ndarray:
+        """x as floats; refused unless it is a vector or an n x k matrix
+        on this system's R^n."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ValueError(f"state of shape {x.shape} does not live on "
+                             f"this system's R^{self.dim}")
+        return x
 
     def propagator(self, t: float) -> np.ndarray:
         self._check_time(t)
@@ -166,13 +171,6 @@ class MatrixSystem:
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.propagator(t) @ np.asarray(x, dtype=float)
-
-    def resolvent_matrix(self, lam: float) -> np.ndarray:
-        if lam <= self.growth_bound:
-            raise ValueError(
-                f"resolvent needs lam > growth bound ({lam} <= {self.growth_bound})"
-            )
-        return np.linalg.inv(lam * np.eye(self.dim) - self.A)
 
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         if lam <= self.growth_bound:
@@ -212,21 +210,26 @@ class TranslationSystem:
     Time steps must be lattice multiples of the spacing so translation is
     an exact index shift.  ``window`` is the interior comparison region,
     kept ``horizon`` away from both grid edges so no admissible operation
-    reads extension values inside it.
+    reads continued edge values inside it.
     """
 
     kind = "translation"
     growth_bound = 0.0
     bound_constant = 1.0
 
-    def __init__(self, origin, spacing, count, horizon, window=None, extension="constant"):
+    def __init__(self, origin, spacing, count, horizon, window=None):
+        if not (isfinite(spacing) and spacing > 0):
+            raise ValueError(
+                f"spacing must be positive and finite, got {spacing!r}")
+        if not (isfinite(horizon) and horizon >= 0):
+            raise ValueError(
+                f"horizon must be nonnegative and finite, got {horizon!r}")
         if count < 4:
             raise ValueError("grid too small")
         self.origin = float(origin)
         self.spacing = float(spacing)
         self.count = int(count)
         self.horizon = float(horizon)
-        self.extension = extension
         x_last = self.origin + self.spacing * (self.count - 1)
         self.x_last = x_last
         safe_lo = self.origin + self.horizon
@@ -247,10 +250,10 @@ class TranslationSystem:
         return self.origin + self.spacing * np.arange(self.count)
 
     def make(self, values) -> GridFunction:
-        return GridFunction(self.origin, self.spacing, values, self.extension)
+        return GridFunction(self.origin, self.spacing, values)
 
     def sample(self, f: PiecewiseFunction) -> GridFunction:
-        return to_grid(f, self.origin, self.spacing, self.count, self.extension)
+        return to_grid(f, self.origin, self.spacing, self.count)
 
     def zeros(self) -> GridFunction:
         return self.make(np.zeros(self.count))
@@ -275,6 +278,14 @@ class TranslationSystem:
         ):
             raise ValueError("grid function does not live on this system's grid")
 
+    def state_values(self, x) -> np.ndarray:
+        """Node values of a state: a piecewise function is sampled, a grid
+        function must live on this grid."""
+        if isinstance(x, PiecewiseFunction):
+            return self.sample(x).values
+        self._check_grid(x)
+        return x.values
+
     # -- semigroup action ---------------------------------------------
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
@@ -284,20 +295,18 @@ class TranslationSystem:
             raise HorizonExceeded(f"t = {t} beyond horizon {self.horizon}")
         self._check_grid(f)
         k = self.steps_of(t)
-        return self.make(self.shift_values(f.values, k, f.extension))
+        return self.make(self.shift_values(f.values, k))
 
-    def shift_values(self, values: np.ndarray, k: int, extension=None) -> np.ndarray:
-        """values[i + k] with the extension rule filling past the edge."""
-        if extension is None:
-            extension = self.extension
+    def shift_values(self, values: np.ndarray, k: int) -> np.ndarray:
+        """values[i + k], the edge value filling past the edge."""
         if k == 0:
             return values.copy()
         out = np.empty_like(values)
         if k >= values.size:
-            out[:] = values[-1] if extension == "constant" else 0.0
+            out[:] = values[-1]
             return out
         out[:-k] = values[k:]
-        out[-k:] = values[-1] if extension == "constant" else 0.0
+        out[-k:] = values[-1]
         return out
 
     # -- resolvent ----------------------------------------------------
@@ -307,8 +316,9 @@ class TranslationSystem:
 
         Composite trapezoid at the grid spacing via the exact backward
         recursion I_i = (dt/2)(f_i + a f_{i+1}) + a I_{i+1}, a = e^{-lam dt};
-        the tail beyond the grid is summed in closed form under the
-        extension rule, so the truncation error is zero by construction.
+        the tail beyond the grid, where f continues its edge value, is
+        summed in closed form, so the truncation error is zero by
+        construction.
         """
         if lam <= self.growth_bound:
             raise ValueError(f"resolvent needs lam > {self.growth_bound}")
@@ -318,12 +328,8 @@ class TranslationSystem:
         vals = f.values.tolist()
         n = len(vals)
         out = [0.0] * n
-        if f.extension == "constant":
-            # geometric tail of the trapezoid sum for a constant integrand
-            tail = vals[-1] * dt * (1 + a) / (2 * (1 - a))
-        else:
-            tail = 0.5 * dt * vals[-1]
-        out[-1] = tail
+        # geometric tail of the trapezoid sum for a constant integrand
+        out[-1] = vals[-1] * dt * (1 + a) / (2 * (1 - a))
         half = 0.5 * dt
         for i in range(n - 2, -1, -1):
             out[i] = half * (vals[i] + a * vals[i + 1]) + a * out[i + 1]
@@ -342,65 +348,8 @@ class TranslationSystem:
 # regularized coordinates for the extrapolation completion
 
 
-@dataclass
-class ExtrapolatedElement:
-    """Element of the extrapolation completion in regularized coordinates.
-
-    ``regularized`` holds u = R(1, A_ext) F as an ordinary state element
-    (vector or grid function); the extrapolation norm of F is the state
-    norm of u.
-    """
-
-    system: object
-    regularized: object
-
-    def norm(self) -> float:
-        u = self.regularized
-        if isinstance(u, GridFunction):
-            return u.sup_norm()
-        return float(np.linalg.norm(u, np.inf))
-
-    def seminorm(self, K: CompactInterval) -> float:
-        u = self.regularized
-        if isinstance(u, GridFunction):
-            return u.seminorm(K)
-        raise TypeError("seminorms need a grid representation")
-
-    def __add__(self, other):
-        if not isinstance(other, ExtrapolatedElement) or other.system is not self.system:
-            return NotImplemented
-        return ExtrapolatedElement(self.system, self.regularized + other.regularized)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtrapolatedElement) or other.system is not self.system:
-            return NotImplemented
-        return ExtrapolatedElement(self.system, self.regularized - other.regularized)
-
-    def scale(self, s):
-        return ExtrapolatedElement(self.system, self.regularized * s)
-
-
-def lift(system, x) -> ExtrapolatedElement:
-    """Embed a state element into the completion: u = R(1, A) x."""
-    return ExtrapolatedElement(system, system.resolvent(1.0, x))
-
-
-def generator_image(system, x) -> ExtrapolatedElement:
-    """A_ext x in regularized coordinates: u = R(1, A) x - x.
-
-    Uses the resolvent identity A R(1, A) = R(1, A) - I, so no derivative
-    of x is ever formed; x need not be in the generator domain.
-    """
-    return ExtrapolatedElement(system, system.resolvent(1.0, x) - x)
-
-
-def extended_apply(system, t: float, F: ExtrapolatedElement) -> ExtrapolatedElement:
-    """The extended semigroup acts through the regularized coordinates."""
-    return ExtrapolatedElement(system, system.apply(t, F.regularized))
-
-
-def reconstruct(system, F: ExtrapolatedElement):
-    """Recover the state element (1 - A) u from regularized coordinates.
+def reconstruct(system, u):
+    """Recover the state element (1 - A) u from regularized coordinates u.
 
     Matrix systems invert exactly.  Grid systems apply u - u' with
     centered differences and then test the discrete curvature
@@ -410,12 +359,10 @@ def reconstruct(system, F: ExtrapolatedElement):
     past any fixed bound.  Failing the test raises NotInStateSpace,
     which is a legitimate diagnostic outcome.
     """
-    u = F.regularized
+    vals = system.state_values(u)
     if system.kind == "matrix":
-        n = system.dim
-        return (np.eye(n) - system.A) @ np.asarray(u, dtype=float)
-    system._check_grid(u)
-    r = u.values - system.derivative_values(u.values)
+        return (np.eye(system.dim) - system.A) @ vals
+    r = vals - system.derivative_values(vals)
     threshold = 10.0 / system.spacing
     mask = system.window_mask()
     idx = np.flatnonzero(mask)

@@ -27,6 +27,7 @@ different routes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -313,16 +314,6 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     return system.make(vals)
 
 
-def oracle_solve(problem: "TransportProblem", t: float, spacing: float):
-    """(renewal weights, grid solution) for the problem at time t, on the
-    ``make_system`` grid for horizon t."""
-    system = make_system(problem, spacing, t, 0.0)
-    phi = oracle_weights(problem.measure, problem.profile, problem.initial,
-                         t, spacing)
-    return phi, oracle_solution(problem.measure, problem.profile,
-                                problem.initial, system, t, phi=phi)
-
-
 # ---------------------------------------------------------------------------
 # high-level driver
 
@@ -340,10 +331,6 @@ class TransportProblem:
     def guard_product(self, t0: float) -> float:
         return (self.measure.total_variation()
                 * float(self.profile.sup_norm()) * t0)
-
-    def jump_table(self):
-        """(location, left limit, right limit) at every profile jump."""
-        return self.profile.jumps()
 
 
 def build_rank_one(problem: TransportProblem,
@@ -366,8 +353,17 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
     Left translation pulls values in from the right, so the grid must
     extend ``t + t0`` beyond the window (and past the measure's support)
     on both sides; the origin is snapped to the spacing lattice so that
-    lattice-rational atoms land exactly on nodes.
+    lattice-rational atoms land exactly on nodes.  A spacing that is not
+    positive and finite, or a t or t0 that is not nonnegative and finite,
+    raises ValueError before anything is divided.
     """
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(
+            f"spacing must be positive and finite, got {spacing!r}")
+    for name, v in (("t", t), ("t0", t0)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(
+                f"{name} must be nonnegative and finite, got {v!r}")
     pts = [float(p) for p in problem.measure.support_points()]
     lo_pt = min([float(problem.window.lo)] + pts)
     hi_pt = max([float(problem.window.hi)] + pts)

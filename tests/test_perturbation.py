@@ -526,6 +526,47 @@ def test_neumann_semigroup_at_time_zero():
                           tol=math.nan)
 
 
+def test_grid_state_from_another_grid_is_refused():
+    # 685 and 725 nodes: a state sampled on one is refused by the other,
+    # not cut to its length or slid over as a window
+    prob = delta_problem()
+    small = make_system(prob, 1e-2, 0.2, 0.2)
+    big = make_system(prob, 1e-2, 0.4, 0.2)
+    op = build_rank_one(prob)
+    assert (small.count, big.count) == (685, 725)
+    for here, there in ((small, big), (big, small)):
+        x = there.sample(tent())
+        calls = (
+            lambda: VectorTrajectory.orbit(here, x, 0.2, 1e-2),
+            lambda: neumann_semigroup(here, op, x, 0.2, 0.2, 1e-2),
+            lambda: neumann_nodes(here, op, x, 0.2, [20], 1e-2),
+            lambda: favard_seminorm(here, x, 1.0, [0.1]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="does not live on this system's grid"):
+                call()
+    orbit = VectorTrajectory.orbit(small, small.sample(tent()), 0.2, 1e-2)
+    assert orbit.nodes.shape == (21, 685)
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((3, 2)), np.ones(()),
+                               np.ones((2, 2, 2))],
+                         ids=["length-3", "3x2", "scalar", "2x2x2"])
+def test_matrix_state_of_wrong_shape_is_refused(x):
+    sys_m, op = diag_system(), coupled_op()
+    calls = (
+        lambda: VectorTrajectory.orbit(sys_m, x, 0.1, 1e-2),
+        lambda: neumann_semigroup(sys_m, op, x, 0.1, 0.1, 1e-2),
+        lambda: neumann_nodes(sys_m, op, x, 0.1, [10], 1e-2),
+        lambda: favard_seminorm(sys_m, x, 1.0, [0.1]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"does not live on this system's R\^2"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # composition identity
 
@@ -729,22 +770,37 @@ def test_admissibility_rank_one_nodes_match_per_node_reference(monkeypatch):
     assert rep.to_dict() == ref.to_dict()
 
 
-@pytest.mark.parametrize("extension", ["constant", "zero"])
-def test_pair_rows_off_lattice_matches_per_row_eval(extension):
-    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2, extension=extension)
-    rows = np.random.default_rng(5).standard_normal((7, 21))
+def with_edge(values, edge):
+    """Random grid data as drawn ("constant": nonzero edge values that the
+    grid continues), or with both edge entries zeroed, so that reads
+    beyond the grid give 0 ("zero"), as on every ``make_system`` grid."""
+    values = np.array(values)
+    if edge == "zero":
+        values[..., [0, -1]] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("edge", ["constant", "zero"])
+def test_pair_rows_off_lattice_matches_per_row_eval(edge):
+    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2)
+    rows = with_edge(np.random.default_rng(5).standard_normal((7, 21)), edge)
     # off the lattice inside the grid, then beyond either edge
     for loc in (Fraction(1, 3), 1.25, -1.35):
         got = pair_rows(BoundedMeasure.dirac(loc, 0.7), sys_t, rows)
         want = [0.7 * float(sys_t.make(r).eval(float(loc))) for r in rows]
         assert np.array_equal(got, want)
+    # beyond either edge a row reads its edge value
+    for loc, col in ((1.25, -1), (-1.35, 0)):
+        got = pair_rows(BoundedMeasure.dirac(loc, 1.0), sys_t, rows)
+        assert np.array_equal(got, rows[:, col])
 
 
-@pytest.mark.parametrize("extension", ["constant", "zero"])
+@pytest.mark.parametrize("edge", ["constant", "zero"])
 @pytest.mark.parametrize("k", [1, 3])
-def test_translation_orbit_matches_per_row_shift(k, extension):
-    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2, extension=extension)
-    vals = np.random.default_rng(3).standard_normal(sys_t.count)
+def test_translation_orbit_matches_per_row_shift(k, edge):
+    sys_t = TranslationSystem(-1.0, 0.1, 21, 0.2)
+    vals = with_edge(np.random.default_rng(3).standard_normal(sys_t.count),
+                     edge)
     m = 10  # for k = 3 the last rows lie past the grid edge
     F = VectorTrajectory.orbit(sys_t, sys_t.make(vals), m * k * 0.1, k * 0.1)
     want = [sys_t.shift_values(vals, j * k) for j in range(m + 1)]
@@ -781,7 +837,7 @@ _HALF_BOX = PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
                               [[0], [Fraction(1, 2)], [0]])
 
 
-@pytest.mark.parametrize("extension", ["constant", "zero"])
+@pytest.mark.parametrize("edge", ["constant", "zero"])
 @pytest.mark.parametrize("measure", [
     BoundedMeasure.dirac(Fraction(1, 4), 0.7),
     BoundedMeasure.dirac(Fraction(1, 3), 0.5),
@@ -790,11 +846,12 @@ _HALF_BOX = PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
     BoundedMeasure(atoms=[(0, Fraction(1, 2))], density=_HALF_BOX),
 ], ids=["on-lattice", "off-lattice", "left-of-origin", "density",
         "atom+density"])
-def test_series_first_term_pairs_materialised_orbit(measure, extension):
+def test_series_first_term_pairs_materialised_orbit(measure, edge):
     # pairing the translate of x on the whole line, instead of the rows
     # the system stores, puts the atom left of the origin 0.98 off here
-    sys_t = TranslationSystem(-1.0, 0.01, 201, 0.4, extension=extension)
-    vals = np.random.default_rng(11).standard_normal(sys_t.count)
+    sys_t = TranslationSystem(-1.0, 0.01, 201, 0.4)
+    vals = with_edge(np.random.default_rng(11).standard_normal(sys_t.count),
+                     edge)
     assert_first_term_pairs_orbit(sys_t, measure, vals, 40)
 
 
@@ -826,11 +883,9 @@ def rational_measures(draw, lo=-1.5, hi=1.5):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(measure=rational_measures(), m=st.integers(1, 24),
-       seed=st.integers(0, 2**32 - 1),
-       extension=st.sampled_from(["constant", "zero"]))
-def test_series_first_term_pairs_orbit_property(measure, m, seed,
-                                                extension):
-    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25, extension=extension)
+       seed=st.integers(0, 2**32 - 1))
+def test_series_first_term_pairs_orbit_property(measure, m, seed):
+    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25)
     vals = np.random.default_rng(seed).standard_normal(sys_t.count)
     assert_first_term_pairs_orbit(sys_t, measure, vals, m)
 
@@ -849,10 +904,9 @@ def node_linear(draw):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(measure=rational_measures(lo=-1, hi=1), f=node_linear(),
-       extension=st.sampled_from(["constant", "zero"]))
-def test_grid_pairing_matches_exact_pairing(measure, f, extension):
-    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25, extension=extension)
+@given(measure=rational_measures(lo=-1, hi=1), f=node_linear())
+def test_grid_pairing_matches_exact_pairing(measure, f):
+    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25)
     assert abs(measure.pair(sys_t.sample(f))
                - float(measure.pair(f))) <= 1e-12
 

@@ -15,14 +15,10 @@ from hypothesis import strategies as st
 from semiperturb.errors import HorizonExceeded, NotInStateSpace, StepMismatch
 from semiperturb.functions import CompactInterval, PiecewiseFunction, tent
 from semiperturb.semigroup import (
-    ExtrapolatedElement,
     MatrixSystem,
     TranslationSystem,
     expm,
-    extended_apply,
-    generator_image,
     lattice_scan,
-    lift,
     opnorm2,
     reconstruct,
 )
@@ -103,8 +99,8 @@ def test_matrix_system_validate_reports_identity_gap():
 def test_matrix_resolvent_identity():
     sys = _stable_system(seed=5)
     lam, mu = 1.0, 2.5
-    Rl = sys.resolvent_matrix(lam)
-    Rm = sys.resolvent_matrix(mu)
+    Rl = sys.resolvent(lam, np.eye(4))
+    Rm = sys.resolvent(mu, np.eye(4))
     assert opnorm2(Rl - Rm - (mu - lam) * Rl @ Rm) <= 1e-13
 
 
@@ -118,12 +114,13 @@ def test_matrix_resolvent_inverts():
 
 
 def test_matrix_horizon():
-    sys = MatrixSystem(np.diag([-1.0]), horizon=1.0)
-    sys.apply(1.0, np.array([1.0]))
+    # the matrix semigroup runs on [0, inf): only negative times are refused
+    sys = MatrixSystem(np.diag([-1.0]))
+    assert sys.apply(50.0, np.array([1.0]))[0] == pytest.approx(math.exp(-50))
     with pytest.raises(HorizonExceeded):
-        sys.apply(1.5, np.array([1.0]))
+        sys.apply(-0.5, np.array([1.0]))
     with pytest.raises(HorizonExceeded):
-        sys.powers(0.4, 3)
+        sys.powers(-0.4, 3)
 
 
 def test_matrix_powers_match_per_lag_expm():
@@ -224,6 +221,18 @@ def test_window_stays_clear_of_edges():
         TranslationSystem(-4.0, 0.01, 801, 1.0, window=CompactInterval(-4.0, 4.0))
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
+def test_translation_refuses_bad_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        TranslationSystem(-1.0, spacing, 100, 0.2)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+def test_translation_refuses_bad_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        TranslationSystem(-1.0, 0.01, 100, horizon)
+
+
 def test_resolvent_of_constant_one():
     sys = make_translation(spacing=0.01)
     one = sys.make(np.ones(sys.count))
@@ -267,14 +276,23 @@ def test_resolvent_requires_lam_above_growth_bound():
 
 
 # ---------------------------------------------------------------------------
-# regularized coordinates
+# regularized coordinates: x embeds as u = R(1, A) x, the generator image
+# A_ext x is u = R(1, A) x - x, and the extended semigroup acts on u
+
+
+def lift(sys, x):
+    return sys.resolvent(1.0, x)
+
+
+def generator_image(sys, x):
+    return sys.resolvent(1.0, x) - x
 
 
 def test_matrix_embedding_example():
     sys = MatrixSystem(np.diag([-1.0]))
     x = np.array([1.0])
-    assert np.allclose(lift(sys, x).regularized, [0.5])
-    assert np.allclose(generator_image(sys, x).regularized, [-0.5])
+    assert np.allclose(lift(sys, x), [0.5])
+    assert np.allclose(generator_image(sys, x), [-0.5])
 
 
 def test_matrix_reconstruct_round_trip():
@@ -299,20 +317,20 @@ def test_reconstruct_rejects_tent_difference():
     # (1 - d/dx) h has jumps: the curvature test must fire
     sys = make_translation(spacing=0.005)
     h = sys.sample(tent())
-    F = lift(sys, h) - generator_image(sys, h)
-    assert np.max(np.abs(F.regularized.values - h.values)) <= 1e-12
+    u = lift(sys, h) - generator_image(sys, h)
+    assert np.max(np.abs(u.values - h.values)) <= 1e-12
     with pytest.raises(NotInStateSpace) as exc:
-        reconstruct(sys, F)
+        reconstruct(sys, u)
     assert exc.value.curvature > exc.value.threshold
 
 
 def test_extrapolation_norm_and_seminorm():
     sys = make_translation()
     h = sys.sample(tent())
-    F = generator_image(sys, h)
-    assert F.norm() <= 1.0 + 1e-12  # ||R(1)h - h|| <= 2 ||h||, usually smaller
+    u = generator_image(sys, h)
+    assert u.sup_norm() <= 1.0 + 1e-12  # ||R(1)h - h|| <= 2 ||h||, usually smaller
     K = CompactInterval(-1.0, 1.0)
-    assert F.seminorm(K) <= F.norm() + 1e-12
+    assert u.seminorm(K) <= u.sup_norm() + 1e-12
 
 
 def test_seminorm_domination_identity():
@@ -329,17 +347,16 @@ def test_seminorm_domination_identity():
 def test_extended_apply_commutes_with_lift():
     sys = make_translation(spacing=0.01)
     x = sys.sample(tent())
-    lhs = extended_apply(sys, 0.3, lift(sys, x)).regularized
-    rhs = lift(sys, sys.apply(0.3, x)).regularized
+    lhs = sys.apply(0.3, lift(sys, x))
+    rhs = lift(sys, sys.apply(0.3, x))
     mask = sys.window_mask()
     assert np.max(np.abs(lhs.values[mask] - rhs.values[mask])) <= 1e-12
 
 
 def test_extrapolated_element_algebra():
+    # regularized coordinates are linear in the state
     sys = MatrixSystem(np.diag([-1.0, -2.0]))
     a = lift(sys, np.array([1.0, 0.0]))
     b = lift(sys, np.array([0.0, 1.0]))
-    s = a + b
-    assert np.allclose(s.regularized, lift(sys, np.array([1.0, 1.0])).regularized)
-    assert np.allclose((s - b).regularized, a.regularized)
-    assert np.allclose(a.scale(2.0).regularized, 2 * np.asarray(a.regularized))
+    assert np.allclose(a + b, lift(sys, np.array([1.0, 1.0])))
+    assert np.allclose(lift(sys, np.array([2.0, 0.0])), 2 * a)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semiperturb.errors import (
     DegenerateProfile,
@@ -16,6 +18,7 @@ from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
     hat_moments,
+    poly_eval,
     sample_lag_kernel,
     sample_sided,
     tent,
@@ -35,7 +38,6 @@ from semiperturb.transport import (
     engine_vs_oracle,
     make_system,
     oracle_solution,
-    oracle_solve,
     oracle_weights,
     refinement_study,
     run_perturbed,
@@ -119,7 +121,7 @@ def test_sawtooth_profile_jump_ladder():
 def test_corner_profile_matches_gaps():
     g = canonical_profile()
     w = corner_profile(g)
-    assert w.is_continuous()
+    assert not w.jumps()
     gap_at = {z: hi - lo for z, lo, hi in g.jumps()}
     for z, gap in gap_at.items():
         defect = (w.one_sided_derivative(z, "left")
@@ -204,6 +206,72 @@ def test_build_domain_function_degenerate_profile():
     w = corner_profile(prob.profile).scale(Fraction(100, 27))
     with pytest.raises(DegenerateProfile):
         build_domain_function(prob, corner_part=w)
+
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_GAP = st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(
+    lambda g: g != 0)
+
+
+@st.composite
+def rational_jump_problems(draw):
+    """A profile with rational jumps (locations, nonzero gaps) and linear
+    pieces between them, and a measure of one to three rational atoms
+    (with none, the pairing is the int 0 and the corner scale a float)."""
+    locs = sorted(draw(st.sets(_RATIONAL, min_size=1, max_size=4)))
+    gaps = draw(st.lists(_GAP, min_size=len(locs), max_size=len(locs)))
+    slopes = draw(st.lists(
+        st.fractions(min_value=-1, max_value=1, max_denominator=4),
+        min_size=len(locs) - 1, max_size=len(locs) - 1))
+    pieces = [[draw(_RATIONAL)]]
+    for i, (z, gap) in enumerate(zip(locs, gaps)):
+        right = poly_eval(pieces[-1], z) + gap
+        slope = slopes[i] if i < len(slopes) else 0
+        pieces.append([right - slope * z, slope] if slope else [right])
+    atoms = draw(st.lists(st.tuples(
+        _RATIONAL, st.fractions(min_value=-1, max_value=1,
+                                max_denominator=8)), min_size=1, max_size=3))
+    profile = PiecewiseFunction(locs, pieces)
+    assert [hi - lo for _, lo, hi in profile.jumps()] == gaps
+    return TransportProblem(BoundedMeasure(atoms=atoms), profile, tent())
+
+
+def _domain_function(problem):
+    try:
+        return build_domain_function(problem)
+    except DegenerateProfile:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(problem=rational_jump_problems())
+def test_domain_check_accepts_built_function(problem):
+    rep = domain_check(_domain_function(problem), problem)
+    assert rep.in_domain and rep.worst == 0
+    assert not rep.continuity_defects
+    zs = [z for z, _, _ in problem.profile.jumps()]
+    assert set(zs) <= {z for z, _ in rep.kink_residuals}
+    for _, r in rep.kink_residuals:
+        assert isinstance(r, Fraction) and r == 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(problem=rational_jump_problems(),
+       eps=st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                        max_denominator=20).filter(lambda e: e != 0))
+def test_domain_check_residual_of_scaled_corner(problem, eps):
+    # with f = f0 + s w and s (1 - pairing(w)) = pairing(f0), scaling the
+    # corner part s w by 1 + eps leaves eps pairing(f0) gap at each jump
+    f0 = bump_function()
+    f = _domain_function(problem)
+    pair_f0 = problem.measure.pair(f0)
+    assume(pair_f0 != 0)
+    rep = domain_check(f + (f - f0).scale(eps), problem)
+    assert not rep.in_domain
+    want = {z: eps * pair_f0 * (hi - lo)
+            for z, lo, hi in problem.profile.jumps()}
+    assert dict(rep.kink_residuals) == want
+    assert all(isinstance(r, Fraction) and r != 0 for r in want.values())
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +401,11 @@ def test_oracle_solution_zero_measure_is_translation():
     assert np.max(np.abs(u.values - want)) < 1e-15
 
 
-def test_oracle_solve_bundles_weights_and_state():
+def test_oracle_weights_and_state_on_make_system_grid():
     prob = delta_problem()
-    phi, u = oracle_solve(prob, 0.5, 2e-3)
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, 0.5, 2e-3)
+    u = oracle_solution(prob.measure, prob.profile, prob.initial,
+                        make_system(prob, 2e-3, 0.5, 0.0), 0.5, phi=phi)
     assert len(phi) == round(0.5 / 2e-3) + 1
     assert u.values.shape[0] > 0
     assert float(np.max(np.abs(u.values))) < 10.0
@@ -450,10 +520,25 @@ def test_make_system_origin_on_lattice():
     assert sys_t.window.hi <= sys_t.x_last
 
 
-def test_jump_table_lists_profile_jumps():
+@pytest.mark.parametrize("spacing, t, t0, what", [
+    (0.0, 0.4, 0.2, "spacing"),
+    (-1e-2, 0.4, 0.2, "spacing"),
+    (math.nan, 0.4, 0.2, "spacing"),
+    (math.inf, 0.4, 0.2, "spacing"),
+    (1e-2, -0.4, 0.2, "t"),
+    (1e-2, math.nan, 0.2, "t"),
+    (1e-2, math.inf, 0.2, "t"),
+    (1e-2, 0.4, -0.2, "t0"),
+    (1e-2, 0.4, math.nan, "t0"),
+])
+def test_make_system_refuses_bad_geometry(spacing, t, t0, what):
     prob = delta_problem()
-    table = prob.jump_table()
-    assert [float(z) for z, _, _ in table] == [-1.0, 0.0, 1.0]
+    match = f"^{what} must be"
+    with pytest.raises(ValueError, match=match):
+        make_system(prob, spacing, t, t0)
+    if what == "spacing":
+        with pytest.raises(ValueError, match=match):
+            run_perturbed(prob, t, spacing, t0)
 
 
 # ---------------------------------------------------------------------------
