@@ -26,7 +26,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GuardViolation, NonConvergence, NonMultiplicative
+from .errors import (
+    ConfigError,
+    GuardViolation,
+    NonConvergence,
+    NonMultiplicative,
+    StepMismatch,
+)
 from .functions import BoundedMeasure, piecewise_from_dict, tent
 from .implemented import (
     ImplementedSemigroup,
@@ -614,7 +620,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return run(cfg, args.out)
-    except ConfigError as exc:
+    except (ConfigError, StepMismatch) as exc:
+        # a step mismatch names a time and a step the config chose
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (GuardViolation, NonConvergence) as exc:

@@ -428,7 +428,6 @@ class BoundedMeasure:
             if density.pieces[0][0] != 0 or density.pieces[-1][0] != 0:
                 raise ValueError("density must have compact support")
         self.density = density
-        self._weight_cache = {}
 
     @classmethod
     def dirac(cls, location, weight=1) -> "BoundedMeasure":
@@ -449,7 +448,7 @@ class BoundedMeasure:
         integrated exactly against the linear interpolant.
         """
         if isinstance(f, PiecewiseFunction):
-            total = 0
+            total = Fraction(0)  # an empty sum stays rational too
             for loc, w in self.atoms:
                 total = total + w * f.eval(loc)
             if self.density is not None:
@@ -460,14 +459,6 @@ class BoundedMeasure:
         if isinstance(f, GridFunction):
             return pair_rows(self, f, f.values[None])[0]
         raise TypeError(f"cannot pair with {type(f).__name__}")
-
-    def _density_weights(self, grid) -> np.ndarray:
-        key = (grid.origin, grid.spacing, grid.count)
-        w = self._weight_cache.get(key)
-        if w is None:
-            w = _density_node_weights(self.density, grid)
-            self._weight_cache[key] = w
-        return w
 
     def support_points(self):
         pts = [float(loc) for loc, _ in self.atoms]
@@ -519,7 +510,7 @@ def pair_rows(measure: BoundedMeasure, grid, rows) -> np.ndarray:
         else:
             out += float(w) * _interp_rows(grid, rows, x)
     if measure.density is not None:
-        wts = measure._density_weights(grid)
+        wts = _density_node_weights(measure.density, grid)
         nz = np.flatnonzero(wts)
         if nz.size:
             lo, hi = nz[0], nz[-1] + 1
@@ -566,6 +557,7 @@ def _gauss_panels(lo, width, degree):
         yield lo + tj * width, wj * width
 
 
+@functools.lru_cache(maxsize=4)
 def hat_moments(f: PiecewiseFunction, origin, h, n):
     """(I0, I1) on the cells [x_k, x_k + h], x_k = origin + k h, k < n:
     I0[k] = integral over sigma in (0, 1) of (1 - sigma) f(x_k + sigma h),
@@ -575,6 +567,11 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     Gauss-Legendre rule exact for f's degree.  Cuts are held in lattice
     units, cell k and sigma = (b - x_k) / h, so none loses digits to
     |x_k| / h; a panel reads its piece at its start, node or breakpoint.
+
+    Memoised on the function object and the exact lattice (origin, h, n),
+    four entries deep, so a caller that revisits one lattice, such as
+    the renewal oracle at every time on one grid, or the density weights
+    of every pairing on one grid, pays once; the arrays are read-only.
     """
     xk = origin + h * np.arange(n + 1)
     breaks = np.array([float(b) for b in f.breakpoints])
@@ -601,7 +598,10 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
         vals *= wts
         i0 += (1.0 - sigma) * vals
         i1 += sigma * vals
-    return np.bincount(cell, i0, n), np.bincount(cell, i1, n)
+    moments = np.bincount(cell, i0, n), np.bincount(cell, i1, n)
+    for a in moments:
+        a.flags.writeable = False
+    return moments
 
 
 _DIRECT_CONVOLVE_MAX = 512

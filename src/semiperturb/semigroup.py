@@ -271,6 +271,10 @@ class TranslationSystem:
         return (xs >= self.window.lo - 1e-12) & (xs <= self.window.hi + 1e-12)
 
     def _check_grid(self, f: GridFunction):
+        if not isinstance(f, GridFunction):
+            raise ValueError(
+                f"state of type {type(f).__name__} is not a grid function; "
+                f"wrap node values with make()")
         if (
             f.count != self.count
             or abs(f.origin - self.origin) > 1e-12 * max(1.0, abs(self.origin))
@@ -280,7 +284,8 @@ class TranslationSystem:
 
     def state_values(self, x) -> np.ndarray:
         """Node values of a state: a piecewise function is sampled, a grid
-        function must live on this grid."""
+        function must live on this grid; anything else, raw node values
+        included, is refused."""
         if isinstance(x, PiecewiseFunction):
             return self.sample(x).values
         self._check_grid(x)

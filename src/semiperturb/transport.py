@@ -7,8 +7,9 @@ times the jump gaps.  This module owns
 
 * the independent oracle: a blocked exact solve of the implicit
   trapezoid system of the scalar renewal equation for phi(tau) = pairing
-  of the perturbed orbit, plus an exact reconstruction of the solution
-  from phi;
+  of the perturbed orbit, plus a reconstruction of the solution from
+  phi: the exact free sample, and one lattice product of phi with the
+  profile's hat moments on the cells where the profile can be nonzero;
 * domain bookkeeping with exact rational arithmetic (membership residuals
   are identically zero, not merely small, for the canonical examples);
 * constructors for the stock profiles and domain functions;
@@ -17,7 +18,8 @@ times the jump gaps.  This module owns
 
 Oracle and engine share only low-level sampling primitives, the
 exact panel quadrature ``hat_moments``, which the tests check against
-exact rational hat products, and the lattice convolution
+exact rational hat products (its memo lets the oracle at every time on
+one grid pay for the moments once), and the lattice convolution
 ``lattice_convolve``, which the tests check against ``np.convolve``.
 The time stepping (an implicit system solved exactly here, an explicit
 truncated series there) and the free-part handling are deliberately
@@ -292,26 +294,57 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     Free part sampled exactly from the shifted initial profile.  The
     series part integrates the linear interpolant of the renewal weights
-    against the exact profile, cell by cell: two :func:`lattice_convolve`
-    products of the weights with the profile's :func:`hat_moments`, on
-    the FFT once t spans more than 512 steps.  That is a second-order
-    reconstruction with different plumbing (and a different error
-    constant) than the engine's sampled trapezoid.
+    against the exact profile, cell by cell: node k adds
+
+        dt sum_{j=1..m} (phi[j] I0[k+m-j] + phi[j-1] I1[k+m-j]),
+
+    I0, I1 the profile's :func:`hat_moments`.  Both sums come from one
+    :func:`lattice_convolve` of phi with c[x] = I0[x] + I1[x-1] (the FFT
+    once both pass 512 entries), which also counts phi[0] I0[k+m] and
+    phi[m] I1[k-1]; those two are taken off again.  The moments are
+    taken only on the cells [lo, hi) where the profile can be nonzero:
+    its outer breakpoints padded by one cell, on each side whose end
+    piece is zero, else the lattice end.  They do not depend on t, so
+    the memo of :func:`hat_moments` serves every t on one grid, and
+    nodes outside [lo - m, hi] get the free part alone.  That is a
+    second-order reconstruction with different plumbing (and a
+    different error constant) than the engine's sampled trapezoid.
     """
     dt = system.spacing
     if phi is None:
         phi = oracle_weights(measure, profile, u0, t, dt)
     m = len(phi) - 1
     vals = system.sample(u0.translate(t)).values.copy()
-    if m > 0:
-        i0, i1 = hat_moments(profile, system.origin, dt,
-                             system.count + m - 1)
-        # node k reads cell k + m - j with weights phi[j] (nearer edge)
-        # and phi[j - 1], j = 1..m
-        n = system.count + m - 1
-        vals += dt * (lattice_convolve(i0, phi[1:], n)[m - 1:]
-                      + lattice_convolve(i1, phi[:m], n)[m - 1:])
+    lo, hi = _support_cells(profile, system.origin, dt,
+                            system.count + m - 1)
+    if m > 0 and hi > lo:
+        i0, i1 = hat_moments(profile, system.origin + lo * dt, dt, hi - lo)
+        # c[x] = I0[x] + I1[x - 1] on cells lo..hi; entry e of the product
+        # belongs to node lo - m + e
+        c = np.append(i0, 0.0)
+        c[1:] += i1
+        series = lattice_convolve(c, phi, c.size + m)
+        series[:hi - lo] -= phi[0] * i0
+        series[m + 1:] -= phi[m] * i1
+        first = lo - m
+        k0, k1 = max(first, 0), min(first + series.size, system.count)
+        if k1 > k0:
+            vals[k0:k1] += dt * series[k0 - first:k1 - first]
     return system.make(vals)
+
+
+def _support_cells(profile: PiecewiseFunction, origin: float, dt: float,
+                   n: int):
+    """Cells [lo, hi) of the lattice origin + x dt, 0 <= x < n, outside
+    which the profile vanishes: each outer breakpoint bounds its side
+    when the end piece beyond it is zero, padded by one cell."""
+    a, b = (float(v) for v in profile.support_bounds())
+    lo, hi = 0, n
+    if all(c == 0 for c in profile.pieces[0]):
+        lo = max(lo, math.floor((a - origin) / dt) - 1)
+    if all(c == 0 for c in profile.pieces[-1]):
+        hi = min(hi, math.ceil((b - origin) / dt) + 1)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ The quadrature references share no code path with
 ``PiecewiseFunction`` product integrated in closed form, so with
 ``Fraction`` data the results are exact.  The renewal reference solves
 the oracle's implicit-trapezoid system by plain forward substitution,
-one step at a time, on the library's kernel samples.
+one step at a time, on the library's kernel samples, and the
+reconstruction reference rebuilds the oracle's state from its weights
+over the whole grid, with one product per hat moment.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from semiperturb.errors import StepSizeError
 from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
+    hat_moments,
+    lattice_convolve,
     sample_lag_kernel,
 )
 
@@ -87,3 +91,21 @@ def renewal_forward_substitution(measure: BoundedMeasure,
             acc += float(np.dot(phi[1:m], k_mid[m - 1:0:-1]))
         phi[m] = (free[m] + dt * acc) / diag
     return phi
+
+
+def oracle_reconstruction_two_products(profile: PiecewiseFunction,
+                                       u0: PiecewiseFunction, system,
+                                       t: float, phi):
+    """``transport.oracle_solution`` values from the weights phi, on every
+    cell of the grid: the exact free sample plus dt times the products of
+    phi[1:] with I0 and of phi[:m] with I1, the profile's hat moments on
+    all count + m - 1 cells, read at node k from entry k + m - 1."""
+    dt = system.spacing
+    m = len(phi) - 1
+    vals = system.sample(u0.translate(t)).values.copy()
+    if m > 0:
+        n = system.count + m - 1
+        i0, i1 = hat_moments(profile, system.origin, dt, n)
+        vals += dt * (lattice_convolve(i0, phi[1:], n)[m - 1:]
+                      + lattice_convolve(i1, phi[:m], n)[m - 1:])
+    return vals

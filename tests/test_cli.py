@@ -131,6 +131,27 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("argv, config, numbers", [
+    (["transport-demo", "--grid-spacing", "0.3"], {}, ("0.2", "0.3")),
+    (["admissibility", "--grid-spacing", "0.5"], {}, ("0.2", "0.5")),
+    (["implemented-demo"], {"t": 0.3333}, ("0.3333", "0.001")),
+    (["matrix-demo", "--dt", "0.3"], {}, ("0.5", "0.3")),
+], ids=["transport-spacing", "admissibility-spacing", "implemented-t",
+        "matrix-dt"])
+def test_off_lattice_time_is_a_config_error(tmp_path, capsys, argv, config,
+                                            numbers):
+    # a time the configured step does not divide: refused by name, no
+    # traceback and no report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "not a multiple" in err[0]
+    assert all(v in err[0] for v in numbers)
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 def test_convergence_needs_three_levels(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spacings": [4e-3, 2e-3]}))

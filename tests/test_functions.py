@@ -417,6 +417,24 @@ def test_hat_moments_degree_seven_cell():
     assert abs(0.5 * w @ (0.5 * t + 0.5) ** 8 - 1 / 9) > 1e-6
 
 
+def test_hat_moments_memo_returns_read_only_arrays():
+    # a hit returns the stored arrays, a fresh equal-valued profile misses
+    # and recomputes them bit for bit
+    hat_moments.cache_clear()
+    f = three_jump_profile()
+    first = hat_moments(f, -3.702, 2e-3, 3000)
+    hit = hat_moments(f, -3.702, 2e-3, 3000)
+    fresh = hat_moments(three_jump_profile(), -3.702, 2e-3, 3000)
+    info = hat_moments.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    assert all(a is b for a, b in zip(hit, first))
+    for a, b in zip(fresh, first):
+        assert a is not b and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    hat_moments.cache_clear()
+
+
 def test_hat_moments_build_each_gauss_rule_once(monkeypatch):
     real = np.polynomial.legendre.leggauss
     calls = []

@@ -550,6 +550,24 @@ def test_grid_state_from_another_grid_is_refused():
     assert orbit.nodes.shape == (21, 685)
 
 
+def test_raw_node_values_are_refused_as_grid_state():
+    # node values of the right length are still not a grid state
+    prob = delta_problem()
+    system = make_system(prob, 1e-2, 0.2, 0.2)
+    op = build_rank_one(prob)
+    x = np.zeros(system.count)
+    calls = (
+        lambda: VectorTrajectory.orbit(system, x, 0.2, 1e-2),
+        lambda: neumann_semigroup(system, op, x, 0.2, 0.2, 1e-2),
+        lambda: system.apply(0.1, x),
+    )
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="state of type ndarray is not a grid "
+                                 "function"):
+            call()
+
+
 @pytest.mark.parametrize("x", [np.ones(3), np.ones((3, 2)), np.ones(()),
                                np.ones((2, 2, 2))],
                          ids=["length-3", "3x2", "scalar", "2x2x2"])

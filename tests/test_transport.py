@@ -44,7 +44,11 @@ from semiperturb.transport import (
     sawtooth_profile,
 )
 
-from exact_reference import kernel, renewal_forward_substitution
+from exact_reference import (
+    kernel,
+    oracle_reconstruction_two_products,
+    renewal_forward_substitution,
+)
 
 
 def delta_problem(weight=1):
@@ -201,6 +205,16 @@ def test_build_domain_function_exact():
     assert prob.measure.pair(f) == Fraction(28281, 14600)
 
 
+def test_build_domain_function_without_atoms_stays_exact():
+    # the pairing of the empty measure is an exact zero, so the corner
+    # scale is too and the domain function keeps rational coefficients
+    prob = TransportProblem(BoundedMeasure(), canonical_profile(), tent())
+    f = build_domain_function(prob)
+    assert all(isinstance(c, (int, Fraction)) for p in f.pieces for c in p)
+    assert all(isinstance(r, Fraction) and r == 0
+               for _, r in domain_check(f, prob).kink_residuals)
+
+
 def test_build_domain_function_degenerate_profile():
     prob = two_atom_problem()
     w = corner_profile(prob.profile).scale(Fraction(100, 27))
@@ -216,8 +230,7 @@ _GAP = st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(
 @st.composite
 def rational_jump_problems(draw):
     """A profile with rational jumps (locations, nonzero gaps) and linear
-    pieces between them, and a measure of one to three rational atoms
-    (with none, the pairing is the int 0 and the corner scale a float)."""
+    pieces between them, and a measure of zero to three rational atoms."""
     locs = sorted(draw(st.sets(_RATIONAL, min_size=1, max_size=4)))
     gaps = draw(st.lists(_GAP, min_size=len(locs), max_size=len(locs)))
     slopes = draw(st.lists(
@@ -230,7 +243,7 @@ def rational_jump_problems(draw):
         pieces.append([right - slope * z, slope] if slope else [right])
     atoms = draw(st.lists(st.tuples(
         _RATIONAL, st.fractions(min_value=-1, max_value=1,
-                                max_denominator=8)), min_size=1, max_size=3))
+                                max_denominator=8)), max_size=3))
     profile = PiecewiseFunction(locs, pieces)
     assert [hi - lo for _, lo, hi in profile.jumps()] == gaps
     return TransportProblem(BoundedMeasure(atoms=atoms), profile, tent())
@@ -390,6 +403,61 @@ def test_oracle_solution_matches_correlation_form(t, dt):
         + np.correlate(i1, phi[m - 1::-1], mode="valid"))
     scale = dt * np.abs(phi).sum() * float(prob.profile.sup_norm())
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def _assert_every_prefix_row(prob, dt, t):
+    # row k is the oracle at k dt from the prefix phi[:k + 1], the way the
+    # variation-of-parameters check reads it
+    system = make_system(prob, dt, t, 0.0)
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+    for k in range(len(phi)):
+        got = oracle_solution(prob.measure, prob.profile, prob.initial,
+                              system, k * dt, phi=phi[:k + 1]).values
+        want = oracle_reconstruction_two_products(
+            prob.profile, prob.initial, system, k * dt, phi[:k + 1])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.1], ids=["direct", "fft"])
+@pytest.mark.parametrize("measure", [
+    BoundedMeasure.dirac(0),
+    BoundedMeasure.dirac(Fraction(1, 3)),
+    two_atom_problem().measure,
+], ids=["dirac-0", "dirac-third", "two-atoms"])
+def test_oracle_solution_matches_two_product_reference(measure, t):
+    # at dt = 2e-3 the profile covers about 1000 cells, so 250 steps take
+    # the direct product and 550 the FFT
+    prob = TransportProblem(measure, three_jump_profile(), tent())
+    _assert_every_prefix_row(prob, 2e-3, t)
+
+
+@pytest.mark.parametrize("profile", [
+    PiecewiseFunction([-1, 0, 1], [[0], [0, 1], [2, -1], [Fraction(1, 2)]]),
+    PiecewiseFunction([-1, 0, 1], [[Fraction(-1, 2)], [0, 1], [2, -1], [0]]),
+    PiecewiseFunction([-40, -2], [[0], [1], [0]]),
+    PiecewiseFunction([1, 40], [[0], [Fraction(3, 2)], [0]]),
+    PiecewiseFunction([60, 61], [[0], [1], [0]]),
+], ids=["constant-right-end", "constant-left-end", "off-grid-left",
+        "off-grid-right", "all-off-grid"])
+def test_oracle_solution_support_cells_match_reference(profile):
+    # the support reaches past a grid edge, or misses the grid altogether
+    prob = TransportProblem(BoundedMeasure.dirac(Fraction(1, 3)), profile,
+                            tent())
+    _assert_every_prefix_row(prob, 1e-2, 0.5)
+
+
+def test_oracle_per_step_loop_computes_hat_moments_once():
+    # criterion 03's loop: one oracle call per lattice time on one grid
+    prob = delta_problem()
+    dx, t = 2e-3, 0.5
+    system = make_system(prob, dx, t, 0.2)
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dx)
+    hat_moments.cache_clear()
+    for k in range(len(phi)):
+        oracle_solution(prob.measure, prob.profile, prob.initial, system,
+                        k * dx, phi=phi[:k + 1])
+    info = hat_moments.cache_info()
+    assert (info.misses, info.hits) == (1, len(phi) - 2)
 
 
 def test_oracle_solution_zero_measure_is_translation():
