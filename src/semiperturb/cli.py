@@ -488,6 +488,12 @@ def _run_admissibility(cfg):
     if problem.regularizer is None:
         config_echo["regularized_cross_check"] = \
             "not run: g has no regularizer"
+    elif report.escape is not None:
+        # a probe's route left the state space: its curvature is the
+        # measured value
+        checks.insert(0, _check(
+            "lands-in-state-space", report.escape.curvature,
+            report.escape.threshold, ok=False))
     else:
         checks.insert(0, _check(
             "lands-in-state-space", report.worst_reconstruction_residual,
@@ -601,8 +607,10 @@ def run(cfg: dict, out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, f"{cfg['subcommand']}-report.json")
+    # serialised first, so a failure never leaves an empty report
+    text = deterministic_json(report) + "\n"
     with open(report_path, "w") as fh:
-        fh.write(deterministic_json(report) + "\n")
+        fh.write(text)
     for name, writer in csvs.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             writer(fh)

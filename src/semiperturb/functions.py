@@ -23,7 +23,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor
 
 import numpy as np
 
@@ -361,12 +361,7 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def seminorm(self, K: CompactInterval) -> float:
-        xs = self.nodes()
-        mask = (xs >= K.lo) & (xs <= K.hi)
-        cand = [abs(self.eval(K.lo)), abs(self.eval(K.hi))]
-        if mask.any():
-            cand.append(float(np.max(np.abs(self.values[mask]))))
-        return max(cand)
+        return float(seminorm_rows(self, self.values[None], K)[0])
 
     def __add__(self, other):
         if not isinstance(other, GridFunction):
@@ -404,7 +399,9 @@ def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
     """Sample a piecewise function on a uniform grid (left-limit values),
     bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly."""
     xs = float(origin) + float(spacing) * np.arange(count)
-    floors = [np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
+    # a float breakpoint is its own floor; an exact one may round up
+    floors = [b if isinstance(b, float)
+              else np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
               else float(b) for b in f.breakpoints]
     vals = _eval_pieces(f, xs, np.searchsorted(floors, xs))
     return GridFunction(origin, spacing, vals)
@@ -518,6 +515,20 @@ def pair_rows(measure: BoundedMeasure, grid, rows) -> np.ndarray:
     return out
 
 
+def seminorm_rows(grid, rows, K: CompactInterval) -> np.ndarray:
+    """``GridFunction.seminorm(K)`` of every row of ``rows`` at once: the
+    largest |value| over the nodes in K and the interpolated values at
+    its two ends."""
+    xs = grid.nodes()
+    inside = np.flatnonzero((xs >= K.lo) & (xs <= K.hi))
+    out = np.maximum(np.abs(_interp_rows(grid, rows, K.lo)),
+                     np.abs(_interp_rows(grid, rows, K.hi)))
+    if inside.size:
+        out = np.maximum(out, np.max(
+            np.abs(rows[:, inside[0]:inside[-1] + 1]), axis=1))
+    return out
+
+
 def _interp_rows(grid, rows, x: float):
     """``GridFunction.eval(x)`` of every row, in np.interp's arithmetic."""
     xp = grid.nodes()
@@ -604,6 +615,48 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     return moments
 
 
+def support_cells(f: PiecewiseFunction, origin: float, h: float, n: int):
+    """Cells [lo, hi) of the lattice origin + x h, 0 <= x < n, outside
+    which f vanishes: each outer breakpoint bounds its side when the end
+    piece beyond it is zero, padded by one cell, so every node outside
+    (lo, hi), and each one-sided limit there, is zero.  Empty (hi <= lo)
+    when f vanishes on the whole lattice."""
+    a, b = (float(v) for v in f.support_bounds())
+    lo, hi = 0, n
+    if all(c == 0 for c in f.pieces[0]):
+        lo = max(lo, floor((a - origin) / h) - 1)
+    if all(c == 0 for c in f.pieces[-1]):
+        hi = min(hi, ceil((b - origin) / h) + 1)
+    return lo, hi
+
+
+def _smooth_numbers(limit):
+    """Every 5-smooth number 2^a 3^b 5^c below limit, ascending."""
+    out = []
+    p5 = 1
+    while p5 < limit:
+        p35 = p5
+        while p35 < limit:
+            out.extend(p35 << a
+                       for a in range(((limit - 1) // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+# the 3460 FFT lengths below 2^40, past any array that fits in memory
+_FFT_LENGTHS = _smooth_numbers(1 << 40)
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= n, n >= 1 (past the
+    table, the next power of two)."""
+    i = bisect_left(_FFT_LENGTHS, n)
+    if i < len(_FFT_LENGTHS):
+        return _FFT_LENGTHS[i]
+    return 1 << (n - 1).bit_length()
+
+
 _DIRECT_CONVOLVE_MAX = 512
 
 
@@ -614,16 +667,18 @@ def lattice_convolve(a, b, n):
     Entries past n need no operand entry past n, so both are cut there.
     When the shorter operand has at most 512 entries this is the direct
     ``np.convolve``, whose rounding is causal: entry k reads a[:k+1] and
-    b[:k+1] only.  Longer operands go through one power-of-two real FFT
-    product, O(L log L) for L = len(a) + len(b) - 1, with rounding that is
-    global: about eps * ||a||_1 ||b||_inf on every entry.
+    b[:k+1] only.  Longer operands go through one real FFT product of the
+    smallest 5-smooth length 2^a 3^b 5^c >= L, L = len(a) + len(b) - 1:
+    on this path L > 1000, so that length is at most 7% past L, where a
+    power of two may nearly double it.  That is O(L log L), with rounding
+    that is global: about eps * ||a||_1 ||b||_inf on every entry.
     """
     a = np.asarray(a, dtype=float)[:n]
     b = np.asarray(b, dtype=float)[:n]
     if min(a.size, b.size) <= _DIRECT_CONVOLVE_MAX:
         return np.convolve(a, b)[:n]
     full = a.size + b.size - 1
-    size = 1 << (full - 1).bit_length()
+    size = _fft_length(full)
     spec = np.fft.rfft(a, size)
     spec *= np.fft.rfft(b, size)
     return np.fft.irfft(spec, size)[:min(n, full)]

@@ -45,6 +45,8 @@ from .functions import (
     pair_rows,
     sample_lag_kernel,
     sample_sided,
+    seminorm_rows,
+    support_cells,
 )
 from .semigroup import (
     MatrixSystem,
@@ -138,14 +140,20 @@ class PerturbationOperator:
     # -- lattice sample caches (rank-one) ----------------------------------
 
     def _profile_lattice(self, system: TranslationSystem, m_extra: int):
-        """Sided samples of g on the grid lattice extended m_extra steps."""
+        """Sided samples of g on the grid lattice extended m_extra steps,
+        and its ``support_cells`` [lo, hi): only those are sampled, the
+        samples outside are zero."""
         key = (system.origin, system.spacing, system.count, m_extra)
         hit = self._profile_cache.get(key)
         if hit is None:
-            xs = system.origin + system.spacing * np.arange(
-                system.count + m_extra)
-            hit = _SidedSamples(*sample_sided(
-                self.profile, xs, snap_tol=1e-6 * system.spacing))
+            n = system.count + m_extra
+            lo, hi = support_cells(self.profile, system.origin,
+                                   system.spacing, n)
+            xs = system.origin + system.spacing * np.arange(lo, hi)
+            samples = np.zeros((3, n))
+            samples[:, lo:hi] = sample_sided(
+                self.profile, xs, snap_tol=1e-6 * system.spacing)
+            hit = _SidedSamples(*samples), (lo, hi)
             self._profile_cache[key] = hit
         return hit
 
@@ -271,8 +279,9 @@ def _volterra_nodes(system, op, F: VectorTrajectory, steps):
 def _convolved_nodes(system, op, phi, dt, steps):
     """Rank-one Volterra values at the steps from the node pairings phi."""
     _require_time_grid(system, dt)
-    prof = op._profile_lattice(system, len(phi) - 1)
-    return [system.make(_profile_convolution(phi, m, prof, system.count, dt))
+    prof, cells = op._profile_lattice(system, len(phi) - 1)
+    return [system.make(_profile_convolution(phi, m, prof, cells,
+                                             system.count, dt))
             for m in steps]
 
 
@@ -291,15 +300,27 @@ def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
         nodes.shape)
 
 
-def _profile_convolution(phi, m, prof: _SidedSamples, count, dt):
-    """Trapezoid of phi(r) g(x + (m-j) dt) over j = 0..m on every grid node."""
-    if m == 0:
-        return np.zeros(count)
-    conv = lattice_convolve(phi[:m + 1], prof.mid, m + count)[m:]
-    out = conv - phi[0] * prof.mid[m:m + count] - phi[m] * prof.mid[:count]
-    out += 0.5 * phi[0] * prof.left[m:m + count]
-    out += 0.5 * phi[m] * prof.right[:count]
-    return dt * out
+def _profile_convolution(phi, m, prof: _SidedSamples, cells, count, dt):
+    """Trapezoid of phi(r) g(x + (m-j) dt) over j = 0..m on every grid node.
+
+    The samples vanish outside the lattice ``cells`` [lo, hi), so node k,
+    which reads entries k..k+m, is zero unless k lies in [lo - m, hi).
+    Only those nodes are built, from one convolution of phi with the
+    entries they read.  Each keeps all m + 1 terms, zeros included, so
+    the direct product rounds bit for bit as it does on the full grid.
+    """
+    out = np.zeros(count)
+    lo, hi = cells
+    a, b = max(lo - m, 0), min(hi, count)
+    if m == 0 or b <= a:
+        return out
+    mid = prof.mid[a:b + m]
+    conv = (lattice_convolve(phi[:m + 1], mid, mid.size)[m:]
+            - phi[0] * mid[m:] - phi[m] * mid[:b - a])
+    conv += 0.5 * phi[0] * prof.left[a + m:b + m]
+    conv += 0.5 * phi[m] * prof.right[a:b]
+    out[a:b] = dt * conv
+    return out
 
 
 def _kernel_step(phi, ker: _SidedSamples, dt):
@@ -579,13 +600,16 @@ class AdmissibilityReport:
     smallness_pass: bool
     volterra_norm_lower_bound: float
     probes_used: int
+    # the NotInStateSpace of the worst probe whose regularized route did
+    # not land; the residual above covers the probes that did
+    escape: NotInStateSpace | None = None
 
     @property
     def admissible(self) -> bool:
         return self.lands_in_state_space and self.smallness_pass
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "lands_in_state_space": self.lands_in_state_space,
             "worst_reconstruction_residual":
                 self.worst_reconstruction_residual,
@@ -598,6 +622,11 @@ class AdmissibilityReport:
             "probes_used": self.probes_used,
             "admissible": self.admissible,
         }
+        if self.escape is not None:
+            out["landing"] = {"outcome": "did not land",
+                              "curvature": self.escape.curvature,
+                              "threshold": self.escape.threshold}
+        return out
 
 
 def admissibility_check(system, op: PerturbationOperator, t0: float,
@@ -606,7 +635,9 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
 
     (a) the Volterra output at t0 lands back in the state space (for
         rank-one ops with a regularized profile this cross-checks the fast
-        path against the reconstructed regularized route);
+        path against the reconstructed regularized route; a probe whose
+        route fails ``reconstruct`` did not land, and the report keeps
+        the worst such NotInStateSpace as ``escape``);
     (b) the output's seminorm on the system window (its sup norm on R^n)
         is controlled by the probe's sup over the measure's support hull
         (its norm on R^n); probes that vanish there are skipped;
@@ -617,7 +648,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
     src_window = _measure_window(op) if op.kind == "rank_one" else None
 
     worst_recon = 0.0
-    lands = True
+    escape = None
     khat = 0.0
     m_obs = 0.0
     v_lower = 0.0
@@ -637,12 +668,16 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
             phi = pair_rows(op.measure, system, F.nodes)
             out, *sampled = _convolved_nodes(system, op, phi, F.dt, steps)
             if op.regularized_profile is not None:
-                worst_recon = max(worst_recon, _regularized_residual(
-                    system, op, phi, F.dt, out))
+                try:
+                    worst_recon = max(worst_recon, _regularized_residual(
+                        system, op, phi, F.dt, out))
+                except NotInStateSpace as exc:
+                    if escape is None or exc.curvature > escape.curvature:
+                        escape = exc
             out_norm = out.sup_norm()
             semi = out.seminorm(system.window)
-            src = max(F.node(j).seminorm(src_window)
-                      for j in range(F.steps + 1)) if src_window else fn
+            src = float(np.max(seminorm_rows(system, F.nodes, src_window))) \
+                if src_window else fn
         m_obs = max(m_obs, out_norm / fn)
         if src > 1e-300:
             khat = max(khat, semi / src)
@@ -653,8 +688,8 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
     analytic = op.analytic_volterra_bound(system, t0)
     win = (float(system.window.lo), float(system.window.hi)) \
         if op.kind == "rank_one" else (float("-inf"), float("inf"))
-    if lands and op.kind == "rank_one":
-        lands = worst_recon <= 50 * dt
+    lands = op.kind == "matrix" or (escape is None
+                                    and worst_recon <= 50 * dt)
     return AdmissibilityReport(
         lands_in_state_space=lands,
         worst_reconstruction_residual=worst_recon,
@@ -665,6 +700,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         smallness_pass=max(m_obs, analytic) < 0.5,
         volterra_norm_lower_bound=v_lower,
         probes_used=len(probes),
+        escape=escape,
     )
 
 
@@ -676,7 +712,8 @@ def _measure_window(op) -> CompactInterval | None:
 
 
 def _regularized_residual(system, op, phi, dt, fast_out) -> float:
-    """Sup gap between the fast path and the regularized detour on the window."""
+    """Sup gap between the fast path and the regularized detour on the
+    window; NotInStateSpace when the detour does not reconstruct."""
     h = op.regularized_profile
     m = len(phi) - 1
     hvals = system.sample(h).values
@@ -685,10 +722,7 @@ def _regularized_residual(system, op, phi, dt, fast_out) -> float:
         w = 0.5 if j in (0, m) else 1.0
         u += w * phi[j] * system.shift_values(hvals, m - j)
     u *= dt
-    try:
-        recon = reconstruct(system, system.make(u))
-    except NotInStateSpace:
-        return float("inf")
+    recon = reconstruct(system, system.make(u))
     return (recon - fast_out).seminorm(system.window)
 
 

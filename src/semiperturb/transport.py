@@ -20,7 +20,8 @@ Oracle and engine share only low-level sampling primitives, the
 exact panel quadrature ``hat_moments``, which the tests check against
 exact rational hat products (its memo lets the oracle at every time on
 one grid pay for the moments once), and the lattice convolution
-``lattice_convolve``, which the tests check against ``np.convolve``.
+``lattice_convolve``, which the tests check against ``np.convolve``,
+and the rule ``support_cells`` for where a profile can be nonzero.
 The time stepping (an implicit system solved exactly here, an explicit
 truncated series there) and the free-part handling are deliberately
 different routes.
@@ -44,6 +45,7 @@ from .functions import (
     lattice_convolve,
     sample_lag_kernel,
     sample_sided,
+    support_cells,
     tent,
     three_jump_profile,
 )
@@ -302,12 +304,11 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     :func:`lattice_convolve` of phi with c[x] = I0[x] + I1[x-1] (the FFT
     once both pass 512 entries), which also counts phi[0] I0[k+m] and
     phi[m] I1[k-1]; those two are taken off again.  The moments are
-    taken only on the cells [lo, hi) where the profile can be nonzero:
-    its outer breakpoints padded by one cell, on each side whose end
-    piece is zero, else the lattice end.  They do not depend on t, so
-    the memo of :func:`hat_moments` serves every t on one grid, and
-    nodes outside [lo - m, hi] get the free part alone.  That is a
-    second-order reconstruction with different plumbing (and a
+    taken only on the cells [lo, hi) where the profile can be nonzero,
+    the :func:`support_cells` rule the engine uses too.  They do not
+    depend on t, so the memo of :func:`hat_moments` serves every t on
+    one grid, and nodes outside [lo - m, hi] get the free part alone.
+    That is a second-order reconstruction with different plumbing (and a
     different error constant) than the engine's sampled trapezoid.
     """
     dt = system.spacing
@@ -315,8 +316,8 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
         phi = oracle_weights(measure, profile, u0, t, dt)
     m = len(phi) - 1
     vals = system.sample(u0.translate(t)).values.copy()
-    lo, hi = _support_cells(profile, system.origin, dt,
-                            system.count + m - 1)
+    lo, hi = support_cells(profile, system.origin, dt,
+                           system.count + m - 1)
     if m > 0 and hi > lo:
         i0, i1 = hat_moments(profile, system.origin + lo * dt, dt, hi - lo)
         # c[x] = I0[x] + I1[x - 1] on cells lo..hi; entry e of the product
@@ -331,20 +332,6 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
         if k1 > k0:
             vals[k0:k1] += dt * series[k0 - first:k1 - first]
     return system.make(vals)
-
-
-def _support_cells(profile: PiecewiseFunction, origin: float, dt: float,
-                   n: int):
-    """Cells [lo, hi) of the lattice origin + x dt, 0 <= x < n, outside
-    which the profile vanishes: each outer breakpoint bounds its side
-    when the end piece beyond it is zero, padded by one cell."""
-    a, b = (float(v) for v in profile.support_bounds())
-    lo, hi = 0, n
-    if all(c == 0 for c in profile.pieces[0]):
-        lo = max(lo, math.floor((a - origin) / dt) - 1)
-    if all(c == 0 for c in profile.pieces[-1]):
-        hi = min(hi, math.ceil((b - origin) / dt) + 1)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+"""tools/bench_pairs.py on two stub checkouts whose ``bench/run.py``
+prints a canned result line."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+SPEC = {"end_to_end": [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "order.min", "unit": "order", "better": "higher", "bound": 0.2},
+]}
+
+# writes its record under bench/out/ as the real one does, and logs its
+# side to the file named by BENCH_PAIRS_LOG, outside both checkouts
+STUB = '''
+import json, os, sys
+from pathlib import Path
+out = Path(__file__).resolve().parent / "out"
+out.mkdir(exist_ok=True)
+(out / "record.json").write_text("{}")
+with open(os.environ["BENCH_PAIRS_LOG"], "a") as fh:
+    fh.write("%s\\n")
+print("# table")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"run_s": {"value": %r, "unit": "s"},
+                              "order.min": {"value": %r, "unit": "order"}}}))
+'''
+
+
+def _checkout(root: Path, side: str, run_s: float, order: float) -> Path:
+    (root / side / "bench").mkdir(parents=True)
+    (root / side / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (root / side / "bench" / "run.py").write_text(STUB % (side, run_s, order))
+    return root / side
+
+
+def _tree(path: Path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*"))
+
+
+def _run(tmp_path, change_run_s, change_order):
+    parent = _checkout(tmp_path, "parent", 0.3, 2.0)
+    change = _checkout(tmp_path, "change", change_run_s, change_order)
+    before = [_tree(parent), _tree(change)]
+    log = tmp_path / "log"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change),
+         "--workload", "transport-refine", "--seed", "7", "--pairs", "2",
+         "--seconds", "1"], capture_output=True, text=True,
+        env={**os.environ, "BENCH_PAIRS_LOG": str(log)})
+    assert [_tree(parent), _tree(change)] == before
+    rows = {line.split()[0]: line for line in proc.stdout.splitlines()}
+    return proc.returncode, rows, log.read_text().split()
+
+
+def test_bench_pairs_alternates_and_compares(tmp_path):
+    code, rows, log = _run(tmp_path, 0.2, 1.9)
+    assert code == 0
+    assert log == ["parent", "change", "change", "parent"]
+    assert rows["run_s"].split()[1:6] \
+        == ["0.3", "[0.3,", "0.3]", "0.2", "[0.2,"]
+    assert "2/2 yes yes (0.25)" in " ".join(rows["run_s"].split())
+    assert "0/2 no yes (0.2)" in " ".join(rows["order.min"].split())
+
+
+def test_bench_pairs_flags_a_metric_past_its_bound(tmp_path):
+    # order.min 2.0 -> 1.5 loses a quarter, past its bound of 0.2
+    code, rows, _ = _run(tmp_path, 0.2, 1.5)
+    assert code == 1
+    assert " ".join(rows["order.min"].split()).endswith("NO (0.2)")

@@ -255,6 +255,27 @@ def test_admissibility_without_regularizer_says_so(tmp_path):
     assert "regularized_cross_check" not in stock["config"]
 
 
+def test_admissibility_route_that_does_not_land_is_reported(tmp_path):
+    # weight 30 sends the regularized route out of the state space: the
+    # report names the outcome with the curvature that tripped it, holds
+    # no inf, and is written whole
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"atoms": [[0, 30]]}))
+    assert main(["admissibility", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "admissibility-report.json").read_text()
+    report = json.loads(text, parse_constant=pytest.fail)
+    landing = report["config"]["report"]["landing"]
+    assert landing["outcome"] == "did not land"
+    assert landing["curvature"] > landing["threshold"] > 0
+    check = report["checks"][0]
+    assert check["name"] == "lands-in-state-space"
+    assert check["pass"] is False
+    assert (check["measured"], check["bound"]) \
+        == (landing["curvature"], landing["threshold"])
+    assert report["config"]["report"]["lands_in_state_space"] is False
+
+
 def test_implemented_demo_passes(tmp_path):
     code = main(["implemented-demo", "--out", str(tmp_path)])
     assert code == 0

@@ -203,6 +203,38 @@ def test_to_grid_matches_per_node_eval(f, data):
 
 
 @settings(max_examples=100, deadline=None, database=None)
+@given(f=rational_piecewise(), data=st.data())
+def test_to_grid_float_breakpoints_match_per_node_eval(f, data):
+    # a float breakpoint is its own floor: nodes on it take the left piece
+    ff = PiecewiseFunction([float(b) for b in f.breakpoints], f.pieces)
+    spacing = data.draw(st.sampled_from([0.1, 0.05, 1 / 3, 0.25, 1e-3]))
+    k = data.draw(st.integers(0, 20))
+    origin = data.draw(st.sampled_from(ff.breakpoints + [-1.7])) \
+        - k * spacing
+    grid = to_grid(ff, origin, spacing, 80)
+    ref = [float(ff.eval(float(x))) for x in grid.nodes()]
+    assert np.array_equal(grid.values, ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lo=st.floats(-3, 3), width=st.floats(0, 4),
+       count=st.integers(2, 40), data=st.data())
+def test_seminorm_rows_matches_interp_form(lo, width, count, data):
+    # the window may end off the nodes, beyond the grid or hold no node
+    grid = GridFunction(-1.0, 0.1, np.zeros(count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((3, count))
+    K = CompactInterval(lo, lo + width)
+    xs = grid.nodes()
+    mask = (xs >= K.lo) & (xs <= K.hi)
+    for row, got in zip(rows, functions.seminorm_rows(grid, rows, K)):
+        cand = [abs(np.interp(K.lo, xs, row)), abs(np.interp(K.hi, xs, row))]
+        if mask.any():
+            cand.append(np.max(np.abs(row[mask])))
+        assert got == max(cand)
+
+
+@settings(max_examples=100, deadline=None, database=None)
 @given(f=rational_piecewise(),
        extra=st.lists(st.floats(-4, 4), max_size=20))
 def test_sample_sided_matches_one_sided_limits(f, extra):
@@ -535,6 +567,21 @@ def test_lattice_convolve_matches_np_convolve(la, lb, ea, eb, data):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) \
         <= 1e-12 * np.abs(a).sum() * np.abs(b).max()
+
+
+def _five_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.one_of(st.integers(1, 3000), st.integers(1, 300000)))
+def test_fft_length_is_the_next_five_smooth_number(n):
+    size = functions._fft_length(n)
+    assert size >= n and _five_smooth(size)
+    assert not any(_five_smooth(k) for k in range(n, size))
 
 
 @pytest.mark.parametrize("la, lb, direct", [

@@ -21,7 +21,10 @@ from semiperturb.functions import (
     BoundedMeasure,
     CompactInterval,
     PiecewiseFunction,
+    lattice_convolve,
     pair_rows,
+    sample_sided,
+    support_cells,
     tent,
 )
 from semiperturb import perturbation, semigroup
@@ -56,6 +59,7 @@ from semiperturb.transport import (
     canonical_profile,
     canonical_regularizer,
     make_system,
+    sawtooth_profile,
 )
 
 
@@ -1134,26 +1138,85 @@ def test_escaping_bumps_lose_window_mass():
     assert semis[-1] == 0.0
 
 
-def test_engine_convolutions_match_direct_form():
-    # m = 800 puts both lattice convolutions past the direct size, on the
-    # FFT product; the direct np.convolve form is the reference
-    dt, m = 2.5e-4, 800
+def _direct_profile_convolution(phi, m, prof, count, dt):
+    # the full-grid form: every node, one np.convolve
+    return (np.convolve(phi[:m + 1], prof.mid)[m:m + count]
+            - phi[0] * prof.mid[m:m + count] - phi[m] * prof.mid[:count]
+            + 0.5 * phi[0] * prof.left[m:m + count]
+            + 0.5 * phi[m] * prof.right[:count]) * dt
+
+
+def _convolution_case(profile, m, dt=2.5e-4):
     sys_t = TranslationSystem(-3.0, dt, 24001, m * dt)
+    op = PerturbationOperator.rank_one(BoundedMeasure.dirac(0), profile)
+    phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
+        * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
+    prof, cells = op._profile_lattice(sys_t, m)
+    assert cells == support_cells(profile, sys_t.origin, dt, sys_t.count + m)
+    return sys_t, prof, cells, phi
+
+
+@pytest.mark.parametrize("m", [200, 800], ids=["direct", "fft"])
+@pytest.mark.parametrize("profile", [
+    canonical_profile(),
+    sawtooth_profile(),
+    PiecewiseFunction([-1, 0, 1], [[0], [0, 1], [2, -1], [1]]),
+    canonical_profile().translate(-10),
+], ids=["canonical", "sawtooth", "nonzero-end", "beyond-grid"])
+def test_profile_convolution_matches_full_grid_direct_form(profile, m):
+    # the support cut builds the nodes [lo - m, hi) only, and must agree
+    # with the direct form over all count + m cells: on the canonical
+    # profile it cuts both sides, the sawtooth covers the grid, a nonzero
+    # end piece cuts one side, and a profile beyond the grid leaves zeros
+    dt = 2.5e-4
+    sys_t, prof, cells, phi = _convolution_case(profile, m, dt)
+    # sampling the support cells only, zeros elsewhere, loses no sample
+    full = sample_sided(profile, sys_t.origin + dt * np.arange(
+        sys_t.count + m), snap_tol=1e-6 * dt)
+    assert all(np.array_equal(a, b) for a, b in zip(prof, full))
+    want = _direct_profile_convolution(
+        phi, m, perturbation._SidedSamples(*full), sys_t.count, dt)
+    got = perturbation._profile_convolution(phi, m, prof, cells,
+                                            sys_t.count, dt)
+    scale = dt * np.abs(phi).sum() * profile.sup_norm()
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    lo, hi = cells
+    outside = np.ones(sys_t.count, bool)
+    outside[max(lo - m, 0):min(hi, sys_t.count)] = False
+    assert not got[outside].any()
+
+
+def test_profile_convolution_operand_spans_the_support():
+    # on the canonical profile the long operand of the one product is
+    # the built nodes plus m, not the count + m cells of the lattice
+    m = 800
+    sys_t, prof, (lo, hi), phi = _convolution_case(canonical_profile(), m)
+    sizes = []
+
+    def spy(a, b, n):
+        sizes.append(max(len(a), len(b)))
+        return lattice_convolve(a, b, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturbation, "lattice_convolve", spy)
+        perturbation._profile_convolution(phi, m, prof, (lo, hi),
+                                          sys_t.count, 2.5e-4)
+    built = min(hi, sys_t.count) - max(lo - m, 0)
+    assert 0 < lo - m and hi < sys_t.count  # the cut binds on both sides
+    assert sizes == [built + m]
+    assert built + m <= hi - lo + 2 * m + 2 < (sys_t.count + m) / 2
+
+
+def test_engine_convolutions_match_direct_form():
+    # m = 800 puts the kernel step past the direct size, on the FFT
+    # product; the direct np.convolve form is the reference (the profile
+    # convolution is pinned by the test above)
+    dt, m = 2.5e-4, 800
     op = PerturbationOperator.rank_one(
         BoundedMeasure(atoms=[(0, 1), (Fraction(1, 3), 0.5)]),
         canonical_profile())
     phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
         * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
-    prof = op._profile_lattice(sys_t, m)
-    want = (np.convolve(phi, prof.mid)[m:m + sys_t.count]
-            - phi[0] * prof.mid[m:m + sys_t.count]
-            - phi[m] * prof.mid[:sys_t.count]
-            + 0.5 * phi[0] * prof.left[m:m + sys_t.count]
-            + 0.5 * phi[m] * prof.right[:sys_t.count]) * dt
-    got = perturbation._profile_convolution(phi, m, prof, sys_t.count, dt)
-    scale = dt * np.abs(phi).sum() * np.abs(prof.mid).max()
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
     ker = op._kernel_lattice(dt, m)
     want = (np.convolve(phi, ker.mid)[:m + 1] - phi[0] * ker.mid[:m + 1]
             - phi * ker.mid[0] + 0.5 * phi[0] * ker.left[:m + 1]

@@ -1,0 +1,112 @@
+"""Run the benchmark of two checkouts in alternating pairs and compare.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed N \
+        [--pairs P] [--seconds S]
+
+Each pair runs ``bench/run.py --trace 0`` once for each checkout; the
+side that runs first alternates from pair to pair, so a drift in the
+machine's speed falls on both.  Every run works in a temporary copy of
+its checkout (without ``.git`` and caches), so nothing is written inside
+either one: ``run.py`` keeps its record under ``bench/out/`` and Python
+its byte code next to the sources.
+
+For each end-to-end metric of CHANGE's ``BENCHMARK.json`` it prints each
+side's median and quartiles, the pairs the change won, whether its gain
+in the median exceeds the parent's quartile spread, and whether it stays
+within the metric's bound: at most that share of the parent's median
+worse than it.  The exit status is 1 when a run gives no result line,
+when a larger share of the change's units fails, or when a metric
+leaves its bound; else 0.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SKIP = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis",
+                              ".pytest_cache")
+
+
+def _result(copy: Path, args) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--trace", "0"], cwd=copy, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"{copy.name}: no result line (exit "
+                         f"{proc.returncode})\n{proc.stderr}") from None
+
+
+def _spread(values):
+    """(median, first quartile, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, q1, q3
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=8.0)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = ("parent", "change")
+    results = {side: [] for side in sides}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copies = {side: Path(tmp) / side for side in sides}
+        for side in sides:
+            shutil.copytree(getattr(args, side), copies[side], ignore=SKIP)
+        for i in range(args.pairs):
+            order = sides if i % 2 == 0 else sides[::-1]
+            for side in order:
+                results[side].append(_result(copies[side], args))
+            run_s = {side: results[side][-1]["metrics"].get("run_s", {})
+                     .get("value") for side in sides}
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+                  f"run_s parent {run_s['parent']} change {run_s['change']}",
+                  flush=True)
+
+    share = {}
+    for side in sides:
+        failed = sum(r["failed"] for r in results[side])
+        attempted = sum(r["attempted"] for r in results[side])
+        share[side] = failed / max(attempted, 1)
+        print(f"{side}: {failed} of {attempted} units failed")
+    worst = share["change"] > share["parent"]
+    print(f"{'metric':22s} {'parent median [q1, q3]':40s} "
+          f"{'change median [q1, q3]':40s} wins   gain>IQR within(bound)")
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        vals = {side: [r["metrics"][name]["value"] for r in results[side]]
+                for side in sides}
+        (pm, p1, p3), (cm, c1, c3) = (_spread(vals[s]) for s in sides)
+        wins = sum(sign * (c - q) < 0
+                   for q, c in zip(vals["parent"], vals["change"]))
+        within = sign * (cm - pm) <= m["bound"] * abs(pm)
+        worst |= not within
+        # medians to ten digits: accuracy metrics move in the last ones
+        print(f"{name:22s} {f'{pm:.10g} [{p1:.6g}, {p3:.6g}]':40s} "
+              f"{f'{cm:.10g} [{c1:.6g}, {c3:.6g}]':40s} "
+              f"{f'{wins}/{args.pairs}':6s} "
+              f"{'yes' if sign * (pm - cm) > p3 - p1 else 'no':8s} "
+              f"{'yes' if within else 'NO'} ({m['bound']})")
+    return 1 if worst else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
