@@ -619,15 +619,16 @@ def support_cells(f: PiecewiseFunction, origin: float, h: float, n: int):
     """Cells [lo, hi) of the lattice origin + x h, 0 <= x < n, outside
     which f vanishes: each outer breakpoint bounds its side when the end
     piece beyond it is zero, padded by one cell, so every node outside
-    (lo, hi), and each one-sided limit there, is zero.  Empty (hi <= lo)
+    (lo, hi), and each one-sided limit there, is zero.  Always
+    0 <= lo <= hi <= n, so [lo, hi) slices the lattice; empty (lo == hi)
     when f vanishes on the whole lattice."""
     a, b = (float(v) for v in f.support_bounds())
     lo, hi = 0, n
     if all(c == 0 for c in f.pieces[0]):
-        lo = max(lo, floor((a - origin) / h) - 1)
+        lo = min(max(floor((a - origin) / h) - 1, 0), n)
     if all(c == 0 for c in f.pieces[-1]):
-        hi = min(hi, ceil((b - origin) / h) + 1)
-    return lo, hi
+        hi = min(ceil((b - origin) / h) + 1, n)
+    return lo, max(hi, lo)
 
 
 def _smooth_numbers(limit):
@@ -644,17 +645,13 @@ def _smooth_numbers(limit):
     return sorted(out)
 
 
-# the 3460 FFT lengths below 2^40, past any array that fits in memory
-_FFT_LENGTHS = _smooth_numbers(1 << 40)
+# the FFT lengths up to 2^40, past any array that fits in memory
+_FFT_LENGTHS = _smooth_numbers((1 << 40) + 1)
 
 
 def _fft_length(n: int) -> int:
-    """The smallest 5-smooth number 2^a 3^b 5^c >= n, n >= 1 (past the
-    table, the next power of two)."""
-    i = bisect_left(_FFT_LENGTHS, n)
-    if i < len(_FFT_LENGTHS):
-        return _FFT_LENGTHS[i]
-    return 1 << (n - 1).bit_length()
+    """The smallest 5-smooth number 2^a 3^b 5^c >= n, 1 <= n <= 2^40."""
+    return _FFT_LENGTHS[bisect_left(_FFT_LENGTHS, n)]
 
 
 _DIRECT_CONVOLVE_MAX = 512

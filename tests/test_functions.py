@@ -26,6 +26,7 @@ from semiperturb.functions import (
     sample_lag_kernel,
     sample_sided,
     tent,
+    support_cells,
     three_jump_profile,
     to_grid,
 )
@@ -574,6 +575,24 @@ def _five_smooth(k):
         while k % p == 0:
             k //= p
     return k == 1
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(a=st.integers(-400, 400), width=st.integers(1, 100),
+       origin=st.integers(-50, 50), n=st.integers(1, 200),
+       ends=st.tuples(st.booleans(), st.booleans()))
+def test_support_cells_slice_the_lattice(a, width, origin, n, ends):
+    # [lo, hi) is a slice of the n cells wherever the support lies, even
+    # wholly before or beyond them, and g vanishes at every node outside
+    h = 0.25
+    f = PiecewiseFunction([a / 4, (a + width) / 4],
+                          [[int(ends[0])], [1], [int(ends[1])]])
+    lo, hi = support_cells(f, origin * h, h, n)
+    assert 0 <= lo <= hi <= n
+    xs = origin * h + h * np.arange(n)
+    outside = np.ones(n, bool)
+    outside[lo:hi] = False
+    assert not np.any(sample_sided(f, xs[outside]))
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -1162,12 +1162,15 @@ def _convolution_case(profile, m, dt=2.5e-4):
     sawtooth_profile(),
     PiecewiseFunction([-1, 0, 1], [[0], [0, 1], [2, -1], [1]]),
     canonical_profile().translate(-10),
-], ids=["canonical", "sawtooth", "nonzero-end", "beyond-grid"])
+    canonical_profile().translate(5),
+], ids=["canonical", "sawtooth", "nonzero-end", "beyond-grid",
+        "before-grid"])
 def test_profile_convolution_matches_full_grid_direct_form(profile, m):
     # the support cut builds the nodes [lo - m, hi) only, and must agree
     # with the direct form over all count + m cells: on the canonical
     # profile it cuts both sides, the sawtooth covers the grid, a nonzero
-    # end piece cuts one side, and a profile beyond the grid leaves zeros
+    # end piece cuts one side, and a profile wholly right (beyond) or left
+    # (before) of the grid leaves zeros
     dt = 2.5e-4
     sys_t, prof, cells, phi = _convolution_case(profile, m, dt)
     # sampling the support cells only, zeros elsewhere, loses no sample
@@ -1188,7 +1191,10 @@ def test_profile_convolution_matches_full_grid_direct_form(profile, m):
 
 def test_profile_convolution_operand_spans_the_support():
     # on the canonical profile the long operand of the one product is
-    # the built nodes plus m, not the count + m cells of the lattice
+    # the built nodes plus m, not the count + m cells of the lattice.
+    # The bound hi - lo + 2m + 2 is deliberate and holds on both paths:
+    # every built node keeps all m + 1 terms, zeros included, so the
+    # direct product rounds as on the full grid
     m = 800
     sys_t, prof, (lo, hi), phi = _convolution_case(canonical_profile(), m)
     sizes = []
@@ -1205,6 +1211,21 @@ def test_profile_convolution_operand_spans_the_support():
     assert 0 < lo - m and hi < sys_t.count  # the cut binds on both sides
     assert sizes == [built + m]
     assert built + m <= hi - lo + 2 * m + 2 < (sys_t.count + m) / 2
+
+
+def test_profile_before_grid_leaves_the_free_translation():
+    # g vanishes on the whole extended lattice, so the perturbed orbit
+    # is the free one at every node
+    prob = delta_problem()
+    dx, t0 = 1e-2, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    g = canonical_profile().translate(5.0 - sys_t.origin)
+    op = PerturbationOperator.rank_one(prob.measure, g)
+    assert op._profile_lattice(sys_t, sys_t.steps_of(t0))[1] == (0, 0)
+    x = sys_t.sample(prob.initial)
+    (got,), _ = neumann_nodes(sys_t, op, x, t0, [sys_t.steps_of(t0)], dx)
+    free = VectorTrajectory.orbit(sys_t, x, t0, dx).node(-1)
+    assert np.array_equal(got.values, free.values)
 
 
 def test_engine_convolutions_match_direct_form():

@@ -437,8 +437,9 @@ def test_oracle_solution_matches_two_product_reference(measure, t):
     PiecewiseFunction([-40, -2], [[0], [1], [0]]),
     PiecewiseFunction([1, 40], [[0], [Fraction(3, 2)], [0]]),
     PiecewiseFunction([60, 61], [[0], [1], [0]]),
+    PiecewiseFunction([-61, -60], [[0], [1], [0]]),
 ], ids=["constant-right-end", "constant-left-end", "off-grid-left",
-        "off-grid-right", "all-off-grid"])
+        "off-grid-right", "all-off-grid", "all-before-grid"])
 def test_oracle_solution_support_cells_match_reference(profile):
     # the support reaches past a grid edge, or misses the grid altogether
     prob = TransportProblem(BoundedMeasure.dirac(Fraction(1, 3)), profile,
