@@ -24,6 +24,7 @@ del _os, _cap
 from .errors import (
     ConfigError,
     DegenerateProfile,
+    GridTooLarge,
     GuardViolation,
     HorizonExceeded,
     NonConvergence,
@@ -88,6 +89,7 @@ __all__ = [
     "ConfigError",
     "DegenerateProfile",
     "GridFunction",
+    "GridTooLarge",
     "GuardViolation",
     "HorizonExceeded",
     "ImplementedSemigroup",

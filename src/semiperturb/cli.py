@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    GridTooLarge,
     GuardViolation,
     NonConvergence,
     NonMultiplicative,
@@ -58,6 +59,7 @@ from .transport import (
     build_rank_one,
     canonical_profile,
     canonical_regularizer,
+    guard_product,
     make_system,
     oracle_solution,
     refinement_study,
@@ -365,7 +367,8 @@ def _run_transport_demo(cfg):
     dx = _as_pos_float("grid_spacing", dx)
     problem = _resolve_transport_problem(cfg)
 
-    guard = problem.guard_product(t0)
+    guard = guard_product(build_rank_one(problem, require_regularized=False),
+                          t0)
     checks = [_check("guard", guard, 1.0, ok=guard < 1.0)]
     csvs = {}
     terms = segments = 0
@@ -628,8 +631,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return run(cfg, args.out)
-    except (ConfigError, StepMismatch) as exc:
-        # a step mismatch names a time and a step the config chose
+    except (ConfigError, StepMismatch, GridTooLarge) as exc:
+        # each names a time, a step or a grid size the config chose
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (GuardViolation, NonConvergence) as exc:

@@ -13,6 +13,16 @@ class StepMismatch(ValueError):
     """A time or shift is not a lattice multiple of the configured step."""
 
 
+class GridTooLarge(ValueError):
+    """A grid past the node ceiling, refused before any array is allocated."""
+
+    def __init__(self, count, spacing, ceiling):
+        self.count, self.spacing = count, spacing
+        self.span = spacing * (count - 1)
+        super().__init__(f"grid of {count:.6g} nodes (spacing {spacing!r}, "
+                         f"span {self.span!r}) exceeds the ceiling {ceiling}")
+
+
 class NotInStateSpace(RuntimeError):
     """Reconstruction from regularized coordinates left the state space.
 

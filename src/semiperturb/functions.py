@@ -23,7 +23,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, copysign, floor
 
 import numpy as np
 
@@ -248,17 +248,8 @@ class PiecewiseFunction:
     # -- norms and jump structure ------------------------------------
 
     def sup_norm(self) -> float:
-        """Exact sup of |f|: piece maxima plus one-sided limits at breaks."""
-        best = 0.0
-        m = len(self.breakpoints)
-        for i, coeffs in enumerate(self.pieces):
-            if i == 0 or i == m:
-                best = max(best, abs(float(coeffs[0])))
-                continue
-            lo, hi = self.breakpoints[i - 1], self.breakpoints[i]
-            for x in _poly_extrema_candidates(coeffs, lo, hi):
-                best = max(best, abs(float(poly_eval([float(c) for c in coeffs], x))))
-        return best
+        """Exact sup of |f|: the seminorm over the whole line."""
+        return self.seminorm(CompactInterval(-np.inf, np.inf))
 
     def seminorm(self, K: CompactInterval) -> float:
         """sup of |f| over K (one-sided limits included where approached)."""
@@ -397,14 +388,18 @@ class GridFunction:
 
 def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
     """Sample a piecewise function on a uniform grid (left-limit values),
-    bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly."""
+    bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly.
+    The nodes are sorted, so one search of the breakpoint floors in them
+    gives the run of nodes each piece owns, evaluated on its slice."""
     xs = float(origin) + float(spacing) * np.arange(count)
     # a float breakpoint is its own floor; an exact one may round up
     floors = [b if isinstance(b, float)
               else np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
               else float(b) for b in f.breakpoints]
-    vals = _eval_pieces(f, xs, np.searchsorted(floors, xs))
-    return GridFunction(origin, spacing, vals)
+    # piece i owns the nodes x with floors[i - 1] < x <= floors[i]
+    ends = [0, *np.searchsorted(xs, floors, side="right").tolist(), count]
+    runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    return GridFunction(origin, spacing, _eval_pieces(f, xs, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +535,23 @@ def _interp_rows(grid, rows, x: float):
 
 
 def _eval_pieces(f: PiecewiseFunction, xs, piece):
-    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]``, one degree at a time."""
-    width = max(len(p) for p in f.pieces)
-    table = np.array([[0.0] * (width - len(p)) + [float(c) for c in p[::-1]]
-                      for p in f.pieces])
-    acc = np.zeros(np.shape(xs))
-    for k in range(width):
-        acc *= xs
-        acc += table[piece, k]
-    return acc
+    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]`` (any shape), or of
+    piece i at ``xs[piece[i]]`` for a list: Horner once per piece, float
+    coefficients as scalars, over the points it owns.  The output starts
+    at +0.0, as a zero-padded table's leading zero steps leave it, so
+    all-zero pieces are skipped."""
+    out = np.zeros(np.shape(xs))
+    for i, p in enumerate(f.pieces):
+        cs = [float(c) for c in p]
+        if any(c or copysign(1.0, c) < 0 for c in cs):  # not all +0.0
+            own = piece[i] if isinstance(piece, list) else piece == i
+            x = xs[own]
+            acc = 0.0 * x + cs[-1]
+            for c in cs[-2::-1]:
+                acc *= x
+                acc += c
+            out[own] = acc
+    return out
 
 
 @functools.cache
@@ -690,7 +693,9 @@ def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
     one-sided limits and the jump midpoint are taken there; this is what
     quadrature rules need when a discontinuity sits on (or within float
     rounding of) a sample lattice.  Away from breakpoints all three
-    values coincide with ``f.eval``.
+    values coincide with ``f.eval``.  A point snaps to its left neighbour
+    when two breakpoints are in reach; ``left`` is evaluated apart from
+    ``right`` only at the points that then sit on a breakpoint.
     """
     xs = np.asarray(xs, dtype=float)
     breaks = np.array([float(b) for b in f.breakpoints])
@@ -699,10 +704,11 @@ def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
         j = np.clip(np.searchsorted(breaks, xs), 0, breaks.size - 1)
         for cand in (j, np.maximum(j - 1, 0)):
             b = breaks[cand]
-            hit = np.abs(xs - b) <= snap_tol
-            xeff = np.where(hit, b, xeff)
-    left = _eval_pieces(f, xeff, np.searchsorted(breaks, xeff, side="left"))
+            np.copyto(xeff, b, where=np.abs(xs - b) <= snap_tol)
     right = _eval_pieces(f, xeff, np.searchsorted(breaks, xeff, side="right"))
+    left = right.copy()
+    on = np.isin(xeff, breaks)  # the two limits differ only there
+    left[on] = _eval_pieces(f, xeff[on], np.searchsorted(breaks, xeff[on]))
     return left, 0.5 * (left + right), right
 
 
@@ -717,15 +723,10 @@ def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
     row s cut at d's breakpoints and the profile's, shifted by -s.
     """
     s = dt * np.arange(m_steps + 1)
-    left = np.zeros(m_steps + 1)
-    mid = np.zeros(m_steps + 1)
-    right = np.zeros(m_steps + 1)
+    sided = np.zeros((3, m_steps + 1))  # left, mid, right
     for loc, w in measure.atoms:
-        a_l, a_m, a_r = sample_sided(profile, float(loc) + s,
-                                     snap_tol=1e-6 * dt)
-        left += float(w) * a_l
-        mid += float(w) * a_m
-        right += float(w) * a_r
+        sided += float(w) * np.array(sample_sided(profile, float(loc) + s,
+                                                  snap_tol=1e-6 * dt))
     if measure.density is not None:
         d, g = measure.density, profile
         a, b = (float(v) for v in d.support_bounds())
@@ -743,10 +744,8 @@ def sample_lag_kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
                                     + max(len(p) for p in g.pieces) - 2):
             dens += (wts * _eval_pieces(d, x, d_piece)
                      * _eval_pieces(g, x + shift, g_piece)).sum(axis=1)
-        left += dens
-        mid += dens
-        right += dens
-    return left, mid, right
+        sided += dens
+    return tuple(sided)
 
 
 # ---------------------------------------------------------------------------

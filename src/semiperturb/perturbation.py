@@ -90,6 +90,7 @@ class PerturbationOperator:
         self.measure = measure
         self.profile = profile
         self.regularized_profile = regularized_profile
+        self.profile_sup = None if profile is None else profile.sup_norm()
         self._profile_cache = {}
         self._kernel_cache = {}
 
@@ -109,7 +110,7 @@ class PerturbationOperator:
         ``regularized_profile`` h, when supplied, must satisfy
         profile = h - h' exactly; it is what the slow regularized route
         and the extrapolation-norm constant use.  The fast path only
-        needs ``profile``.
+        needs ``profile``, whose sup is taken once, as ``profile_sup``.
         """
         if regularized_profile is not None:
             resid = (regularized_profile
@@ -135,7 +136,7 @@ class PerturbationOperator:
             props = system.powers(t0 / 64.0, 64)
             mhat = float(np.max(np.linalg.norm(props, 2, axis=(1, 2))))
             return t0 * mhat * opnorm2(self.matrix_data)
-        return t0 * self.measure.total_variation() * self.profile.sup_norm()
+        return t0 * self.measure.total_variation() * self.profile_sup
 
     # -- lattice sample caches (rank-one) ----------------------------------
 
@@ -143,9 +144,7 @@ class PerturbationOperator:
         """Sided samples of g on the grid lattice extended m_extra steps,
         and its ``support_cells`` [lo, hi): only those are sampled, the
         samples outside are zero."""
-        key = (system.origin, system.spacing, system.count, m_extra)
-        hit = self._profile_cache.get(key)
-        if hit is None:
+        def build():
             n = system.count + m_extra
             lo, hi = support_cells(self.profile, system.origin,
                                    system.spacing, n)
@@ -153,19 +152,24 @@ class PerturbationOperator:
             samples = np.zeros((3, n))
             samples[:, lo:hi] = sample_sided(
                 self.profile, xs, snap_tol=1e-6 * system.spacing)
-            hit = _SidedSamples(*samples), (lo, hi)
-            self._profile_cache[key] = hit
-        return hit
+            return _SidedSamples(*samples), (lo, hi)
+        key = (system.origin, system.spacing, system.count, m_extra)
+        return _memo(self._profile_cache, key, build)
 
     def _kernel_lattice(self, dt: float, m_steps: int):
         """Sided samples of s -> pairing of g(. + s) on the time lattice."""
-        key = (dt, m_steps)
-        hit = self._kernel_cache.get(key)
-        if hit is None:
-            hit = _SidedSamples(*sample_lag_kernel(
-                self.measure, self.profile, dt, m_steps))
-            self._kernel_cache[key] = hit
-        return hit
+        return _memo(self._kernel_cache, (dt, m_steps),
+                     lambda: _SidedSamples(*sample_lag_kernel(
+                         self.measure, self.profile, dt, m_steps)))
+
+
+def _memo(cache: dict, key, build):
+    """cache[key], built on a miss; the four keys used last are kept."""
+    hit = cache.pop(key, None)
+    cache[key] = build() if hit is None else hit
+    if len(cache) > 4:
+        del cache[next(iter(cache))]
+    return cache[key]
 
 
 @dataclasses.dataclass
@@ -461,7 +465,7 @@ def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
         return [total[j].copy() for j in node_steps], diag
     _require_time_grid(system, dt)
     ker = op._kernel_lattice(dt, m)
-    gsup = float(op.profile.sup_norm())
+    gsup = op.profile_sup
 
     def size(phi):
         w = np.abs(phi)

@@ -26,8 +26,11 @@ from math import ceil, exp, isfinite, log2
 
 import numpy as np
 
-from .errors import HorizonExceeded, NotInStateSpace, StepMismatch
+from .errors import GridTooLarge, HorizonExceeded, NotInStateSpace, StepMismatch
 from .functions import CompactInterval, GridFunction, PiecewiseFunction, to_grid
+
+# the most grid nodes: 240 times the largest stock or benchmark grid (41 605)
+MAX_GRID_NODES = 10_000_000
 
 # Pade-13 numerator coefficients for the matrix exponential
 _PADE13 = (
@@ -224,6 +227,8 @@ class TranslationSystem:
         if not (isfinite(horizon) and horizon >= 0):
             raise ValueError(
                 f"horizon must be nonnegative and finite, got {horizon!r}")
+        if not count <= MAX_GRID_NODES:
+            raise GridTooLarge(count, spacing, MAX_GRID_NODES)
         if count < 4:
             raise ValueError("grid too small")
         self.origin = float(origin)

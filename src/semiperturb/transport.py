@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateProfile, GuardViolation, StepSizeError
+from .errors import (DegenerateProfile, GridTooLarge, GuardViolation,
+                     StepSizeError)
 from .functions import (
     BoundedMeasure,
     CompactInterval,
@@ -55,7 +56,7 @@ from .perturbation import (
     comparison_summary,
     neumann_semigroup,
 )
-from .semigroup import TranslationSystem
+from .semigroup import MAX_GRID_NODES, TranslationSystem
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +349,6 @@ class TransportProblem:
     regularizer: PiecewiseFunction | None = None
     window: CompactInterval = CompactInterval(-3.0, 3.0)
 
-    def guard_product(self, t0: float) -> float:
-        return (self.measure.total_variation()
-                * float(self.profile.sup_norm()) * t0)
-
 
 def build_rank_one(problem: TransportProblem,
                    require_regularized: bool = True) -> PerturbationOperator:
@@ -366,6 +363,11 @@ def build_rank_one(problem: TransportProblem,
         regularized_profile=problem.regularizer)
 
 
+def guard_product(op: PerturbationOperator, t0: float) -> float:
+    """|mu|(R) sup|g| t0 of a rank-one operator; below 1 certifies the series."""
+    return op.measure.total_variation() * op.profile_sup * t0
+
+
 def make_system(problem: TransportProblem, spacing: float, t: float,
                 t0: float) -> TranslationSystem:
     """Grid sized so the window stays clean for times up to t.
@@ -375,7 +377,8 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
     on both sides; the origin is snapped to the spacing lattice so that
     lattice-rational atoms land exactly on nodes.  A spacing that is not
     positive and finite, or a t or t0 that is not nonnegative and finite,
-    raises ValueError before anything is divided.
+    raises ValueError before anything is divided, and a grid of more
+    than ``MAX_GRID_NODES`` nodes GridTooLarge before any allocation.
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(
@@ -390,7 +393,10 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
     margin = t + t0 + 2 * spacing
     origin = np.floor((lo_pt - margin) / spacing) * spacing
     x_last = np.ceil((hi_pt + margin) / spacing) * spacing
-    count = int(round((x_last - origin) / spacing)) + 1
+    steps = float((x_last - origin) / spacing)
+    if not steps < MAX_GRID_NODES:  # inf and NaN too
+        raise GridTooLarge(steps + 1, spacing, MAX_GRID_NODES)
+    count = int(round(steps)) + 1
     return TranslationSystem(origin, spacing, count, horizon=t + t0,
                              window=problem.window)
 
@@ -414,12 +420,12 @@ def run_perturbed(problem: TransportProblem, t: float, spacing: float,
     of that budget.  The engine needs no regularizer, so a problem
     without one runs too.
     """
-    guard = problem.guard_product(t0)
+    op = build_rank_one(problem, require_regularized=False)
+    guard = guard_product(op, t0)
     if guard >= 1.0:
         raise GuardViolation(
             f"guard product {guard:.3f} >= 1 at t0={t0}; shorten the horizon")
     system = make_system(problem, spacing, t, t0)
-    op = build_rank_one(problem, require_regularized=False)
     state, diag = neumann_semigroup(system, op, problem.initial, t, t0,
                                     spacing, tol=tol, diagnostics=True)
     return TransportRun(state, system, op, diag, t, t0)
@@ -463,11 +469,18 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
 
     Evaluated straight from the renewal weights on 601 evenly spaced
     points of the window, with a fresh lattice of 128 time steps per t,
-    so dyadic t values need no common grid; per t, one ``sample_sided``
-    call on the lag x point lattice and one trapezoid product.
+    so dyadic t values need no common grid; per t, one trapezoid product
+    with the lag x point table of the profile's mid samples.  Column x
+    reads g on [x, x + t], so ``sample_sided`` fills only the columns of
+    the :func:`support_cells` of the window lattice, widened left by
+    ceil(t / spacing); the others are exact zeros, adding nothing.
     """
     lo, hi = float(problem.window.lo), float(problem.window.hi)
     xs = np.linspace(lo, hi, 601)
+    h = (hi - lo) / (xs.size - 1)
+    # a one-point window has no lattice to cut
+    first, end = support_cells(problem.profile, lo, h, xs.size) if h \
+        else (0, xs.size)
     rows = []
     for t in t_values:
         if t <= 0:
@@ -476,8 +489,11 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
         phi = oracle_weights(problem.measure, problem.profile,
                              problem.initial, t, dt)
         lags = dt * np.arange(len(phi) - 1, -1, -1)
-        _, g, _ = sample_sided(problem.profile, xs + lags[:, None],
-                               snap_tol=1e-9 * dt)
+        a = max(first - math.ceil(t / h), 0) if first else 0
+        mid = sample_sided(problem.profile, xs[a:end] + lags[:, None],
+                           snap_tol=1e-9 * dt)[1]
+        g = np.zeros((lags.size, xs.size))
+        g[:, a:end] = mid
         phi[[0, -1]] *= 0.5
         worst = float(np.max(np.abs(phi @ g))) * dt
         rows.append({"t": float(t), "constant": worst / t})

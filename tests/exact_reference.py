@@ -8,7 +8,11 @@ The quadrature references share no code path with
 the oracle's implicit-trapezoid system by plain forward substitution,
 one step at a time, on the library's kernel samples, and the
 reconstruction reference rebuilds the oracle's state from its weights
-over the whole grid, with one product per hat moment.
+over the whole grid, with one product per hat moment.  The point-by-point
+samplers are the library's earlier ``_eval_pieces``, ``to_grid`` and
+``sample_sided``, kept verbatim, with the uncut comparison table built on
+them: the piece-by-piece samplers and the support cut must match them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ import numpy as np
 from semiperturb.errors import StepSizeError
 from semiperturb.functions import (
     BoundedMeasure,
+    GridFunction,
     PiecewiseFunction,
     hat_moments,
     lattice_convolve,
     sample_lag_kernel,
 )
+from semiperturb.perturbation import comparison_summary
+from semiperturb.transport import oracle_weights
 
 
 def kernel(measure: BoundedMeasure, profile: PiecewiseFunction,
@@ -109,3 +116,66 @@ def oracle_reconstruction_two_products(profile: PiecewiseFunction,
         vals += dt * (lattice_convolve(i0, phi[1:], n)[m - 1:]
                       + lattice_convolve(i1, phi[:m], n)[m - 1:])
     return vals
+
+
+def eval_pieces_by_point(f: PiecewiseFunction, xs, piece):
+    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]``: Horner over a
+    zero-padded (pieces x degree) float table, gathered point by point."""
+    width = max(len(p) for p in f.pieces)
+    table = np.array([[0.0] * (width - len(p)) + [float(c) for c in p[::-1]]
+                      for p in f.pieces])
+    acc = np.zeros(np.shape(xs))
+    for k in range(width):
+        acc *= xs
+        acc += table[piece, k]
+    return acc
+
+
+def to_grid_by_point(f: PiecewiseFunction, origin, spacing, count):
+    """``functions.to_grid`` with one piece search per node."""
+    xs = float(origin) + float(spacing) * np.arange(count)
+    floors = [b if isinstance(b, float)
+              else np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
+              else float(b) for b in f.breakpoints]
+    vals = eval_pieces_by_point(f, xs, np.searchsorted(floors, xs))
+    return GridFunction(origin, spacing, vals)
+
+
+def sample_sided_by_point(f: PiecewiseFunction, xs, snap_tol=0.0):
+    """``functions.sample_sided`` with both limits evaluated at every
+    point: a point within snap_tol of a breakpoint moves onto it, the
+    left neighbour winning over the right one."""
+    xs = np.asarray(xs, dtype=float)
+    breaks = np.array([float(b) for b in f.breakpoints])
+    xeff = xs.copy()
+    if snap_tol > 0 and breaks.size:
+        j = np.clip(np.searchsorted(breaks, xs), 0, breaks.size - 1)
+        for cand in (j, np.maximum(j - 1, 0)):
+            b = breaks[cand]
+            hit = np.abs(xs - b) <= snap_tol
+            xeff = np.where(hit, b, xeff)
+    left = eval_pieces_by_point(
+        f, xeff, np.searchsorted(breaks, xeff, side="left"))
+    right = eval_pieces_by_point(
+        f, xeff, np.searchsorted(breaks, xeff, side="right"))
+    return left, 0.5 * (left + right), right
+
+
+def comparison_curve_uncut(problem, t_values) -> dict:
+    """``transport.comparison_curve`` sampling the profile on the whole
+    129 x 601 lag-by-point table for every t."""
+    lo, hi = float(problem.window.lo), float(problem.window.hi)
+    xs = np.linspace(lo, hi, 601)
+    rows = []
+    for t in t_values:
+        dt = t / 128
+        phi = oracle_weights(problem.measure, problem.profile,
+                             problem.initial, t, dt)
+        lags = dt * np.arange(len(phi) - 1, -1, -1)
+        _, g, _ = sample_sided_by_point(problem.profile, xs + lags[:, None],
+                                        snap_tol=1e-9 * dt)
+        phi[[0, -1]] *= 0.5
+        worst = float(np.max(np.abs(phi @ g))) * dt
+        rows.append({"t": float(t), "constant": worst / t})
+    top, ratio = comparison_summary([r["constant"] for r in rows])
+    return {"rows": rows, "constant": top, "stability_ratio": ratio}

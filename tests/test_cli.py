@@ -152,6 +152,25 @@ def test_off_lattice_time_is_a_config_error(tmp_path, capsys, argv, config,
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("config, numbers", [
+    ({"atoms": [[1e300, 1.0]]}, ("nodes", "0.002")),
+    ({"grid_spacing": 1e-9, "t": 1e-8}, ("nodes", "1e-09")),
+], ids=["far-atom", "fine-spacing"])
+def test_grid_past_the_ceiling_is_a_config_error(tmp_path, capsys,
+                                                 capped_address_space,
+                                                 config, numbers):
+    # refused by name before any grid is allocated: no traceback, no report
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["transport-demo", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: grid of ")
+    assert "exceeds the ceiling" in err[0]
+    assert all(v in err[0] for v in numbers)
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 def test_convergence_needs_three_levels(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spacings": [4e-3, 2e-3]}))

@@ -11,7 +11,13 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import hat_moments_exact, kernel
+from exact_reference import (
+    eval_pieces_by_point,
+    hat_moments_exact,
+    kernel,
+    sample_sided_by_point,
+    to_grid_by_point,
+)
 from semiperturb import functions
 from semiperturb.functions import (
     BoundedMeasure,
@@ -30,6 +36,7 @@ from semiperturb.functions import (
     three_jump_profile,
     to_grid,
 )
+from semiperturb.transport import sawtooth_profile
 
 
 def test_eval_half_open_convention():
@@ -246,6 +253,97 @@ def test_sample_sided_matches_one_sided_limits(f, extra):
         ref = [float(ff.one_sided_limit(x, side)) for x in xs]
         assert np.array_equal(got, ref)
     assert np.array_equal(mid, 0.5 * (left + right))
+
+
+def _with_float_breaks(f):
+    return PiecewiseFunction([float(b) for b in f.breakpoints], f.pieces)
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(f=rational_piecewise(), floats=st.booleans(), data=st.data())
+def test_to_grid_by_piece_matches_point_by_point_bits(f, floats, data):
+    # one piece run per slice against one piece search per node
+    if floats:
+        f = _with_float_breaks(f)
+    spacing = data.draw(st.sampled_from([0.1, 0.05, 1 / 3, 0.25, 1e-3]))
+    k = data.draw(st.integers(0, 20))
+    origin = data.draw(st.sampled_from(
+        [float(b) for b in f.breakpoints] + [-1.7])) - k * spacing
+    count = data.draw(st.integers(2, 120))
+    assert to_grid(f, origin, spacing, count).values.tobytes() \
+        == to_grid_by_point(f, origin, spacing, count).values.tobytes()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(f=rational_piecewise(), data=st.data())
+def test_eval_pieces_matches_point_by_point_bits(f, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = data.draw(st.sampled_from([(0,), (17,), (5, 9)]))
+    xs = rng.uniform(-4, 4, shape)
+    piece = rng.integers(0, len(f.pieces), shape)
+    assert functions._eval_pieces(f, xs, piece).tobytes() \
+        == eval_pieces_by_point(f, xs, piece).tobytes()
+
+
+_SNAP_TOLS = [0.0, 1e-9, 1e-3, 0.05]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(f=rational_piecewise(), tol=st.sampled_from(_SNAP_TOLS),
+       data=st.data())
+def test_sample_sided_by_piece_matches_point_by_point_bits(f, tol, data):
+    # unsorted points on a breakpoint, within snap_tol of one, on its
+    # edge, just outside it, and anywhere
+    pts = [float(b) + o * tol for b in f.breakpoints
+           for o in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0)]
+    pts += data.draw(st.lists(st.floats(-4, 4), max_size=30))
+    xs = np.array(data.draw(st.permutations(pts)), dtype=float)
+    assert _same_bits(sample_sided(f, xs, tol),
+                      sample_sided_by_point(f, xs, tol))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(f=rational_piecewise(), t=st.sampled_from([1e-3, 0.128, 0.5, 1.0]),
+       lo=st.sampled_from([-3.0, -1.0, 0.3]))
+def test_sample_sided_lag_table_matches_point_by_point_bits(f, t, lo):
+    # the lag x point table of the comparison curve, 2-d
+    dt = t / 128
+    xs = np.linspace(lo, lo + 6.0, 61) + dt * np.arange(128, -1, -1)[:, None]
+    assert _same_bits(sample_sided(f, xs, 1e-9 * dt),
+                      sample_sided_by_point(f, xs, 1e-9 * dt))
+
+
+@pytest.mark.parametrize("tol", _SNAP_TOLS)
+@pytest.mark.parametrize("gap", [1e-4, 0.02])
+def test_sample_sided_close_breakpoints_keep_left_precedence(tol, gap):
+    # two breakpoints closer together than snap_tol: a point in reach of
+    # both snaps to the left one, as it did point by point
+    f = PiecewiseFunction([0.5, 0.5 + gap, 2.0],
+                          [[0], [1, 2], [-3, 0.5], [0]])
+    xs = 0.5 + np.linspace(-0.1, 0.1 + gap, 401)
+    xs = np.concatenate([xs[::-1], xs])
+    assert _same_bits(sample_sided(f, xs, tol),
+                      sample_sided_by_point(f, xs, tol))
+    if tol > gap:
+        _, mid, _ = sample_sided(f, np.array([0.5 + gap]), tol)
+        assert mid[0] == 0.5 * (f.eval(0.5) + f.one_sided_limit(0.5, "right"))
+
+
+def test_hat_moments_sawtooth_matches_point_by_point_bits(monkeypatch):
+    f = sawtooth_profile()
+    for origin, h, n in [(-6.0, 1e-2, 1300), (-5.3, 1 / 3, 40),
+                         (-3.702, 2e-3, 3000)]:
+        got = hat_moments.__wrapped__(f, origin, h, n)
+        with monkeypatch.context() as m:
+            m.setattr(functions, "_eval_pieces", eval_pieces_by_point)
+            want = hat_moments.__wrapped__(f, origin, h, n)
+        assert _same_bits(got, want)
 
 
 def test_to_grid_round_trip_error_bounded_by_lipschitz():

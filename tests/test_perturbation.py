@@ -1246,3 +1246,44 @@ def test_engine_convolutions_match_direct_form():
     got = perturbation._kernel_step(phi, ker, dt)
     scale = dt * np.abs(phi).sum() * np.abs(ker.mid).max()
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_profile_sup_computed_once_per_operator(monkeypatch):
+    # the guard and the term size of every segment read the operator's sup
+    calls = []
+    real = PiecewiseFunction.sup_norm
+    monkeypatch.setattr(PiecewiseFunction, "sup_norm",
+                        lambda self: calls.append(self) or real(self))
+    prob = delta_problem()
+    op = PerturbationOperator.rank_one(prob.measure, prob.profile)
+    assert calls == [prob.profile] and op.profile_sup == 2.0
+    dx, t0 = 1e-2, 0.1
+    sys_t = make_system(prob, dx, 1.0, t0)
+    _, diag = neumann_semigroup(sys_t, op, prob.initial, 1.0, t0, dx,
+                                diagnostics=True)
+    assert diag.segments == 10
+    assert calls == [prob.profile]
+
+
+def test_rank_one_caches_keep_the_four_keys_used_last():
+    prob = delta_problem()
+    op = build_rank_one(prob)
+    dx = 1e-2
+    for m in range(1, 7):
+        op._kernel_lattice(dx, m)
+    assert list(op._kernel_cache) == [(dx, m) for m in (3, 4, 5, 6)]
+    # a hit returns the cached samples and counts as the latest use
+    hit = op._kernel_cache[(dx, 3)]
+    assert op._kernel_lattice(dx, 3) is hit
+    op._kernel_lattice(dx, 7)
+    assert list(op._kernel_cache) == [(dx, m) for m in (5, 6, 3, 7)]
+    systems = [make_system(prob, h, 0.2, 0.2)
+               for h in (2e-2, 1e-2, 5e-3, 4e-3, 2.5e-3)]
+    for s in systems:
+        op._profile_lattice(s, 20)
+    assert len(op._profile_cache) == 4
+    key = (systems[0].origin, systems[0].spacing, systems[0].count, 20)
+    assert key not in op._profile_cache
+    fresh = op._profile_lattice(systems[0], 20)
+    assert fresh[1] == support_cells(prob.profile, systems[0].origin,
+                                     systems[0].spacing, systems[0].count + 20)

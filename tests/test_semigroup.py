@@ -12,9 +12,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiperturb.errors import HorizonExceeded, NotInStateSpace, StepMismatch
+from semiperturb.errors import (
+    GridTooLarge,
+    HorizonExceeded,
+    NotInStateSpace,
+    StepMismatch,
+)
 from semiperturb.functions import CompactInterval, PiecewiseFunction, tent
 from semiperturb.semigroup import (
+    MAX_GRID_NODES,
     MatrixSystem,
     TranslationSystem,
     expm,
@@ -360,3 +366,15 @@ def test_extrapolated_element_algebra():
     b = lift(sys, np.array([0.0, 1.0]))
     assert np.allclose(a + b, lift(sys, np.array([1.0, 1.0])))
     assert np.allclose(lift(sys, np.array([2.0, 0.0])), 2 * a)
+
+
+def test_translation_system_refuses_a_grid_past_the_ceiling(
+        capped_address_space):
+    # the count is checked before anything is allocated; a system at the
+    # ceiling itself allocates nothing either
+    assert TranslationSystem(0.0, 1e-3, MAX_GRID_NODES, 0.0).count \
+        == MAX_GRID_NODES
+    with pytest.raises(GridTooLarge, match="6e\\+09 nodes") as info:
+        TranslationSystem(-3.0, 1e-9, 6_000_000_001, 0.0)
+    err = info.value
+    assert (err.count, err.spacing, err.span) == (6_000_000_001, 1e-9, 6.0)

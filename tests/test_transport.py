@@ -11,19 +11,24 @@ from hypothesis import strategies as st
 
 from semiperturb.errors import (
     DegenerateProfile,
+    GridTooLarge,
     GuardViolation,
     StepSizeError,
 )
 from semiperturb.functions import (
     BoundedMeasure,
+    CompactInterval,
     PiecewiseFunction,
     hat_moments,
     poly_eval,
     sample_lag_kernel,
     sample_sided,
+    support_cells,
     tent,
     three_jump_profile,
 )
+from semiperturb import transport
+from semiperturb.semigroup import MAX_GRID_NODES
 from semiperturb.transport import (
     TransportProblem,
     build_domain_function,
@@ -36,6 +41,7 @@ from semiperturb.transport import (
     corner_profile,
     domain_check,
     engine_vs_oracle,
+    guard_product,
     make_system,
     oracle_solution,
     oracle_weights,
@@ -45,6 +51,7 @@ from semiperturb.transport import (
 )
 
 from exact_reference import (
+    comparison_curve_uncut,
     kernel,
     oracle_reconstruction_two_products,
     renewal_forward_substitution,
@@ -543,7 +550,8 @@ def test_sawtooth_problem_runs_without_regularizer():
         profile=sawtooth_profile(),
         initial=tent(),
     )
-    assert prob.guard_product(0.3) == pytest.approx(0.3)
+    op = build_rank_one(prob, require_regularized=False)
+    assert guard_product(op, 0.3) == pytest.approx(0.3)
     out = engine_vs_oracle(prob, 0.5, 4e-3, 0.3)
     assert out["gap"] <= 1e-3
 
@@ -610,6 +618,24 @@ def test_make_system_refuses_bad_geometry(spacing, t, t0, what):
             run_perturbed(prob, t, spacing, t0)
 
 
+@pytest.mark.parametrize("atom, spacing, t", [
+    (1e300, 2e-3, 0.5),   # a far atom: about 5e302 nodes
+    (0, 1e-9, 1e-8),      # a fine spacing: about 6.4e9 nodes, 48 GiB
+    (1e308, 1e-9, 0.5),   # the node count overflows to inf
+], ids=["far-atom", "fine-spacing", "overflow"])
+def test_make_system_refuses_a_grid_past_the_ceiling(capped_address_space,
+                                                     atom, spacing, t):
+    prob = TransportProblem(BoundedMeasure.dirac(atom), canonical_profile(),
+                            tent())
+    with pytest.raises(GridTooLarge) as info:
+        make_system(prob, spacing, t, 0.2)
+    err = info.value
+    assert not err.count <= MAX_GRID_NODES and err.spacing == spacing
+    assert err.span == spacing * (err.count - 1)
+    with pytest.raises(GridTooLarge):
+        run_perturbed(prob, t, spacing, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # comparison constants
 
@@ -635,6 +661,59 @@ def test_comparison_curve_matches_per_lag_loop():
         want = float(np.max(np.abs(acc))) * dt / t
         got = comparison_curve(prob, [t])["rows"][0]["constant"]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+_CUT_TIMES = [1e-3, 0.016, 0.128, 0.5, 1.0]
+
+
+def _comparison_profiles():
+    return {
+        "canonical": canonical_profile(),
+        "sawtooth": sawtooth_profile(),
+        # nonzero on both ends: no column can be cut
+        "open-ends": PiecewiseFunction([-1, 1], [[0.5], [1, 1], [0.25]]),
+        # wholly left of the window [-3, 3]: nothing to sample
+        "outside": canonical_profile().translate(10),
+        # on [3.5, 5.5], right of the window: only the columns widened
+        # left from its edge reach it, within t
+        "beyond-right": canonical_profile().translate(-4.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_comparison_profiles()))
+def test_comparison_curve_cut_matches_uncut_table(monkeypatch, name):
+    # the support cut gives the uncut table's constants bit for bit, and
+    # samples at most 129 (support columns + ceil(t / 0.01) + 2) points
+    profile = _comparison_profiles()[name]
+    prob = TransportProblem(BoundedMeasure.dirac(Fraction(1, 3)), profile,
+                            tent())
+    sampled = []
+    real = transport.sample_sided
+    monkeypatch.setattr(transport, "sample_sided", lambda f, xs, **kw: (
+        sampled.append(np.size(xs)) or real(f, xs, **kw)))
+    got = comparison_curve(prob, _CUT_TIMES)
+    assert got == comparison_curve_uncut(prob, _CUT_TIMES)
+    lo, hi = support_cells(profile, -3.0, 0.01, 601)
+    for t, n in zip(_CUT_TIMES, sampled):
+        assert n <= 129 * (hi - lo + math.ceil(t / 0.01) + 2)
+    if name == "open-ends":
+        assert sampled == [129 * 601] * len(_CUT_TIMES)
+    if name == "outside":
+        assert sampled == [0] * len(_CUT_TIMES)
+        assert got["constant"] == 0.0
+    if name == "canonical":
+        assert sum(sampled) < 0.5 * 129 * 601 * len(_CUT_TIMES)
+    if name == "beyond-right":
+        assert sampled[0] <= 129 * 2 and got["constant"] > 0
+
+
+def test_comparison_curve_one_point_window_is_not_cut():
+    # a window of one point has no lattice: every column is sampled
+    prob = TransportProblem(BoundedMeasure.dirac(0), canonical_profile(),
+                            tent(), window=CompactInterval(0.5, 0.5))
+    got = comparison_curve(prob, [0.1, 0.2])
+    assert got == comparison_curve_uncut(prob, [0.1, 0.2])
+    assert got["constant"] > 0
 
 
 def test_comparison_curve_dyadic_stability():
