@@ -49,13 +49,16 @@ from .functions import (
     support_cells,
 )
 from .semigroup import (
+    LatticeStep,
     MatrixSystem,
     TranslationSystem,
     expm,
     lattice_orbit,
-    lattice_scan,
     opnorm2,
     reconstruct,
+    recent_memo,
+    require_finite,
+    scan_rows,
 )
 
 MAX_NEUMANN_TERMS = 60
@@ -91,14 +94,18 @@ class PerturbationOperator:
         self.profile = profile
         self.regularized_profile = regularized_profile
         self.profile_sup = None if profile is None else profile.sup_norm()
+        self.matrix_norm = None if matrix is None else opnorm2(matrix)
         self._profile_cache = {}
         self._kernel_cache = {}
 
     @classmethod
     def matrix(cls, B) -> "PerturbationOperator":
+        """B applied as it stands; its norm ||B||_2 is taken once, as
+        ``matrix_norm``."""
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("matrix perturbation must be square")
+        require_finite("B", B)
         return cls("matrix", matrix=B)
 
     @classmethod
@@ -127,15 +134,14 @@ class PerturbationOperator:
     def analytic_volterra_bound(self, system, t0: float) -> float:
         """Upper bound for the Volterra operator norm on horizon t0.
 
-        Matrix kind: t0 * sup ||T(r)|| * ||B||.  Rank-one kind:
+        Matrix kind: t0 * sup ||T(r)|| * ||B||, the sup sampled by the
+        system's ``propagator_sup``.  Rank-one kind:
         t0 * |mu|(R) * sup|g|, from pulling the absolute value through
         the defining integral.  Guards must use this, not an empirical
         estimate, so that the resolvent inequality is certified.
         """
         if self.kind == "matrix":
-            props = system.powers(t0 / 64.0, 64)
-            mhat = float(np.max(np.linalg.norm(props, 2, axis=(1, 2))))
-            return t0 * mhat * opnorm2(self.matrix_data)
+            return t0 * system.propagator_sup(t0) * self.matrix_norm
         return t0 * self.measure.total_variation() * self.profile_sup
 
     # -- lattice sample caches (rank-one) ----------------------------------
@@ -154,22 +160,13 @@ class PerturbationOperator:
                 self.profile, xs, snap_tol=1e-6 * system.spacing)
             return _SidedSamples(*samples), (lo, hi)
         key = (system.origin, system.spacing, system.count, m_extra)
-        return _memo(self._profile_cache, key, build)
+        return recent_memo(self._profile_cache, key, build)
 
     def _kernel_lattice(self, dt: float, m_steps: int):
         """Sided samples of s -> pairing of g(. + s) on the time lattice."""
-        return _memo(self._kernel_cache, (dt, m_steps),
-                     lambda: _SidedSamples(*sample_lag_kernel(
-                         self.measure, self.profile, dt, m_steps)))
-
-
-def _memo(cache: dict, key, build):
-    """cache[key], built on a miss; the four keys used last are kept."""
-    hit = cache.pop(key, None)
-    cache[key] = build() if hit is None else hit
-    if len(cache) > 4:
-        del cache[next(iter(cache))]
-    return cache[key]
+        return recent_memo(self._kernel_cache, (dt, m_steps),
+                           lambda: _SidedSamples(*sample_lag_kernel(
+                               self.measure, self.profile, dt, m_steps)))
 
 
 @dataclasses.dataclass
@@ -292,16 +289,22 @@ def _convolved_nodes(system, op, phi, dt, steps):
 def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
     """Trapezoid convolution of T(m dt - r) B F(r) over [0, m dt].
 
-    F holds the lattice ``nodes`` and ``step`` is E = T(dt).  With C the
-    ``lattice_scan`` of E over B F with its first row halved, node m is
-    dt (C[m] - B F[m] / 2), zero at m = 0.
+    F holds the lattice ``nodes`` and ``step`` is E = T(dt), a matrix or
+    a ``LatticeStep``.  With C the ``lattice_scan`` of E over B F with
+    its first row halved, node m is dt (C[m] - B F[m] / 2), zero at
+    m = 0.  B F is one product, the columns of every node as rows times
+    B^T: the row table ``scan_rows`` works in.
     """
-    B = op.matrix_data
-    BF = B @ nodes.reshape(len(nodes), len(B), -1)
+    m1, n = nodes.shape[:2]
+    cols = nodes.reshape(m1, n, -1)
+    k = cols.shape[2]
+    BF = cols.transpose(0, 2, 1).reshape(m1 * k, n) @ op.matrix_data.T
     forcing = BF.copy()
-    forcing[0] *= 0.5
-    return (dt * (lattice_scan(step, forcing) - 0.5 * BF)).reshape(
-        nodes.shape)
+    forcing[:k] *= 0.5
+    scan_rows(step, forcing, k)
+    forcing -= 0.5 * BF
+    forcing *= dt
+    return forcing.reshape(m1, k, n).transpose(0, 2, 1).reshape(nodes.shape)
 
 
 def _profile_convolution(phi, m, prof: _SidedSamples, cells, count, dt):
@@ -442,21 +445,24 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
     m_steps = _lattice_steps(t0, dt, "t0")
     guard = _series_guard(op, system, t0, enforce_guard, tol)
     return _neumann_segment(system, op, x, m_steps, node_steps, dt, tol,
-                            guard)
+                            guard, _series_step(system, dt))
 
 
-def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
-    """The series of ``neumann_nodes`` on [0, m dt] under a given guard."""
+def _series_step(system, dt):
+    """The prepared step T(dt) of the matrix kind; None on grids, where
+    a step is an index shift."""
+    return LatticeStep(system.propagator(dt)) \
+        if system.kind == "matrix" else None
+
+
+def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard, step):
+    """The series of ``neumann_nodes`` on [0, m dt] under a given guard,
+    with the matrix kind's ``_series_step``."""
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
     vals = system.state_values(x)
-    bad = int(np.count_nonzero(~np.isfinite(vals)))
-    if bad:
-        raise ValueError(
-            f"state x: {bad} of {vals.size} entries are NaN or Inf; the "
-            "Neumann series needs a finite state")
+    require_finite("state x", vals)
     if op.kind == "matrix":
-        step = system.propagator(dt)
         orbit = lattice_orbit(step, vals, m)
         total, diag = _neumann_sum(
             orbit, _volterra_matrix(step, op, orbit, dt),
@@ -487,7 +493,8 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
 
     t is split as n * t0 + t1 with both parts on the dt lattice; each
     segment runs a fresh series seeded by the previous output, the short
-    one first, all under the one analytic guard of the horizon t0.
+    one first, all under the one analytic guard of the horizon t0 and,
+    on R^n, with the one step T(dt) and its doubling powers.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     term norms refuse to decay, and ValueError for a NaN or negative tol.
     """
@@ -499,10 +506,11 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     state = system.state_values(x)
     if system.kind == "translation":
         state = system.make(state)
+    step = _series_step(system, dt)
     diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
     for steps in ([m_rest] if m_rest else []) + [m0] * n_full:
         out, diag = _neumann_segment(system, op, state, steps, [steps], dt,
-                                     tol, guard)
+                                     tol, guard, step)
         state = out[0]
         diag_all = diag_all.merge(diag)
     return (state, diag_all) if diagnostics else state

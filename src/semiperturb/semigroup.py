@@ -22,6 +22,7 @@ the state space).
 
 from __future__ import annotations
 
+import functools
 from math import ceil, exp, isfinite, log2
 
 import numpy as np
@@ -90,37 +91,79 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
+def require_finite(what: str, values: np.ndarray):
+    """Refuse values with NaN or Inf entries, by a ValueError that says
+    how many there are."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(
+            f"{what}: {bad} of {values.size} entries are NaN or Inf")
+
+
+def recent_memo(cache: dict, key, build):
+    """cache[key], built on a miss; the four keys used last are kept."""
+    hit = cache.pop(key, None)
+    cache[key] = build() if hit is None else hit
+    if len(cache) > 4:
+        del cache[next(iter(cache))]
+    return cache[key]
+
+
 def opnorm2(M: np.ndarray) -> float:
     """Spectral (operator 2-) norm."""
     return float(np.linalg.norm(M, 2))
 
 
-def lattice_scan(E: np.ndarray, b: np.ndarray) -> np.ndarray:
+class LatticeStep:
+    """A step matrix E = T(dt) and its doubling powers, prepared once.
+
+    ``power(i)`` is (E^T)^(2^i), the operand of level i of every
+    ``lattice_scan`` over E: built by squaring the first time a scan
+    needs it and kept, so the scans of one series square E once.
+    """
+
+    def __init__(self, E: np.ndarray):
+        self._powers = [E.T]
+
+    def power(self, i: int) -> np.ndarray:
+        while len(self._powers) <= i:
+            self._powers.append(self._powers[-1] @ self._powers[-1])
+        return self._powers[i]
+
+
+def lattice_scan(E, b: np.ndarray) -> np.ndarray:
     """c[0] = b[0], c[q] = E c[q-1] + b[q] for rows b[q] that are vectors
     (n,) or n x k matrices, by a Hillis--Steele doubling scan (Blelloch
     1990, "Prefix sums and their applications").
 
-    The level with shift s adds E^s c[q-s] to c[q] and squares E^s, so
-    ceil(log2(len(b))) levels suffice.  The columns of the rows are kept
-    as rows of one table, where s steps are s k rows: a level is one
-    matrix product.
+    E is a matrix or a prepared ``LatticeStep``.  The columns of the rows
+    are kept as rows of one table, the layout of ``scan_rows``.
     """
     m1, n = np.shape(b)[:2]
     cols = np.asarray(b, dtype=float).reshape(m1, n, -1)
-    # a C-ordered copy: flat is a view of it, and b is never written
+    # a C-ordered copy: its flat view is scanned in place, b never written
     cols = cols.transpose(0, 2, 1).copy()
-    k = cols.shape[1]
-    flat, power, s = cols.reshape(m1 * k, n), E.T, 1
-    while s < m1:
-        flat[s * k:] += flat[:-s * k] @ power
-        s *= 2
-        if s < m1:
-            power = power @ power
+    scan_rows(E, cols.reshape(-1, n), cols.shape[1])
     return cols.transpose(0, 2, 1).reshape(np.shape(b))
 
 
-def lattice_orbit(E: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """E^q x for q = 0..m: the ``lattice_scan`` of E over [x, 0, ..., 0]."""
+def scan_rows(E, flat: np.ndarray, k: int):
+    """``lattice_scan`` in place on its row table: row q k + j of flat is
+    column j of b[q], and c[q] = E c[q-1] + b[q] acts on every column.
+
+    The level with shift s adds E^s c[q-s] to c[q], s k rows back, as one
+    matrix product with (E^T)^s, so ceil(log2(rows / k)) levels suffice.
+    """
+    step = E if isinstance(E, LatticeStep) else LatticeStep(E)
+    m1, s, level = len(flat) // k, 1, 0
+    while s < m1:
+        flat[s * k:] += flat[:-s * k] @ step.power(level)
+        s, level = 2 * s, level + 1
+
+
+def lattice_orbit(E, x: np.ndarray, m: int) -> np.ndarray:
+    """E^q x for q = 0..m: the ``lattice_scan`` of E (a matrix or a
+    ``LatticeStep``) over [x, 0, ..., 0]."""
     impulse = np.zeros((m + 1,) + np.shape(x))
     impulse[0] = x
     return lattice_scan(E, impulse)
@@ -131,9 +174,10 @@ class MatrixSystem:
 
     growth_bound is the spectral abscissa of A; bound_constant M (with
     ||T(t)|| <= M e^{growth_bound t}) is calibrated on an 81-point
-    lattice of [0, 2].  Lattice propagators T(q dt) come from
-    ``powers``, the ``lattice_orbit`` of the one step exponential T(dt).
-    The state may be a vector or an n x k matrix; T(t) acts from the left.
+    lattice of [0, 2] the first time it is read.  Lattice propagators
+    T(q dt) come from ``powers``, the ``lattice_orbit`` of the one step
+    exponential T(dt).  The state may be a vector or an n x k matrix;
+    T(t) acts from the left.
     """
 
     kind = "matrix"
@@ -143,12 +187,29 @@ class MatrixSystem:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
+        require_finite("A", self.A)
         self.dim = n
         self.growth_bound = float(np.max(np.linalg.eigvals(self.A).real))
+        self._sup_cache = {}
+
+    @functools.cached_property
+    def bound_constant(self) -> float:
         dt = 2.0 / 80
         norms = np.linalg.norm(self.powers(dt, 80), 2, axis=(1, 2))
         decay = np.exp(-self.growth_bound * dt * np.arange(81))
-        self.bound_constant = float(np.max(norms * decay))
+        bound = float(np.max(norms * decay))
+        if not isfinite(bound):
+            raise ValueError(
+                f"bound constant is {bound} for growth bound "
+                f"{self.growth_bound:.3g}: e^(-growth bound t) leaves the "
+                "float range on [0, 2]")
+        return bound
+
+    def propagator_sup(self, t0: float) -> float:
+        """max ||T(q t0 / 64)||_2 over q = 0..64, the sampled sup of the
+        propagator norm on [0, t0]; the four horizons used last are kept."""
+        return recent_memo(self._sup_cache, t0, lambda: float(np.max(
+            np.linalg.norm(self.powers(t0 / 64.0, 64), 2, axis=(1, 2)))))
 
     def _check_time(self, t: float):
         if t < 0:

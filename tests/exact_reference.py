@@ -12,7 +12,10 @@ over the whole grid, with one product per hat moment.  The point-by-point
 samplers are the library's earlier ``_eval_pieces``, ``to_grid`` and
 ``sample_sided``, kept verbatim, with the uncut comparison table built on
 them: the piece-by-piece samplers and the support cut must match them
-bit for bit.
+bit for bit.  The one-operand matrix scan and the stacked B F product
+are the library's earlier forms, kept verbatim: its prepared step must
+scan bit for bit as the first does, and its one 2-D product must match
+the second to rounding.
 """
 
 from __future__ import annotations
@@ -179,3 +182,29 @@ def comparison_curve_uncut(problem, t_values) -> dict:
         rows.append({"t": float(t), "constant": worst / t})
     top, ratio = comparison_summary([r["constant"] for r in rows])
     return {"rows": rows, "constant": top, "stability_ratio": ratio}
+
+
+def lattice_scan_one_operand(E: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``semigroup.lattice_scan`` squaring E^T itself on every call."""
+    m1, n = np.shape(b)[:2]
+    cols = np.asarray(b, dtype=float).reshape(m1, n, -1)
+    cols = cols.transpose(0, 2, 1).copy()
+    k = cols.shape[1]
+    flat, power, s = cols.reshape(m1 * k, n), E.T, 1
+    while s < m1:
+        flat[s * k:] += flat[:-s * k] @ power
+        s *= 2
+        if s < m1:
+            power = power @ power
+    return cols.transpose(0, 2, 1).reshape(np.shape(b))
+
+
+def volterra_matrix_stacked(step, B, nodes, dt) -> np.ndarray:
+    """``perturbation._volterra_matrix`` with B F as m + 1 stacked products
+    B @ F[q] and the scan above."""
+    BF = B @ nodes.reshape(len(nodes), len(B), -1)
+    forcing = BF.copy()
+    forcing[0] *= 0.5
+    return (dt * (lattice_scan_one_operand(step, forcing) - 0.5 * BF)
+            ).reshape(nodes.shape)
+

@@ -44,7 +44,7 @@ def _tree(path: Path):
     return sorted(str(p.relative_to(path)) for p in path.rglob("*"))
 
 
-def _run(tmp_path, change_run_s, change_order):
+def _run(tmp_path, change_run_s, change_order, *extra):
     parent = _checkout(tmp_path, "parent", 0.3, 2.0)
     change = _checkout(tmp_path, "change", change_run_s, change_order)
     before = [_tree(parent), _tree(change)]
@@ -52,7 +52,7 @@ def _run(tmp_path, change_run_s, change_order):
     proc = subprocess.run(
         [sys.executable, str(TOOL), str(parent), str(change),
          "--workload", "transport-refine", "--seed", "7", "--pairs", "2",
-         "--seconds", "1"], capture_output=True, text=True,
+         "--seconds", "1", *extra], capture_output=True, text=True,
         env={**os.environ, "BENCH_PAIRS_LOG": str(log)})
     assert [_tree(parent), _tree(change)] == before
     rows = {line.split()[0]: line for line in proc.stdout.splitlines()}
@@ -74,3 +74,32 @@ def test_bench_pairs_flags_a_metric_past_its_bound(tmp_path):
     code, rows, _ = _run(tmp_path, 0.2, 1.5)
     assert code == 1
     assert " ".join(rows["order.min"].split()).endswith("NO (0.2)")
+
+
+def test_bench_pairs_writes_json(tmp_path):
+    # each pair's values and the per-metric verdicts go under the
+    # workload; another workload already in the file is kept
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
+    code, rows, _ = _run(tmp_path, 0.2, 1.9, "--json", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["other"] == {"kept": True}
+    entry = doc["workloads"]["transport-refine"]
+    assert entry["seed"] == 7 and entry["seconds"] == 1.0
+    assert entry["exit"] == 0
+    assert entry["units"] == {"parent": {"failed": 0, "attempted": 8},
+                              "change": {"failed": 0, "attempted": 8}}
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change"]
+    for pair in entry["pairs"]:
+        assert pair["parent"] == {"run_s": 0.3, "order.min": 2.0}
+        assert pair["change"] == {"run_s": 0.2, "order.min": 1.9}
+    run_s = entry["metrics"]["run_s"]
+    assert run_s["parent"] == {"median": 0.3, "q1": 0.3, "q3": 0.3}
+    assert run_s["change"] == {"median": 0.2, "q1": 0.2, "q3": 0.2}
+    assert (run_s["wins"], run_s["gain_exceeds_parent_iqr"],
+            run_s["within_bound"], run_s["bound"]) == (2, True, True, 0.25)
+    order = entry["metrics"]["order.min"]
+    assert (order["wins"], order["gain_exceeds_parent_iqr"],
+            order["within_bound"], order["better"]) == (0, False, True,
+                                                         "higher")

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import volterra_matrix_stacked
 from semiperturb.errors import (
     GuardViolation,
     HorizonExceeded,
@@ -50,7 +51,12 @@ from semiperturb.perturbation import (
     volterra_norm_estimate,
     volterra_trajectory,
 )
-from semiperturb.semigroup import MatrixSystem, TranslationSystem, opnorm2
+from semiperturb.semigroup import (
+    LatticeStep,
+    MatrixSystem,
+    TranslationSystem,
+    opnorm2,
+)
 from semiperturb.transport import (
     TransportProblem,
     build_domain_function,
@@ -179,6 +185,62 @@ def test_analytic_bound_matches_per_lag_sweep():
     got = PerturbationOperator.matrix(B).analytic_volterra_bound(
         MatrixSystem(A), t0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 5), k=st.sampled_from([None, 1, 3]),
+       m1=st.sampled_from([1, 2, 3, 64, 501]),
+       seed=st.integers(0, 2**32 - 1))
+def test_volterra_matrix_one_product_matches_stacked(n, k, m1, seed):
+    # B F as one 2-D product in the scan's row layout moves the stacked
+    # products' result in the last digits only, relative to the same sum
+    # over the magnitudes |E|, |B|, |F| (its rounding scale; the result
+    # itself may cancel); a prepared step changes nothing
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    B = 0.3 * rng.standard_normal((n, n))
+    dt = 1e-2
+    nodes = rng.standard_normal((m1, n) if k is None else (m1, n, k))
+    step = MatrixSystem(A).propagator(dt)
+    op = PerturbationOperator.matrix(B)
+    want = volterra_matrix_stacked(step, B, nodes, dt)
+    got = perturbation._volterra_matrix(step, op, nodes, dt)
+    assert got.shape == want.shape == nodes.shape
+    scale = np.max(volterra_matrix_stacked(np.abs(step), np.abs(B),
+                                           np.abs(nodes), dt))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    prepared = perturbation._volterra_matrix(LatticeStep(step), op, nodes,
+                                             dt)
+    assert prepared.tobytes() == got.tobytes()
+
+
+def _count_expm(monkeypatch):
+    calls = []
+    real = semigroup.expm
+    monkeypatch.setattr(semigroup, "expm",
+                        lambda A: calls.append(A) or real(A))
+    return calls
+
+
+def test_matrix_guard_reads_the_system_sup_once_per_horizon(monkeypatch):
+    # bit for bit t0 * (the sampled sup) * ||B||_2, from one power table
+    # per system and horizon, whichever operator asks
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 4)) - 2.5 * np.eye(4)
+    B = 0.1 * rng.standard_normal((4, 4))
+    t0 = 0.5
+    system = MatrixSystem(A)
+    props = system.powers(t0 / 64.0, 64)
+    want = t0 * float(np.max(np.linalg.norm(props, 2, axis=(1, 2)))) \
+        * opnorm2(B)
+    calls = _count_expm(monkeypatch)
+    op = PerturbationOperator.matrix(B)
+    assert op.matrix_norm == opnorm2(B)
+    assert op.analytic_volterra_bound(system, t0) == want
+    assert op.analytic_volterra_bound(system, t0) == want
+    assert PerturbationOperator.matrix(2.0 * B).analytic_volterra_bound(
+        system, t0) == t0 * system.propagator_sup(t0) * opnorm2(2.0 * B)
+    assert len(calls) == 1
 
 
 def test_volterra_rank_one_constant_probe_exact():
@@ -453,9 +515,9 @@ def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(semigroup, "expm", counted)
-    sys_m, op = diag_system(), coupled_op()
     counts, terms = [], []
     for tol in (1e-6, 1e-12):
+        sys_m, op = diag_system(), coupled_op()
         calls.clear()
         _, diag = neumann_nodes(sys_m, op, np.array([1.0, 1.0]), 0.5,
                                 [0, 50], 1e-2, tol=tol)
@@ -463,6 +525,32 @@ def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
         terms.append(diag.terms_used)
     assert terms[1] > terms[0]
     assert counts == [2, 2]
+    # the system keeps the guard's sup: a repeat series builds T(dt) only
+    calls.clear()
+    neumann_nodes(sys_m, op, np.array([1.0, 1.0]), 0.5, [0, 50], 1e-2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_perturbation_refuses_non_finite_entries(bad):
+    B = np.zeros((3, 3))
+    B[1, 2] = B[2, 0] = bad
+    with pytest.raises(ValueError, match="B: 2 of 9 entries are NaN or Inf"):
+        PerturbationOperator.matrix(B)
+
+
+def test_huge_generator_raises_by_its_first_series_or_validate():
+    # construction no longer builds the bound constant, so 1e300 I is
+    # accepted there; its first series and its validate still raise,
+    # neither returns NaN
+    A = 1e300 * np.eye(2)
+    op = PerturbationOperator.matrix(0.1 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            neumann_semigroup(MatrixSystem(A), op, np.ones(2), 0.5, 0.5,
+                              1e-2, enforce_guard=False)
+        with pytest.raises(ValueError):
+            MatrixSystem(A).validate()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

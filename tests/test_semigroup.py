@@ -12,6 +12,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import lattice_scan_one_operand
+from semiperturb import semigroup
 from semiperturb.errors import (
     GridTooLarge,
     HorizonExceeded,
@@ -21,6 +23,7 @@ from semiperturb.errors import (
 from semiperturb.functions import CompactInterval, PiecewiseFunction, tent
 from semiperturb.semigroup import (
     MAX_GRID_NODES,
+    LatticeStep,
     MatrixSystem,
     TranslationSystem,
     expm,
@@ -182,6 +185,83 @@ def test_matrix_bound_constant_matches_linspace_sweep():
     want = max(opnorm2(scipy.linalg.expm(t * sys.A)) * math.exp(
         -sys.growth_bound * t) for t in np.linspace(0.0, 2.0, 81))
     assert sys.bound_constant == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 5), k=st.sampled_from([None, 1, 3]),
+       m1=st.sampled_from([1, 2, 3, 64, 501]),
+       seed=st.integers(0, 2**32 - 1))
+def test_prepared_step_scans_bit_for_bit_as_one_operand(n, k, m1, seed):
+    # a fresh step, one whose powers an earlier scan squared, and one
+    # squared past this scan's need all give the one-operand products
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    E = G * (0.95 / max(abs(np.linalg.eigvals(G))))
+    b = rng.standard_normal((m1, n) if k is None else (m1, n, k))
+    want = lattice_scan_one_operand(E, b).tobytes()
+    step = LatticeStep(E)
+    assert lattice_scan(step, b).tobytes() == want
+    assert lattice_scan(step, b).tobytes() == want
+    squared = LatticeStep(E)
+    squared.power(12)
+    assert lattice_scan(squared, b).tobytes() == want
+    assert lattice_scan(E, b).tobytes() == want
+
+
+def _count_expm(monkeypatch):
+    calls = []
+    real = semigroup.expm
+    monkeypatch.setattr(semigroup, "expm",
+                        lambda A: calls.append(A) or real(A))
+    return calls
+
+
+def test_bound_constant_built_on_first_read(monkeypatch):
+    # construction takes no exponential; the first read builds the
+    # 81-power table once, with the value of the eager formula it replaces
+    calls = _count_expm(monkeypatch)
+    sys = _stable_system(seed=4)
+    assert calls == [] and "bound_constant" not in vars(sys)
+    got = sys.bound_constant
+    assert len(calls) == 1
+    assert sys.bound_constant == got and len(calls) == 1
+    dt = 2.0 / 80
+    norms = np.linalg.norm(sys.powers(dt, 80), 2, axis=(1, 2))
+    decay = np.exp(-sys.growth_bound * dt * np.arange(81))
+    assert got == float(np.max(norms * decay))
+
+
+def test_propagator_sup_keeps_the_four_horizons_used_last(monkeypatch):
+    sys = _stable_system(seed=4)
+    calls = _count_expm(monkeypatch)
+    for t0 in (0.1, 0.2, 0.3, 0.4, 0.5):
+        sys.propagator_sup(t0)
+    assert len(calls) == 5
+    assert list(sys._sup_cache) == [0.2, 0.3, 0.4, 0.5]
+    # a hit takes no exponential and counts as the latest use
+    got = sys.propagator_sup(0.2)
+    assert len(calls) == 5
+    assert list(sys._sup_cache) == [0.3, 0.4, 0.5, 0.2]
+    props = sys.powers(0.2 / 64.0, 64)
+    assert got == float(np.max(np.linalg.norm(props, 2, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_system_refuses_non_finite_entries(bad):
+    A = np.diag([-1.0, -2.0])
+    A[0, 1] = bad
+    with pytest.raises(ValueError, match="A: 1 of 4 entries are NaN or Inf"):
+        MatrixSystem(A)
+
+
+def test_bound_constant_out_of_float_range_is_refused():
+    # e^(1e300 t) overflows where ||T(t)|| underflows: the product is NaN
+    sys = MatrixSystem(-1e300 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            sys.bound_constant
+        with pytest.raises(ValueError, match="leaves the float range"):
+            sys.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Run the benchmark of two checkouts in alternating pairs and compare.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seed N \
-        [--pairs P] [--seconds S]
+        [--pairs P] [--seconds S] [--json PATH]
 
 Each pair runs ``bench/run.py --trace 0`` once for each checkout; the
 side that runs first alternates from pair to pair, so a drift in the
@@ -17,10 +17,18 @@ within the metric's bound: at most that share of the parent's median
 worse than it.  The exit status is 1 when a run gives no result line,
 when a larger share of the change's units fails, or when a metric
 leaves its bound; else 0.
+
+``--json PATH`` also writes the comparison to PATH, under
+``workloads[W]``: each pair's metric values and which side ran first,
+each side's failed and attempted units, and per metric the medians,
+quartiles, wins and verdicts printed above.  Entries for other workloads
+already in PATH are kept, so one file can hold several runs.
 """
 
 import argparse
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -61,18 +69,21 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--json", type=Path, metavar="PATH")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = ("parent", "change")
     results = {side: [] for side in sides}
+    firsts = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         copies = {side: Path(tmp) / side for side in sides}
         for side in sides:
             shutil.copytree(getattr(args, side), copies[side], ignore=SKIP)
         for i in range(args.pairs):
             order = sides if i % 2 == 0 else sides[::-1]
+            firsts.append(order[0])
             for side in order:
                 results[side].append(_result(copies[side], args))
             run_s = {side: results[side][-1]["metrics"].get("run_s", {})
@@ -81,15 +92,18 @@ def main(argv=None) -> int:
                   f"run_s parent {run_s['parent']} change {run_s['change']}",
                   flush=True)
 
-    share = {}
+    units, share = {}, {}
     for side in sides:
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
+        units[side] = {"failed": failed, "attempted": attempted}
         share[side] = failed / max(attempted, 1)
         print(f"{side}: {failed} of {attempted} units failed")
     worst = share["change"] > share["parent"]
     print(f"{'metric':22s} {'parent median [q1, q3]':40s} "
           f"{'change median [q1, q3]':40s} wins   gain>IQR within(bound)")
+    names = [m["name"] for m in spec["end_to_end"]]
+    summary = {}
     for m in spec["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         vals = {side: [r["metrics"][name]["value"] for r in results[side]]
@@ -97,15 +111,41 @@ def main(argv=None) -> int:
         (pm, p1, p3), (cm, c1, c3) = (_spread(vals[s]) for s in sides)
         wins = sum(sign * (c - q) < 0
                    for q, c in zip(vals["parent"], vals["change"]))
+        gain = sign * (pm - cm) > p3 - p1
         within = sign * (cm - pm) <= m["bound"] * abs(pm)
         worst |= not within
+        summary[name] = {
+            "better": m["better"], "bound": m["bound"],
+            "parent": {"median": pm, "q1": p1, "q3": p3},
+            "change": {"median": cm, "q1": c1, "q3": c3},
+            "wins": wins, "gain_exceeds_parent_iqr": gain,
+            "within_bound": within}
         # medians to ten digits: accuracy metrics move in the last ones
         print(f"{name:22s} {f'{pm:.10g} [{p1:.6g}, {p3:.6g}]':40s} "
               f"{f'{cm:.10g} [{c1:.6g}, {c3:.6g}]':40s} "
               f"{f'{wins}/{args.pairs}':6s} "
-              f"{'yes' if sign * (pm - cm) > p3 - p1 else 'no':8s} "
+              f"{'yes' if gain else 'no':8s} "
               f"{'yes' if within else 'NO'} ({m['bound']})")
+    if args.json is not None:
+        pairs = [{"first": first, **{
+            side: {n: results[side][i]["metrics"][n]["value"]
+                   for n in names} for side in sides}}
+            for i, first in enumerate(firsts)]
+        _write_json(args.json, args.workload, {
+            "seed": args.seed, "seconds": args.seconds,
+            "machine": {"platform": platform.platform(),
+                        "cpus": os.cpu_count()},
+            "units": units, "pairs": pairs, "metrics": summary,
+            "exit": 1 if worst else 0})
     return 1 if worst else 0
+
+
+def _write_json(path: Path, workload: str, entry: dict):
+    """Put ``entry`` under ``workloads[workload]`` of the JSON file at
+    path, keeping its other workloads."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("workloads", {})[workload] = entry
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
