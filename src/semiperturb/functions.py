@@ -23,7 +23,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, copysign, floor
+from math import ceil, comb, copysign, floor, ulp
 
 import numpy as np
 
@@ -694,21 +694,49 @@ def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):
     quadrature rules need when a discontinuity sits on (or within float
     rounding of) a sample lattice.  Away from breakpoints all three
     values coincide with ``f.eval``.  A point snaps to its left neighbour
-    when two breakpoints are in reach; ``left`` is evaluated apart from
-    ``right`` only at the points that then sit on a breakpoint.
+    when two breakpoints are in reach.  One search of the points in the
+    intervals b +- w around the breakpoints b, w a little over snap_tol,
+    gives the piece of every point outside them; only the points inside
+    are snapped, searched again, and evaluated apart, ``left`` included.
     """
     xs = np.asarray(xs, dtype=float)
-    breaks = np.array([float(b) for b in f.breakpoints])
-    xeff = xs.copy()
-    if snap_tol > 0 and breaks.size:
-        j = np.clip(np.searchsorted(breaks, xs), 0, breaks.size - 1)
+    flat = xs.reshape(-1)
+    breaks = [float(b) for b in f.breakpoints]
+    # w: twice snap_tol and four ulps, so no rounding of |x - b| <= snap_tol
+    # puts a point in reach outside its interval b +- w
+    w = 2.0 * snap_tol + 4.0 * max(map(ulp, breaks), default=0.0)
+    edges = []  # the intervals b +- w, overlapping ones merged
+    for b in breaks:
+        if edges and b - w <= edges[-1]:
+            edges[-1] = b + w
+        else:
+            edges += [b - w, b + w]
+    pos = np.searchsorted(edges, flat, side="right")
+    near = np.flatnonzero(pos & 1)  # inside an interval
+    breaks = np.array(breaks)
+    if len(edges) == 2 * breaks.size:
+        # outside the intervals, the pos // 2 intervals passed are the piece
+        piece = np.right_shift(pos, 1, out=pos)
+    else:
+        piece = np.searchsorted(breaks, flat, side="right")
+    x0 = xn = flat[near]
+    first = np.searchsorted(breaks, x0)
+    if snap_tol > 0:
+        j = np.minimum(first, breaks.size - 1)
         for cand in (j, np.maximum(j - 1, 0)):
             b = breaks[cand]
-            np.copyto(xeff, b, where=np.abs(xs - b) <= snap_tol)
-    right = _eval_pieces(f, xeff, np.searchsorted(breaks, xeff, side="right"))
+            xn = np.where(np.abs(x0 - b) <= snap_tol, b, xn)
+        first = np.searchsorted(breaks, xn)
+    last = np.searchsorted(breaks, xn, side="right")
+    piece[near] = last
+    on = first != last  # on a breakpoint: the limits differ only there
+    # one evaluation: every point at its piece, then the left limits there
+    pts = np.concatenate([flat, xn[on]])
+    pts[near] = xn
+    vals = _eval_pieces(f, pts, np.concatenate([piece, first[on]]))
+    right = vals[:flat.size].reshape(xs.shape)
     left = right.copy()
-    on = np.isin(xeff, breaks)  # the two limits differ only there
-    left[on] = _eval_pieces(f, xeff[on], np.searchsorted(breaks, xeff[on]))
+    left.reshape(-1)[near[on]] = vals[flat.size:]
     return left, 0.5 * (left + right), right
 
 

@@ -49,7 +49,6 @@ from .functions import (
     support_cells,
 )
 from .semigroup import (
-    LatticeStep,
     MatrixSystem,
     TranslationSystem,
     expm,
@@ -203,27 +202,42 @@ class VectorTrajectory:
     def orbit(cls, system, x, t0: float, dt: float) -> "VectorTrajectory":
         """Unperturbed orbit T(j dt) x, j = 0..t0/dt.
 
-        Matrix kind: the ``lattice_orbit`` of T(dt) and x.  Translation
-        kind: a copy of the orbit window ``_orbit_window``, the rows the
-        Neumann series pairs in place.
+        The rows of ``_orbit_rows``; on grids a writable copy of the
+        orbit window, the rows the Neumann series pairs in place.
         """
         m = _lattice_steps(t0, dt, "t0")
-        vals = system.state_values(x)
-        if system.kind == "translation":
-            return cls(system, dt, _orbit_window(
-                system, vals, m, system.steps_of(dt)).copy())
-        return cls(system, dt, lattice_orbit(system.propagator(dt), vals, m))
+        rows = _orbit_rows(system, system.state_values(x), m, dt)
+        return cls(system, dt, rows.copy() if system.kind == "translation"
+                   else rows)
 
     @classmethod
     def from_callable(cls, system, fn, t0: float, dt: float
                       ) -> "VectorTrajectory":
+        """The values fn(j dt), j = 0..t0/dt, written into one table
+        allocated at the first row; a row of another shape raises
+        ValueError."""
         m = _lattice_steps(t0, dt, "t0")
-        rows = []
+        table = None
         for j in range(m + 1):
             e = fn(j * dt)
-            rows.append(e.values if isinstance(e, GridFunction)
-                        else np.asarray(e, dtype=float))
-        return cls(system, dt, np.array(rows))
+            row = e.values if isinstance(e, GridFunction) \
+                else np.asarray(e, dtype=float)
+            if table is None:
+                table = np.empty((m + 1,) + row.shape)
+            elif row.shape != table.shape[1:]:
+                raise ValueError(
+                    f"step {j} (t = {j * dt!r}) gives a row of shape "
+                    f"{row.shape}, step 0 one of shape {table.shape[1:]}")
+            table[j] = row
+        return cls(system, dt, table)
+
+
+def _orbit_rows(system, vals, m: int, dt: float) -> np.ndarray:
+    """T(j dt) vals for j = 0..m: on grids the read-only ``_orbit_window``,
+    on R^n the ``lattice_orbit`` of the system's prepared step T(dt)."""
+    if system.kind == "translation":
+        return _orbit_window(system, vals, m, system.steps_of(dt))
+    return lattice_orbit(system.step(dt), vals, m)
 
 
 def _orbit_window(system: TranslationSystem, vals, m: int, k: int = 1):
@@ -255,7 +269,7 @@ def volterra_trajectory(system, op: PerturbationOperator,
     against B F over [0, m dt], reconstructed back into the state space.
     """
     if op.kind == "matrix":
-        rows = _volterra_matrix(system.propagator(F.dt), op, F.nodes, F.dt)
+        rows = _volterra_matrix(system.step(F.dt), op, F.nodes, F.dt)
     else:
         rows = np.array([r.values for r in _volterra_nodes(
             system, op, F, range(F.steps + 1))])
@@ -271,7 +285,7 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
 def _volterra_nodes(system, op, F: VectorTrajectory, steps):
     """Values of the Volterra operator applied to F at the lattice steps."""
     if op.kind == "matrix":
-        out = _volterra_matrix(system.propagator(F.dt), op, F.nodes, F.dt)
+        out = _volterra_matrix(system.step(F.dt), op, F.nodes, F.dt)
         return [out[m].copy() for m in steps]
     phi = pair_rows(op.measure, system, F.nodes)
     return _convolved_nodes(system, op, phi, F.dt, steps)
@@ -449,10 +463,9 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
 
 
 def _series_step(system, dt):
-    """The prepared step T(dt) of the matrix kind; None on grids, where
-    a step is an index shift."""
-    return LatticeStep(system.propagator(dt)) \
-        if system.kind == "matrix" else None
+    """The system's prepared step T(dt) on R^n; None on grids, where a
+    step is an index shift."""
+    return system.step(dt) if system.kind == "matrix" else None
 
 
 def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard, step):
@@ -587,14 +600,16 @@ def varpar_residual(system, op: PerturbationOperator, S_fn, t: float,
     """Defect of S in the variation-of-parameters equation at time t.
 
     S_fn(r) must return S(r) x for lattice times r.  The residual is
-    S(t) x - T(t) x - (Volterra applied to the S trajectory at t).
+    S(t) x - T(t) x - (Volterra applied to the S trajectory at t).  The
+    S trajectory is the one table of ``from_callable``; T(t) x is read
+    as the last of ``_orbit_rows``, no orbit table copied.
     """
     traj = VectorTrajectory.from_callable(system, S_fn, t, dt)
     integral = volterra_apply(system, op, traj, t)
-    free = VectorTrajectory.orbit(system, x, t, dt)
-    lhs = traj.node(traj.steps)
-    rhs = free.node(free.steps) + integral
-    return _element_diff_norm(system, lhs, rhs)
+    free = _orbit_rows(system, system.state_values(x), traj.steps, dt)[-1]
+    if system.kind == "translation":
+        free = system.make(free)
+    return _element_diff_norm(system, traj.node(traj.steps), free + integral)
 
 
 # ---------------------------------------------------------------------------
@@ -909,17 +924,18 @@ def translation_probes(system: TranslationSystem, t0: float, dt: float):
 
     The shapes are the unit tent and its copies centred at 1.5 and -1;
     each gives a static probe and an orbit, and the tent also oscillates.
+    The constant and static probes are read-only ``np.broadcast_to``
+    views of one row.
     """
     from .functions import tent
     shapes = [tent(), tent().translate(-1.5), tent().translate(1.0)]
     m = _lattice_steps(t0, dt, "t0")
-    probes = []
-    ones = np.ones(system.count)
-    probes.append(VectorTrajectory(system, dt,
-                                   np.tile(ones, (m + 1, 1))))
+    shape = (m + 1, system.count)
+    probes = [VectorTrajectory(system, dt, np.broadcast_to(1.0, shape))]
     for s in shapes:
         vals = system.sample(s).values
-        probes.append(VectorTrajectory(system, dt, np.tile(vals, (m + 1, 1))))
+        probes.append(VectorTrajectory(system, dt,
+                                       np.broadcast_to(vals, shape)))
         probes.append(VectorTrajectory.orbit(system, system.make(vals),
                                              t0, dt))
     vals = system.sample(shapes[0]).values

@@ -175,9 +175,11 @@ class MatrixSystem:
     growth_bound is the spectral abscissa of A; bound_constant M (with
     ||T(t)|| <= M e^{growth_bound t}) is calibrated on an 81-point
     lattice of [0, 2] the first time it is read.  Lattice propagators
-    T(q dt) come from ``powers``, the ``lattice_orbit`` of the one step
-    exponential T(dt).  The state may be a vector or an n x k matrix;
-    T(t) acts from the left.
+    T(q dt) come from ``powers``, the ``lattice_orbit`` of the prepared
+    step T(dt) of ``step``.  Every exponential passes ``require_finite``,
+    so an overflowing generator is refused by a ValueError naming the
+    time.  The state may be a vector or an n x k matrix; T(t) acts from
+    the left.
     """
 
     kind = "matrix"
@@ -191,6 +193,7 @@ class MatrixSystem:
         self.dim = n
         self.growth_bound = float(np.max(np.linalg.eigvals(self.A).real))
         self._sup_cache = {}
+        self._step_cache = {}
 
     @functools.cached_property
     def bound_constant(self) -> float:
@@ -226,12 +229,21 @@ class MatrixSystem:
 
     def propagator(self, t: float) -> np.ndarray:
         self._check_time(t)
-        return expm(t * self.A)
+        E = expm(t * self.A)
+        require_finite(f"T(t) at t = {t!r}", E)
+        return E
+
+    def step(self, dt: float) -> LatticeStep:
+        """The prepared step T(dt); the four steps used last are kept."""
+        return recent_memo(self._step_cache, dt,
+                           lambda: LatticeStep(self.propagator(dt)))
 
     def powers(self, dt: float, m: int) -> np.ndarray:
         """T(q dt) = T(dt)^q for q = 0..m, stacked; row 0 is exactly I."""
         self._check_time(m * dt)
-        return lattice_orbit(expm(dt * self.A), np.eye(self.dim), m)
+        table = lattice_orbit(self.step(dt), np.eye(self.dim), m)
+        require_finite(f"T(q dt) at dt = {dt!r}, q <= {m}", table)
+        return table
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.propagator(t) @ np.asarray(x, dtype=float)
@@ -257,7 +269,7 @@ class MatrixSystem:
         for s in t_samples:
             for t in t_samples:
                 lhs = self.propagator(s) @ self.propagator(t)
-                rhs = expm((s + t) * self.A)
+                rhs = self.propagator(s + t)
                 scale = max(1.0, opnorm2(rhs))
                 if opnorm2(lhs - rhs) > 1e-12 * scale * 10:
                     raise AssertionError(f"semigroup law violated at s={s}, t={t}")

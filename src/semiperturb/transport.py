@@ -316,7 +316,8 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     if phi is None:
         phi = oracle_weights(measure, profile, u0, t, dt)
     m = len(phi) - 1
-    vals = system.sample(u0.translate(t)).values.copy()
+    out = system.sample(u0.translate(t))  # a fresh sample, edited in place
+    vals = out.values
     lo, hi = support_cells(profile, system.origin, dt,
                            system.count + m - 1)
     if m > 0 and hi > lo:
@@ -332,7 +333,7 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
         k0, k1 = max(first, 0), min(first + series.size, system.count)
         if k1 > k0:
             vals[k0:k1] += dt * series[k0 - first:k1 - first]
-    return system.make(vals)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ them: the piece-by-piece samplers and the support cut must match them
 bit for bit.  The one-operand matrix scan and the stacked B F product
 are the library's earlier forms, kept verbatim: its prepared step must
 scan bit for bit as the first does, and its one 2-D product must match
-the second to rounding.
+the second to rounding.  The stacked variation-of-parameters residual is
+the library's earlier route, a list of rows stacked into the S table and
+a whole copied orbit table for T(t) x: the one-table route must give the
+same residual.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from semiperturb.functions import (
     lattice_convolve,
     sample_lag_kernel,
 )
-from semiperturb.perturbation import comparison_summary
+from semiperturb.perturbation import (
+    VectorTrajectory,
+    _element_diff_norm,
+    _orbit_window,
+    comparison_summary,
+    volterra_apply,
+)
+from semiperturb.semigroup import lattice_orbit
 from semiperturb.transport import oracle_weights
 
 
@@ -208,3 +218,22 @@ def volterra_matrix_stacked(step, B, nodes, dt) -> np.ndarray:
     return (dt * (lattice_scan_one_operand(step, forcing) - 0.5 * BF)
             ).reshape(nodes.shape)
 
+
+def varpar_residual_stacked(system, op, S_fn, t, x, dt) -> float:
+    """``perturbation.varpar_residual`` stacking a list of the rows S_fn(r)
+    and reading T(t) x off a copy of the whole orbit table."""
+    m = int(round(t / dt))
+    rows = []
+    for j in range(m + 1):
+        e = S_fn(j * dt)
+        rows.append(e.values if isinstance(e, GridFunction)
+                    else np.asarray(e, dtype=float))
+    traj = VectorTrajectory(system, dt, np.array(rows))
+    integral = volterra_apply(system, op, traj, t)
+    vals = system.state_values(x)
+    if system.kind == "translation":
+        orbit = _orbit_window(system, vals, m, system.steps_of(dt)).copy()
+    else:
+        orbit = lattice_orbit(system.propagator(dt), vals, m)
+    free = VectorTrajectory(system, dt, orbit)
+    return _element_diff_norm(system, traj.node(m), free.node(m) + integral)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import volterra_matrix_stacked
+from exact_reference import varpar_residual_stacked, volterra_matrix_stacked
 from semiperturb.errors import (
     GuardViolation,
     HorizonExceeded,
@@ -65,6 +66,8 @@ from semiperturb.transport import (
     canonical_profile,
     canonical_regularizer,
     make_system,
+    oracle_solution,
+    oracle_weights,
     sawtooth_profile,
 )
 
@@ -229,10 +232,12 @@ def test_matrix_guard_reads_the_system_sup_once_per_horizon(monkeypatch):
     A = rng.standard_normal((4, 4)) - 2.5 * np.eye(4)
     B = 0.1 * rng.standard_normal((4, 4))
     t0 = 0.5
-    system = MatrixSystem(A)
-    props = system.powers(t0 / 64.0, 64)
+    # the table comes from a twin system: the system under test keeps
+    # its prepared steps, so its own powers would warm the guard's step
+    props = MatrixSystem(A).powers(t0 / 64.0, 64)
     want = t0 * float(np.max(np.linalg.norm(props, 2, axis=(1, 2)))) \
         * opnorm2(B)
+    system = MatrixSystem(A)
     calls = _count_expm(monkeypatch)
     op = PerturbationOperator.matrix(B)
     assert op.matrix_norm == opnorm2(B)
@@ -525,10 +530,32 @@ def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
         terms.append(diag.terms_used)
     assert terms[1] > terms[0]
     assert counts == [2, 2]
-    # the system keeps the guard's sup: a repeat series builds T(dt) only
+    # the system keeps the guard's sup and the prepared T(dt): a repeat
+    # series makes no exponential
     calls.clear()
     neumann_nodes(sys_m, op, np.array([1.0, 1.0]), 0.5, [0, 50], 1e-2)
+    assert len(calls) == 0
+
+
+def test_matrix_checks_prepare_one_step_per_dt(monkeypatch):
+    # orbits and Volterra applications share the system's T(dt): the
+    # identity check makes one exponential for its one dt (nine before),
+    # admissibility one for the guard's table and one for dt (six before)
+    A, op = np.diag([-1.0, -2.0]), coupled_op()
+    x = np.array([1.0, 0.5])
+    probes = matrix_probes(MatrixSystem(A), 0.2, 1e-2)
+    system = MatrixSystem(A)
+    calls = _count_expm(monkeypatch)
+    want = identity_check(system, op, 2, 0.13, 0.21, x, 1e-2)
     assert len(calls) == 1
+    assert identity_check(system, op, 2, 0.13, 0.21, x, 1e-2) == want
+    assert len(calls) == 1
+    calls.clear()
+    admissibility_check(MatrixSystem(A), op, 0.2, 1e-2, probes)
+    assert len(calls) == 2
+    # the step is the one T(dt) of propagator, bit for bit
+    assert system.step(1e-2).power(0).tobytes() \
+        == system.propagator(1e-2).T.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -541,16 +568,25 @@ def test_matrix_perturbation_refuses_non_finite_entries(bad):
 
 def test_huge_generator_raises_by_its_first_series_or_validate():
     # construction no longer builds the bound constant, so 1e300 I is
-    # accepted there; its first series and its validate still raise,
-    # neither returns NaN
+    # accepted there; its first series, validate and bound_constant raise,
     A = 1e300 * np.eye(2)
     op = PerturbationOperator.matrix(0.1 * np.eye(2))
+    # neither returns NaN; each names the first time whose exponential
+    # overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.0078125: "
+                           "4 of 4 entries are NaN or Inf"):
             neumann_semigroup(MatrixSystem(A), op, np.ones(2), 0.5, 0.5,
                               1e-2, enforce_guard=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.1: 4 of 4"):
             MatrixSystem(A).validate()
+        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.025: 4 of 4"):
+            MatrixSystem(A).bound_constant
+        # T(1/64) = e^12.5 I is finite, but T(1) = e^800 I overflows in the
+        # guard's power table
+        with pytest.raises(ValueError, match=r"T\(q dt\) at dt = 0\.015625, "
+                           r"q <= 64: \d+ of 260 entries"):
+            MatrixSystem(800.0 * np.eye(2)).propagator_sup(1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -765,6 +801,68 @@ def test_varpar_matrix_oracle():
     assert r < 1e-6
 
 
+def _oracle_route(prob, dx, t):
+    """The transport varpar setup: grid, operator and the renewal oracle
+    S(r) x at lattice times r, from one set of weights."""
+    system = make_system(prob, dx, t, 0.2)
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dx)
+
+    def oracle_at(r):
+        k = int(round(r / dx))
+        return oracle_solution(prob.measure, prob.profile, prob.initial,
+                               system, r, phi=phi[:k + 1])
+    return system, build_rank_one(prob), oracle_at
+
+
+@pytest.mark.parametrize("kind", ["matrix", "rank_one"])
+def test_varpar_residual_matches_stacked_route(kind):
+    # the one table and the last orbit row give the residual of the list
+    # stack and the copied orbit table, ==
+    if kind == "matrix":
+        system, op, x = diag_system(), coupled_op(), np.array([1.0, 0.3])
+        C = system.A + op.matrix_data
+        args = (lambda r: scipy.linalg.expm(r * C) @ x, 0.7, x, 1e-2)
+    else:
+        prob = delta_problem()
+        system, op, oracle_at = _oracle_route(prob, 1e-2, 0.5)
+        args = (oracle_at, 0.5, prob.initial, 1e-2)
+    got = varpar_residual(system, op, *args)
+    assert got == varpar_residual_stacked(system, op, *args)
+    assert 0 < got < 1e-2
+
+
+def test_varpar_transport_peak_memory_is_one_table():
+    # the benchmark's varpar setup: Dirac at 0, dx = 2e-3, t = 0.5; the
+    # check holds one 251 x count table (7.09 MB) and little else (the
+    # stacked route peaks at 2.05 tables).  The oracle's hat-moment memo
+    # is filled first, as every pass after the first finds it.
+    prob = delta_problem()
+    dx, t = 2e-3, 0.5
+    system, op, oracle_at = _oracle_route(prob, dx, t)
+    oracle_at(t)
+    table = 251 * system.count * 8
+    tracemalloc.start()
+    try:
+        varpar_residual(system, op, oracle_at, t, prob.initial, dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.count == 3705
+    assert peak < 1.15 * table
+
+
+def test_from_callable_refuses_a_row_of_another_shape():
+    sys_m = diag_system()
+    with pytest.raises(ValueError, match=r"step 3 \(t = 0\.03.*\) gives a "
+                       r"row of shape \(3,\), step 0 one of shape \(2,\)"):
+        VectorTrajectory.from_callable(
+            sys_m, lambda r: np.ones(2 if r < 0.025 else 3), 0.05, 1e-2)
+    traj = VectorTrajectory.from_callable(
+        sys_m, lambda r: np.array([r, 1.0]), 0.05, 1e-2)
+    assert traj.nodes.tobytes() == np.array(
+        [[j * 1e-2, 1.0] for j in range(6)]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -903,6 +1001,21 @@ def test_pair_rows_off_lattice_matches_per_row_eval(edge):
     for loc, col in ((1.25, -1), (-1.35, 0)):
         got = pair_rows(BoundedMeasure.dirac(loc, 1.0), sys_t, rows)
         assert np.array_equal(got, rows[:, col])
+
+
+def test_translation_probes_share_read_only_rows():
+    # the constant and the three static probes are broadcast views of one
+    # row, equal bit for bit to the tiled tables they replace
+    prob = delta_problem()
+    dx, t0 = 1e-2, 0.2
+    system = make_system(prob, dx, t0, t0)
+    probes = translation_probes(system, t0, dx)
+    shapes = [tent(), tent().translate(-1.5), tent().translate(1.0)]
+    rows = [np.ones(system.count)] + [system.sample(s).values for s in shapes]
+    for probe, row in zip([probes[i] for i in (0, 1, 3, 5)], rows):
+        assert not probe.nodes.flags.writeable
+        assert probe.nodes.tobytes() == np.tile(row, (21, 1)).tobytes()
+
 
 
 @pytest.mark.parametrize("edge", ["constant", "zero"])
