@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, copysign, floor, ulp
@@ -137,6 +138,7 @@ class PiecewiseFunction:
                 raise ValueError("unbounded pieces must be constant")
         self.breakpoints = breakpoints
         self.pieces = pieces
+        self._floats = None  # what _horner_pieces reads, on first use
 
     @classmethod
     def constant(cls, c):
@@ -399,7 +401,8 @@ def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
     # piece i owns the nodes x with floors[i - 1] < x <= floors[i]
     ends = [0, *np.searchsorted(xs, floors, side="right").tolist(), count]
     runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    return GridFunction(origin, spacing, _eval_pieces(f, xs, runs))
+    # the nodes are finite whenever origin and spacing are
+    return GridFunction(origin, spacing, _horner_pieces(f, xs, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -535,22 +538,41 @@ def _interp_rows(grid, rows, x: float):
 
 
 def _eval_pieces(f: PiecewiseFunction, xs, piece):
-    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]`` (any shape), or of
-    piece i at ``xs[piece[i]]`` for a list: Horner once per piece, float
-    coefficients as scalars, over the points it owns.  The output starts
-    at +0.0, as a zero-padded table's leading zero steps leave it, so
-    all-zero pieces are skipped."""
+    """``poly_eval`` of piece ``piece[i]`` at ``xs[i]`` (any shape): the
+    ``_horner_pieces`` of finite points.  A point at +-inf reads its
+    piece's constant (the end pieces are constant), and a NaN point reads
+    NaN."""
+    if np.isfinite(xs).all():
+        return _horner_pieces(f, xs, piece)
+    bad = ~np.isfinite(xs)
+    out = _horner_pieces(f, np.where(bad, 0.0, xs), piece)
+    constants = np.array([np.nan if any(p[1:]) else float(p[0])
+                          for p in f.pieces])
+    out[bad] = np.where(np.isnan(xs[bad]), np.nan, constants[piece[bad]])
+    return out
+
+
+def _horner_pieces(f: PiecewiseFunction, xs, piece):
+    """``poly_eval`` of piece ``piece[i]`` at the finite point ``xs[i]``,
+    or of piece i at ``xs[piece[i]]`` for a list: Horner once per piece,
+    float coefficients as scalars, over the points it owns.  The output
+    starts at +0.0, as a zero-padded table's leading zero steps leave it,
+    so all-zero pieces are skipped.  The float coefficients of the other
+    pieces are converted on the first call and kept on f."""
+    if f._floats is None:
+        floats = [[float(c) for c in p] for p in f.pieces]
+        f._floats = [(i, cs) for i, cs in enumerate(floats)
+                     if any(c or copysign(1.0, c) < 0  # not all +0.0
+                            for c in cs)]
     out = np.zeros(np.shape(xs))
-    for i, p in enumerate(f.pieces):
-        cs = [float(c) for c in p]
-        if any(c or copysign(1.0, c) < 0 for c in cs):  # not all +0.0
-            own = piece[i] if isinstance(piece, list) else piece == i
-            x = xs[own]
-            acc = 0.0 * x + cs[-1]
-            for c in cs[-2::-1]:
-                acc *= x
-                acc += c
-            out[own] = acc
+    for i, cs in f._floats:
+        own = piece[i] if isinstance(piece, list) else piece == i
+        x = xs[own]
+        acc = 0.0 * x + cs[-1]
+        for c in cs[-2::-1]:
+            acc *= x
+            acc += c
+        out[own] = acc
     return out
 
 
@@ -659,6 +681,25 @@ def _fft_length(n: int) -> int:
 
 _DIRECT_CONVOLVE_MAX = 512
 
+_Spectrum = namedtuple("_Spectrum", ["size", "values"])
+
+
+def _spectrum(a, size) -> _Spectrum:
+    """The read-only real FFT of the operand a, zero-padded to ``size``:
+    an operand that many products share is transformed once."""
+    values = np.fft.rfft(a, size)
+    values.flags.writeable = False
+    return _Spectrum(size, values)
+
+
+def _spectrum_product(spec: _Spectrum, b) -> np.ndarray:
+    """The circular convolution, of length ``spec.size``, of the operand
+    of ``spec`` with b zero-padded to that length: the linear product
+    wherever the two operands' lengths sum to at most ``spec.size`` + 1."""
+    prod = np.fft.rfft(b, spec.size)
+    np.multiply(spec.values, prod, out=prod)
+    return np.fft.irfft(prod, spec.size)
+
 
 def lattice_convolve(a, b, n):
     """First n entries (all, when fewer) of the linear convolution of
@@ -678,10 +719,7 @@ def lattice_convolve(a, b, n):
     if min(a.size, b.size) <= _DIRECT_CONVOLVE_MAX:
         return np.convolve(a, b)[:n]
     full = a.size + b.size - 1
-    size = _fft_length(full)
-    spec = np.fft.rfft(a, size)
-    spec *= np.fft.rfft(b, size)
-    return np.fft.irfft(spec, size)[:min(n, full)]
+    return _spectrum_product(_spectrum(a, _fft_length(full)), b)[:min(n, full)]
 
 
 def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):

@@ -37,10 +37,14 @@ from .errors import (
     StepMismatch,
 )
 from .functions import (
+    _DIRECT_CONVOLVE_MAX,
     BoundedMeasure,
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    _fft_length,
+    _spectrum,
+    _spectrum_product,
     lattice_convolve,
     pair_rows,
     sample_lag_kernel,
@@ -65,6 +69,16 @@ MAX_NEUMANN_TERMS = 60
 KINK_TOL = 1e-9
 
 _SidedSamples = namedtuple("_SidedSamples", ["left", "mid", "right"])
+# the renewal kernel's sided samples and their folded form (_kernel_lattice)
+_KernelLattice = namedtuple("_KernelLattice", [*_SidedSamples._fields,
+                                               "folded", "column", "spectrum"])
+# the profile's sided samples and the spectrum of its support cells
+_ProfileLattice = namedtuple("_ProfileLattice",
+                             [*_SidedSamples._fields, "spectrum"])
+# the profile convolution takes the FFT once phi has more entries: the
+# crossover of the direct product and the cached spectrum on the canonical
+# and sawtooth profiles at h = 2.5e-4 (2-core Xeon, numpy pocketfft)
+_DIRECT_PROFILE_MAX = 128
 
 
 def _sup(a) -> float:
@@ -131,13 +145,14 @@ class PerturbationOperator:
     # -- constants ---------------------------------------------------------
 
     def analytic_volterra_bound(self, system, t0: float) -> float:
-        """Upper bound for the Volterra operator norm on horizon t0.
+        """Guard for the Volterra operator norm on horizon t0.
 
-        Matrix kind: t0 * sup ||T(r)|| * ||B||, the sup sampled by the
-        system's ``propagator_sup``.  Rank-one kind:
-        t0 * |mu|(R) * sup|g|, from pulling the absolute value through
-        the defining integral.  Guards must use this, not an empirical
-        estimate, so that the resolvent inequality is certified.
+        Matrix kind: t0 * sup ||T(r)|| * ||B||, the sup sampled at the 65
+        points of the system's ``propagator_sup``, so a sampled value,
+        not a bound: a finer sampling of the sup can exceed it slightly.
+        Rank-one kind: t0 * |mu|(R) * sup|g|, an upper bound, from
+        pulling the absolute value through the defining integral.  Guards
+        use this, not an empirical lower estimate.
         """
         if self.kind == "matrix":
             return t0 * system.propagator_sup(t0) * self.matrix_norm
@@ -148,7 +163,11 @@ class PerturbationOperator:
     def _profile_lattice(self, system: TranslationSystem, m_extra: int):
         """Sided samples of g on the grid lattice extended m_extra steps,
         and its ``support_cells`` [lo, hi): only those are sampled, the
-        samples outside are zero."""
+        samples outside are zero.  When m_extra + 1 passes
+        ``_DIRECT_PROFILE_MAX``, the samples carry the ``spectrum`` of
+        the mid samples on [lo, hi), at the FFT length of their product
+        with m_extra + 1 weights, which every ``_profile_convolution``
+        of up to m_extra steps on the lattice reuses."""
         def build():
             n = system.count + m_extra
             lo, hi = support_cells(self.profile, system.origin,
@@ -157,15 +176,32 @@ class PerturbationOperator:
             samples = np.zeros((3, n))
             samples[:, lo:hi] = sample_sided(
                 self.profile, xs, snap_tol=1e-6 * system.spacing)
-            return _SidedSamples(*samples), (lo, hi)
+            spectrum = None
+            if m_extra + 1 > _DIRECT_PROFILE_MAX and hi > lo:
+                spectrum = _spectrum(samples[1, lo:hi],
+                                     _fft_length(hi - lo + m_extra))
+            return _ProfileLattice(*samples, spectrum), (lo, hi)
         key = (system.origin, system.spacing, system.count, m_extra)
         return recent_memo(self._profile_cache, key, build)
 
     def _kernel_lattice(self, dt: float, m_steps: int):
-        """Sided samples of s -> pairing of g(. + s) on the time lattice."""
-        return recent_memo(self._kernel_cache, (dt, m_steps),
-                           lambda: _SidedSamples(*sample_lag_kernel(
-                               self.measure, self.profile, dt, m_steps)))
+        """Sided samples of s -> pairing of g(. + s) on the time lattice,
+        with the step's corrections folded in once for ``_kernel_step``:
+        ``folded`` is the mid samples with entry 0 set to right[0] / 2
+        (the diagonal term), ``column`` is left / 2 - mid (the first
+        column's term), and once m_steps + 1 passes the direct size the
+        ``spectrum`` of ``folded`` at the length of the full product."""
+        def build():
+            left, mid, right = sample_lag_kernel(self.measure, self.profile,
+                                                 dt, m_steps)
+            folded = mid.copy()
+            folded[0] = 0.5 * right[0]
+            spectrum = None
+            if m_steps + 1 > _DIRECT_CONVOLVE_MAX:
+                spectrum = _spectrum(folded, _fft_length(2 * m_steps + 1))
+            return _KernelLattice(left, mid, right, folded, 0.5 * left - mid,
+                                  spectrum)
+        return recent_memo(self._kernel_cache, (dt, m_steps), build)
 
 
 @dataclasses.dataclass
@@ -321,36 +357,50 @@ def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
     return forcing.reshape(m1, k, n).transpose(0, 2, 1).reshape(nodes.shape)
 
 
-def _profile_convolution(phi, m, prof: _SidedSamples, cells, count, dt):
+def _profile_convolution(phi, m, prof: _ProfileLattice, cells, count, dt):
     """Trapezoid of phi(r) g(x + (m-j) dt) over j = 0..m on every grid node.
 
     The samples vanish outside the lattice ``cells`` [lo, hi), so node k,
     which reads entries k..k+m, is zero unless k lies in [lo - m, hi).
     Only those nodes are built, from one convolution of phi with the
-    entries they read.  Each keeps all m + 1 terms, zeros included, so
-    the direct product rounds bit for bit as it does on the full grid.
+    samples.  Up to ``_DIRECT_PROFILE_MAX`` weights it is the direct
+    product with the entries the nodes read, each node keeping all m + 1
+    terms, zeros included, so it rounds bit for bit as on the full grid.
+    Past that it is one FFT product of phi against the lattice's cached
+    ``spectrum`` of the support cells alone: node k is entry k + m - lo.
     """
     out = np.zeros(count)
     lo, hi = cells
     a, b = max(lo - m, 0), min(hi, count)
-    if m == 0 or b <= a:
+    if m == 0 or b <= a or hi <= lo:
         return out
     mid = prof.mid[a:b + m]
-    conv = (lattice_convolve(phi[:m + 1], mid, mid.size)[m:]
-            - phi[0] * mid[m:] - phi[m] * mid[:b - a])
+    if m + 1 > _DIRECT_PROFILE_MAX:
+        prod = _spectrum_product(prof.spectrum, phi[:m + 1])
+        prod = prod[a + m - lo:b + m - lo]
+    else:
+        prod = lattice_convolve(phi[:m + 1], mid, mid.size)[m:]
+    conv = prod - phi[0] * mid[m:] - phi[m] * mid[:b - a]
     conv += 0.5 * phi[0] * prof.left[a + m:b + m]
     conv += 0.5 * phi[m] * prof.right[a:b]
     out[a:b] = dt * conv
     return out
 
 
-def _kernel_step(phi, ker: _SidedSamples, dt):
-    """One scalar Volterra iteration: next(m) = int_0^{m dt} phi kernel."""
-    m_top = len(phi) - 1
-    conv = lattice_convolve(phi, ker.mid, m_top + 1)
-    out = conv - phi[0] * ker.mid[:m_top + 1] - phi * ker.mid[0]
-    out += 0.5 * phi[0] * ker.left[:m_top + 1]
-    out += 0.5 * phi * ker.right[0]
+def _kernel_step(phi, ker: _KernelLattice, dt):
+    """One scalar Volterra iteration: next(m) = int_0^{m dt} phi kernel.
+
+    The trapezoid is one product of phi with the ``folded`` kernel plus
+    phi[0] times the ``column`` vector: the direct ``np.convolve`` up to
+    the direct size, past it one FFT product against the kernel's cached
+    ``spectrum``.
+    """
+    n = len(phi)
+    if ker.spectrum is None:
+        out = np.convolve(phi, ker.folded[:n])[:n]
+    else:
+        out = _spectrum_product(ker.spectrum, phi)[:n]
+    out += phi[0] * ker.column[:n]
     out *= dt
     out[0] = 0.0
     return out
@@ -759,7 +809,7 @@ def _regularized_residual(system, op, phi, dt, fast_out) -> float:
 
 def perturbed_resolvent_check(system, op: PerturbationOperator,
                               lam_values, t0: float, dt: float) -> dict:
-    """Resolvent-composed-with-B norms against the certified chain bound.
+    """Resolvent-composed-with-B norms against the chain bound.
 
     For each lambda above the growth bound, computes (or bounds) the norm
     of R(lambda) composed with B as a map on the state space and compares

@@ -16,15 +16,21 @@ times the jump gaps.  This module owns
 * ``run_perturbed``, the high-level driver wiring a grid system and a
   rank-one operator into the Neumann engine.
 
-Oracle and engine share only low-level sampling primitives, the
-exact panel quadrature ``hat_moments``, which the tests check against
-exact rational hat products (its memo lets the oracle at every time on
-one grid pay for the moments once), and the lattice convolution
-``lattice_convolve``, which the tests check against ``np.convolve``,
-and the rule ``support_cells`` for where a profile can be nonzero.
-The time stepping (an implicit system solved exactly here, an explicit
-truncated series there) and the free-part handling are deliberately
-different routes.
+Oracle and engine solve the same discretisation: the implicit
+trapezoid system of the renewal equation over the kernel samples of
+``sample_lag_kernel``.  On one segment the engine's summed renewal
+weights equal ``oracle_weights`` to about 3e-15, so the gap between
+them cannot see an error that both make.  They share the sampling
+primitives, the exact panel quadrature ``hat_moments``, which the tests
+check against exact rational hat products (its memo lets the oracle at
+every time on one grid pay for the moments once), the lattice
+convolution ``lattice_convolve``, which the tests check against
+``np.convolve``, the reuse of a fixed kernel's spectrum across
+products, and the rule ``support_cells`` for where a profile can be
+nonzero.  They differ in how the system is solved (exactly and in
+blocks here, by a truncated Neumann series with segment restarts
+there) and in how the state is rebuilt from the weights (hat moments
+against the exact profile here, the sampled trapezoid there).
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ from .functions import (
     CompactInterval,
     GridFunction,
     PiecewiseFunction,
+    _fft_length,
+    _spectrum,
+    _spectrum_product,
     hat_moments,
     lattice_convolve,
     sample_lag_kernel,
@@ -239,14 +248,17 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
             = free[m] + dt phi[0] k_left[m] / 2,
 
     diag = 1 - dt * k_right(0)/2, which must stay positive; otherwise the
-    step size is rejected.  It is solved exactly, in blocks of 512 steps:
-    the history of earlier blocks enters through one
-    :func:`lattice_convolve`, and each block multiplies by the reciprocal
-    series of the symbol (diag, -dt k_mid[1], -dt k_mid[2], ...), cut to
-    one block and built once per call.  The block products run on the
-    direct convolution, so the rounding of phi[m] scales with
-    max|phi[:m+1]|, never with later weights: a prefix phi[:k+1] is as
-    accurate as a solve that stops at step k.
+    step size is rejected.  It is solved exactly, in blocks of 512 steps.
+    The history of the earlier blocks, entries [lo, hi) of the product
+    of the weights found so far with k_mid, is a middle product: one
+    circular FFT product of length ``_fft_length(m_steps + 1)``, against
+    the spectrum of k_mid taken once per call.  Each block then
+    multiplies by the reciprocal series of the symbol (diag,
+    -dt k_mid[1], -dt k_mid[2], ...), cut to one block and built once per
+    call.  The block products run on the direct convolution, and the
+    history reads the earlier weights only, so the rounding of phi[m]
+    scales with max|phi[:m+1]|, never with later weights: a prefix
+    phi[:k+1] is as accurate as a solve that stops at step k.
     """
     m_steps = int(round(t / dt))
     if abs(t - m_steps * dt) > 1e-8 * max(dt, t):
@@ -266,11 +278,15 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     symbol[0] = diag
     inverse = _reciprocal_series(symbol)
     psi = phi[1:]
+    if m_steps > _BLOCK:
+        # entries [lo, hi) of psi[:lo] * k_mid read lags 1..hi - 1 < size
+        # only, so the circular product does not wrap onto them
+        history = _spectrum(k_mid, _fft_length(m_steps + 1))
     for lo in range(0, m_steps, _BLOCK):
         hi = min(lo + _BLOCK, m_steps)
         block = rhs[lo:hi]
         if lo:
-            block = block + dt * lattice_convolve(psi[:lo], k_mid, hi)[lo:]
+            block = block + dt * _spectrum_product(history, psi[:lo])[lo:hi]
         psi[lo:hi] = lattice_convolve(inverse, block, hi - lo)
     return phi
 

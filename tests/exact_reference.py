@@ -10,9 +10,10 @@ one step at a time, on the library's kernel samples, and the
 reconstruction reference rebuilds the oracle's state from its weights
 over the whole grid, with one product per hat moment.  The point-by-point
 samplers are the library's earlier ``_eval_pieces``, ``to_grid`` and
-``sample_sided``, kept verbatim, with the uncut comparison table built on
-them: the piece-by-piece samplers and the support cut must match them
-bit for bit.  The one-operand matrix scan and the stacked B F product
+``sample_sided``, kept verbatim but for the rule at +-inf and NaN
+points, with the uncut comparison table built on them: the
+piece-by-piece samplers and the support cut must match them bit for
+bit.  The one-operand matrix scan and the stacked B F product
 are the library's earlier forms, kept verbatim: its prepared step must
 scan bit for bit as the first does, and its one 2-D product must match
 the second to rounding.  The stacked variation-of-parameters residual is
@@ -133,15 +134,21 @@ def oracle_reconstruction_two_products(profile: PiecewiseFunction,
 
 def eval_pieces_by_point(f: PiecewiseFunction, xs, piece):
     """``poly_eval`` of piece ``piece[i]`` at ``xs[i]``: Horner over a
-    zero-padded (pieces x degree) float table, gathered point by point."""
+    zero-padded (pieces x degree) float table, gathered point by point.
+    A point at +-inf reads the constant of a constant piece (NaN on any
+    other piece), and a NaN point reads NaN."""
     width = max(len(p) for p in f.pieces)
     table = np.array([[0.0] * (width - len(p)) + [float(c) for c in p[::-1]]
                       for p in f.pieces])
+    inf = np.isinf(xs)
+    x = np.where(inf, 0.0, xs)
     acc = np.zeros(np.shape(xs))
     for k in range(width):
-        acc *= xs
+        acc *= x
         acc += table[piece, k]
-    return acc
+    constant = ~table[:, :-1].any(axis=1)
+    at_inf = np.where(constant[piece], table[piece, -1], np.nan)
+    return np.where(inf, at_inf, acc)
 
 
 def to_grid_by_point(f: PiecewiseFunction, origin, spacing, count):

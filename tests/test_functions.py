@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,30 @@ def test_eval_pieces_matches_point_by_point_bits(f, data):
     piece = rng.integers(0, len(f.pieces), shape)
     assert functions._eval_pieces(f, xs, piece).tobytes() \
         == eval_pieces_by_point(f, xs, piece).tobytes()
+
+
+@pytest.mark.parametrize("f, ends", [
+    (tent(), (0.0, 0.0)),
+    (PiecewiseFunction([0], [[1], [2]]), (1.0, 2.0)),
+], ids=["zero-ends", "nonzero-ends"])
+def test_samples_at_infinity_read_the_end_constants_nan_reads_nan(f, ends):
+    # -inf and +inf read the constant of their end piece, NaN reads NaN,
+    # in the library and in the point-by-point references alike, with no
+    # 0 * inf on the way
+    xs = np.array([-np.inf, np.inf, np.nan, 0.5])
+    want = np.array([*ends, np.nan, f.eval(0.5)])
+    last = len(f.pieces) - 1
+    piece = np.array([0, last, 0, f._piece_index(0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (0.0, 1e-3):
+            got = sample_sided(f, xs, tol)
+            assert _same_bits(got, sample_sided_by_point(f, xs, tol))
+            for a in got:
+                np.testing.assert_array_equal(a, want)
+        got = functions._eval_pieces(f, xs, piece)
+        assert got.tobytes() == eval_pieces_by_point(f, xs, piece).tobytes()
+    np.testing.assert_array_equal(got, want)
 
 
 _SNAP_TOLS = [0.0, 1e-9, 1e-3, 0.05]

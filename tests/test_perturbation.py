@@ -25,11 +25,12 @@ from semiperturb.functions import (
     PiecewiseFunction,
     lattice_convolve,
     pair_rows,
+    sample_lag_kernel,
     sample_sided,
     support_cells,
     tent,
 )
-from semiperturb import perturbation, semigroup
+from semiperturb import functions, perturbation, semigroup
 from semiperturb.perturbation import (
     MAX_NEUMANN_TERMS,
     AdmissibilityReport,
@@ -68,6 +69,7 @@ from semiperturb.transport import (
     make_system,
     oracle_solution,
     oracle_weights,
+    run_perturbed,
     sawtooth_profile,
 )
 
@@ -1357,7 +1359,8 @@ def _convolution_case(profile, m, dt=2.5e-4):
     return sys_t, prof, cells, phi
 
 
-@pytest.mark.parametrize("m", [200, 800], ids=["direct", "fft"])
+@pytest.mark.parametrize("m", [100, 200, 400, 800],
+                         ids=["direct", "fft-200", "fft-400", "fft"])
 @pytest.mark.parametrize("profile", [
     canonical_profile(),
     sawtooth_profile(),
@@ -1391,27 +1394,88 @@ def test_profile_convolution_matches_full_grid_direct_form(profile, m):
 
 
 def test_profile_convolution_operand_spans_the_support():
-    # on the canonical profile the long operand of the one product is
-    # the built nodes plus m, not the count + m cells of the lattice.
-    # The bound hi - lo + 2m + 2 is deliberate and holds on both paths:
-    # every built node keeps all m + 1 terms, zeros included, so the
-    # direct product rounds as on the full grid
-    m = 800
-    sys_t, prof, (lo, hi), phi = _convolution_case(canonical_profile(), m)
-    sizes = []
+    # on the canonical profile the long operand of the one product spans
+    # the support, not the count + m cells of the lattice.  The direct
+    # path (m = 100) convolves the built nodes plus m, within
+    # hi - lo + 2m + 2: every built node keeps all m + 1 terms, zeros
+    # included, so it rounds as on the full grid.  The FFT path (m = 800)
+    # transforms the support cells alone, once, when the lattice is
+    # built, and its product spans hi - lo + m + 1 entries at most
+    for m in (100, 800):
+        direct, spectra, products = [], [], []
 
-    def spy(a, b, n):
-        sizes.append(max(len(a), len(b)))
-        return lattice_convolve(a, b, n)
+        def convolve(a, b, n):
+            direct.append(max(len(a), len(b)))
+            return lattice_convolve(a, b, n)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(perturbation, "lattice_convolve", spy)
-        perturbation._profile_convolution(phi, m, prof, (lo, hi),
-                                          sys_t.count, 2.5e-4)
-    built = min(hi, sys_t.count) - max(lo - m, 0)
-    assert 0 < lo - m and hi < sys_t.count  # the cut binds on both sides
-    assert sizes == [built + m]
-    assert built + m <= hi - lo + 2 * m + 2 < (sys_t.count + m) / 2
+        def spectrum(a, size):
+            spectra.append(np.array(a))
+            return functions._spectrum(a, size)
+
+        def product(spec, b):
+            products.append(len(b))
+            return functions._spectrum_product(spec, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perturbation, "lattice_convolve", convolve)
+            mp.setattr(perturbation, "_spectrum", spectrum)
+            mp.setattr(perturbation, "_spectrum_product", product)
+            sys_t, prof, (lo, hi), phi = _convolution_case(
+                canonical_profile(), m)
+            perturbation._profile_convolution(phi, m, prof, (lo, hi),
+                                              sys_t.count, 2.5e-4)
+        built = min(hi, sys_t.count) - max(lo - m, 0)
+        assert 0 < lo - m and hi < sys_t.count  # the cut binds both sides
+        if m + 1 <= perturbation._DIRECT_PROFILE_MAX:
+            assert spectra == [] and products == []
+            assert direct == [built + m]
+            assert built + m <= hi - lo + 2 * m + 2 < (sys_t.count + m) / 2
+        else:
+            assert direct == []
+            assert len(spectra) == 1
+            assert np.array_equal(spectra[0], prof.mid[lo:hi])
+            assert products == [m + 1]
+            span = len(spectra[0]) + products[0] - 1
+            assert span <= hi - lo + m + 2 < (sys_t.count + m) / 2
+
+
+def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
+    # one 10-segment run at h = 2.5e-4 (800 steps a segment, both engine
+    # products on the FFT path) transforms the renewal kernel once and
+    # the profile lattice once; the oracle's 8000-step solve transforms
+    # k_mid once.  Every real FFT is counted, whichever route calls it
+    prob = delta_problem()
+    dt, t, t0 = 2.5e-4, 2.0, 0.2
+    k_mid = sample_lag_kernel(prob.measure, prob.profile, dt, 8000)[1]
+    system = make_system(prob, dt, t, t0)
+    prof, _ = PerturbationOperator.rank_one(
+        prob.measure, prob.profile)._profile_lattice(system, 800)
+    support = np.trim_zeros(prof.mid)
+    operands = {
+        # the folded kernel differs from the samples at entry 0 only
+        "kernel": lambda a: a.size == 801 and np.array_equal(
+            a[1:], k_mid[1:801]),
+        # the profile samples, with or without zero cells around them
+        "profile": lambda a: np.array_equal(np.trim_zeros(a), support),
+        # k_mid, whole or cut at a block's end past the first two blocks
+        "k_mid": lambda a: a.size > 801 and np.array_equal(
+            a, k_mid[:a.size]),
+    }
+    counts = dict.fromkeys(operands, 0)
+    real = np.fft.rfft
+
+    def rfft(a, *args, **kwargs):
+        for name, match in operands.items():
+            counts[name] += bool(match(np.asarray(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    run = run_perturbed(prob, t, dt, t0)
+    assert run.diagnostics.segments == 10
+    assert run.system.count == system.count
+    assert counts == {"kernel": 1, "profile": 1, "k_mid": 0}
+    oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+    assert counts == {"kernel": 1, "profile": 1, "k_mid": 1}
 
 
 def test_profile_before_grid_leaves_the_free_translation():
