@@ -59,7 +59,6 @@ from .transport import (
     build_rank_one,
     canonical_profile,
     canonical_regularizer,
-    guard_product,
     make_system,
     oracle_solution,
     refinement_study,
@@ -367,8 +366,9 @@ def _run_transport_demo(cfg):
     dx = _as_pos_float("grid_spacing", dx)
     problem = _resolve_transport_problem(cfg)
 
-    guard = guard_product(build_rank_one(problem, require_regularized=False),
-                          t0)
+    # the rank-one guard reads no system: it is known before any grid
+    op = build_rank_one(problem, require_regularized=False)
+    guard = op.analytic_volterra_bound(None, t0)
     checks = [_check("guard", guard, 1.0, ok=guard < 1.0)]
     csvs = {}
     terms = segments = 0

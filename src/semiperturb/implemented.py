@@ -29,6 +29,8 @@ from .semigroup import MatrixSystem, expm, opnorm2
 
 __all__ = [
     "SuperOperator",
+    "LeftMultiplication",
+    "DenseSuperOperator",
     "ImplementedSemigroup",
     "lift_perturbation",
     "extract_perturbation",
@@ -50,37 +52,20 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 
 class SuperOperator:
-    """Linear map on n x n matrices.
-
-    ``left`` kind stores the multiplier B and acts as C -> B C; the
-    ``general`` kind stores the full n^2 x n^2 matrix acting on row-major
-    flattened inputs.  Left multiplications satisfy K(C D) = K(C) D
-    exactly; general ones usually do not, which is what
+    """Linear map on n x n matrices: ``left_multiplication`` gives a
+    :class:`LeftMultiplication` C -> B C, ``general`` a
+    :class:`DenseSuperOperator`.  Left multiplications satisfy
+    K(C D) = K(C) D exactly; general ones usually do not, which is what
     ``extract_perturbation`` polices.
     """
 
-    def __init__(self, kind, *, multiplier=None, dense=None, dim=None):
-        self.kind = kind
-        if kind == "left":
-            self.multiplier = np.asarray(multiplier, dtype=float)
-            self.dim = self.multiplier.shape[0]
-            if self.multiplier.shape != (self.dim, self.dim):
-                raise ValueError("multiplier must be square")
-        elif kind == "general":
-            self.dense_data = np.asarray(dense, dtype=float)
-            self.dim = int(dim)
-            if self.dense_data.shape != (self.dim ** 2, self.dim ** 2):
-                raise ValueError("dense map must be n^2 x n^2")
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+    @staticmethod
+    def left_multiplication(B) -> "LeftMultiplication":
+        return LeftMultiplication(B)
 
-    @classmethod
-    def left_multiplication(cls, B) -> "SuperOperator":
-        return cls("left", multiplier=B)
-
-    @classmethod
-    def general(cls, dense, dim) -> "SuperOperator":
-        return cls("general", dense=dense, dim=dim)
+    @staticmethod
+    def general(dense, dim) -> "DenseSuperOperator":
+        return DenseSuperOperator(dense, dim)
 
     @classmethod
     def rank_one_functional(cls, weights, target) -> "SuperOperator":
@@ -96,15 +81,36 @@ class SuperOperator:
         dense = np.outer(_vec(G), _vec(w))
         return cls.general(dense, n)
 
+
+class LeftMultiplication(SuperOperator):
+    """C -> B C for the multiplier B."""
+
+    def __init__(self, multiplier):
+        self.multiplier = np.asarray(multiplier, dtype=float)
+        self.dim = self.multiplier.shape[0]
+        if self.multiplier.shape != (self.dim, self.dim):
+            raise ValueError("multiplier must be square")
+
     def apply(self, C: np.ndarray) -> np.ndarray:
-        C = np.asarray(C, dtype=float)
-        if self.kind == "left":
-            return self.multiplier @ C
+        return self.multiplier @ np.asarray(C, dtype=float)
+
+    def as_dense(self) -> np.ndarray:
+        return np.kron(self.multiplier, np.eye(self.dim))
+
+
+class DenseSuperOperator(SuperOperator):
+    """The n^2 x n^2 matrix ``dense_data`` on flattened n x n inputs."""
+
+    def __init__(self, dense, dim):
+        self.dense_data = np.asarray(dense, dtype=float)
+        self.dim = int(dim)
+        if self.dense_data.shape != (self.dim ** 2, self.dim ** 2):
+            raise ValueError("dense map must be n^2 x n^2")
+
+    def apply(self, C: np.ndarray) -> np.ndarray:
         return _unvec(self.dense_data @ _vec(C), self.dim)
 
     def as_dense(self) -> np.ndarray:
-        if self.kind == "left":
-            return np.kron(self.multiplier, np.eye(self.dim))
         return self.dense_data
 
 
@@ -126,13 +132,6 @@ class ImplementedSemigroup:
     def __init__(self, system: MatrixSystem):
         self.system = system
         self.dim = system.dim
-
-    def apply(self, t: float, S: np.ndarray) -> np.ndarray:
-        return self.system.propagator(t) @ np.asarray(S, dtype=float)
-
-    def probe_seminorm(self, t: float, S, x) -> float:
-        """Strong-operator seminorm ||U(t) S x|| for one probe vector."""
-        return float(np.linalg.norm(self.apply(t, S) @ np.asarray(x)))
 
 
 def lift_perturbation(B) -> SuperOperator:
@@ -260,7 +259,7 @@ def euler_check(K: SuperOperator, t: float, C, n_values) -> dict:
     be of that kind; the resolvent of the lift is the lift of the
     resolvent, which keeps everything at matrix level.
     """
-    if K.kind != "left":
+    if not isinstance(K, LeftMultiplication):
         raise ValueError("euler_check needs a left multiplication")
     if t <= 0:
         raise ValueError("t must be positive")

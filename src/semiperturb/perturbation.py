@@ -6,16 +6,18 @@ Neumann series for the perturbed semigroup on a short horizon, and the
 battery of consistency checks (composition identity, variation of
 parameters, admissibility, resolvent bounds, generator action).
 
-Two perturbation kinds are supported:
+Each perturbation kind is one class that acts on one system class and
+owns its half of the engine and the checks:
 
-* ``matrix``   -- B is a plain matrix on R^n, where the extrapolation
-  space is the state space itself, so B F is applied as it stands and the
-  convolution is one doubling scan (``lattice_scan``) of the step
-  exponential T(dt) over the lattice.
-* ``rank_one`` -- B f = <f, mu> * g where mu is a bounded measure and g a
-  piecewise-polynomial profile that need not lie in the grid state space.
-  The convolution collapses to scalar recursions plus one profile
-  convolution per evaluation point, which is what makes fine grids cheap.
+* :class:`MatrixOperator` on a ``MatrixSystem`` -- B is a plain matrix on
+  R^n, where the extrapolation space is the state space itself, so B F is
+  applied as it stands and the convolution is one doubling scan
+  (``lattice_scan``) of the step exponential T(dt) over the lattice.
+* :class:`RankOneOperator` on a ``TranslationSystem`` -- B f = <f, mu> * g
+  where mu is a bounded measure and g a piecewise-polynomial profile that
+  need not lie in the grid state space.  The convolution collapses to
+  scalar recursions plus one profile convolution per evaluation point,
+  which is what makes fine grids cheap.
 
 All time quadrature is trapezoid with one-sided endpoint limits and
 midpoint values at interior lattice hits of profile jumps; without that
@@ -56,7 +58,6 @@ from .semigroup import (
     MatrixSystem,
     TranslationSystem,
     expm,
-    lattice_orbit,
     opnorm2,
     reconstruct,
     recent_memo,
@@ -93,45 +94,104 @@ def _lattice_steps(t, dt, what="time"):
 
 
 class PerturbationOperator:
-    """A perturbation acting from the state space into its extrapolation.
+    """A perturbation acting from the state space into its extrapolation,
+    on systems of its ``system_class``; ``matrix`` and ``rank_one`` build
+    the two kinds."""
 
-    Use the ``matrix`` / ``rank_one`` constructors; the generic
-    ``__init__`` is internal.
-    """
+    @staticmethod
+    def matrix(B) -> "MatrixOperator":
+        """B applied as it stands on R^n."""
+        return MatrixOperator(B)
 
-    def __init__(self, kind, *, matrix=None, measure=None, profile=None,
-                 regularized_profile=None):
-        self.kind = kind
-        self.matrix_data = matrix
-        self.measure = measure
-        self.profile = profile
-        self.regularized_profile = regularized_profile
-        self.profile_sup = None if profile is None else profile.sup_norm()
-        self.matrix_norm = None if matrix is None else opnorm2(matrix)
-        self._profile_cache = {}
-        self._kernel_cache = {}
+    @staticmethod
+    def rank_one(measure: BoundedMeasure, profile: PiecewiseFunction,
+                 regularized_profile: PiecewiseFunction | None = None,
+                 ) -> "RankOneOperator":
+        """B f = (pairing of f with measure) * profile on a grid."""
+        return RankOneOperator(measure, profile, regularized_profile)
 
-    @classmethod
-    def matrix(cls, B) -> "PerturbationOperator":
-        """B applied as it stands; its norm ||B||_2 is taken once, as
-        ``matrix_norm``."""
+    def _paired(self, system):
+        """Refuse another kind's system by a TypeError naming both."""
+        if not isinstance(system, self.system_class):
+            raise TypeError(
+                f"a {type(self).__name__} acts on a "
+                f"{self.system_class.__name__}, not on a "
+                f"{type(system).__name__}")
+
+    def analytic_volterra_bound(self, system, t0: float) -> float:
+        """Guard for the Volterra operator norm on horizon t0, the kind's
+        ``_guard``; guards use this, not an empirical lower estimate."""
+        return self._guard(system, t0)
+
+
+class MatrixOperator(PerturbationOperator):
+    """B applied as it stands; its norm ||B||_2 is taken once, as
+    ``matrix_norm``."""
+
+    system_class = MatrixSystem
+
+    def __init__(self, B):
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("matrix perturbation must be square")
         require_finite("B", B)
-        return cls("matrix", matrix=B)
+        self.matrix_data = B
+        self.matrix_norm = opnorm2(B)
 
-    @classmethod
-    def rank_one(cls, measure: BoundedMeasure, profile: PiecewiseFunction,
-                 regularized_profile: PiecewiseFunction | None = None,
-                 ) -> "PerturbationOperator":
-        """B f = (pairing of f with measure) * profile.
+    def _guard(self, system, t0):
+        """t0 * sup ||T(r)|| * ||B||, the sup sampled at the 65 points of
+        the system's ``propagator_sup``, so a sampled value, not a bound:
+        a finer sampling of the sup can exceed it slightly."""
+        return t0 * system.propagator_sup(t0) * self.matrix_norm
 
-        ``regularized_profile`` h, when supplied, must satisfy
-        profile = h - h' exactly; it is what the slow regularized route
-        and the extrapolation-norm constant use.  The fast path only
-        needs ``profile``, whose sup is taken once, as ``profile_sup``.
-        """
+    def _volterra_rows(self, system, F, steps):
+        """Rows of the Volterra operator applied to F at the steps."""
+        return _volterra_matrix(system.step(F.dt), self, F.nodes,
+                                F.dt)[list(steps)]
+
+    def _segment(self, system, vals, m, node_steps, dt, tol, guard):
+        """The series on [0, m dt]: a term is V^k T x on the lattice, its
+        size the max-abs entry; every term shares the prepared T(dt)."""
+        step = system.step(dt)
+        orbit = system.orbit_rows(vals, m, dt)
+        total, diag = _neumann_sum(
+            orbit, _volterra_matrix(step, self, orbit, dt),
+            lambda nodes: _volterra_matrix(step, self, nodes, dt), _sup,
+            _sup(orbit), tol, guard)
+        return [total[j].copy() for j in node_steps], diag
+
+    def _admissibility_probe(self, system, F, steps, fn):
+        """The Volterra rows of F at the steps and its norm; on R^n
+        nothing is reconstructed."""
+        return self._volterra_rows(system, F, steps), fn, 0.0, None
+
+    def _resolvent_norm(self, system, lam):
+        """||R(lam, A) B||_2."""
+        return opnorm2(system.resolvent(lam, self.matrix_data))
+
+    def _generator_values(self, system, f):
+        """f and (A + B) f."""
+        x = system.state_values(f)
+        return x, self._perturbed_generator(system) @ x
+
+    def _perturbed_generator(self, system):
+        """A + B."""
+        return system.A + self.matrix_data
+
+
+class RankOneOperator(PerturbationOperator):
+    """B f = (pairing of f with measure) * profile.
+
+    ``regularized_profile`` h, when supplied, must satisfy
+    profile = h - h' exactly; it is what the slow regularized route
+    and the extrapolation-norm constant use.  The fast path only
+    needs ``profile``, whose sup is taken once, as ``profile_sup``.
+    """
+
+    system_class = TranslationSystem
+
+    def __init__(self, measure: BoundedMeasure, profile: PiecewiseFunction,
+                 regularized_profile: PiecewiseFunction | None = None):
         if regularized_profile is not None:
             resid = (regularized_profile
                      - regularized_profile.derivative()) - profile
@@ -139,26 +199,20 @@ class PerturbationOperator:
                 raise ValueError(
                     "regularized_profile does not regularize profile: "
                     f"residual sup {resid.sup_norm():.3e}")
-        return cls("rank_one", measure=measure, profile=profile,
-                    regularized_profile=regularized_profile)
+        self.measure = measure
+        self.profile = profile
+        self.regularized_profile = regularized_profile
+        self.profile_sup = profile.sup_norm()
+        self._profile_cache = {}
+        self._kernel_cache = {}
 
-    # -- constants ---------------------------------------------------------
-
-    def analytic_volterra_bound(self, system, t0: float) -> float:
-        """Guard for the Volterra operator norm on horizon t0.
-
-        Matrix kind: t0 * sup ||T(r)|| * ||B||, the sup sampled at the 65
-        points of the system's ``propagator_sup``, so a sampled value,
-        not a bound: a finer sampling of the sup can exceed it slightly.
-        Rank-one kind: t0 * |mu|(R) * sup|g|, an upper bound, from
-        pulling the absolute value through the defining integral.  Guards
-        use this, not an empirical lower estimate.
-        """
-        if self.kind == "matrix":
-            return t0 * system.propagator_sup(t0) * self.matrix_norm
+    def _guard(self, system, t0):
+        """t0 * |mu|(R) * sup|g|, an upper bound, from pulling the
+        absolute value through the defining integral; it reads no
+        system, so ``system`` may be None."""
         return t0 * self.measure.total_variation() * self.profile_sup
 
-    # -- lattice sample caches (rank-one) ----------------------------------
+    # -- lattice sample caches ---------------------------------------------
 
     def _profile_lattice(self, system: TranslationSystem, m_extra: int):
         """Sided samples of g on the grid lattice extended m_extra steps,
@@ -203,6 +257,108 @@ class PerturbationOperator:
                                   spectrum)
         return recent_memo(self._kernel_cache, (dt, m_steps), build)
 
+    # -- the kind's half of the engine -------------------------------------
+
+    def _volterra_rows(self, system, F, steps):
+        """Node values of the Volterra operator applied to F at the steps."""
+        phi = pair_rows(self.measure, system, F.nodes)
+        return _convolved_nodes(system, self, phi, F.dt, steps)
+
+    def _segment(self, system, vals, m, node_steps, dt, tol, guard):
+        """The series on [0, m dt]: a term is the pairings phi of
+        V^(k-1) T x with the measure, advanced by the renewal kernel, its
+        size sup|g| times the trapezoid of |phi|; S adds one profile
+        convolution of their sum to T x.  The first pairings are
+        ``pair_rows`` over the orbit window of x, read in place."""
+        _require_time_grid(system, dt)
+        ker = self._kernel_lattice(dt, m)
+        gsup = self.profile_sup
+
+        def size(phi):
+            w = np.abs(phi)
+            return float(gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1]))
+
+        window = system.orbit_rows(vals, m, dt)
+        phi_total, diag = _neumann_sum(
+            np.zeros(m + 1), pair_rows(self.measure, system, window),
+            lambda phi: _kernel_step(phi, ker, dt), size, _sup(vals), tol,
+            guard)
+        conv = _convolved_nodes(system, self, phi_total, dt, node_steps)
+        return [system.make(window[j] + c)
+                for j, c in zip(node_steps, conv)], diag
+
+    def _admissibility_probe(self, system, F, steps, fn):
+        """The Volterra rows of F at the steps from one pairing, F's sup
+        over the measure's support hull (else its norm ``fn``), and the
+        regularized route's gap or NotInStateSpace."""
+        phi = pair_rows(self.measure, system, F.nodes)
+        rows = _convolved_nodes(system, self, phi, F.dt, steps)
+        gap, miss = 0.0, None
+        if self.regularized_profile is not None:
+            try:
+                gap = self._regularized_gap(system, phi, F.dt, rows[0])
+            except NotInStateSpace as exc:
+                miss = exc
+        pts = self.measure.support_points()
+        src = float(np.max(seminorm_rows(
+            system, F.nodes, CompactInterval(min(pts), max(pts))))) \
+            if pts else fn
+        return rows, src, gap, miss
+
+    def _regularized_gap(self, system, phi, dt, fast_out) -> float:
+        """Window sup gap between the fast path and the regularized
+        detour; NotInStateSpace when the detour does not reconstruct."""
+        m = len(phi) - 1
+        hvals = system.sample(self.regularized_profile).values
+        u = np.zeros(system.count)
+        for j in range(m + 1):
+            w = 0.5 if j in (0, m) else 1.0
+            u += w * phi[j] * system.shift_values(hvals, m - j)
+        u *= dt
+        recon = reconstruct(system, system.make(u))
+        return system.seminorm(recon.values - fast_out)
+
+    def _resolvent_norm(self, system, lam):
+        """|mu|(R) times the window sup of the resolvent applied to the
+        profile, on a lattice covering the window and its support."""
+        lo, hi = self.profile.support_bounds()
+        dt = system.spacing
+        win = system.window
+        x0 = min(float(win.lo), float(lo))
+        n = int(np.ceil((float(hi) - x0) / dt)) + 2
+        lattice = TranslationSystem(x0, dt, n, 0.0)
+        xs = lattice.nodes()
+        _, gm, _ = sample_sided(self.profile, xs, snap_tol=1e-6 * dt)
+        out = lattice.resolvent(lam, lattice.make(gm)).values
+        mask = (xs >= float(win.lo) - 1e-12) & (xs <= float(win.hi) + 1e-12)
+        return (self.measure.total_variation()
+                * float(np.max(np.abs(out[mask]))))
+
+    def _generator_values(self, system, f):
+        """Node values of f and of f' + (pairing of f) g; NotInStateSpace
+        unless the kink defects of f match the pairing-weighted profile
+        jumps within ``KINK_TOL``."""
+        phi_f = float(self.measure.pair(f))
+        for z, lo, hi in self.profile.jumps():
+            defect = float(f.one_sided_derivative(z, "left")
+                           - f.one_sided_derivative(z, "right"))
+            resid = defect - phi_f * float(hi - lo)
+            if abs(resid) > KINK_TOL:
+                raise NotInStateSpace(
+                    f"kink defect at {float(z)} misses the jump condition "
+                    f"by {resid:.3e}; difference quotients have no "
+                    "state-space limit", curvature=float(abs(resid)),
+                    threshold=KINK_TOL)
+        cf_vals = system.sample(f.derivative()
+                                + self.profile.scale(phi_f)).values
+        return system.sample(f).values, cf_vals
+
+    def _perturbed_generator(self, system):
+        """Refused: the perturbed generator is no matrix here."""
+        raise ValueError(
+            "comparison_check takes matrix perturbations; use "
+            "transport.comparison_curve for a rank-one transport operator")
+
 
 @dataclasses.dataclass
 class VectorTrajectory:
@@ -216,19 +372,14 @@ class VectorTrajectory:
     def steps(self) -> int:
         return self.nodes.shape[0] - 1
 
-    @property
-    def t0(self) -> float:
-        return self.dt * self.steps
-
     def node(self, j: int):
-        if self.system.kind == "translation":
-            return self.system.make(self.nodes[j])
-        return self.nodes[j].copy()
+        return self.system.make(self.nodes[j])
 
     def step_of(self, t: float) -> int:
         m = _lattice_steps(t, self.dt)
         if m > self.steps:
-            raise StepMismatch(f"t={t!r} beyond trajectory horizon {self.t0!r}")
+            raise StepMismatch(f"t={t!r} beyond trajectory horizon "
+                               f"{self.dt * self.steps!r}")
         return m
 
     def norm(self) -> float:
@@ -238,13 +389,12 @@ class VectorTrajectory:
     def orbit(cls, system, x, t0: float, dt: float) -> "VectorTrajectory":
         """Unperturbed orbit T(j dt) x, j = 0..t0/dt.
 
-        The rows of ``_orbit_rows``; on grids a writable copy of the
+        The system's ``orbit_rows``; on grids a writable copy of the
         orbit window, the rows the Neumann series pairs in place.
         """
         m = _lattice_steps(t0, dt, "t0")
-        rows = _orbit_rows(system, system.state_values(x), m, dt)
-        return cls(system, dt, rows.copy() if system.kind == "translation"
-                   else rows)
+        rows = system.orbit_rows(system.state_values(x), m, dt)
+        return cls(system, dt, rows if rows.flags.writeable else rows.copy())
 
     @classmethod
     def from_callable(cls, system, fn, t0: float, dt: float
@@ -268,24 +418,6 @@ class VectorTrajectory:
         return cls(system, dt, table)
 
 
-def _orbit_rows(system, vals, m: int, dt: float) -> np.ndarray:
-    """T(j dt) vals for j = 0..m: on grids the read-only ``_orbit_window``,
-    on R^n the ``lattice_orbit`` of the system's prepared step T(dt)."""
-    if system.kind == "translation":
-        return _orbit_window(system, vals, m, system.steps_of(dt))
-    return lattice_orbit(system.step(dt), vals, m)
-
-
-def _orbit_window(system: TranslationSystem, vals, m: int, k: int = 1):
-    """Read-only (m+1) x count view whose row j is T(j k spacing) vals.
-
-    Row j starts j k entries into vals padded with m k copies of its edge
-    value, so the rows share one buffer of count + m k doubles.
-    """
-    padded = np.concatenate([vals, np.full(m * k, vals[-1])])
-    return np.lib.stride_tricks.sliding_window_view(padded, system.count)[::k]
-
-
 def _require_time_grid(system: TranslationSystem, dt: float):
     if abs(dt - system.spacing) > 1e-12 * system.spacing:
         raise StepMismatch(
@@ -304,35 +436,24 @@ def volterra_trajectory(system, op: PerturbationOperator,
     Output node m holds the causal convolution of the extended propagators
     against B F over [0, m dt], reconstructed back into the state space.
     """
-    if op.kind == "matrix":
-        rows = _volterra_matrix(system.step(F.dt), op, F.nodes, F.dt)
-    else:
-        rows = np.array([r.values for r in _volterra_nodes(
-            system, op, F, range(F.steps + 1))])
-    return VectorTrajectory(system, F.dt, rows)
+    op._paired(system)
+    return VectorTrajectory(system, F.dt, np.asarray(
+        op._volterra_rows(system, F, range(F.steps + 1))))
 
 
 def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
                    t: float):
     """Value of the Volterra operator applied to F at one time t."""
-    return _volterra_nodes(system, op, F, [F.step_of(t)])[0]
-
-
-def _volterra_nodes(system, op, F: VectorTrajectory, steps):
-    """Values of the Volterra operator applied to F at the lattice steps."""
-    if op.kind == "matrix":
-        out = _volterra_matrix(system.step(F.dt), op, F.nodes, F.dt)
-        return [out[m].copy() for m in steps]
-    phi = pair_rows(op.measure, system, F.nodes)
-    return _convolved_nodes(system, op, phi, F.dt, steps)
+    op._paired(system)
+    return system.make(op._volterra_rows(system, F, [F.step_of(t)])[0])
 
 
 def _convolved_nodes(system, op, phi, dt, steps):
-    """Rank-one Volterra values at the steps from the node pairings phi."""
+    """Rank-one Volterra node values at the steps from the node pairings
+    phi, on the profile lattice as long as the largest step."""
     _require_time_grid(system, dt)
-    prof, cells = op._profile_lattice(system, len(phi) - 1)
-    return [system.make(_profile_convolution(phi, m, prof, cells,
-                                             system.count, dt))
+    prof, cells = op._profile_lattice(system, max(steps, default=0))
+    return [_profile_convolution(phi, m, prof, cells, system.count, dt)
             for m in steps]
 
 
@@ -493,60 +614,28 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
                   enforce_guard: bool = True):
     """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
 
-    The trajectory of S is the sum of V^k T x, V the Volterra operator.
-    Matrix kind: a term is V^k T x on the lattice, its size the max-abs
-    entry.  Rank-one kind: a term is the pairings phi of V^(k-1) T x with
-    the measure, advanced by the renewal kernel, its size sup|g| times the
-    trapezoid of |phi|; S adds one profile convolution of their sum to T x.
-    The first pairings are ``pair_rows`` over the orbit window of x (the
-    rows ``VectorTrajectory.orbit`` copies), read in place.
+    The trajectory of S is the sum of V^k T x, V the Volterra operator;
+    the operator's ``_segment`` says what a term is and how it is sized.
     The sum stops at the first term of size below tol (1 - q), q the last
     ratio of consecutive sizes clipped to [0, 0.999] (the guard before
     the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
     terms, raise NonConvergence; a NaN or Inf state, or a NaN or negative
     tol, raises ValueError.
     """
+    op._paired(system)
     m_steps = _lattice_steps(t0, dt, "t0")
     guard = _series_guard(op, system, t0, enforce_guard, tol)
     return _neumann_segment(system, op, x, m_steps, node_steps, dt, tol,
-                            guard, _series_step(system, dt))
+                            guard)
 
 
-def _series_step(system, dt):
-    """The system's prepared step T(dt) on R^n; None on grids, where a
-    step is an index shift."""
-    return system.step(dt) if system.kind == "matrix" else None
-
-
-def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard, step):
-    """The series of ``neumann_nodes`` on [0, m dt] under a given guard,
-    with the matrix kind's ``_series_step``."""
+def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
+    """The series of ``neumann_nodes`` on [0, m dt] under a given guard."""
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
     vals = system.state_values(x)
     require_finite("state x", vals)
-    if op.kind == "matrix":
-        orbit = lattice_orbit(step, vals, m)
-        total, diag = _neumann_sum(
-            orbit, _volterra_matrix(step, op, orbit, dt),
-            lambda nodes: _volterra_matrix(step, op, nodes, dt), _sup,
-            _sup(orbit), tol, guard)
-        return [total[j].copy() for j in node_steps], diag
-    _require_time_grid(system, dt)
-    ker = op._kernel_lattice(dt, m)
-    gsup = op.profile_sup
-
-    def size(phi):
-        w = np.abs(phi)
-        return float(gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1]))
-
-    window = _orbit_window(system, vals, m)
-    phi_total, diag = _neumann_sum(
-        np.zeros(m + 1), pair_rows(op.measure, system, window),
-        lambda phi: _kernel_step(phi, ker, dt), size, _sup(vals), tol, guard)
-    conv = _convolved_nodes(system, op, phi_total, dt, node_steps)
-    return [system.make(window[j]) + c
-            for j, c in zip(node_steps, conv)], diag
+    return op._segment(system, vals, m, node_steps, dt, tol, guard)
 
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
@@ -561,19 +650,17 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     term norms refuse to decay, and ValueError for a NaN or negative tol.
     """
+    op._paired(system)
     if t < -1e-12:
         raise ValueError("t must be nonnegative")
     m0 = _lattice_steps(t0, dt, "t0")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, enforce_guard, tol)
-    state = system.state_values(x)
-    if system.kind == "translation":
-        state = system.make(state)
-    step = _series_step(system, dt)
+    state = system.make(system.state_values(x))
     diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
     for steps in ([m_rest] if m_rest else []) + [m0] * n_full:
         out, diag = _neumann_segment(system, op, state, steps, [steps], dt,
-                                     tol, guard, step)
+                                     tol, guard)
         state = out[0]
         diag_all = diag_all.merge(diag)
     return (state, diag_all) if diagnostics else state
@@ -584,10 +671,9 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
 
 
 def _element_diff_norm(system, a, b):
-    """Window seminorm of a - b on grids, max-abs entry otherwise."""
-    if isinstance(a, GridFunction):
-        return (a - b).seminorm(system.window)
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    """The system's seminorm of a - b: over the window on grids, the
+    max-abs entry on R^n."""
+    return system.seminorm(system.state_values(a) - system.state_values(b))
 
 
 def _ceil_steps(t: float, dt: float) -> int:
@@ -608,10 +694,8 @@ def _traj_at(traj: VectorTrajectory, time: float):
     theta = pos - j
     if theta < 1e-9:
         return traj.node(j)
-    a, b = traj.node(j), traj.node(j + 1)
-    if isinstance(a, GridFunction):
-        return a.with_values((1.0 - theta) * a.values + theta * b.values)
-    return (1.0 - theta) * a + theta * b
+    return traj.system.make((1.0 - theta) * traj.nodes[j]
+                            + theta * traj.nodes[j + 1])
 
 
 def identity_check(system, op: PerturbationOperator, n: int, s: float,
@@ -652,14 +736,13 @@ def varpar_residual(system, op: PerturbationOperator, S_fn, t: float,
     S_fn(r) must return S(r) x for lattice times r.  The residual is
     S(t) x - T(t) x - (Volterra applied to the S trajectory at t).  The
     S trajectory is the one table of ``from_callable``; T(t) x is read
-    as the last of ``_orbit_rows``, no orbit table copied.
+    as the last of the system's ``orbit_rows``, no orbit table copied.
     """
     traj = VectorTrajectory.from_callable(system, S_fn, t, dt)
     integral = volterra_apply(system, op, traj, t)
-    free = _orbit_rows(system, system.state_values(x), traj.steps, dt)[-1]
-    if system.kind == "translation":
-        free = system.make(free)
-    return _element_diff_norm(system, traj.node(traj.steps), free + integral)
+    free = system.orbit_rows(system.state_values(x), traj.steps, dt)[-1]
+    return _element_diff_norm(system, traj.node(traj.steps),
+                              system.make(free) + integral)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +804,8 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
     (c) the operator norm surrogate stays below one half, where pass/fail
         uses the analytic bound and the observed value is reported.
     """
+    op._paired(system)
     m_steps = _lattice_steps(t0, dt, "t0")
-    src_window = _measure_window(op) if op.kind == "rank_one" else None
 
     worst_recon = 0.0
     escape = None
@@ -736,42 +819,24 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         if fn == 0:
             continue
         steps = [F.step_of(r) for r in [t0] + [j * dt for j in sample_steps]]
-        if op.kind == "matrix":
-            out, *sampled = _volterra_nodes(system, op, F, steps)
-            out_norm = _sup(out)
-            semi = out_norm
-            src = fn
-        else:
-            phi = pair_rows(op.measure, system, F.nodes)
-            out, *sampled = _convolved_nodes(system, op, phi, F.dt, steps)
-            if op.regularized_profile is not None:
-                try:
-                    worst_recon = max(worst_recon, _regularized_residual(
-                        system, op, phi, F.dt, out))
-                except NotInStateSpace as exc:
-                    if escape is None or exc.curvature > escape.curvature:
-                        escape = exc
-            out_norm = out.sup_norm()
-            semi = out.seminorm(system.window)
-            src = float(np.max(seminorm_rows(system, F.nodes, src_window))) \
-                if src_window else fn
-        m_obs = max(m_obs, out_norm / fn)
+        (out, *sampled), src, gap, miss = op._admissibility_probe(
+            system, F, steps, fn)
+        worst_recon = max(worst_recon, gap)
+        if miss is not None and (escape is None
+                                 or miss.curvature > escape.curvature):
+            escape = miss
+        m_obs = max(m_obs, _sup(out) / fn)
         if src > 1e-300:
-            khat = max(khat, semi / src)
+            khat = max(khat, system.seminorm(out) / src)
         for v in sampled:
-            vn = _sup(v) if op.kind == "matrix" else v.sup_norm()
-            v_lower = max(v_lower, vn / fn)
+            v_lower = max(v_lower, _sup(v) / fn)
 
     analytic = op.analytic_volterra_bound(system, t0)
-    win = (float(system.window.lo), float(system.window.hi)) \
-        if op.kind == "rank_one" else (float("-inf"), float("inf"))
-    lands = op.kind == "matrix" or (escape is None
-                                    and worst_recon <= 50 * dt)
     return AdmissibilityReport(
-        lands_in_state_space=lands,
+        lands_in_state_space=escape is None and worst_recon <= 50 * dt,
         worst_reconstruction_residual=worst_recon,
         seminorm_constant=khat,
-        seminorm_window=win,
+        seminorm_window=(float(system.window.lo), float(system.window.hi)),
         smallness_observed=m_obs,
         smallness_analytic=analytic,
         smallness_pass=max(m_obs, analytic) < 0.5,
@@ -779,28 +844,6 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         probes_used=len(probes),
         escape=escape,
     )
-
-
-def _measure_window(op) -> CompactInterval | None:
-    pts = op.measure.support_points()
-    if not pts:
-        return None
-    return CompactInterval(float(min(pts)), float(max(pts)))
-
-
-def _regularized_residual(system, op, phi, dt, fast_out) -> float:
-    """Sup gap between the fast path and the regularized detour on the
-    window; NotInStateSpace when the detour does not reconstruct."""
-    h = op.regularized_profile
-    m = len(phi) - 1
-    hvals = system.sample(h).values
-    u = np.zeros(system.count)
-    for j in range(m + 1):
-        w = 0.5 if j in (0, m) else 1.0
-        u += w * phi[j] * system.shift_values(hvals, m - j)
-    u *= dt
-    recon = reconstruct(system, system.make(u))
-    return (recon - fast_out).seminorm(system.window)
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +859,7 @@ def perturbed_resolvent_check(system, op: PerturbationOperator,
     with V + M q/(1-q) V where q = exp((growth - lambda) t0) and V is the
     analytic Volterra bound.  Returns per-lambda numbers plus flags.
     """
+    op._paired(system)
     vb = op.analytic_volterra_bound(system, t0)
     omega = system.growth_bound
     mconst = system.bound_constant
@@ -825,13 +869,7 @@ def perturbed_resolvent_check(system, op: PerturbationOperator,
             raise ValueError("lambda must exceed the growth bound")
         q = float(np.exp((omega - lam) * t0))
         bound = vb + mconst * q / (1.0 - q) * vb
-        if op.kind == "matrix":
-            R = np.linalg.solve(lam * np.eye(system.dim) - system.A,
-                                op.matrix_data)
-            observed = opnorm2(R)
-        else:
-            observed = (op.measure.total_variation()
-                        * _resolvent_profile_sup(system, op.profile, lam))
+        observed = op._resolvent_norm(system, lam)
         rows.append({"lam": float(lam), "observed": float(observed),
                      "bound": float(bound),
                      "within": bool(observed <= bound * (1 + 1e-8) + 1e-12)})
@@ -844,57 +882,22 @@ def perturbed_resolvent_check(system, op: PerturbationOperator,
     }
 
 
-def _resolvent_profile_sup(system: TranslationSystem,
-                           g: PiecewiseFunction, lam: float) -> float:
-    """Sup over the window of the resolvent applied to the profile."""
-    lo, hi = g.support_bounds()
-    dt = system.spacing
-    win = system.window
-    x0 = min(float(win.lo), float(lo))
-    n = int(np.ceil((float(hi) - x0) / dt)) + 2
-    lattice = TranslationSystem(x0, dt, n, 0.0)
-    xs = lattice.nodes()
-    _, gm, _ = sample_sided(g, xs, snap_tol=1e-6 * dt)
-    out = lattice.resolvent(lam, lattice.make(gm)).values
-    mask = (xs >= float(win.lo) - 1e-12) & (xs <= float(win.hi) + 1e-12)
-    return float(np.max(np.abs(out[mask])))
-
-
 def generator_check(system, op: PerturbationOperator, f, h_steps,
                     dt: float, t0: float) -> dict:
     """Difference quotients of the perturbed semigroup against the exact
     generator action.
 
-    One Neumann series on [0, t0] gives every h.  For rank-one ops, f
-    must be continuous piecewise-polynomial and its kink defects must
-    match the pairing-weighted profile jumps within ``KINK_TOL``;
-    otherwise the quotient has no state-space limit and NotInStateSpace
-    is raised.  Returns per-h sup residuals on the window.
+    One Neumann series on [0, t0] gives every h.  The operator's
+    ``_generator_values`` give the values of f and of the perturbed
+    generator applied to f; for rank-one ops that refuses f whose kinks
+    miss the profile jumps.  Returns per-h sup residuals on the window.
     """
+    op._paired(system)
     steps = [_lattice_steps(h, dt, "h") for h in h_steps]
-    if op.kind == "matrix":
-        x = np.asarray(f, dtype=float)
-        Cf = (system.A + op.matrix_data) @ x
-        nodes, _ = neumann_nodes(system, op, x, t0, steps, dt)
-        return {h: float(np.max(np.abs((v - x) / h - Cf)))
-                for h, v in zip(h_steps, nodes)}
-
-    phi_f = float(op.measure.pair(f))
-    for z, lo, hi in op.profile.jumps():
-        defect = float(f.one_sided_derivative(z, "left")
-                       - f.one_sided_derivative(z, "right"))
-        resid = defect - phi_f * float(hi - lo)
-        if abs(resid) > KINK_TOL:
-            raise NotInStateSpace(
-                f"kink defect at {float(z)} misses the jump condition by "
-                f"{resid:.3e}; difference quotients have no state-space "
-                "limit", curvature=float(abs(resid)), threshold=KINK_TOL)
-    Cf_fun = f.derivative() + op.profile.scale(phi_f)
-    cf_vals = system.sample(Cf_fun).values
-    fvals = system.sample(f).values
+    fvals, cf = op._generator_values(system, f)
     nodes, _ = neumann_nodes(system, op, system.make(fvals), t0, steps, dt)
-    return {h: system.make((v.values - fvals) / h - cf_vals).seminorm(
-        system.window) for h, v in zip(h_steps, nodes)}
+    return {h: system.seminorm((system.state_values(v) - fvals) / h - cf)
+            for h, v in zip(h_steps, nodes)}
 
 
 def favard_seminorm(system, x, alpha: float, s_values) -> float:
@@ -904,11 +907,7 @@ def favard_seminorm(system, x, alpha: float, s_values) -> float:
     for s in s_values:
         if s <= 0:
             raise ValueError("sample times must be positive")
-        if system.kind == "translation":
-            moved = system.shift_values(vals, system.steps_of(s))
-        else:
-            moved = system.propagator(s) @ vals
-        gap = _sup(moved - vals)
+        gap = _sup(system.orbit_rows(vals, 1, s)[-1] - vals)
         best = max(best, gap / s ** alpha)
     return best
 
@@ -921,16 +920,13 @@ def comparison_check(system, op: PerturbationOperator, t_values) -> dict:
     from the renewal weights.  Returns per-t constants, their max, and
     the max/min stability ratio.
     """
-    if op.kind != "matrix":
-        raise ValueError(
-            "comparison_check takes matrix perturbations; use "
-            "transport.comparison_curve for a rank-one transport operator")
+    op._paired(system)
+    C = op._perturbed_generator(system)
     rows = []
     for t in t_values:
         if t <= 0:
             raise ValueError("comparison times must be positive")
-        S = expm(t * (system.A + op.matrix_data))
-        c = opnorm2(S - system.propagator(t)) / t
+        c = opnorm2(expm(t * C) - system.propagator(t)) / t
         rows.append({"t": float(t), "constant": float(c)})
     top, ratio = comparison_summary([r["constant"] for r in rows])
     return {"rows": rows, "constant": top, "stability_ratio": ratio}

@@ -14,16 +14,16 @@ coordinates: the element F is represented by u = R(1, A_ext) F, an
 ordinary state-space element, with norm and seminorms read off u.  The
 embedding of a state x is u = R(1, A) x, the generator image A_ext x is
 u = R(1, A) x - x (the resolvent identity, no derivative of x formed),
-and the extended semigroup acts on u as T(t) does.  :func:`reconstruct`
-applies (1 - A) to u and, on grids, rejects results whose discrete
-curvature blows up like 1/spacing (the signature of a function that left
-the state space).
+and the extended semigroup acts on u as T(t) does.  On grids,
+:func:`reconstruct` applies (1 - A) to u and rejects results whose
+discrete curvature blows up like 1/spacing (the signature of a function
+that left the state space).
 """
 
 from __future__ import annotations
 
 import functools
-from math import ceil, exp, isfinite, log2
+from math import ceil, exp, inf, isfinite, log2
 
 import numpy as np
 
@@ -179,10 +179,10 @@ class MatrixSystem:
     step T(dt) of ``step``.  Every exponential passes ``require_finite``,
     so an overflowing generator is refused by a ValueError naming the
     time.  The state may be a vector or an n x k matrix; T(t) acts from
-    the left.
+    the left.  ``window`` is (-inf, inf): seminorms see the whole space.
     """
 
-    kind = "matrix"
+    window = CompactInterval(-inf, inf)
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
@@ -227,6 +227,18 @@ class MatrixSystem:
                              f"this system's R^{self.dim}")
         return x
 
+    def make(self, values) -> np.ndarray:
+        """Node values as a state: a fresh float array."""
+        return np.array(values, dtype=float)
+
+    def seminorm(self, values) -> float:
+        """The largest |entry|: the seminorm over the whole space."""
+        return float(np.max(np.abs(values)))
+
+    def orbit_rows(self, vals, m: int, dt: float) -> np.ndarray:
+        """T(j dt) vals, j = 0..m: the ``lattice_orbit`` of ``step(dt)``."""
+        return lattice_orbit(self.step(dt), vals, m)
+
     def propagator(self, t: float) -> np.ndarray:
         self._check_time(t)
         E = expm(t * self.A)
@@ -245,18 +257,12 @@ class MatrixSystem:
         require_finite(f"T(q dt) at dt = {dt!r}, q <= {m}", table)
         return table
 
-    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.propagator(t) @ np.asarray(x, dtype=float)
-
     def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
         if lam <= self.growth_bound:
             raise ValueError(
                 f"resolvent needs lam > growth bound ({lam} <= {self.growth_bound})"
             )
         return np.linalg.solve(lam * np.eye(self.dim) - self.A, np.asarray(x, dtype=float))
-
-    def norm(self, x) -> float:
-        return float(np.linalg.norm(x, np.inf)) if np.ndim(x) == 1 else opnorm2(x)
 
     def validate(self):
         """T(0) = I, the semigroup law and the growth bound at the sample
@@ -289,7 +295,6 @@ class TranslationSystem:
     reads continued edge values inside it.
     """
 
-    kind = "translation"
     growth_bound = 0.0
     bound_constant = 1.0
 
@@ -333,9 +338,6 @@ class TranslationSystem:
     def sample(self, f: PiecewiseFunction) -> GridFunction:
         return to_grid(f, self.origin, self.spacing, self.count)
 
-    def zeros(self) -> GridFunction:
-        return self.make(np.zeros(self.count))
-
     def steps_of(self, t: float) -> int:
         """Lattice step count for t; rejects off-lattice times."""
         k = t / self.spacing
@@ -369,16 +371,20 @@ class TranslationSystem:
         self._check_grid(x)
         return x.values
 
+    def seminorm(self, values) -> float:
+        """The seminorm over ``window`` of these node values."""
+        return self.make(values).seminorm(self.window)
+
     # -- semigroup action ---------------------------------------------
 
-    def apply(self, t: float, f: GridFunction) -> GridFunction:
-        if t < -1e-15:
-            raise HorizonExceeded("negative time")
-        if t > self.horizon + 1e-12:
-            raise HorizonExceeded(f"t = {t} beyond horizon {self.horizon}")
-        self._check_grid(f)
-        k = self.steps_of(t)
-        return self.make(self.shift_values(f.values, k))
+    def orbit_rows(self, vals, m: int, dt: float) -> np.ndarray:
+        """Read-only (m+1) x count view whose row j is T(j dt) vals: for
+        dt = k spacings, j k entries into vals padded with m k copies of
+        its edge value, so the rows share one buffer."""
+        k = self.steps_of(dt)
+        padded = np.concatenate([vals, np.full(m * k, vals[-1])])
+        return np.lib.stride_tricks.sliding_window_view(
+            padded, self.count)[::k]
 
     def shift_values(self, values: np.ndarray, k: int) -> np.ndarray:
         """values[i + k], the edge value filling past the edge."""
@@ -431,20 +437,22 @@ class TranslationSystem:
 # regularized coordinates for the extrapolation completion
 
 
-def reconstruct(system, u):
-    """Recover the state element (1 - A) u from regularized coordinates u.
+def reconstruct(system: TranslationSystem, u):
+    """Recover the grid element (1 - A) u from regularized coordinates u.
 
-    Matrix systems invert exactly.  Grid systems apply u - u' with
-    centered differences and then test the discrete curvature
-    max |second difference| / spacing^2 on the interior window against
-    the threshold 10 / spacing: genuine state elements keep bounded
-    curvature under refinement while jump artifacts grow like 1/spacing
-    past any fixed bound.  Failing the test raises NotInStateSpace,
-    which is a legitimate diagnostic outcome.
+    Applies u - u' with centered differences and then tests the discrete
+    curvature max |second difference| / spacing^2 on the interior window
+    against the threshold 10 / spacing: genuine state elements keep
+    bounded curvature under refinement while jump artifacts grow like
+    1/spacing past any fixed bound.  Failing the test raises
+    NotInStateSpace, which is a legitimate diagnostic outcome.  Other
+    systems are refused by a TypeError: on R^n there is nothing to
+    recover, the extrapolation space being the state space.
     """
+    if not isinstance(system, TranslationSystem):
+        raise TypeError("reconstruct works on a TranslationSystem, not on "
+                        f"a {type(system).__name__}")
     vals = system.state_values(u)
-    if system.kind == "matrix":
-        return (np.eye(system.dim) - system.A) @ vals
     r = vals - system.derivative_values(vals)
     threshold = 10.0 / system.spacing
     mask = system.window_mask()

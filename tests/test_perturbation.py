@@ -689,7 +689,7 @@ def test_raw_node_values_are_refused_as_grid_state():
     calls = (
         lambda: VectorTrajectory.orbit(system, x, 0.2, 1e-2),
         lambda: neumann_semigroup(system, op, x, 0.2, 0.2, 1e-2),
-        lambda: system.apply(0.1, x),
+        lambda: favard_seminorm(system, x, 1.0, [0.1]),
     )
     for call in calls:
         with pytest.raises(ValueError,
@@ -713,6 +713,38 @@ def test_matrix_state_of_wrong_shape_is_refused(x):
         with pytest.raises(ValueError,
                            match=r"does not live on this system's R\^2"):
             call()
+
+
+# each entry point refuses an operator on the other kind's system
+PAIRED_CALLS = {
+    "neumann_semigroup":
+        lambda s, op, x: neumann_semigroup(s, op, x, 0.2, 0.2, 1e-2),
+    "neumann_nodes":
+        lambda s, op, x: neumann_nodes(s, op, x, 0.2, [20], 1e-2),
+    "volterra_trajectory": lambda s, op, x: volterra_trajectory(
+        s, op, VectorTrajectory.orbit(s, x, 0.2, 1e-2)),
+    "admissibility_check": lambda s, op, x: admissibility_check(
+        s, op, 0.2, 1e-2, [VectorTrajectory.orbit(s, x, 0.2, 1e-2)]),
+    "generator_check":
+        lambda s, op, x: generator_check(s, op, x, [1e-2], 1e-2, 0.2),
+}
+
+
+@pytest.mark.parametrize("call", PAIRED_CALLS.values(), ids=PAIRED_CALLS)
+@pytest.mark.parametrize("kind", ["matrix-on-grid", "rank-one-on-R^n"])
+def test_mismatched_system_and_operator_are_refused_by_name(call, kind):
+    prob = delta_problem()
+    if kind == "matrix-on-grid":
+        system = make_system(prob, 1e-2, 0.2, 0.2)
+        op, x = coupled_op(), system.sample(tent())
+        want = "MatrixOperator acts on a MatrixSystem, not on a " \
+               "TranslationSystem"
+    else:
+        system, op, x = diag_system(), build_rank_one(prob), np.ones(2)
+        want = "RankOneOperator acts on a TranslationSystem, not on a " \
+               "MatrixSystem"
+    with pytest.raises(TypeError, match=want):
+        call(system, op, x)
 
 
 # ---------------------------------------------------------------------------

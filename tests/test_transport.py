@@ -41,7 +41,6 @@ from semiperturb.transport import (
     corner_profile,
     domain_check,
     engine_vs_oracle,
-    guard_product,
     make_system,
     oracle_solution,
     oracle_weights,
@@ -551,7 +550,7 @@ def test_sawtooth_problem_runs_without_regularizer():
         initial=tent(),
     )
     op = build_rank_one(prob, require_regularized=False)
-    assert guard_product(op, 0.3) == pytest.approx(0.3)
+    assert op.analytic_volterra_bound(None, 0.3) == pytest.approx(0.3)
     out = engine_vs_oracle(prob, 0.5, 4e-3, 0.3)
     assert out["gap"] <= 1e-3
 
