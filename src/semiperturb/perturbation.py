@@ -139,10 +139,11 @@ class MatrixOperator(PerturbationOperator):
         self.matrix_norm = opnorm2(B)
 
     def _guard(self, system, t0):
-        """t0 * sup ||T(r)|| * ||B||, the sup sampled at the 65 points of
-        the system's ``propagator_sup``, so a sampled value, not a bound:
-        a finer sampling of the sup can exceed it slightly."""
-        return t0 * system.propagator_sup(t0) * self.matrix_norm
+        """t0 max(1, e^{t0 mu}) ||B||_2, mu the system's ``log_norm``: a
+        bound; 0.0 when ||B||_2 = 0, inf past the float range."""
+        with np.errstate(over="ignore"):
+            growth = float(np.exp(max(0.0, t0 * system.log_norm)))
+        return t0 * growth * self.matrix_norm if self.matrix_norm else 0.0
 
     def _volterra_rows(self, system, F, steps):
         """Rows of the Volterra operator applied to F at the steps."""
@@ -854,21 +855,20 @@ def perturbed_resolvent_check(system, op: PerturbationOperator,
                               lam_values, t0: float, dt: float) -> dict:
     """Resolvent-composed-with-B norms against the chain bound.
 
-    For each lambda above the growth bound, computes (or bounds) the norm
-    of R(lambda) composed with B as a map on the state space and compares
-    with V + M q/(1-q) V where q = exp((growth - lambda) t0) and V is the
-    analytic Volterra bound.  Returns per-lambda numbers plus flags.
+    For each lambda above omega, the system's ``log_norm`` (so that
+    ||T(t)|| <= e^{omega t}), bounds ||R(lambda) B|| by V + q/(1-q) V,
+    q = exp((omega - lambda) t0), V the analytic Volterra bound, and
+    compares the observed norm.  Returns per-lambda numbers plus flags.
     """
     op._paired(system)
     vb = op.analytic_volterra_bound(system, t0)
-    omega = system.growth_bound
-    mconst = system.bound_constant
+    omega = system.log_norm
     rows = []
     for lam in lam_values:
         if lam <= omega:
-            raise ValueError("lambda must exceed the growth bound")
+            raise ValueError("lambda must exceed the log norm")
         q = float(np.exp((omega - lam) * t0))
-        bound = vb + mconst * q / (1.0 - q) * vb
+        bound = vb + q / (1.0 - q) * vb
         observed = op._resolvent_norm(system, lam)
         rows.append({"lam": float(lam), "observed": float(observed),
                      "bound": float(bound),
@@ -953,7 +953,7 @@ def matrix_probes(system: MatrixSystem, t0: float, dt: float,
     trajectories, for matrix admissibility runs."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     m = _lattice_steps(t0, dt, "t0")
-    props = system.powers(dt, m)
+    props = system.orbit_rows(np.eye(system.dim), m, dt)
     out = [VectorTrajectory(system, dt, props[:, :, i].copy())
            for i in range(system.dim)]
     for _ in range(3):

@@ -62,6 +62,7 @@ from .functions import (
 from .perturbation import (
     PerturbationOperator,
     SeriesDiagnostics,
+    _lattice_steps,
     comparison_summary,
     neumann_semigroup,
 )
@@ -248,11 +249,12 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
             = free[m] + dt phi[0] k_left[m] / 2,
 
     diag = 1 - dt * k_right(0)/2, which must stay positive; otherwise the
-    step size is rejected.  It is solved exactly, in blocks of 512 steps.
-    The history of the earlier blocks, entries [lo, hi) of the product
-    of the weights found so far with k_mid, is a middle product: one
-    circular FFT product of length ``_fft_length(m_steps + 1)``, against
-    the spectrum of k_mid taken once per call.  Each block then
+    step size is rejected by StepSizeError (a t off the dt lattice, or
+    negative, by StepMismatch).  It is solved exactly, in blocks of 512
+    steps.  The history of the earlier blocks, entries [lo, hi) of the
+    product of the weights found so far with k_mid, is a middle product:
+    one circular FFT product of length ``_fft_length(m_steps + 1)``,
+    against the spectrum of k_mid taken once per call.  Each block then
     multiplies by the reciprocal series of the symbol (diag,
     -dt k_mid[1], -dt k_mid[2], ...), cut to one block and built once per
     call.  The block products run on the direct convolution, and the
@@ -260,9 +262,7 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     scales with max|phi[:m+1]|, never with later weights: a prefix
     phi[:k+1] is as accurate as a solve that stops at step k.
     """
-    m_steps = int(round(t / dt))
-    if abs(t - m_steps * dt) > 1e-8 * max(dt, t):
-        raise StepSizeError(f"t={t} is not a multiple of dt={dt}")
+    m_steps = _lattice_steps(t, dt, "t")
     k_left, k_mid, k_right = sample_lag_kernel(measure, profile, dt,
                                                 m_steps)
     diag = 1.0 - 0.5 * dt * k_right[0]

@@ -31,6 +31,7 @@ from semiperturb.functions import (
     tent,
 )
 from semiperturb import functions, perturbation, semigroup
+from semiperturb.implemented import random_stable_pair
 from semiperturb.perturbation import (
     MAX_NEUMANN_TERMS,
     AdmissibilityReport,
@@ -192,6 +193,55 @@ def test_analytic_bound_matches_per_lag_sweep():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _swept_guard(A, B, t0):
+    """t0 ||B||_2 max ||expm(rA)||_2 over 2001 points r of [0, t0]."""
+    props = scipy.linalg.expm(np.linspace(0.0, t0, 2001)[:, None, None] * A)
+    return t0 * opnorm2(B) * float(np.max(np.linalg.norm(props, 2,
+                                                         axis=(1, 2))))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 5), t0=st.floats(0.0, 1.0, exclude_min=True),
+       shift=st.sampled_from([-2.0, 0.0, 1.0]), triangular=st.booleans(),
+       skew=st.sampled_from([1.0, 10.0, 50.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_matrix_guard_is_certified(n, t0, shift, triangular, skew, seed):
+    # the log-norm guard is a bound: no smaller than a 2001-point sweep
+    # of the propagator norm, to rounding, also for non-normal A
+    # (triangular ones with off-diagonal entries scaled by up to 50)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + shift * np.eye(n)
+    if triangular:
+        A = np.triu(A, 1) * skew + np.diag(np.diag(A))
+    B = rng.standard_normal((n, n))
+    guard = PerturbationOperator.matrix(B).analytic_volterra_bound(
+        MatrixSystem(A), t0)
+    assert guard >= _swept_guard(A, B, t0) * (1 - 1e-12)
+
+
+def test_matrix_guard_covers_the_sweep_of_a_stable_pair():
+    # the 65-sample guard read 0.0508655476 here, below the sweep
+    A, B = random_stable_pair(4, 5)
+    guard = PerturbationOperator.matrix(B).analytic_volterra_bound(
+        MatrixSystem(A), 0.5)
+    sweep = _swept_guard(A, B, 0.5)
+    assert sweep == pytest.approx(0.0508656320, rel=1e-9)
+    assert guard >= sweep
+    assert guard == pytest.approx(0.0528061076, rel=1e-9)
+
+
+def test_matrix_guard_is_never_nan():
+    # ||B||_2 = 0 gives 0.0 over an overflowing exponential, and a
+    # nonzero B gives inf there, which the series refuses by its guard
+    huge = MatrixSystem(1e300 * np.eye(2))
+    zero = PerturbationOperator.matrix(np.zeros((2, 2)))
+    assert zero.analytic_volterra_bound(huge, 0.5) == 0.0
+    op = PerturbationOperator.matrix(0.1 * np.eye(2))
+    assert op.analytic_volterra_bound(huge, 0.5) == math.inf
+    with pytest.raises(GuardViolation, match="Volterra bound inf >= 1"):
+        neumann_semigroup(huge, op, np.ones(2), 0.5, 0.5, 1e-2)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(n=st.integers(1, 5), k=st.sampled_from([None, 1, 3]),
        m1=st.sampled_from([1, 2, 3, 64, 501]),
@@ -225,29 +275,6 @@ def _count_expm(monkeypatch):
     monkeypatch.setattr(semigroup, "expm",
                         lambda A: calls.append(A) or real(A))
     return calls
-
-
-def test_matrix_guard_reads_the_system_sup_once_per_horizon(monkeypatch):
-    # bit for bit t0 * (the sampled sup) * ||B||_2, from one power table
-    # per system and horizon, whichever operator asks
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((4, 4)) - 2.5 * np.eye(4)
-    B = 0.1 * rng.standard_normal((4, 4))
-    t0 = 0.5
-    # the table comes from a twin system: the system under test keeps
-    # its prepared steps, so its own powers would warm the guard's step
-    props = MatrixSystem(A).powers(t0 / 64.0, 64)
-    want = t0 * float(np.max(np.linalg.norm(props, 2, axis=(1, 2)))) \
-        * opnorm2(B)
-    system = MatrixSystem(A)
-    calls = _count_expm(monkeypatch)
-    op = PerturbationOperator.matrix(B)
-    assert op.matrix_norm == opnorm2(B)
-    assert op.analytic_volterra_bound(system, t0) == want
-    assert op.analytic_volterra_bound(system, t0) == want
-    assert PerturbationOperator.matrix(2.0 * B).analytic_volterra_bound(
-        system, t0) == t0 * system.propagator_sup(t0) * opnorm2(2.0 * B)
-    assert len(calls) == 1
 
 
 def test_volterra_rank_one_constant_probe_exact():
@@ -512,8 +539,8 @@ def test_neumann_matrix_term_cap_raises(monkeypatch):
 
 
 def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
-    # one expm for the guard's power table and one for T(dt), shared by
-    # the orbit and every term, however many terms the tolerance needs
+    # one expm, for T(dt), shared by the orbit and every term, however
+    # many terms the tolerance needs; the guard takes none
     real = semigroup.expm
     calls = []
 
@@ -531,9 +558,9 @@ def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
         counts.append(len(calls))
         terms.append(diag.terms_used)
     assert terms[1] > terms[0]
-    assert counts == [2, 2]
-    # the system keeps the guard's sup and the prepared T(dt): a repeat
-    # series makes no exponential
+    assert counts == [1, 1]
+    # the system keeps the prepared T(dt): a repeat series makes no
+    # exponential
     calls.clear()
     neumann_nodes(sys_m, op, np.array([1.0, 1.0]), 0.5, [0, 50], 1e-2)
     assert len(calls) == 0
@@ -542,7 +569,7 @@ def test_neumann_matrix_one_step_exponential_per_series(monkeypatch):
 def test_matrix_checks_prepare_one_step_per_dt(monkeypatch):
     # orbits and Volterra applications share the system's T(dt): the
     # identity check makes one exponential for its one dt (nine before),
-    # admissibility one for the guard's table and one for dt (six before)
+    # admissibility one for dt (six before)
     A, op = np.diag([-1.0, -2.0]), coupled_op()
     x = np.array([1.0, 0.5])
     probes = matrix_probes(MatrixSystem(A), 0.2, 1e-2)
@@ -554,7 +581,7 @@ def test_matrix_checks_prepare_one_step_per_dt(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     admissibility_check(MatrixSystem(A), op, 0.2, 1e-2, probes)
-    assert len(calls) == 2
+    assert len(calls) == 1
     # the step is the one T(dt) of propagator, bit for bit
     assert system.step(1e-2).power(0).tobytes() \
         == system.propagator(1e-2).T.tobytes()
@@ -569,26 +596,26 @@ def test_matrix_perturbation_refuses_non_finite_entries(bad):
 
 
 def test_huge_generator_raises_by_its_first_series_or_validate():
-    # construction no longer builds the bound constant, so 1e300 I is
-    # accepted there; its first series, validate and bound_constant raise,
+    # 1e300 I is accepted at construction; its first series (guard not
+    # enforced), validate and a B = 0 series over 800 I raise, never
+    # returning NaN; each names the first time whose exponential
+    # overflows
     A = 1e300 * np.eye(2)
     op = PerturbationOperator.matrix(0.1 * np.eye(2))
-    # neither returns NaN; each names the first time whose exponential
-    # overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.0078125: "
+        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.01: "
                            "4 of 4 entries are NaN or Inf"):
             neumann_semigroup(MatrixSystem(A), op, np.ones(2), 0.5, 0.5,
                               1e-2, enforce_guard=False)
         with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.1: 4 of 4"):
             MatrixSystem(A).validate()
-        with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.025: 4 of 4"):
-            MatrixSystem(A).bound_constant
-        # T(1/64) = e^12.5 I is finite, but T(1) = e^800 I overflows in the
-        # guard's power table
-        with pytest.raises(ValueError, match=r"T\(q dt\) at dt = 0\.015625, "
-                           r"q <= 64: \d+ of 260 entries"):
-            MatrixSystem(800.0 * np.eye(2)).propagator_sup(1.0)
+        # T(1/64) = e^12.5 I is finite, but T(1) = e^800 I overflows in
+        # the orbit, which a B = 0 guard of 0.0 lets the series reach
+        with pytest.raises(ValueError, match=r"T\(j dt\) x at dt = "
+                           r"0\.015625, j <= 64: \d+ of 130 entries"):
+            neumann_semigroup(MatrixSystem(800.0 * np.eye(2)),
+                              PerturbationOperator.matrix(np.zeros((2, 2))),
+                              np.ones(2), 1.0, 1.0, 1.0 / 64)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1293,6 +1320,13 @@ def test_favard_half_alpha_scaling():
     got = favard_seminorm(sys_t, tent(), 0.5, s_values)
     # ||T(s) h - h|| = s for the tent, so the quotient is sqrt(s)
     assert got == pytest.approx(math.sqrt(max(s_values)), rel=1e-12)
+
+
+def test_favard_step_below_one_spacing_is_refused():
+    sys_t = make_system(delta_problem(), 1e-2, 0.2, 0.2)
+    with pytest.raises(StepMismatch, match=r"dt = 1e-12 is 0 lattice "
+                       r"steps of spacing 0\.01"):
+        favard_seminorm(sys_t, tent(), 1.0, [1e-12])
 
 
 def test_favard_matrix_system():

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import lattice_scan_one_operand
-from semiperturb import semigroup
 from semiperturb.errors import (
     GridTooLarge,
     HorizonExceeded,
@@ -84,6 +83,20 @@ def test_matrix_system_validate():
     assert sys.validate()
 
 
+def test_matrix_log_norm_is_the_top_eigenvalue_of_the_symmetric_part():
+    # non-normal A: mu_2 lies well above the spectral abscissa, and
+    # validate checks ||T(t)||_2 <= e^{mu_2 t}; a generator whose
+    # exponentials underflow to 0 passes too
+    A = np.array([[-1.0, 20.0], [0.0, -2.0]])
+    sys = MatrixSystem(A)
+    want = scipy.linalg.eigh((A + A.T) / 2, eigvals_only=True)[-1]
+    assert sys.log_norm == pytest.approx(want, rel=1e-14)
+    assert sys.log_norm > 8.0 > sys.growth_bound
+    assert sys.validate()
+    assert MatrixSystem(-1e300 * np.eye(2)).validate()
+    assert TranslationSystem.log_norm == 0.0
+
+
 def test_matrix_system_validate_reports_identity_gap():
     # T(0) = exp(0) + 1e-9 I misses the identity; a bare assert would
     # let that pass silently under python -O
@@ -130,12 +143,13 @@ def test_matrix_horizon():
     with pytest.raises(HorizonExceeded):
         sys.propagator(-0.5)
     with pytest.raises(HorizonExceeded):
-        sys.powers(-0.4, 3)
+        sys.orbit_rows(np.eye(1), 3, -0.4)
 
 
 def test_matrix_powers_match_per_lag_expm():
+    # the lattice powers T(dt)^q are the orbit of the identity
     sys = _stable_system(seed=3)
-    P = sys.powers(0.05, 40)
+    P = sys.orbit_rows(np.eye(4), 40, 0.05)
     assert P.shape == (41, 4, 4)
     assert np.array_equal(P[0], np.eye(4))
     for q in (1, 7, 40):
@@ -145,7 +159,7 @@ def test_matrix_powers_match_per_lag_expm():
 
 def test_matrix_powers_of_zero_steps_is_identity():
     sys = _stable_system(seed=3)
-    P = sys.powers(0.05, 0)
+    P = sys.orbit_rows(np.eye(4), 0, 0.05)
     assert P.shape == (1, 4, 4)
     assert np.array_equal(P[0], np.eye(4))
 
@@ -181,13 +195,6 @@ def test_lattice_scan_matches_sequential_recurrence(n, k, length, radius,
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_matrix_bound_constant_matches_linspace_sweep():
-    sys = _stable_system(seed=4)
-    want = max(opnorm2(scipy.linalg.expm(t * sys.A)) * math.exp(
-        -sys.growth_bound * t) for t in np.linspace(0.0, 2.0, 81))
-    assert sys.bound_constant == pytest.approx(want, rel=1e-12)
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(n=st.integers(1, 5), k=st.sampled_from([None, 1, 3]),
        m1=st.sampled_from([1, 2, 3, 64, 501]),
@@ -209,60 +216,12 @@ def test_prepared_step_scans_bit_for_bit_as_one_operand(n, k, m1, seed):
     assert lattice_scan(E, b).tobytes() == want
 
 
-def _count_expm(monkeypatch):
-    calls = []
-    real = semigroup.expm
-    monkeypatch.setattr(semigroup, "expm",
-                        lambda A: calls.append(A) or real(A))
-    return calls
-
-
-def test_bound_constant_built_on_first_read(monkeypatch):
-    # construction takes no exponential; the first read builds the
-    # 81-power table once, with the value of the eager formula it replaces
-    calls = _count_expm(monkeypatch)
-    sys = _stable_system(seed=4)
-    assert calls == [] and "bound_constant" not in vars(sys)
-    got = sys.bound_constant
-    assert len(calls) == 1
-    assert sys.bound_constant == got and len(calls) == 1
-    dt = 2.0 / 80
-    norms = np.linalg.norm(sys.powers(dt, 80), 2, axis=(1, 2))
-    decay = np.exp(-sys.growth_bound * dt * np.arange(81))
-    assert got == float(np.max(norms * decay))
-
-
-def test_propagator_sup_keeps_the_four_horizons_used_last(monkeypatch):
-    sys = _stable_system(seed=4)
-    calls = _count_expm(monkeypatch)
-    for t0 in (0.1, 0.2, 0.3, 0.4, 0.5):
-        sys.propagator_sup(t0)
-    assert len(calls) == 5
-    assert list(sys._sup_cache) == [0.2, 0.3, 0.4, 0.5]
-    # a hit takes no exponential and counts as the latest use
-    got = sys.propagator_sup(0.2)
-    assert len(calls) == 5
-    assert list(sys._sup_cache) == [0.3, 0.4, 0.5, 0.2]
-    props = sys.powers(0.2 / 64.0, 64)
-    assert got == float(np.max(np.linalg.norm(props, 2, axis=(1, 2))))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_matrix_system_refuses_non_finite_entries(bad):
     A = np.diag([-1.0, -2.0])
     A[0, 1] = bad
     with pytest.raises(ValueError, match="A: 1 of 4 entries are NaN or Inf"):
         MatrixSystem(A)
-
-
-def test_bound_constant_out_of_float_range_is_refused():
-    # e^(1e300 t) overflows where ||T(t)|| underflows: the product is NaN
-    sys = MatrixSystem(-1e300 * np.eye(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="leaves the float range"):
-            sys.bound_constant
-        with pytest.raises(ValueError, match="leaves the float range"):
-            sys.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +262,15 @@ def test_translation_rejects_off_lattice_steps():
 def test_window_stays_clear_of_edges():
     with pytest.raises(ValueError):
         TranslationSystem(-4.0, 0.01, 801, 1.0, window=CompactInterval(-4.0, 4.0))
+
+
+def test_translation_orbit_step_below_one_spacing_is_refused():
+    # dt = 1e-12 rounds to 0 lattice steps: a named StepMismatch, not
+    # numpy's "slice step cannot be zero"
+    sys = TranslationSystem(0.0, 1e-2, 101, 0.1)
+    with pytest.raises(StepMismatch, match=r"dt = 1e-12 is 0 lattice "
+                       r"steps of spacing 0\.01"):
+        sys.orbit_rows(np.zeros(101), 1, 1e-12)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])

@@ -13,6 +13,7 @@ from semiperturb.errors import (
     DegenerateProfile,
     GridTooLarge,
     GuardViolation,
+    StepMismatch,
     StepSizeError,
 )
 from semiperturb.functions import (
@@ -357,6 +358,17 @@ def test_oracle_step_size_guard():
     prob = delta_problem()
     with pytest.raises(StepSizeError):
         oracle_weights(prob.measure, prob.profile, prob.initial, 3.0, 1.5)
+
+
+@pytest.mark.parametrize("t", [0.5005, -0.5], ids=["off-lattice",
+                                                     "negative"])
+def test_oracle_refuses_a_time_off_the_lattice(t):
+    # the engine's lattice rule: StepMismatch, not StepSizeError (kept
+    # for a non-positive diagonal) or numpy's negative dimensions
+    prob = delta_problem()
+    with pytest.raises(StepMismatch, match=f"t {t!r} is not a multiple "
+                       r"of dt=0\.001"):
+        oracle_weights(prob.measure, prob.profile, prob.initial, t, 1e-3)
 
 
 @pytest.mark.parametrize("measure, profile, t, dt", [
