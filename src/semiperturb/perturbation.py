@@ -27,6 +27,7 @@ convention every jump crossing would cost an order of accuracy.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -87,7 +88,18 @@ def _sup(a) -> float:
 
 
 def _lattice_steps(t, dt, what="time"):
-    m = int(round(t / dt))
+    """The m with t = m dt; StepMismatch names the argument when dt is
+    not positive and finite, t is not finite, t / dt overflows, or t is
+    negative or off the dt lattice."""
+    if not 0.0 < dt < math.inf:
+        raise StepMismatch(f"dt must be positive and finite, got {dt!r}")
+    if not math.isfinite(t):
+        raise StepMismatch(f"{what} must be finite, got {t!r}")
+    ratio = float(t) / float(dt)
+    if not math.isfinite(ratio):
+        raise StepMismatch(f"{what} {t!r} is past the float range of "
+                           f"steps of dt={dt!r}")
+    m = int(round(ratio))
     if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
         raise StepMismatch(f"{what} {t!r} is not a multiple of dt={dt!r}")
     return m
@@ -137,6 +149,7 @@ class MatrixOperator(PerturbationOperator):
         require_finite("B", B)
         self.matrix_data = B
         self.matrix_norm = opnorm2(B)
+        self._segment_cache = {}
 
     def _guard(self, system, t0):
         """t0 max(1, e^{t0 mu}) ||B||_2, mu the system's ``log_norm``: a
@@ -152,14 +165,32 @@ class MatrixOperator(PerturbationOperator):
 
     def _segment(self, system, vals, m, node_steps, dt, tol, guard):
         """The series on [0, m dt]: a term is V^k T x on the lattice, its
-        size the max-abs entry; every term shares the prepared T(dt)."""
-        step = system.step(dt)
-        orbit = system.orbit_rows(vals, m, dt)
-        total, diag = _neumann_sum(
-            orbit, _volterra_matrix(step, self, orbit, dt),
-            lambda nodes: _volterra_matrix(step, self, nodes, dt), _sup,
-            _sup(orbit), tol, guard)
-        return [total[j].copy() for j in node_steps], diag
+        size the max-abs entry; every term shares the prepared T(dt).
+
+        The four segments used last are kept (``recent_memo``), keyed on
+        the system, the shape and bytes of vals, m, the node steps, dt,
+        tol and the guard, which is where t0 enters: the segments that
+        several horizons share run once.  The memo holds read-only
+        nodes, and every call returns fresh copies of them and of the
+        diagnostics, bit for bit what a recomputation gives.
+        """
+        def build():
+            step = system.step(dt)
+            orbit = system.orbit_rows(vals, m, dt)
+            total, diag = _neumann_sum(
+                orbit, _volterra_matrix(step, self, orbit, dt),
+                lambda nodes: _volterra_matrix(step, self, nodes, dt), _sup,
+                _sup(orbit), tol, guard)
+            nodes = [total[j].copy() for j in node_steps]
+            for node in nodes:
+                node.flags.writeable = False
+            return nodes, diag
+
+        key = (system, vals.shape, vals.tobytes(), m, tuple(node_steps), dt,
+               tol, guard)
+        nodes, diag = recent_memo(self._segment_cache, key, build)
+        return [node.copy() for node in nodes], dataclasses.replace(
+            diag, term_norms=list(diag.term_norms), ratios=list(diag.ratios))
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps and its norm; on R^n
@@ -647,14 +678,23 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     t is split as n * t0 + t1 with both parts on the dt lattice; each
     segment runs a fresh series seeded by the previous output, the short
     one first, all under the one analytic guard of the horizon t0 and,
-    on R^n, with the one step T(dt) and its doubling powers.
+    on R^n, with the one step T(dt) and its doubling powers.  On R^n a
+    segment already run from the same state under the same m, node
+    steps, dt, tol and guard is read from the operator's memo of the
+    four segments used last (``MatrixOperator._segment``), as fresh
+    copies: S(2 t0) x reuses the S(t0) x of an earlier call.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
-    term norms refuse to decay, and ValueError for a NaN or negative tol.
+    term norms refuse to decay, ValueError for a NaN or negative tol,
+    HorizonExceeded for a negative t, and StepMismatch for a t0 shorter
+    than one step, a dt that is not positive and finite, or a t or t0
+    that is not finite or not on the dt lattice.
     """
     op._paired(system)
     if t < -1e-12:
-        raise ValueError("t must be nonnegative")
+        raise HorizonExceeded(f"t must be nonnegative, got {t!r}")
     m0 = _lattice_steps(t0, dt, "t0")
+    if m0 == 0:
+        raise StepMismatch(f"t0={t0!r} is shorter than one step dt={dt!r}")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, enforce_guard, tol)
     state = system.make(system.state_values(x))
@@ -945,24 +985,6 @@ def comparison_summary(consts):
 
 # ---------------------------------------------------------------------------
 # probe factories
-
-
-def matrix_probes(system: MatrixSystem, t0: float, dt: float,
-                  seed: int = 0):
-    """The orbits of the unit vectors and three seeded oscillatory
-    trajectories, for matrix admissibility runs."""
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    m = _lattice_steps(t0, dt, "t0")
-    props = system.orbit_rows(np.eye(system.dim), m, dt)
-    out = [VectorTrajectory(system, dt, props[:, :, i].copy())
-           for i in range(system.dim)]
-    for _ in range(3):
-        v = rng.standard_normal(system.dim)
-        v /= np.max(np.abs(v))
-        freq = rng.uniform(0.5, 4.0)
-        out.append(VectorTrajectory(system, dt, np.outer(
-            np.cos(freq * np.arange(m + 1) * dt), v)))
-    return out
 
 
 def translation_probes(system: TranslationSystem, t0: float, dt: float):

@@ -238,28 +238,6 @@ class MatrixSystem:
             )
         return np.linalg.solve(lam * np.eye(self.dim) - self.A, np.asarray(x, dtype=float))
 
-    def validate(self):
-        """T(0) = I, the semigroup law and ||T(t)||_2 <= e^{log_norm t} at
-        the sample times 0, 0.1, 0.35 and 0.8; AssertionError names the
-        first that fails."""
-        t_samples = (0.0, 0.1, 0.35, 0.8)
-        gap = opnorm2(self.propagator(0.0) - np.eye(self.dim))
-        if not gap <= 1e-12:
-            raise AssertionError(f"T(0) misses the identity by {gap:.3e}")
-        for s in t_samples:
-            for t in t_samples:
-                lhs = self.propagator(s) @ self.propagator(t)
-                rhs = self.propagator(s + t)
-                scale = max(1.0, opnorm2(rhs))
-                if opnorm2(lhs - rhs) > 1e-12 * scale * 10:
-                    raise AssertionError(f"semigroup law violated at s={s}, t={t}")
-        for t in t_samples:
-            with np.errstate(over="ignore"):
-                bound = float(np.exp(self.log_norm * t))
-            if opnorm2(self.propagator(t)) > bound * (1 + 1e-9):
-                raise AssertionError(f"log-norm bound violated at t={t}")
-        return True
-
 
 class TranslationSystem:
     """Left translation semigroup on a uniform grid.

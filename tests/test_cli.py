@@ -152,6 +152,20 @@ def test_off_lattice_time_is_a_config_error(tmp_path, capsys, argv, config,
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("subcommand, dt", [
+    ("matrix-demo", "0.001"), ("implemented-demo", "0.001"),
+    ("transport-demo", "0.002"), ("convergence", "0.004"),
+])
+def test_t0_below_one_step_is_a_config_error(tmp_path, capsys, subcommand,
+                                             dt):
+    # no full segment fits in t0: one named line, not a ZeroDivisionError
+    assert main([subcommand, "--t0", "1e-12", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: t0=1e-12 is shorter than one step "
+                   f"dt={dt}"]
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 @pytest.mark.parametrize("config, numbers", [
     ({"atoms": [[1e300, 1.0]]}, ("nodes", "0.002")),
     ({"grid_spacing": 1e-9, "t": 1e-8}, ("nodes", "1e-09")),

@@ -1,23 +1,27 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exact_reference import varpar_residual_stacked, volterra_matrix_stacked
+from matrix_helpers import matrix_probes, validate
 from semiperturb.errors import (
     GuardViolation,
     HorizonExceeded,
     NonConvergence,
     NotInStateSpace,
     StepMismatch,
+    StepSizeError,
 )
 from semiperturb.functions import (
     BoundedMeasure,
@@ -44,7 +48,6 @@ from semiperturb.perturbation import (
     favard_seminorm,
     generator_check,
     identity_check,
-    matrix_probes,
     neumann_nodes,
     neumann_semigroup,
     perturbed_resolvent_check,
@@ -608,7 +611,7 @@ def test_huge_generator_raises_by_its_first_series_or_validate():
             neumann_semigroup(MatrixSystem(A), op, np.ones(2), 0.5, 0.5,
                               1e-2, enforce_guard=False)
         with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.1: 4 of 4"):
-            MatrixSystem(A).validate()
+            validate(MatrixSystem(A))
         # T(1/64) = e^12.5 I is finite, but T(1) = e^800 I overflows in
         # the orbit, which a B = 0 guard of 0.0 lets the series reach
         with pytest.raises(ValueError, match=r"T\(j dt\) x at dt = "
@@ -670,6 +673,84 @@ def test_neumann_semigroup_computes_the_guard_once(monkeypatch, kind):
     assert diag.guard_bound == real(op, system, 0.5)
 
 
+def _count_series(monkeypatch):
+    real = perturbation._neumann_sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perturbation, "_neumann_sum", counted)
+    return calls
+
+
+def test_matrix_segments_shared_by_horizons_run_once(monkeypatch):
+    # one matrix-oracle unit: t = 0.5, 1, 2 at t0 = 0.5, dt = 1e-3, then
+    # t = 0.5 at dt = 2e-3; S(1) x and S(2) x begin with segments already
+    # run, so 5 series run on one operator and 8 on fresh ones
+    A, B = random_stable_pair(4, 5)
+    x = np.random.default_rng(5).standard_normal(4)
+    runs = [(0.5, 1e-3), (1.0, 1e-3), (2.0, 1e-3), (0.5, 2e-3)]
+    calls = _count_series(monkeypatch)
+    system, op = MatrixSystem(A), PerturbationOperator.matrix(B)
+    got = [neumann_semigroup(system, op, x, t, 0.5, dt, tol=1e-6,
+                             diagnostics=True) for t, dt in runs]
+    assert len(calls) == 5
+    calls.clear()
+    for (t, dt), (state, diag) in zip(runs, got):
+        want, want_diag = neumann_semigroup(
+            MatrixSystem(A), PerturbationOperator.matrix(B), x, t, 0.5, dt,
+            tol=1e-6, diagnostics=True)
+        assert (state == want).all() and diag == want_diag
+    assert len(calls) == 8
+
+
+def test_matrix_segment_memo_keys_on_the_guard_and_tol(monkeypatch):
+    # the same 250 steps from x run again under the guard of another t0
+    # or another tol; the four segments used last are kept
+    system, op, x = diag_system(), coupled_op(), np.array([1.0, -0.5])
+    calls = _count_series(monkeypatch)
+    for t0, tol in [(0.5, 1e-9), (0.25, 1e-9), (0.5, 1e-6), (0.5, 1e-9)]:
+        neumann_semigroup(system, op, x, 0.25, t0, 1e-3, tol=tol)
+    assert len(calls) == 3
+    for dt in (1e-2, 2e-2, 5e-2, 1e-1):
+        neumann_semigroup(system, op, x, 0.5, 0.5, dt)
+    assert len(calls) == 7
+    neumann_semigroup(system, op, x, 0.5, 0.5, 1e-1)
+    assert len(calls) == 7
+    neumann_semigroup(system, op, x, 0.25, 0.5, 1e-3)
+    assert len(calls) == 8
+
+
+def test_matrix_segment_memo_returns_copies(monkeypatch):
+    # what a caller mutates, state, node or diagnostics, a later hit
+    # does not see
+    system, op, x = diag_system(), coupled_op(), np.array([1.0, -0.5])
+    calls = _count_series(monkeypatch)
+    state, diag = neumann_semigroup(system, op, x, 0.5, 0.5, 1e-3,
+                                    diagnostics=True)
+    nodes, node_diag = neumann_nodes(system, op, x, 0.5, [0, 500], 1e-3)
+    assert len(calls) == 2
+    keep = (state.copy(), copy.deepcopy(diag), [n.copy() for n in nodes],
+            copy.deepcopy(node_diag))
+    assert all(a.flags.writeable for a in [state, *nodes])
+    state[:] = 7.0
+    nodes[1][0] = 7.0
+    for d in (diag, node_diag):
+        d.term_norms.append(1.0)
+        d.ratios.clear()
+        d.terms_used = 0
+    again = neumann_semigroup(system, op, x, 0.5, 0.5, 1e-3,
+                              diagnostics=True)
+    again_nodes, again_diag = neumann_nodes(system, op, x, 0.5, [0, 500],
+                                            1e-3)
+    assert len(calls) == 2
+    assert (again[0] == keep[0]).all() and again[1] == keep[1]
+    assert all((a == b).all() for a, b in zip(again_nodes, keep[2]))
+    assert again_diag == keep[3]
+
+
 def test_neumann_semigroup_at_time_zero():
     x = np.array([1.0, -1.0])
     out, diag = neumann_semigroup(diag_system(), coupled_op(), x, 0.0, 0.5,
@@ -681,6 +762,95 @@ def test_neumann_semigroup_at_time_zero():
     with pytest.raises(ValueError, match="tol must be a nonnegative"):
         neumann_semigroup(diag_system(), coupled_op(), x, 0.0, 0.5, 1e-2,
                           tol=math.nan)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e-12])
+def test_neumann_semigroup_refuses_t0_below_one_step(t0):
+    # no full segment fits in t0: refused by name, not divided by zero
+    A, B = random_stable_pair(3, 1)
+    with pytest.raises(StepMismatch, match=f"t0={t0!r} is shorter than "
+                       r"one step dt=0\.001"):
+        neumann_semigroup(MatrixSystem(A), PerturbationOperator.matrix(B),
+                          np.ones(3), 1.0, t0, 1e-3)
+
+
+_LATTICE_CALLS = {
+    "neumann_semigroup": lambda t, dt: neumann_semigroup(
+        diag_system(), coupled_op(), np.ones(2), t, 0.5, dt),
+    "neumann_nodes": lambda t, dt: neumann_nodes(
+        diag_system(), coupled_op(), np.ones(2), t, [0], dt),
+    "orbit": lambda t, dt: VectorTrajectory.orbit(
+        diag_system(), np.ones(2), t, dt),
+    "from_callable": lambda t, dt: VectorTrajectory.from_callable(
+        diag_system(), lambda s: np.ones(2), t, dt),
+    "step_of": lambda t, dt: VectorTrajectory(
+        diag_system(), dt, np.zeros((3, 2))).step_of(t),
+    "oracle_weights": lambda t, dt: oracle_weights(
+        BoundedMeasure.dirac(0), canonical_profile(), tent(), t, dt),
+}
+
+
+@pytest.mark.parametrize("t, dt, message", [
+    (0.5, 0.0, "dt must be positive and finite, got 0.0"),
+    (0.5, -1e-2, "dt must be positive and finite, got -0.01"),
+    (0.5, math.nan, "dt must be positive and finite, got nan"),
+    (0.5, math.inf, "dt must be positive and finite, got inf"),
+    (math.nan, 1e-2, "must be finite, got nan"),
+    (math.inf, 1e-2, "must be finite, got inf"),
+    (1e300, 1e-10, "1e+300 is past the float range of steps of dt=1e-10"),
+], ids=["zero", "negative", "nan-dt", "inf-dt", "nan-t", "inf-t",
+        "overflow"])
+@pytest.mark.parametrize("call", sorted(_LATTICE_CALLS))
+def test_lattice_rule_refuses_by_name(call, t, dt, message):
+    # not ZeroDivisionError, OverflowError or numpy's "cannot convert
+    # float NaN to integer"
+    with pytest.raises(StepMismatch, match=re.escape(message)):
+        _LATTICE_CALLS[call](t, dt)
+
+
+_EDGE_TIMES = [0.0, 1e-12, math.nan, math.inf, -math.inf, -0.5, 0.25, 0.5,
+               1.0, 0.5005, 1 / 3]
+_EDGE_STEPS = [0.0, 1e-12, math.nan, math.inf, -math.inf, -1e-2, 1e-2,
+               2.5e-2, 1 / 30, 0.1]
+_times = st.one_of(st.sampled_from(_EDGE_TIMES), st.floats(-1.0, 4.0))
+_steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.floats(1e-3, 0.5))
+
+
+def _at_most(a, b, bound):
+    """False when a / b is finite and above bound: a draw the library
+    would run at that many steps or segments, not refuse."""
+    with np.errstate(all="ignore"):
+        r = abs(np.float64(a) / np.float64(b))
+    return not (np.isfinite(r) and r > bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 20), t=_times,
+       t0=_times, dt=_steps)
+def test_neumann_semigroup_draw_works_or_is_refused_by_name(n, seed, t, t0,
+                                                             dt):
+    # at most 512 steps a segment and t / t0 <= 64 segments
+    assume(_at_most(t0, dt, 512) and _at_most(t, t0, 64))
+    A, B = random_stable_pair(n, seed)
+    try:
+        out = neumann_semigroup(MatrixSystem(A),
+                                PerturbationOperator.matrix(B), np.ones(n),
+                                t, t0, dt)
+    except (StepMismatch, HorizonExceeded, GuardViolation, NonConvergence):
+        return
+    assert out.shape == (n,) and np.isfinite(out).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=_times, dt=_steps)
+def test_oracle_weights_draw_works_or_is_refused_by_name(t, dt):
+    assume(_at_most(t, dt, 4096))
+    prob = delta_problem()
+    try:
+        phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+    except (StepMismatch, StepSizeError):
+        return
+    assert phi.ndim == 1 and np.isfinite(phi).all()
 
 
 def test_grid_state_from_another_grid_is_refused():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import lattice_scan_one_operand
+from matrix_helpers import validate
 from semiperturb.errors import (
     GridTooLarge,
     HorizonExceeded,
@@ -80,7 +81,7 @@ def _stable_system(seed=1, n=4):
 
 def test_matrix_system_validate():
     sys = _stable_system()
-    assert sys.validate()
+    assert validate(sys)
 
 
 def test_matrix_log_norm_is_the_top_eigenvalue_of_the_symmetric_part():
@@ -92,8 +93,8 @@ def test_matrix_log_norm_is_the_top_eigenvalue_of_the_symmetric_part():
     want = scipy.linalg.eigh((A + A.T) / 2, eigvals_only=True)[-1]
     assert sys.log_norm == pytest.approx(want, rel=1e-14)
     assert sys.log_norm > 8.0 > sys.growth_bound
-    assert sys.validate()
-    assert MatrixSystem(-1e300 * np.eye(2)).validate()
+    assert validate(sys)
+    assert validate(MatrixSystem(-1e300 * np.eye(2)))
     assert TranslationSystem.log_norm == 0.0
 
 
@@ -101,17 +102,19 @@ def test_matrix_system_validate_reports_identity_gap():
     # T(0) = exp(0) + 1e-9 I misses the identity; a bare assert would
     # let that pass silently under python -O
     code = ("import numpy as np\n"
+            "from matrix_helpers import validate\n"
             "from semiperturb.semigroup import MatrixSystem\n"
             "class S(MatrixSystem):\n"
             "    def propagator(self, t):\n"
             "        return super().propagator(t) + 1e-9 * np.eye(2)\n"
             "try:\n"
-            "    S(np.diag([-1.0, -2.0])).validate()\n"
+            "    validate(S(np.diag([-1.0, -2.0])))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
-    src = Path(__file__).resolve().parents[1] / "src"
+    here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(here.parent / "src"), str(here)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for flags in ([], ["-O"]):
         proc = subprocess.run([executable, *flags, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
