@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, copysign, floor, ulp
+from math import ceil, comb, copysign, floor, inf, isfinite, ulp
 
 import numpy as np
 
@@ -309,8 +309,11 @@ class GridFunction:
     __slots__ = ("origin", "spacing", "values")
 
     def __init__(self, origin, spacing, values):
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < spacing < inf:  # NaN too
+            raise ValueError(
+                f"spacing must be positive and finite, got {spacing!r}")
+        if not isfinite(origin):
+            raise ValueError(f"origin must be finite, got {origin!r}")
         self.origin = float(origin)
         self.spacing = float(spacing)
         self.values = np.asarray(values, dtype=float)

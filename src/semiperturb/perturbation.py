@@ -27,6 +27,7 @@ convention every jump crossing would cost an order of accuracy.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections import namedtuple
 
@@ -56,6 +57,7 @@ from .functions import (
     support_cells,
 )
 from .semigroup import (
+    MAX_GRID_NODES,
     MatrixSystem,
     TranslationSystem,
     expm,
@@ -87,10 +89,10 @@ def _sup(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _lattice_steps(t, dt, what="time"):
+def _lattice_steps(t, dt, what="time", ceiling=MAX_GRID_NODES):
     """The m with t = m dt; StepMismatch names the argument when dt is
-    not positive and finite, t is not finite, t / dt overflows, or t is
-    negative or off the dt lattice."""
+    not positive and finite, t is not finite, t / dt overflows or passes
+    the ceiling of steps, or t is negative or off the dt lattice."""
     if not 0.0 < dt < math.inf:
         raise StepMismatch(f"dt must be positive and finite, got {dt!r}")
     if not math.isfinite(t):
@@ -99,6 +101,9 @@ def _lattice_steps(t, dt, what="time"):
     if not math.isfinite(ratio):
         raise StepMismatch(f"{what} {t!r} is past the float range of "
                            f"steps of dt={dt!r}")
+    if ratio > ceiling:
+        raise StepMismatch(f"{what} {t!r} is {ratio:.6g} steps of dt={dt!r}, "
+                           f"past the ceiling of {ceiling} steps")
     m = int(round(ratio))
     if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
         raise StepMismatch(f"{what} {t!r} is not a multiple of dt={dt!r}")
@@ -164,32 +169,35 @@ class MatrixOperator(PerturbationOperator):
                                 F.dt)[list(steps)]
 
     def _segment(self, system, vals, m, node_steps, dt, tol, guard):
-        """The series on [0, m dt]: a term is V^k T x on the lattice, its
-        size the max-abs entry; every term shares the prepared T(dt).
-
-        The four segments used last are kept (``recent_memo``), keyed on
-        the system, the shape and bytes of vals, m, the node steps, dt,
-        tol and the guard, which is where t0 enters: the segments that
-        several horizons share run once.  The memo holds read-only
-        nodes, and every call returns fresh copies of them and of the
-        diagnostics, bit for bit what a recomputation gives.
-        """
+        """The series on [0, m dt], run once on the n x n identity: a term
+        is V^k T, its size the largest absolute row sum over the nodes, so
+        max|V^k T x| <= size max|x| for every vector or n x k state x.
+        The tables S(j dt) at the node steps of the four segments used last
+        are kept read-only, keyed on the system, m, the node steps, dt, tol
+        and the guard (t0); each call returns the fresh products S(j dt) x,
+        refused if one overflows, and a copy of the diagnostics."""
         def build():
-            step = system.step(dt)
-            orbit = system.orbit_rows(vals, m, dt)
+            step, eye = system.step(dt), np.eye(system.dim)
+            rows = np.tile(eye, (system.dim, 1))
+
+            def size(term):  # read column-major, as the scans leave it
+                cols = np.abs(term.transpose(0, 2, 1)).reshape(m + 1, -1)
+                return float(np.max(cols @ rows))
+
+            orbit = system.orbit_rows(eye, m, dt)
             total, diag = _neumann_sum(
                 orbit, _volterra_matrix(step, self, orbit, dt),
-                lambda nodes: _volterra_matrix(step, self, nodes, dt), _sup,
-                _sup(orbit), tol, guard)
-            nodes = [total[j].copy() for j in node_steps]
-            for node in nodes:
-                node.flags.writeable = False
-            return nodes, diag
+                lambda nodes: _volterra_matrix(step, self, nodes, dt), size,
+                size(orbit), tol, guard)
+            table = np.ascontiguousarray(total[list(node_steps)])
+            table.flags.writeable = False
+            return table, diag
 
-        key = (system, vals.shape, vals.tobytes(), m, tuple(node_steps), dt,
-               tol, guard)
-        nodes, diag = recent_memo(self._segment_cache, key, build)
-        return [node.copy() for node in nodes], dataclasses.replace(
+        key = (system, m, tuple(node_steps), dt, tol, guard)
+        table, diag = recent_memo(self._segment_cache, key, build)
+        nodes = table @ vals
+        require_finite(f"S(j dt) x at dt = {dt!r}, j in {node_steps}", nodes)
+        return list(nodes), dataclasses.replace(
             diag, term_norms=list(diag.term_norms), ratios=list(diag.ratios))
 
     def _admissibility_probe(self, system, F, steps, fn):
@@ -647,7 +655,9 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
     """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
 
     The trajectory of S is the sum of V^k T x, V the Volterra operator;
-    the operator's ``_segment`` says what a term is and how it is sized.
+    the operator's ``_segment`` says what a term is and how it is sized
+    (on R^n V^k T itself, run once per segment and sized by its largest
+    absolute row sum, which bounds max|V^k T x| / max|x|).
     The sum stops at the first term of size below tol (1 - q), q the last
     ratio of consecutive sizes clipped to [0, 0.999] (the guard before
     the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
@@ -676,30 +686,30 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     """Perturbed semigroup S(t) x via Neumann series plus horizon splitting.
 
     t is split as n * t0 + t1 with both parts on the dt lattice; each
-    segment runs a fresh series seeded by the previous output, the short
-    one first, all under the one analytic guard of the horizon t0 and,
-    on R^n, with the one step T(dt) and its doubling powers.  On R^n a
-    segment already run from the same state under the same m, node
-    steps, dt, tol and guard is read from the operator's memo of the
-    four segments used last (``MatrixOperator._segment``), as fresh
-    copies: S(2 t0) x reuses the S(t0) x of an earlier call.
+    segment applies S(m dt) to the previous output, the short one first,
+    all under the one analytic guard of the horizon t0.  On R^n the
+    series of S(m dt) runs once for all states, with the one step T(dt)
+    and its doubling powers; on grids, once per segment.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     term norms refuse to decay, ValueError for a NaN or negative tol,
     HorizonExceeded for a negative t, and StepMismatch for a t0 shorter
-    than one step, a dt that is not positive and finite, or a t or t0
-    that is not finite or not on the dt lattice.
+    than one step, a dt that is not positive and finite, a t or t0 that
+    is not finite or not on the dt lattice, or a t of more than
+    ``MAX_GRID_NODES`` steps, before any table is built.
     """
     op._paired(system)
     if t < -1e-12:
         raise HorizonExceeded(f"t must be nonnegative, got {t!r}")
-    m0 = _lattice_steps(t0, dt, "t0")
+    # no segment is longer than t, so only t's steps meet the ceiling
+    m0 = _lattice_steps(t0, dt, "t0", ceiling=math.inf)
     if m0 == 0:
         raise StepMismatch(f"t0={t0!r} is shorter than one step dt={dt!r}")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, enforce_guard, tol)
     state = system.make(system.state_values(x))
     diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
-    for steps in ([m_rest] if m_rest else []) + [m0] * n_full:
+    for steps in itertools.chain([m_rest] if m_rest else [],
+                                 itertools.repeat(m0, n_full)):
         out, diag = _neumann_segment(system, op, state, steps, [steps], dt,
                                      tol, guard)
         state = out[0]

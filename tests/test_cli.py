@@ -166,6 +166,17 @@ def test_t0_below_one_step_is_a_config_error(tmp_path, capsys, subcommand,
     assert not list(tmp_path.glob("*-report.json"))
 
 
+def test_steps_past_the_ceiling_are_a_config_error(tmp_path, capsys):
+    # t = 0.5 is 5e299 steps of dt = 1e-300: refused by name before any
+    # table or segment list is built, not an OverflowError
+    assert main(["matrix-demo", "--t0", "1e-300", "--dt", "1e-300",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: t 0.5 is 5e+299 steps of dt=1e-300, "
+                   "past the ceiling of 10000000 steps"]
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 @pytest.mark.parametrize("config, numbers", [
     ({"atoms": [[1e300, 1.0]]}, ("nodes", "0.002")),
     ({"grid_spacing": 1e-9, "t": 1e-8}, ("nodes", "1e-09")),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -155,6 +156,20 @@ def test_grid_function_basics():
     c = GridFunction(0.0, 0.5, [1.0, 1.0, 2.0])
     assert c.eval(2.0) == 2.0 and c.eval(-1.0) == 1.0
     assert c.eval(1.0) == 2.0
+
+
+@pytest.mark.parametrize("origin, spacing, message", [
+    (0.0, math.nan, "spacing must be positive and finite, got nan"),
+    (0.0, math.inf, "spacing must be positive and finite, got inf"),
+    (0.0, 0.0, "spacing must be positive and finite, got 0.0"),
+    (0.0, -0.5, "spacing must be positive and finite, got -0.5"),
+    (math.nan, 0.5, "origin must be finite, got nan"),
+    (-math.inf, 0.5, "origin must be finite, got -inf"),
+])
+def test_grid_function_refuses_a_bad_grid_by_value(origin, spacing, message):
+    # not a grid of NaN or infinite nodes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridFunction(origin, spacing, [1.0, 2.0, 3.0])
 
 
 def test_grid_arithmetic_and_mismatch():

@@ -13,7 +13,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exact_reference import varpar_residual_stacked, volterra_matrix_stacked
+from exact_reference import (
+    lattice_scan_one_operand,
+    varpar_residual_stacked,
+    volterra_matrix_stacked,
+)
 from matrix_helpers import matrix_probes, validate
 from semiperturb.errors import (
     GuardViolation,
@@ -613,9 +617,10 @@ def test_huge_generator_raises_by_its_first_series_or_validate():
         with pytest.raises(ValueError, match=r"T\(t\) at t = 0\.1: 4 of 4"):
             validate(MatrixSystem(A))
         # T(1/64) = e^12.5 I is finite, but T(1) = e^800 I overflows in
-        # the orbit, which a B = 0 guard of 0.0 lets the series reach
+        # the orbit of the identity (65 nodes of 2 x 2), which a B = 0
+        # guard of 0.0 lets the series reach
         with pytest.raises(ValueError, match=r"T\(j dt\) x at dt = "
-                           r"0\.015625, j <= 64: \d+ of 130 entries"):
+                           r"0\.015625, j <= 64: \d+ of 260 entries"):
             neumann_semigroup(MatrixSystem(800.0 * np.eye(2)),
                               PerturbationOperator.matrix(np.zeros((2, 2))),
                               np.ones(2), 1.0, 1.0, 1.0 / 64)
@@ -687,8 +692,8 @@ def _count_series(monkeypatch):
 
 def test_matrix_segments_shared_by_horizons_run_once(monkeypatch):
     # one matrix-oracle unit: t = 0.5, 1, 2 at t0 = 0.5, dt = 1e-3, then
-    # t = 0.5 at dt = 2e-3; S(1) x and S(2) x begin with segments already
-    # run, so 5 series run on one operator and 8 on fresh ones
+    # t = 0.5 at dt = 2e-3; every segment of one length is one operator,
+    # so 2 series run on one operator and 4 on fresh ones
     A, B = random_stable_pair(4, 5)
     x = np.random.default_rng(5).standard_normal(4)
     runs = [(0.5, 1e-3), (1.0, 1e-3), (2.0, 1e-3), (0.5, 2e-3)]
@@ -696,14 +701,67 @@ def test_matrix_segments_shared_by_horizons_run_once(monkeypatch):
     system, op = MatrixSystem(A), PerturbationOperator.matrix(B)
     got = [neumann_semigroup(system, op, x, t, 0.5, dt, tol=1e-6,
                              diagnostics=True) for t, dt in runs]
-    assert len(calls) == 5
+    assert len(calls) == 2
     calls.clear()
     for (t, dt), (state, diag) in zip(runs, got):
         want, want_diag = neumann_semigroup(
             MatrixSystem(A), PerturbationOperator.matrix(B), x, t, 0.5, dt,
             tol=1e-6, diagnostics=True)
         assert (state == want).all() and diag == want_diag
-    assert len(calls) == 8
+    assert len(calls) == 4
+
+
+def test_matrix_oracle_pass_runs_one_series_per_segment_operator(
+        monkeypatch):
+    # the matrix-oracle pass: ten 4 x 4 pairs, each at t = 0.5, 1, 2 with
+    # t0 = 0.5, dt = 1e-3, then t = 0.5 at dt = 2e-3, 80 segments in all;
+    # each pair runs two segment operators (50 series when a segment ran
+    # once per distinct state)
+    calls = _count_series(monkeypatch)
+    for seed in range(10):
+        A, B = random_stable_pair(4, seed)
+        x = np.random.default_rng(seed).standard_normal(4)
+        system, op = MatrixSystem(A), PerturbationOperator.matrix(B)
+        for t, dt in [(0.5, 1e-3), (1.0, 1e-3), (2.0, 1e-3), (0.5, 2e-3)]:
+            got = neumann_semigroup(system, op, x, t, 0.5, dt)
+            want = scipy.linalg.expm(t * (A + B)) @ x
+            assert np.max(np.abs(got - want)) < 1e-5
+    assert len(calls) == 20
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 50),
+       k=st.sampled_from([None, 1, 3]), m=st.sampled_from([1, 7, 32]))
+def test_matrix_segment_operator_serves_every_state(n, seed, k, m):
+    # one series per segment operator: S(j dt) x is its identity table
+    # applied to x, bit for bit, a second state runs no series, and each
+    # recorded size s_k bounds the state's term: max|V^k T x| <= s_k max|x|
+    A, B = random_stable_pair(n, seed)
+    dt = 1 / 64
+    system, op = MatrixSystem(A), PerturbationOperator.matrix(B)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if k is None else (n, k)
+    states = [rng.standard_normal(shape), 1e3 * rng.standard_normal(shape)]
+    steps = [0, m // 2, m]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_series(mp)
+        table, diag = neumann_nodes(system, op, np.eye(n), m * dt, steps,
+                                    dt)
+        for x in states:
+            nodes, x_diag = neumann_nodes(system, op, x, m * dt, steps, dt)
+            assert all(np.array_equal(a, S @ x)
+                       for a, S in zip(nodes, table))
+            assert x_diag == diag
+    assert len(calls) == 1
+    E = system.propagator(dt)
+    for x in states:
+        impulse = np.zeros((m + 1,) + shape)
+        impulse[0] = x
+        term = lattice_scan_one_operand(E, impulse)
+        for size in diag.term_norms:
+            assert np.max(np.abs(term)) \
+                <= size * np.max(np.abs(x)) * (1 + 1e-12)
+            term = volterra_matrix_stacked(E, B, term, dt)
 
 
 def test_matrix_segment_memo_keys_on_the_guard_and_tol(monkeypatch):
@@ -798,8 +856,10 @@ _LATTICE_CALLS = {
     (math.nan, 1e-2, "must be finite, got nan"),
     (math.inf, 1e-2, "must be finite, got inf"),
     (1e300, 1e-10, "1e+300 is past the float range of steps of dt=1e-10"),
+    (1e300, 1e-3, "1e+300 is 1e+303 steps of dt=0.001, past the ceiling of "
+     "10000000 steps"),
 ], ids=["zero", "negative", "nan-dt", "inf-dt", "nan-t", "inf-t",
-        "overflow"])
+        "overflow", "ceiling"])
 @pytest.mark.parametrize("call", sorted(_LATTICE_CALLS))
 def test_lattice_rule_refuses_by_name(call, t, dt, message):
     # not ZeroDivisionError, OverflowError or numpy's "cannot convert

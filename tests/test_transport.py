@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -627,6 +628,33 @@ def test_make_system_refuses_bad_geometry(spacing, t, t0, what):
     if what == "spacing":
         with pytest.raises(ValueError, match=match):
             run_perturbed(prob, t, spacing, t0)
+
+
+_EDGE_VALUES = [0.0, 1e-12, math.nan, math.inf, -math.inf, -0.25]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(spacing=st.one_of(st.sampled_from(_EDGE_VALUES),
+                         st.floats(1e-3, 0.5)),
+       t=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-1.0, 4.0)),
+       t0=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-1.0, 1.0)))
+def test_make_system_draw_works_or_is_refused_by_name(spacing, t, t0):
+    # drawn spacings are at least 1e-3 (or 1e-12, refused by the ceiling
+    # before anything is allocated), so a grid has at most ~2e4 nodes
+    prob = delta_problem()
+    try:
+        system = make_system(prob, spacing, t, t0)
+    except GridTooLarge as exc:
+        assert spacing == 1e-12 and not exc.count <= MAX_GRID_NODES
+        return
+    except ValueError as exc:
+        assert re.match(r"(spacing|t|t0) must be", str(exc))
+        return
+    assert system.spacing == spacing and system.count <= MAX_GRID_NODES
+    assert system.origin <= float(prob.window.lo) - t - t0
+    assert system.x_last >= float(prob.window.hi) + t + t0
+    assert (system.window.lo, system.window.hi) == (prob.window.lo,
+                                                    prob.window.hi)
 
 
 @pytest.mark.parametrize("atom, spacing, t", [
