@@ -532,7 +532,8 @@ def _run_convergence(cfg):
     checks = []
     for k, order in enumerate(study["orders"]):
         if not math.isfinite(order):
-            # zero gap at the finer level; the CSV marks the row exact
+            # the finer gap at or below the study's floor (a zero gap
+            # included; the CSV marks only a zero row exact)
             checks.append(_check(f"order-level{k + 1}-exact", 0.0, 0.0,
                                  ok=True))
         else:

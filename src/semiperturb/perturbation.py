@@ -76,6 +76,10 @@ _SidedSamples = namedtuple("_SidedSamples", ["left", "mid", "right"])
 # the renewal kernel's sided samples and their folded form (_kernel_lattice)
 _KernelLattice = namedtuple("_KernelLattice", [*_SidedSamples._fields,
                                                "folded", "column", "spectrum"])
+# the rank-one segment operator: sum B, sum A - sum B and, past the direct
+# size, the spectrum of sum B (RankOneOperator._series)
+_RenewalSeries = namedtuple("_RenewalSeries",
+                            ["kernel", "correction", "spectrum"])
 # the profile's sided samples and the spectrum of its support cells
 _ProfileLattice = namedtuple("_ProfileLattice",
                              [*_SidedSamples._fields, "spectrum"])
@@ -168,37 +172,37 @@ class MatrixOperator(PerturbationOperator):
         return _volterra_matrix(system.step(F.dt), self, F.nodes,
                                 F.dt)[list(steps)]
 
-    def _segment(self, system, vals, m, node_steps, dt, tol, guard):
+    def _series_key(self, system, m, node_steps, dt, tol, guard):
+        """The table reads the system and is kept at the node steps."""
+        return system, m, tuple(node_steps), dt, tol, guard
+
+    def _series(self, system, m, node_steps, dt, tol, guard):
         """The series on [0, m dt], run once on the n x n identity: a term
         is V^k T, its size the largest absolute row sum over the nodes, so
         max|V^k T x| <= size max|x| for every vector or n x k state x.
-        The tables S(j dt) at the node steps of the four segments used last
-        are kept read-only, keyed on the system, m, the node steps, dt, tol
-        and the guard (t0); each call returns the fresh products S(j dt) x,
-        refused if one overflows, and a copy of the diagnostics."""
-        def build():
-            step, eye = system.step(dt), np.eye(system.dim)
-            rows = np.tile(eye, (system.dim, 1))
+        Returns the read-only table of S(j dt) at the node steps and the
+        diagnostics."""
+        step, eye = system.step(dt), np.eye(system.dim)
+        rows = np.tile(eye, (system.dim, 1))
 
-            def size(term):  # read column-major, as the scans leave it
-                cols = np.abs(term.transpose(0, 2, 1)).reshape(m + 1, -1)
-                return float(np.max(cols @ rows))
+        def size(term):  # read column-major, as the scans leave it
+            cols = np.abs(term.transpose(0, 2, 1)).reshape(m + 1, -1)
+            return float(np.max(cols @ rows))
 
-            orbit = system.orbit_rows(eye, m, dt)
-            total, diag = _neumann_sum(
-                orbit, _volterra_matrix(step, self, orbit, dt),
-                lambda nodes: _volterra_matrix(step, self, nodes, dt), size,
-                size(orbit), tol, guard)
-            table = np.ascontiguousarray(total[list(node_steps)])
-            table.flags.writeable = False
-            return table, diag
+        orbit = system.orbit_rows(eye, m, dt)
+        total, diag = _neumann_sum(
+            orbit, _volterra_matrix(step, self, orbit, dt),
+            lambda nodes: _volterra_matrix(step, self, nodes, dt), size,
+            size(orbit), tol, guard)
+        table = np.ascontiguousarray(total[list(node_steps)])
+        table.flags.writeable = False
+        return table, diag
 
-        key = (system, m, tuple(node_steps), dt, tol, guard)
-        table, diag = recent_memo(self._segment_cache, key, build)
+    def _apply_series(self, system, table, vals, m, node_steps, dt):
+        """The fresh products S(j dt) x, refused if one overflows."""
         nodes = table @ vals
         require_finite(f"S(j dt) x at dt = {dt!r}, j in {node_steps}", nodes)
-        return list(nodes), dataclasses.replace(
-            diag, term_norms=list(diag.term_norms), ratios=list(diag.ratios))
+        return list(nodes)
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps and its norm; on R^n
@@ -245,6 +249,7 @@ class RankOneOperator(PerturbationOperator):
         self.profile_sup = profile.sup_norm()
         self._profile_cache = {}
         self._kernel_cache = {}
+        self._segment_cache = {}
 
     def _guard(self, system, t0):
         """t0 * |mu|(R) * sup|g|, an upper bound, from pulling the
@@ -304,28 +309,65 @@ class RankOneOperator(PerturbationOperator):
         phi = pair_rows(self.measure, system, F.nodes)
         return _convolved_nodes(system, self, phi, F.dt, steps)
 
-    def _segment(self, system, vals, m, node_steps, dt, tol, guard):
-        """The series on [0, m dt]: a term is the pairings phi of
-        V^(k-1) T x with the measure, advanced by the renewal kernel, its
-        size sup|g| times the trapezoid of |phi|; S adds one profile
-        convolution of their sum to T x.  The first pairings are
-        ``pair_rows`` over the orbit window of x, read in place."""
+    def _series_key(self, system, m, node_steps, dt, tol, guard):
+        """The renewal series reads neither the grid, whose spacing must
+        be dt, nor the node steps."""
         _require_time_grid(system, dt)
+        return m, dt, tol, guard
+
+    def _series(self, system, m, node_steps, dt, tol, guard):
+        """The renewal series on [0, m dt], run once for every state.
+
+        The pairings of V^k T x with the measure are K^k phi0, K the
+        lattice renewal step ``_kernel_step`` and phi0 the pairings of the
+        orbit.  On v with v[0] = 0, K is the product v -> dt (folded * v),
+        so K^k phi0 = phi0[0] A_k + B_k * v0 with v0 = phi0 - phi0[0] e0,
+        A_0 = e0, A_(k+1) = K A_k, B_0 = delta and B_(k+1) = dt folded *
+        B_k cut to m + 1 entries.  A term is the pair (A_k, B_k).  Its
+        size is sup|g| m dt |mu|(R) times the row-sum norm of the lattice
+        matrix of K^k, max_i (|A_k[i]| + sum_(l<i) |B_k[l]|), so
+        max|V^(k+1) T x| <= size max|x| for every state x, and tol is
+        relative to max|x|; the orbit's size is 1.  Since the row-sum norm
+        of K is at most the guard, a guard below 1 bounds the omitted
+        tail by the first omitted size over 1 - guard: times max|x| on
+        the node values, and divided by sup|g| m dt |mu|(R) relative to
+        max|phi0| on the summed pairings.  Returns the read-only sums
+        (``_RenewalSeries``) and the diagnostics.
+        """
         ker = self._kernel_lattice(dt, m)
-        gsup = self.profile_sup
+        scale = self.profile_sup * m * dt * self.measure.total_variation()
 
-        def size(phi):
-            w = np.abs(phi)
-            return float(gsup * dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1]))
+        def size(term):
+            rows = np.abs(term[0])
+            rows[1:] += np.cumsum(np.abs(term[1, :-1]))
+            return float(scale * np.max(rows))
 
+        def apply_k(term):
+            return np.stack([
+                _kernel_step(term[0], ker, dt),
+                dt * _causal_product(term[1], ker.folded, ker.spectrum)])
+
+        first = np.zeros((2, m + 1))
+        first[:, 0] = 1.0
+        total, diag = _neumann_sum(np.zeros((2, m + 1)), first, apply_k,
+                                   size, 1.0, tol, guard)
+        total[0] -= total[1]
+        total.flags.writeable = False
+        spectrum = None
+        if m + 1 > _DIRECT_CONVOLVE_MAX:
+            spectrum = _spectrum(total[1], _fft_length(2 * m + 1))
+        return _RenewalSeries(total[1], total[0], spectrum), diag
+
+    def _apply_series(self, system, series, vals, m, node_steps, dt):
+        """S(j dt) x at the node steps: the orbit window of x plus one
+        profile convolution of the summed pairings, ``_renewal_weights``
+        of the window's pairings, read in place."""
         window = system.orbit_rows(vals, m, dt)
-        phi_total, diag = _neumann_sum(
-            np.zeros(m + 1), pair_rows(self.measure, system, window),
-            lambda phi: _kernel_step(phi, ker, dt), size, _sup(vals), tol,
-            guard)
-        conv = _convolved_nodes(system, self, phi_total, dt, node_steps)
+        phi = _renewal_weights(series, pair_rows(self.measure, system,
+                                                 window))
+        conv = _convolved_nodes(system, self, phi, dt, node_steps)
         return [system.make(window[j] + c)
-                for j, c in zip(node_steps, conv)], diag
+                for j, c in zip(node_steps, conv)]
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps from one pairing, F's sup
@@ -548,6 +590,16 @@ def _profile_convolution(phi, m, prof: _ProfileLattice, cells, count, dt):
     return out
 
 
+def _causal_product(a, operand, spectrum):
+    """The first len(a) entries of the product a * operand: the direct
+    ``np.convolve`` when ``spectrum`` is None, else one FFT product
+    against it, the operand's cached spectrum."""
+    n = len(a)
+    if spectrum is None:
+        return np.convolve(a, operand[:n])[:n]
+    return _spectrum_product(spectrum, a)[:n]
+
+
 def _kernel_step(phi, ker: _KernelLattice, dt):
     """One scalar Volterra iteration: next(m) = int_0^{m dt} phi kernel.
 
@@ -556,14 +608,19 @@ def _kernel_step(phi, ker: _KernelLattice, dt):
     the direct size, past it one FFT product against the kernel's cached
     ``spectrum``.
     """
-    n = len(phi)
-    if ker.spectrum is None:
-        out = np.convolve(phi, ker.folded[:n])[:n]
-    else:
-        out = _spectrum_product(ker.spectrum, phi)[:n]
-    out += phi[0] * ker.column[:n]
+    out = _causal_product(phi, ker.folded, ker.spectrum)
+    out += phi[0] * ker.column[:len(phi)]
     out *= dt
     out[0] = 0.0
+    return out
+
+
+def _renewal_weights(series: _RenewalSeries, phi0):
+    """The summed pairings sum_k K^k phi0 of a rank-one segment: with
+    sum_k K^k phi0 = phi0[0] sum A + sum B * (phi0 - phi0[0] e0), one
+    product of phi0 with sum B plus phi0[0] (sum A - sum B)."""
+    out = _causal_product(phi0, series.kernel, series.spectrum)
+    out += phi0[0] * series.correction
     return out
 
 
@@ -655,9 +712,12 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
     """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
 
     The trajectory of S is the sum of V^k T x, V the Volterra operator;
-    the operator's ``_segment`` says what a term is and how it is sized
-    (on R^n V^k T itself, run once per segment and sized by its largest
-    absolute row sum, which bounds max|V^k T x| / max|x|).
+    the operator's ``_series`` says what a term is and how it is sized.
+    It runs once per segment operator, for every state: on R^n a term is
+    V^k T itself, sized by its largest absolute row sum, which bounds
+    max|V^k T x| / max|x|; on grids it is the pair of renewal kernels of
+    K^k, sized to bound max|V^(k+1) T x| / max|x|.  So for both kinds
+    tol is relative to max|x|.
     The sum stops at the first term of size below tol (1 - q), q the last
     ratio of consecutive sizes clipped to [0, 0.999] (the guard before
     the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
@@ -672,12 +732,25 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
 
 
 def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
-    """The series of ``neumann_nodes`` on [0, m dt] under a given guard."""
+    """The series of ``neumann_nodes`` on [0, m dt] under a given guard.
+
+    The kind's ``_series`` runs once per ``_series_key``, and the segment
+    operators of the four keys used last are kept (``recent_memo``):
+    every state on the segment reads one through the kind's
+    ``_apply_series``.  Each call returns fresh nodes and a copy of the
+    diagnostics.
+    """
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
     vals = system.state_values(x)
     require_finite("state x", vals)
-    return op._segment(system, vals, m, node_steps, dt, tol, guard)
+    key = op._series_key(system, m, node_steps, dt, tol, guard)
+    series, diag = recent_memo(
+        op._segment_cache, key,
+        lambda: op._series(system, m, node_steps, dt, tol, guard))
+    nodes = op._apply_series(system, series, vals, m, node_steps, dt)
+    return nodes, dataclasses.replace(
+        diag, term_norms=list(diag.term_norms), ratios=list(diag.ratios))
 
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
@@ -687,9 +760,12 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
 
     t is split as n * t0 + t1 with both parts on the dt lattice; each
     segment applies S(m dt) to the previous output, the short one first,
-    all under the one analytic guard of the horizon t0.  On R^n the
-    series of S(m dt) runs once for all states, with the one step T(dt)
-    and its doubling powers; on grids, once per segment.
+    all under the one analytic guard of the horizon t0.  The series of
+    S(m dt) runs once for all states and segments of that length: on R^n
+    with the one step T(dt) and its doubling powers, on grids as the
+    renewal kernels of the pairings.  Its sizes bound the terms over
+    max|x| (rank-one sizes bound max|V^(k+1) T x| / max|x|), so tol is
+    relative to max|x| for both kinds.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     term norms refuse to decay, ValueError for a NaN or negative tol,
     HorizonExceeded for a negative t, and StepMismatch for a t0 shorter

@@ -7,7 +7,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
@@ -103,3 +106,43 @@ def test_bench_pairs_writes_json(tmp_path):
     assert (order["wins"], order["gain_exceeds_parent_iqr"],
             order["within_bound"], order["better"]) == (0, False, True,
                                                          "higher")
+
+
+# logs its pid, then runs until it is stopped
+SLOW_STUB = '''
+import os, time
+with open(os.environ["BENCH_PAIRS_LOG"], "a") as fh:
+    fh.write("%d\\n" % os.getpid())
+time.sleep(60)
+'''
+
+
+def test_bench_pairs_cleans_up_on_sigterm(tmp_path):
+    # SIGTERM in the middle of a run kills the run and removes the
+    # temporary copies of both checkouts
+    sides = [_checkout(tmp_path, side, 0.3, 2.0)
+             for side in ("parent", "change")]
+    for side in sides:
+        (side / "bench" / "run.py").write_text(SLOW_STUB)
+    tmpdir, log = tmp_path / "tmp", tmp_path / "log"
+    tmpdir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), *map(str, sides),
+         "--workload", "transport-refine", "--seed", "7", "--pairs", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**os.environ, "BENCH_PAIRS_LOG": str(log),
+             "TMPDIR": str(tmpdir)})
+    try:
+        deadline = time.monotonic() + 30
+        while not (log.exists() and log.read_text().endswith("\n")):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.05)
+        assert list(tmpdir.glob("bench-pairs-*"))
+        proc.terminate()
+        assert proc.wait(timeout=30) != 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not list(tmpdir.glob("bench-pairs-*"))
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(log.read_text().split()[0]), 0)

@@ -346,6 +346,25 @@ def test_convergence_run_and_orders(tmp_path):
     assert len(lines) == 4
 
 
+def test_convergence_at_the_roundoff_floor_passes(tmp_path, capsys):
+    # the engine is exact here: every gap is 8.9e-16, below the floor of
+    # refinement_study, so no order is taken from them (measured 0 and
+    # FAIL before the floor)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "atoms": [[0.5, 1.0]],
+        "g": {"breakpoints": [3], "pieces": [[0], [1]]},
+        "t": 0.5, "spacings": [4e-3, 2e-3, 1e-3]}))
+    code = main(["convergence", "--config", str(cfg), "--out",
+                 str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    report = _report(tmp_path, "convergence")
+    assert max(report["config"]["gaps"]) < 1e-10
+    assert [c["name"] for c in report["checks"]] \
+        == ["order-level1-exact", "order-level2-exact"]
+
+
 def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "cfg.json"

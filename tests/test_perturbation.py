@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from exact_reference import (
     lattice_scan_one_operand,
+    renewal_forward_substitution,
     varpar_residual_stacked,
     volterra_matrix_stacked,
 )
@@ -525,7 +526,7 @@ def test_neumann_rank_one_divergence_detected():
                           dx, enforce_guard=False)
     msg = str(err.value)
     assert "three consecutive terms" in msg
-    assert "[6.1282, 4.0399, 3.018]" in msg
+    assert "[10.2, 5.7001, 3.9054]" in msg
     assert "np.float64" not in msg
 
 
@@ -1327,11 +1328,17 @@ class _FirstTerm(Exception):
 
 
 def series_first_term(mp, system, op, x, t0, dt):
-    """The first rank-one term that neumann_nodes hands to the series."""
-    def stop(total, term, *rest):
-        raise _FirstTerm(term)
+    """The first pairings that neumann_nodes hands to the rank-one
+    segment operator; its series is not run, since a drawn measure may
+    put the guard past 1."""
+    def no_series(total, term, apply_v, size, base, tol, guard):
+        return total, perturbation.SeriesDiagnostics(1, [base], [], guard)
 
-    mp.setattr(perturbation, "_neumann_sum", stop)
+    def stop(series, phi0):
+        raise _FirstTerm(phi0)
+
+    mp.setattr(perturbation, "_neumann_sum", no_series)
+    mp.setattr(perturbation, "_renewal_weights", stop)
     with pytest.raises(_FirstTerm) as caught:
         neumann_nodes(system, op, x, t0, [0], dt, enforce_guard=False)
     return caught.value.args[0]
@@ -1402,6 +1409,113 @@ def test_series_first_term_pairs_orbit_property(measure, m, seed):
     sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25)
     vals = np.random.default_rng(seed).standard_normal(sys_t.count)
     assert_first_term_pairs_orbit(sys_t, measure, vals, m)
+
+
+def _spy_renewal_weights(mp):
+    """Record (first pairings, summed pairings) of each rank-one state."""
+    real = perturbation._renewal_weights
+    seen = []
+
+    def spy(series, phi0):
+        out = real(series, phi0)
+        seen.append((phi0.copy(), out.copy()))
+        return out
+
+    mp.setattr(perturbation, "_renewal_weights", spy)
+    return seen
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(measure=rational_measures(), m=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1), guard=st.sampled_from([0.1, 0.5, 0.9]))
+def test_rank_one_segment_operator_serves_every_state(measure, m, seed,
+                                                      guard):
+    # one renewal series per segment operator: the summed pairings are
+    # the per-state iteration sum_{k<N} K^k phi0, a second state runs no
+    # series, and each recorded size s bounds the state's term:
+    # max|V^(k+1) T x| <= s max|x|, the orbit's size 1 bounding T x;
+    # the profile is scaled to put the guard at the drawn value
+    sys_t = TranslationSystem(-1.0, 1 / 16, 33, 0.25)
+    dt = sys_t.spacing
+    g = canonical_profile()
+    if measure.total_variation():
+        g = g.scale(guard / (m * dt * measure.total_variation()
+                             * g.sup_norm()))
+    op = PerturbationOperator.rank_one(measure, g)
+    rng = np.random.default_rng(seed)
+    states = [rng.standard_normal(sys_t.count),
+              1e3 * rng.standard_normal(sys_t.count)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_series(mp)
+        seen = _spy_renewal_weights(mp)
+        diags = [neumann_nodes(sys_t, op, sys_t.make(x), m * dt,
+                               [0, m // 2, m], dt)[1] for x in states]
+    assert len(calls) == 1 and diags[0] == diags[1]
+    ker = op._kernel_lattice(dt, m)
+    for x, (phi0, got) in zip(states, seen):
+        want, term = np.zeros(m + 1), phi0
+        for _ in range(diags[0].terms_used - 1):
+            want += term
+            term = perturbation._kernel_step(term, ker, dt)
+        scale = max(np.max(np.abs(want)), np.max(np.abs(phi0)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        window = sys_t.orbit_rows(x, m, dt)
+        sizes = diags[0].term_norms
+        assert np.max(np.abs(window)) <= sizes[0] * np.max(np.abs(x))
+        phi = pair_rows(measure, sys_t, window)
+        for size in sizes[1:]:
+            nodes = perturbation._convolved_nodes(sys_t, op, phi, dt,
+                                                  range(m + 1))
+            assert np.max(np.abs(nodes)) \
+                <= size * np.max(np.abs(x)) * (1 + 1e-12)
+            phi = perturbation._kernel_step(phi, ker, dt)
+
+
+def test_transport_refine_pass_runs_one_series_per_segment_operator(
+        monkeypatch):
+    # a transport-refine-shaped run: t = 2 at t0 = 0.2, dx = 2e-3, ten
+    # segments of one operator run one renewal series (ten when each
+    # segment ran its own)
+    prob = delta_problem()
+    dx, t, t0 = 2e-3, 2.0, 0.2
+    sys_t = make_system(prob, dx, t, t0)
+    calls = _count_series(monkeypatch)
+    state, diag = neumann_semigroup(sys_t, build_rank_one(prob),
+                                    prob.initial, t, t0, dx,
+                                    diagnostics=True)
+    assert diag.segments == 10 and len(calls) == 1
+    oracle = oracle_solution(prob.measure, prob.profile, prob.initial,
+                             sys_t, t)
+    assert (state - oracle).seminorm(prob.window) <= 1e-5
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-9])
+@pytest.mark.parametrize("dx", [1e-2, 2.5e-4], ids=["direct", "fft"])
+def test_rank_one_series_meets_the_renewal_solve(monkeypatch, dx, tol):
+    # truncation-only reference: on one segment the summed pairings meet
+    # the exact lattice solve of the renewal equation, forward
+    # substitution on the same kernel samples, to roundoff at tol 1e-14;
+    # at tol 1e-9 they stay within the stated tail bound, the first
+    # omitted size over 1 - guard divided by sup|g| m dt |mu|(R), times
+    # max|phi0|; at dx = 2.5e-4 (800 steps) both products take the FFT
+    prob = TransportProblem(
+        BoundedMeasure(atoms=[(0, 1), (Fraction(1, 2), Fraction(1, 2))]),
+        canonical_profile(), tent())
+    t0 = 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    op = build_rank_one(prob, require_regularized=False)
+    seen = _spy_renewal_weights(monkeypatch)
+    _, diag = neumann_nodes(sys_t, op, prob.initial, t0, [0], dx, tol=tol)
+    (phi0, got), = seen
+    want = renewal_forward_substitution(prob.measure, prob.profile,
+                                        prob.initial, t0, dx)
+    gap = np.max(np.abs(got - want)) / np.max(np.abs(phi0))
+    if tol == 1e-14:
+        assert gap <= 1e-13
+    else:
+        const = op.profile_sup * t0 * prob.measure.total_variation()
+        tail = diag.term_norms[-1] / (1 - diag.guard_bound) / const
+        assert 1e-13 < gap <= tail
 
 
 @st.composite

@@ -18,6 +18,9 @@ worse than it.  The exit status is 1 when a run gives no result line,
 when a larger share of the change's units fails, or when a metric
 leaves its bound; else 0.
 
+SIGTERM stops it as an interrupt does: the run in progress is killed and
+the temporary copies are removed.
+
 ``--json PATH`` also writes the comparison to PATH, under
 ``workloads[W]``: each pair's metric values and which side ran first,
 each side's failed and attempted units, and per metric the medians,
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -61,7 +65,14 @@ def _spread(values):
     return med, q1, q3
 
 
+def _exit_on_sigterm(signum, frame):
+    """Turn SIGTERM into SystemExit, so that ``subprocess.run`` kills its
+    child and ``TemporaryDirectory`` cleans up on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
