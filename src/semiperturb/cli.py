@@ -120,18 +120,25 @@ def deterministic_json(obj, indent: int = 0) -> str:
     return _json_atom(obj)
 
 
-def emit_convergence(rows, fh) -> None:
+def emit_convergence(rows, fh, floor=0.0) -> None:
     """CSV rows (dt, error, observed order) from a refinement study.
 
-    Orders come from successive log ratios; a zero-error row is marked
-    ``exact`` since no finite order describes it.  Needs at least three
-    levels for the orders to mean anything.
+    Orders come from successive log ratios.  A row whose error is at
+    most ``floor`` is marked ``exact``, since no finite order describes
+    it, and a coarser error below the floor is taken at the floor: with
+    the ``floor`` of :func:`~semiperturb.transport.refinement_study`, the
+    rows marked exact are the levels that study reads as exact.  The
+    default 0.0 marks only a zero row, and the row after a zero row gets
+    no order.  Needs at least three levels for the orders to mean
+    anything, and errors that are nonnegative and finite.
     """
     rows = [(float(dt), float(err)) for dt, err in rows]
     if len(rows) < 3:
         raise ValueError(f"need at least 3 refinement levels, got {len(rows)}")
     if not all(a[0] > b[0] > 0 for a, b in zip(rows, rows[1:])):
         raise ValueError("step sizes must be positive and strictly decreasing")
+    if not all(0 <= err < math.inf for _, err in rows):
+        raise ValueError("errors must be nonnegative and finite")
     close = isinstance(fh, (str, bytes))
     if close:
         fh = open(fh, "w")
@@ -139,13 +146,13 @@ def emit_convergence(rows, fh) -> None:
         fh.write("dt,error,order\n")
         prev = None
         for dt, err in rows:
-            if err == 0.0:
+            if err <= floor:
                 order = "exact"
-            elif prev is None or prev[1] == 0.0:
+            elif prev is None or max(prev[1], floor) == 0.0:
                 order = ""
             else:
-                order = format(
-                    math.log(prev[1] / err) / math.log(prev[0] / dt), ".17g")
+                order = format(math.log(max(prev[1], floor) / err)
+                               / math.log(prev[0] / dt), ".17g")
             fh.write(f"{dt:.17g},{err:.17g},{order}\n")
             prev = (dt, err)
     finally:
@@ -533,7 +540,7 @@ def _run_convergence(cfg):
     for k, order in enumerate(study["orders"]):
         if not math.isfinite(order):
             # the finer gap at or below the study's floor (a zero gap
-            # included; the CSV marks only a zero row exact)
+            # included); the CSV marks the same rows exact
             checks.append(_check(f"order-level{k + 1}-exact", 0.0, 0.0,
                                  ok=True))
         else:
@@ -541,7 +548,8 @@ def _run_convergence(cfg):
                                  ok=order >= min_order))
 
     def write_csv(fh):
-        emit_convergence([(r["spacing"], r["gap"]) for r in study["rows"]], fh)
+        emit_convergence([(r["spacing"], r["gap"]) for r in study["rows"]],
+                         fh, floor=study["floor"])
 
     config_echo = {"profile": cfg["profile"], "min_order": min_order,
                    "t": t, "t0": t0, "spacings": spacings,

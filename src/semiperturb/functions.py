@@ -606,6 +606,11 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     Gauss-Legendre rule exact for f's degree.  Cuts are held in lattice
     units, cell k and sigma = (b - x_k) / h, so none loses digits to
     |x_k| / h; a panel reads its piece at its start, node or breakpoint.
+    The rule runs on whole cells first, over the run of cells whose start
+    each piece owns (slices, as in :func:`to_grid`); panels are built
+    only for the few cells a breakpoint cuts (about two per breakpoint),
+    whose moments are then taken again.  Every cell gets the bits of one
+    panel list over the whole lattice, summed back cell by cell.
 
     Memoised on the function object and the exact lattice (origin, h, n),
     four entries deep, so a caller that revisits one lattice, such as
@@ -614,33 +619,47 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     """
     xk = origin + h * np.arange(n + 1)
     breaks = np.array([float(b) for b in f.breakpoints])
+    degree = max(len(p) for p in f.pieces)
+    # whole cells first: piece i owns the cells whose start x_k lies in
+    # [breaks[i - 1], breaks[i]), the piece a cell's first panel reads
+    ends = [0, *np.searchsorted(xk[:n], breaks).tolist(), n]
+    runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    i0, i1 = np.zeros(n), np.zeros(n)
+    for sigma, wts in _gauss_panels(0.0, 1.0, degree):
+        vals = _horner_pieces(f, xk[:n] + h * sigma, runs)
+        vals *= wts
+        i0 += (1.0 - sigma) * vals
+        i1 += sigma * vals
     # x_k + h and x_{k+1} differ by rounding: a breakpoint by a node may
     # cut the cell on either side of it
     near = np.searchsorted(xk, breaks, side="right") - 1
     cell = np.concatenate([near, near - 1])
     at = np.concatenate([breaks, breaks])
-    sig = (at - xk[np.clip(cell, 0, n)]) / h
+    sig = (at - xk[np.maximum(cell, 0)]) / h
     inner = (cell >= 0) & (cell < n) & (sig > 0) & (sig < 1)
-    order = np.lexsort((sig[inner], cell[inner]))
-    cut_cell, cut_sig, cut_at = (v[inner][order] for v in (cell, sig, at))
-    # panels in lattice order: each cell's start, then its inner cuts
-    cell = np.insert(np.arange(n), cut_cell + 1, cut_cell)
-    lo = np.insert(np.zeros(n), cut_cell + 1, cut_sig)
-    piece = np.searchsorted(breaks, np.insert(xk[:n], cut_cell + 1, cut_at),
-                            side="right")
-    width = np.append(lo[1:], 0.0)
-    width[width == 0.0] = 1.0  # the next panel starts a new cell
-    width -= lo
-    x0, i0, i1 = xk[cell], np.zeros(lo.size), np.zeros(lo.size)
-    for sigma, wts in _gauss_panels(lo, width, max(len(p) for p in f.pieces)):
+    # the cut cells again, as panels in lattice order: each cell's start,
+    # then its inner cuts; the sort is stable, so ties keep their order
+    cells = np.unique(cell[inner])
+    slot = np.concatenate([cells, cell[inner]])
+    lo = np.concatenate([np.zeros(cells.size), sig[inner]])
+    order = np.lexsort((lo, slot))
+    slot, lo = np.searchsorted(cells, slot[order]), lo[order]
+    piece = np.searchsorted(
+        breaks, np.concatenate([xk[cells], at[inner]])[order], side="right")
+    end = np.concatenate([lo[1:], lo[:1]])  # the next panel's start
+    end[end == 0.0] = 1.0  # the next panel starts a new cell
+    width = end - lo
+    x0, p0, p1 = xk[cells][slot], np.zeros(lo.size), np.zeros(lo.size)
+    for sigma, wts in _gauss_panels(lo, width, degree):
         vals = _eval_pieces(f, x0 + h * sigma, piece)
         vals *= wts
-        i0 += (1.0 - sigma) * vals
-        i1 += sigma * vals
-    moments = np.bincount(cell, i0, n), np.bincount(cell, i1, n)
-    for a in moments:
+        p0 += (1.0 - sigma) * vals
+        p1 += sigma * vals
+    i0[cells] = np.bincount(slot, p0, cells.size)
+    i1[cells] = np.bincount(slot, p1, cells.size)
+    for a in (i0, i1):
         a.flags.writeable = False
-    return moments
+    return i0, i1
 
 
 def support_cells(f: PiecewiseFunction, origin: float, h: float, n: int):

@@ -5,11 +5,13 @@ times a discontinuous profile; its domain consists of continuous functions
 whose derivative kinks at the profile jumps are exactly the pairing value
 times the jump gaps.  This module owns
 
-* the independent oracle: a blocked exact solve of the implicit
-  trapezoid system of the scalar renewal equation for phi(tau) = pairing
-  of the perturbed orbit, plus a reconstruction of the solution from
-  phi: the exact free sample, and one lattice product of phi with the
-  profile's hat moments on the cells where the profile can be nonzero;
+* the independent oracle: an exact solve of the implicit trapezoid
+  system of the scalar renewal equation for phi(tau) = pairing of the
+  perturbed orbit, on a tree of step ranges whose histories are FFT
+  middle products (O(N log^2 N) for N steps), plus a reconstruction of
+  the solution from phi: the exact free sample, and one lattice product
+  of phi with the profile's hat moments on the cells where the profile
+  can be nonzero;
 * domain bookkeeping with exact rational arithmetic (membership residuals
   are identically zero, not merely small, for the canonical examples);
 * constructors for the stock profiles and domain functions;
@@ -27,8 +29,8 @@ every time on one grid pay for the moments once), the lattice
 convolution ``lattice_convolve``, which the tests check against
 ``np.convolve``, the reuse of a fixed kernel's spectrum across
 products, and the rule ``support_cells`` for where a profile can be
-nonzero.  They differ in how the system is solved (exactly and in
-blocks here, by a truncated Neumann series with segment restarts
+nonzero.  They differ in how the system is solved (exactly, on the
+step tree, here; by a truncated Neumann series with segment restarts
 there) and in how the state is rebuilt from the weights (hat moments
 against the exact profile here, the sampled trapezoid there).
 """
@@ -168,17 +170,6 @@ class DomainReport:
     continuity_defects: list  # (location, jump of f) pairs
     worst: float
 
-    def to_dict(self) -> dict:
-        return {
-            "in_domain": self.in_domain,
-            "pairing_value": float(self.pairing_value),
-            "kink_residuals": [[float(z), float(r)]
-                               for z, r in self.kink_residuals],
-            "continuity_defects": [[float(z), float(r)]
-                                   for z, r in self.continuity_defects],
-            "worst": self.worst,
-        }
-
 
 def domain_check(f: PiecewiseFunction, problem: "TransportProblem"
                  ) -> DomainReport:
@@ -233,7 +224,7 @@ def build_domain_function(problem: "TransportProblem",
 # scalar renewal oracle
 
 
-_BLOCK = 512  # at most the direct-convolution size: causal block rounding
+_BLOCK = 512  # the leaf size, at most the direct-convolution size
 
 
 def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
@@ -250,17 +241,24 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
 
     diag = 1 - dt * k_right(0)/2, which must stay positive; otherwise the
     step size is rejected by StepSizeError (a t off the dt lattice, or
-    negative, by StepMismatch).  It is solved exactly, in blocks of 512
-    steps.  The history of the earlier blocks, entries [lo, hi) of the
-    product of the weights found so far with k_mid, is a middle product:
-    one circular FFT product of length ``_fft_length(m_steps + 1)``,
-    against the spectrum of k_mid taken once per call.  Each block then
-    multiplies by the reciprocal series of the symbol (diag,
-    -dt k_mid[1], -dt k_mid[2], ...), cut to one block and built once per
-    call.  The block products run on the direct convolution, and the
-    history reads the earlier weights only, so the rounding of phi[m]
-    scales with max|phi[:m+1]|, never with later weights: a prefix
-    phi[:k+1] is as accurate as a solve that stops at step k.
+    negative, by StepMismatch).  It is solved exactly on a tree of step
+    ranges, the divide-and-conquer schedule of Hairer, Lubich & Schlichte
+    (1985), in O(N log^2 N) for N steps.  A range [lo, hi) of more than
+    512 steps splits at mid = lo + 512 * 2^j, the largest such point below
+    hi.  The left part is solved first; its history on the right part,
+    entries [mid, hi) of the product psi[lo:mid] * k_mid, is then one FFT
+    middle product, and the right part is solved last.  Every split point
+    is a multiple of 512, so the tree runs as one pass over leaves of 512
+    steps: the leaf that ends at step e closes the left part of the one
+    split at e, whose size is the largest 512 * 2^j that divides e.  The
+    splits of one size share one spectrum of k_mid, taken once per call,
+    so N steps transform k_mid about log2(N / 512) times.  A leaf
+    multiplies by the reciprocal series of the symbol (diag, -dt k_mid[1],
+    -dt k_mid[2], ...), cut to one leaf and built once per call, on the
+    direct convolution.  Every history product reads earlier weights
+    only, so the rounding of phi[m] scales with max|phi[:m+1]|, never with
+    later weights: a prefix phi[:k+1] is as accurate as a solve that
+    stops at step k.
     """
     m_steps = _lattice_steps(t, dt, "t")
     k_left, k_mid, k_right = sample_lag_kernel(measure, profile, dt,
@@ -272,22 +270,30 @@ def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
     free = sample_lag_kernel(measure, u0, dt, m_steps)[0]
     phi = np.empty(m_steps + 1)
     phi[0] = free[0]
-    # psi = phi[1:] solves sum_{j<=i} c[i-j] psi[j] = rhs[i], c the symbol
-    rhs = free[1:] + 0.5 * dt * phi[0] * k_left[1:]
+    # psi = phi[1:] solves sum_{j<=i} c[i-j] psi[j] = rhs[i], c the symbol;
+    # it starts as rhs and gathers the history of each left part
+    psi = phi[1:]
+    psi[:] = free[1:] + 0.5 * dt * phi[0] * k_left[1:]
     symbol = -dt * k_mid[:_BLOCK]
     symbol[0] = diag
     inverse = _reciprocal_series(symbol)
-    psi = phi[1:]
-    if m_steps > _BLOCK:
-        # entries [lo, hi) of psi[:lo] * k_mid read lags 1..hi - 1 < size
-        # only, so the circular product does not wrap onto them
-        history = _spectrum(k_mid, _fft_length(m_steps + 1))
+    spectra = {}
     for lo in range(0, m_steps, _BLOCK):
         hi = min(lo + _BLOCK, m_steps)
-        block = rhs[lo:hi]
-        if lo:
-            block = block + dt * _spectrum_product(history, psi[:lo])[lo:hi]
-        psi[lo:hi] = lattice_convolve(inverse, block, hi - lo)
+        psi[lo:hi] = lattice_convolve(inverse, psi[lo:hi], hi - lo)
+        # the split at hi has a left part of size half, the largest
+        # 512 * 2^j dividing hi: its history on psi[hi:top] is entries
+        # [half, top - hi + half) of psi[hi - half:hi] * k_mid, which read
+        # lags below min(2 half, m_steps) <= size only, so the circular
+        # product wraps onto entries below half alone
+        half = hi & -hi
+        top = min(hi + half, m_steps)
+        if top > hi:
+            if half not in spectra:
+                size = _fft_length(min(2 * half, m_steps))
+                spectra[half] = _spectrum(k_mid[:size], size)
+            psi[hi:top] += dt * _spectrum_product(
+                spectra[half], psi[hi - half:hi])[half:top - hi + half]
     return phi
 
 
@@ -470,7 +476,8 @@ def refinement_study(problem: TransportProblem, t: float, spacings,
     floor ``GAP_FLOOR`` * tol * sup|u0|, where series truncation and
     roundoff hide the discretisation error: a finer gap at or below it
     reads as exact (order inf), as a zero gap does, and a coarser gap
-    below it is taken at the floor."""
+    below it is taken at the floor.  The floor is returned with the rows
+    and orders."""
     tol = 1e-11
     rows = [engine_vs_oracle(problem, t, h, t0, tol=tol) for h in spacings]
     floor = GAP_FLOOR * tol * problem.initial.sup_norm()
@@ -482,7 +489,7 @@ def refinement_study(problem: TransportProblem, t: float, spacings,
         else:
             orders.append(float(np.log(max(a["gap"], floor) / b["gap"])
                                 / np.log(ratio)))
-    return {"rows": rows, "orders": orders}
+    return {"rows": rows, "orders": orders, "floor": floor}
 
 
 def comparison_curve(problem: TransportProblem, t_values) -> dict:

@@ -33,6 +33,8 @@ from semiperturb.functions import (
     BoundedMeasure,
     GridFunction,
     PiecewiseFunction,
+    _eval_pieces,
+    _gauss_panels,
     hat_moments,
     lattice_convolve,
     sample_lag_kernel,
@@ -89,6 +91,35 @@ def hat_moments_exact(f: PiecewiseFunction, origin, h, n):
         i0.append(cell - rise)
         i1.append(rise)
     return i0, i1
+
+
+def hat_moments_by_panels(f: PiecewiseFunction, origin, h, n):
+    """``functions.hat_moments`` with every cell cut into panels: each
+    cell's start, then its inner cuts at f's breakpoints, one panel
+    list over the whole lattice, summed back per cell by ``bincount``."""
+    xk = origin + h * np.arange(n + 1)
+    breaks = np.array([float(b) for b in f.breakpoints])
+    near = np.searchsorted(xk, breaks, side="right") - 1
+    cell = np.concatenate([near, near - 1])
+    at = np.concatenate([breaks, breaks])
+    sig = (at - xk[np.clip(cell, 0, n)]) / h
+    inner = (cell >= 0) & (cell < n) & (sig > 0) & (sig < 1)
+    order = np.lexsort((sig[inner], cell[inner]))
+    cut_cell, cut_sig, cut_at = (v[inner][order] for v in (cell, sig, at))
+    cell = np.insert(np.arange(n), cut_cell + 1, cut_cell)
+    lo = np.insert(np.zeros(n), cut_cell + 1, cut_sig)
+    piece = np.searchsorted(breaks, np.insert(xk[:n], cut_cell + 1, cut_at),
+                            side="right")
+    width = np.append(lo[1:], 0.0)
+    width[width == 0.0] = 1.0  # the next panel starts a new cell
+    width -= lo
+    x0, i0, i1 = xk[cell], np.zeros(lo.size), np.zeros(lo.size)
+    for sigma, wts in _gauss_panels(lo, width, max(len(p) for p in f.pieces)):
+        vals = _eval_pieces(f, x0 + h * sigma, piece)
+        vals *= wts
+        i0 += (1.0 - sigma) * vals
+        i1 += sigma * vals
+    return np.bincount(cell, i0, n), np.bincount(cell, i1, n)
 
 
 def renewal_forward_substitution(measure: BoundedMeasure,

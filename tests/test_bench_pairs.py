@@ -108,6 +108,62 @@ def test_bench_pairs_writes_json(tmp_path):
                                                          "higher")
 
 
+# counts its runs in its own checkout's bench/out/, so a second copy of
+# the checkout would count from 1 again, and logs side, workload and
+# count; its run_s depends on the workload
+MULTI_STUB = '''
+import json, os, sys
+from pathlib import Path
+workload = sys.argv[sys.argv.index("--workload") + 1]
+out = Path(__file__).resolve().parent / "out"
+out.mkdir(exist_ok=True)
+with open(out / "runs", "a") as fh:
+    fh.write("run\\n")
+count = len((out / "runs").read_text().split())
+with open(os.environ["BENCH_PAIRS_LOG"], "a") as fh:
+    fh.write("%s %%s %%d\\n" %% (workload, count))
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"run_s": {"value": %r[workload], "unit": "s"},
+                              "order.min": {"value": 2.0, "unit": "order"}}}))
+'''
+
+
+def test_bench_pairs_repeats_workload(tmp_path):
+    # each checkout is copied once; each workload runs its own pairs in
+    # the order given, prints its own table and gets its own JSON entry
+    run_s = {"parent": {"a": 0.3, "b": 0.5}, "change": {"a": 0.2, "b": 0.6}}
+    sides = [_checkout(tmp_path, side, 0.3, 2.0) for side in run_s]
+    for side in sides:
+        (side / "bench" / "run.py").write_text(
+            MULTI_STUB % (side.name, run_s[side.name]))
+    log, out = tmp_path / "log", tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), *map(str, sides), "--workload", "a",
+         "--workload", "b", "--seed", "7", "--pairs", "2", "--seconds", "1",
+         "--json", str(out)], capture_output=True, text=True,
+        env={**os.environ, "BENCH_PAIRS_LOG": str(log)})
+    # b's change is slower by a fifth, within run_s's bound of 0.25
+    assert proc.returncode == 0
+    assert log.read_text().splitlines() == [
+        "parent a 1", "change a 1", "change a 2", "parent a 2",
+        "parent b 3", "change b 3", "change b 4", "parent b 4"]
+    tables = proc.stdout.split("workload ")[1:]
+    assert [t.split()[0] for t in tables] == ["a", "b"]
+    for table, wins in zip(tables, ("2/2 yes yes", "0/2 no yes")):
+        row = next(line for line in table.splitlines()
+                   if line.startswith("run_s"))
+        assert wins in " ".join(row.split())
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]) == ["a", "b"]
+    for name in ("a", "b"):
+        entry = doc["workloads"][name]
+        assert entry["exit"] == 0 and len(entry["pairs"]) == 2
+        assert entry["metrics"]["run_s"]["parent"]["median"] \
+            == run_s["parent"][name]
+        assert entry["metrics"]["run_s"]["change"]["median"] \
+            == run_s["change"][name]
+
+
 # logs its pid, then runs until it is stopped
 SLOW_STUB = '''
 import os, time

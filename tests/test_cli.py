@@ -62,6 +62,15 @@ def test_emit_convergence_exact_marker():
     lines = buf.getvalue().strip().splitlines()
     assert lines[2].split(",")[2] == "exact"
     assert lines[3].split(",")[2] == "exact"
+    # a floor marks every row at or below it exact, and a coarser error
+    # below it is taken at the floor
+    buf = io.StringIO()
+    emit_convergence([(4e-3, 1e-12), (2e-3, 4e-10), (1e-3, 1e-10)], buf,
+                     floor=1e-10)
+    orders = [line.split(",")[2]
+              for line in buf.getvalue().strip().splitlines()[1:]]
+    assert orders[0] == orders[2] == "exact"
+    assert float(orders[1]) == math.log(1e-10 / 4e-10) / math.log(2.0)
 
 
 def test_emit_convergence_preconditions():
@@ -70,6 +79,11 @@ def test_emit_convergence_preconditions():
     with pytest.raises(ValueError):
         emit_convergence([(1e-3, 1e-4), (2e-3, 1e-5), (4e-3, 1e-6)],
                          io.StringIO())
+    # a negative error would read as exact: it, NaN and inf are refused
+    for bad in (-1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            emit_convergence([(4e-3, bad), (2e-3, 1e-5), (1e-3, 1e-6)],
+                             io.StringIO())
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +377,10 @@ def test_convergence_at_the_roundoff_floor_passes(tmp_path, capsys):
     assert max(report["config"]["gaps"]) < 1e-10
     assert [c["name"] for c in report["checks"]] \
         == ["order-level1-exact", "order-level2-exact"]
+    # the CSV marks exact the rows the checks read as exact, and the
+    # first row, which no check judges, by the same rule
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["exact"] * 3
 
 
 def test_reports_byte_identical(tmp_path):

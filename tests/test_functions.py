@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from exact_reference import (
     eval_pieces_by_point,
+    hat_moments_by_panels,
     hat_moments_exact,
     kernel,
     sample_sided_by_point,
@@ -575,6 +576,51 @@ def test_hat_moments_exact_for_every_degree(args):
     q0, q1 = _quad_hat(f, origin, h)
     assert abs(i0[0] - q0) <= 1e-13 * _cell_scale(f, origin, h)
     assert abs(i1[0] - q1) <= 1e-13 * _cell_scale(f, origin, h)
+
+
+@st.composite
+def panel_inputs(draw):
+    """A piecewise polynomial of degree 0-4, with float or Fraction
+    coefficients, and a float lattice; its rational breakpoints sit on
+    nodes, within a few half ulps of them (so two may round to one
+    float), or two to one cell."""
+    h = draw(st.sampled_from([2.5e-4, 1e-3, 1 / 3, 0.1, 0.5]))
+    origin = draw(st.floats(-6, 6))
+    n = draw(st.integers(1, 40))
+    # one node beyond each edge too
+    nodes = [origin + h * k for k in range(-1, n + 2)]
+    breaks = set()
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from(["on", "ulps", "two"]))
+        if kind == "on":
+            breaks.add(Fraction(x))
+        elif kind == "ulps":
+            breaks.add(Fraction(x) + Fraction(math.ulp(x)) / 2
+                       * draw(st.integers(-6, 6)))
+        else:
+            sigmas = draw(st.sets(st.fractions(0, 1, max_denominator=40),
+                                  min_size=2, max_size=2))
+            breaks.update(Fraction(x) + Fraction(h) * s for s in sigmas)
+    breaks = sorted(breaks)
+    kind = draw(st.sampled_from([float, Fraction]))
+    coeff = st.fractions(min_value=-5, max_value=5,
+                         max_denominator=12).map(kind)
+    inner = [draw(st.lists(coeff, min_size=1, max_size=5))
+             for _ in breaks[1:]]
+    f = PiecewiseFunction(breaks, [[draw(coeff)]] + inner + [[draw(coeff)]])
+    return f, origin, h, n
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(panel_inputs())
+def test_hat_moments_match_the_panel_rule_bit_for_bit(args):
+    # whole cells plus the cut cells' panels give the bits of one panel
+    # list over the whole lattice
+    f, origin, h, n = args
+    got = hat_moments.__wrapped__(f, origin, h, n)
+    want = hat_moments_by_panels(f, origin, h, n)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def test_hat_moments_degree_seven_cell():

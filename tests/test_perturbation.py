@@ -1853,7 +1853,9 @@ def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
     # one 10-segment run at h = 2.5e-4 (800 steps a segment, both engine
     # products on the FFT path) transforms the renewal kernel once and
     # the profile lattice once; the oracle's 8000-step solve transforms
-    # k_mid once.  Every real FFT is counted, whichever route calls it
+    # k_mid once per level of its step tree, the splits of 512, 1024,
+    # 2048 and 4096 steps.  Every real FFT is counted, whichever route
+    # calls it
     prob = delta_problem()
     dt, t, t0 = 2.5e-4, 2.0, 0.2
     k_mid = sample_lag_kernel(prob.measure, prob.profile, dt, 8000)[1]
@@ -1867,16 +1869,19 @@ def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
             a[1:], k_mid[1:801]),
         # the profile samples, with or without zero cells around them
         "profile": lambda a: np.array_equal(np.trim_zeros(a), support),
-        # k_mid, whole or cut at a block's end past the first two blocks
+        # k_mid, cut to the spectrum length of a tree level
         "k_mid": lambda a: a.size > 801 and np.array_equal(
             a, k_mid[:a.size]),
     }
     counts = dict.fromkeys(operands, 0)
+    k_mid_sizes = []
     real = np.fft.rfft
 
     def rfft(a, *args, **kwargs):
         for name, match in operands.items():
             counts[name] += bool(match(np.asarray(a)))
+        if operands["k_mid"](np.asarray(a)):
+            k_mid_sizes.append(np.size(a))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", rfft)
@@ -1885,7 +1890,9 @@ def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
     assert run.system.count == system.count
     assert counts == {"kernel": 1, "profile": 1, "k_mid": 0}
     oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
-    assert counts == {"kernel": 1, "profile": 1, "k_mid": 1}
+    assert counts == {"kernel": 1, "profile": 1, "k_mid": 4}
+    # a split of s steps reads lags below min(2 s, 8000)
+    assert k_mid_sizes == [1024, 2048, 4096, 8000]
 
 
 def test_profile_before_grid_leaves_the_free_translation():

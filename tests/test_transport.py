@@ -384,12 +384,23 @@ def test_oracle_refuses_a_time_off_the_lattice(t):
     (BoundedMeasure.dirac(0), three_jump_profile(), 0.3, 1e-3),
     (BoundedMeasure.dirac(0), three_jump_profile(), 0.512, 1e-3),
     (BoundedMeasure.dirac(0), three_jump_profile(), 0.513, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 1.024, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 1.025, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 1.536, 1e-3),
+    (BoundedMeasure.dirac(0), three_jump_profile(), 2.049, 1e-3),
+    (two_atom_problem().measure, three_jump_profile(), 2.0, 2.5e-4),
+    (BoundedMeasure.dirac(0), sawtooth_profile(), 2.0, 2.5e-4),
 ], ids=["dirac-0", "dirac-third", "two-atoms", "two-atoms-sawtooth",
-        "density", "weight-3-t4", "m1", "m300", "m512", "m513"])
+        "density", "weight-3-t4", "m1", "m300", "m512", "m513", "m1024",
+        "m1025", "m1536", "m2049", "m8000-two-atoms", "m8000-sawtooth"])
 def test_oracle_weights_match_forward_substitution(measure, profile, t, dt):
-    # the blocked solve (blocks of 512 steps) against the step-by-step
-    # one, entry by entry, relative to the largest weight so far: its
-    # rounding stays causal; 2000 and 513 steps end inside a block
+    # the tree solve (leaves of at most 512 steps) against the
+    # step-by-step one, entry by entry, relative to the largest weight so
+    # far: its rounding stays causal.  1024 steps are two whole leaves,
+    # 513, 1025 and 2049 steps split one step off the top, 1536 steps
+    # split at 1024 with one leaf right of it, and 2000 and 8000 steps
+    # (the benchmark's finest) end inside a leaf, below splits of every
+    # size up to 4096
     phi = oracle_weights(measure, profile, tent(), t, dt)
     want = renewal_forward_substitution(measure, profile, tent(), t, dt)
     assert phi.shape == want.shape
