@@ -374,7 +374,7 @@ def _run_transport_demo(cfg):
     problem = _resolve_transport_problem(cfg)
 
     # the rank-one guard reads no system: it is known before any grid
-    op = build_rank_one(problem, require_regularized=False)
+    op = build_rank_one(problem)
     guard = op.analytic_volterra_bound(None, t0)
     checks = [_check("guard", guard, 1.0, ok=guard < 1.0)]
     csvs = {}
@@ -479,7 +479,7 @@ def _run_admissibility(cfg):
     dx = _as_pos_float("grid_spacing", cfg.get("grid_spacing", 4e-3))
     problem = _resolve_transport_problem(cfg)
     system = make_system(problem, dx, t0, t0)
-    op = build_rank_one(problem, require_regularized=False)
+    op = build_rank_one(problem)
     probes = translation_probes(system, t0, dx)
     report = admissibility_check(system, op, t0, dx, probes)
 

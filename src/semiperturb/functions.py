@@ -140,10 +140,6 @@ class PiecewiseFunction:
         self.pieces = pieces
         self._floats = None  # what _horner_pieces reads, on first use
 
-    @classmethod
-    def constant(cls, c):
-        return cls([], [[c]])
-
     # -- evaluation ---------------------------------------------------
 
     def _piece_index(self, x, side="left"):
@@ -154,9 +150,6 @@ class PiecewiseFunction:
     def eval(self, x):
         """Value at x under the half-open convention (left limit at jumps)."""
         return poly_eval(self.pieces[self._piece_index(x)], x)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def one_sided_limit(self, x, side):
         if side not in ("left", "right"):
@@ -324,10 +317,6 @@ class GridFunction:
     def count(self) -> int:
         return self.values.size
 
-    @property
-    def x_last(self) -> float:
-        return self.origin + self.spacing * (self.count - 1)
-
     def nodes(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.count)
 
@@ -350,12 +339,6 @@ class GridFunction:
         out = np.interp(x, self.nodes(), self.values)
         return out if out.ndim else float(out)
 
-    def __call__(self, x):
-        return self.eval(x)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def seminorm(self, K: CompactInterval) -> float:
         return float(seminorm_rows(self, self.values[None], K)[0])
 
@@ -370,11 +353,6 @@ class GridFunction:
             return NotImplemented
         self._require_same_grid(other)
         return self.with_values(self.values - other.values)
-
-    def __mul__(self, s):
-        return self.with_values(self.values * float(s))
-
-    __rmul__ = __mul__
 
     def to_csv(self, fh) -> None:
         """Write (x, value) rows; comma separated, '.' decimals, header."""
@@ -482,8 +460,9 @@ def _density_node_weights(density: PiecewiseFunction, grid) -> np.ndarray:
         w[lo_i + 1:hi_i + 1] += dx * i1
     if a < grid.origin:
         w[0] += float(density.definite_integral(a, min(b, grid.origin)))
-    if b > grid.x_last:
-        w[-1] += float(density.definite_integral(max(a, grid.x_last), b))
+    x_last = grid.origin + dx * (grid.count - 1)
+    if b > x_last:
+        w[-1] += float(density.definite_integral(max(a, x_last), b))
     return w
 
 

@@ -4,7 +4,7 @@ Bounded-into-extrapolation-space perturbations and the series machinery
 built on them: causal convolution against the unperturbed propagators, the
 Neumann series for the perturbed semigroup on a short horizon, and the
 battery of consistency checks (composition identity, variation of
-parameters, admissibility, resolvent bounds, generator action).
+parameters, admissibility, generator action, comparison constants).
 
 Each perturbation kind is one class that acts on one system class and
 owns its half of the engine and the checks:
@@ -209,10 +209,6 @@ class MatrixOperator(PerturbationOperator):
         nothing is reconstructed."""
         return self._volterra_rows(system, F, steps), fn, 0.0, None
 
-    def _resolvent_norm(self, system, lam):
-        """||R(lam, A) B||_2."""
-        return opnorm2(system.resolvent(lam, self.matrix_data))
-
     def _generator_values(self, system, f):
         """f and (A + B) f."""
         x = system.state_values(f)
@@ -392,29 +388,14 @@ class RankOneOperator(PerturbationOperator):
         detour; NotInStateSpace when the detour does not reconstruct."""
         m = len(phi) - 1
         hvals = system.sample(self.regularized_profile).values
+        shifted = system.orbit_rows(hvals, m, dt)
         u = np.zeros(system.count)
         for j in range(m + 1):
             w = 0.5 if j in (0, m) else 1.0
-            u += w * phi[j] * system.shift_values(hvals, m - j)
+            u += w * phi[j] * shifted[m - j]
         u *= dt
         recon = reconstruct(system, system.make(u))
         return system.seminorm(recon.values - fast_out)
-
-    def _resolvent_norm(self, system, lam):
-        """|mu|(R) times the window sup of the resolvent applied to the
-        profile, on a lattice covering the window and its support."""
-        lo, hi = self.profile.support_bounds()
-        dt = system.spacing
-        win = system.window
-        x0 = min(float(win.lo), float(lo))
-        n = int(np.ceil((float(hi) - x0) / dt)) + 2
-        lattice = TranslationSystem(x0, dt, n, 0.0)
-        xs = lattice.nodes()
-        _, gm, _ = sample_sided(self.profile, xs, snap_tol=1e-6 * dt)
-        out = lattice.resolvent(lam, lattice.make(gm)).values
-        mask = (xs >= float(win.lo) - 1e-12) & (xs <= float(win.hi) + 1e-12)
-        return (self.measure.total_variation()
-                * float(np.max(np.abs(out[mask]))))
 
     def _generator_values(self, system, f):
         """Node values of f and of f' + (pairing of f) g; NotInStateSpace
@@ -974,38 +955,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
 
 
 # ---------------------------------------------------------------------------
-# resolvent, generator, regularity checks
-
-
-def perturbed_resolvent_check(system, op: PerturbationOperator,
-                              lam_values, t0: float, dt: float) -> dict:
-    """Resolvent-composed-with-B norms against the chain bound.
-
-    For each lambda above omega, the system's ``log_norm`` (so that
-    ||T(t)|| <= e^{omega t}), bounds ||R(lambda) B|| by V + q/(1-q) V,
-    q = exp((omega - lambda) t0), V the analytic Volterra bound, and
-    compares the observed norm.  Returns per-lambda numbers plus flags.
-    """
-    op._paired(system)
-    vb = op.analytic_volterra_bound(system, t0)
-    omega = system.log_norm
-    rows = []
-    for lam in lam_values:
-        if lam <= omega:
-            raise ValueError("lambda must exceed the log norm")
-        q = float(np.exp((omega - lam) * t0))
-        bound = vb + q / (1.0 - q) * vb
-        observed = op._resolvent_norm(system, lam)
-        rows.append({"lam": float(lam), "observed": float(observed),
-                     "bound": float(bound),
-                     "within": bool(observed <= bound * (1 + 1e-8) + 1e-12)})
-    obs = [r["observed"] for r in rows]
-    return {
-        "rows": rows,
-        "all_within": all(r["within"] for r in rows),
-        "decreasing": all(obs[i + 1] <= obs[i] * (1 + 1e-8)
-                          for i in range(len(obs) - 1)),
-    }
+# generator and comparison checks
 
 
 def generator_check(system, op: PerturbationOperator, f, h_steps,
@@ -1024,18 +974,6 @@ def generator_check(system, op: PerturbationOperator, f, h_steps,
     nodes, _ = neumann_nodes(system, op, system.make(fvals), t0, steps, dt)
     return {h: system.seminorm((system.state_values(v) - fvals) / h - cf)
             for h, v in zip(h_steps, nodes)}
-
-
-def favard_seminorm(system, x, alpha: float, s_values) -> float:
-    """sup over the sample times of ||T(s) x - x|| / s^alpha."""
-    vals = system.state_values(x)
-    best = 0.0
-    for s in s_values:
-        if s <= 0:
-            raise ValueError("sample times must be positive")
-        gap = _sup(system.orbit_rows(vals, 1, s)[-1] - vals)
-        best = max(best, gap / s ** alpha)
-    return best
 
 
 def comparison_check(system, op: PerturbationOperator, t_values) -> dict:
@@ -1097,23 +1035,3 @@ def translation_probes(system: TranslationSystem, t0: float, dt: float):
     probes.append(VectorTrajectory(system, dt, rows))
     return probes
 
-
-def escaping_bumps(system: TranslationSystem):
-    """Four unit hat bumps of half-width 1/2 marching from the window's
-    right end toward the right grid edge.
-
-    A unit-norm family that leaves every fixed compact window behind;
-    its window seminorms decay while the sup norm stays 1, which is the
-    signature the coarser topology is meant to see.
-    """
-    xs = system.nodes()
-    dx = system.spacing
-    width = 0.5
-    hi = system.x_last - width - dx
-    lo = min(system.window.hi, hi - 1.0)
-    out = []
-    for c in np.linspace(lo, hi, 4):
-        c = system.origin + round((c - system.origin) / dx) * dx
-        out.append(system.make(
-            np.maximum(0.0, 1.0 - np.abs(xs - c) / width)))
-    return out

@@ -1,4 +1,4 @@
-"""Concrete semigroup systems and extrapolation-space coordinates.
+"""Concrete semigroup systems.
 
 Two system kinds back every experiment:
 
@@ -9,20 +9,15 @@ Two system kinds back every experiment:
   spacing); grids continue their edge values, so translation pulls the
   right edge value in.
 
-Elements of the extrapolation completion are stored in regularized
-coordinates: the element F is represented by u = R(1, A_ext) F, an
-ordinary state-space element, with norm and seminorms read off u.  The
-embedding of a state x is u = R(1, A) x, the generator image A_ext x is
-u = R(1, A) x - x (the resolvent identity, no derivative of x formed),
-and the extended semigroup acts on u as T(t) does.  On grids,
-:func:`reconstruct` applies (1 - A) to u and rejects results whose
-discrete curvature blows up like 1/spacing (the signature of a function
-that left the state space).
+On grids, :func:`reconstruct` applies (1 - A) to an element u of
+regularized coordinates, u = R(1, A_ext) F for F in the extrapolation
+completion, and rejects results whose discrete curvature blows up like
+1/spacing (the signature of a function that left the state space).
 """
 
 from __future__ import annotations
 
-from math import ceil, exp, inf, isfinite, log2
+from math import ceil, inf, isfinite, log2
 
 import numpy as np
 
@@ -171,10 +166,9 @@ def lattice_orbit(E, x: np.ndarray, m: int) -> np.ndarray:
 class MatrixSystem:
     """Uniformly continuous semigroup T(t) = exp(tA) on R^n.
 
-    growth_bound is the spectral abscissa of A; log_norm, the logarithmic
-    norm mu_2(A) = lambda_max((A + A^T) / 2), gives the certified bound
-    ||T(t)||_2 <= e^{log_norm t} (Soderlind 2006, "The logarithmic
-    norm").  Every exponential and every ``orbit_rows`` table passes
+    log_norm, the logarithmic norm mu_2(A) = lambda_max((A + A^T) / 2),
+    gives the certified bound ||T(t)||_2 <= e^{log_norm t} (Soderlind
+    2006, "The logarithmic norm").  Every exponential and every ``orbit_rows`` table passes
     ``require_finite``, so an overflowing generator is refused by a
     ValueError naming the time.  The state may be a vector or an n x k
     matrix; T(t) acts from the left.  ``window`` is (-inf, inf):
@@ -190,7 +184,6 @@ class MatrixSystem:
             raise ValueError("A must be square")
         require_finite("A", self.A)
         self.dim = n
-        self.growth_bound = float(np.max(np.linalg.eigvals(self.A).real))
         # halves first: A + A^T may overflow where A does not
         self.log_norm = float(np.linalg.eigvalsh(
             0.5 * self.A + 0.5 * self.A.T)[-1])
@@ -231,13 +224,6 @@ class MatrixSystem:
         return recent_memo(self._step_cache, dt,
                            lambda: LatticeStep(self.propagator(dt)))
 
-    def resolvent(self, lam: float, x: np.ndarray) -> np.ndarray:
-        if lam <= self.growth_bound:
-            raise ValueError(
-                f"resolvent needs lam > growth bound ({lam} <= {self.growth_bound})"
-            )
-        return np.linalg.solve(lam * np.eye(self.dim) - self.A, np.asarray(x, dtype=float))
-
 
 class TranslationSystem:
     """Left translation semigroup on a uniform grid.
@@ -248,7 +234,6 @@ class TranslationSystem:
     reads continued edge values inside it.
     """
 
-    growth_bound = 0.0
     log_norm = 0.0  # translation is a contraction
 
     def __init__(self, origin, spacing, count, horizon, window=None):
@@ -341,44 +326,6 @@ class TranslationSystem:
         padded = np.concatenate([vals, np.full(m * k, vals[-1])])
         return np.lib.stride_tricks.sliding_window_view(
             padded, self.count)[::k]
-
-    def shift_values(self, values: np.ndarray, k: int) -> np.ndarray:
-        """values[i + k], the edge value filling past the edge."""
-        if k == 0:
-            return values.copy()
-        out = np.empty_like(values)
-        if k >= values.size:
-            out[:] = values[-1]
-            return out
-        out[:-k] = values[k:]
-        out[-k:] = values[-1]
-        return out
-
-    # -- resolvent ----------------------------------------------------
-
-    def resolvent(self, lam: float, f: GridFunction) -> GridFunction:
-        """R(lam, A) f(x) = int_0^inf e^{-lam s} f(x + s) ds.
-
-        Composite trapezoid at the grid spacing via the exact backward
-        recursion I_i = (dt/2)(f_i + a f_{i+1}) + a I_{i+1}, a = e^{-lam dt};
-        the tail beyond the grid, where f continues its edge value, is
-        summed in closed form, so the truncation error is zero by
-        construction.
-        """
-        if lam <= self.growth_bound:
-            raise ValueError(f"resolvent needs lam > {self.growth_bound}")
-        self._check_grid(f)
-        dt = self.spacing
-        a = exp(-lam * dt)
-        vals = f.values.tolist()
-        n = len(vals)
-        out = [0.0] * n
-        # geometric tail of the trapezoid sum for a constant integrand
-        out[-1] = vals[-1] * dt * (1 + a) / (2 * (1 - a))
-        half = 0.5 * dt
-        for i in range(n - 2, -1, -1):
-            out[i] = half * (vals[i] + a * vals[i + 1]) + a * out[i + 1]
-        return self.make(np.array(out))
 
     def derivative_values(self, values: np.ndarray) -> np.ndarray:
         """Centered differences, one-sided at the edges."""

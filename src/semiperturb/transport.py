@@ -373,14 +373,9 @@ class TransportProblem:
     window: CompactInterval = CompactInterval(-3.0, 3.0)
 
 
-def build_rank_one(problem: TransportProblem,
-                   require_regularized: bool = True) -> PerturbationOperator:
-    """Rank-one operator for the problem; by default insists on having a
-    regularizer so the slow cross-check route stays available."""
-    if require_regularized and problem.regularizer is None:
-        raise ValueError(
-            "problem has no regularizer; pass require_regularized=False "
-            "to run fast-path only")
+def build_rank_one(problem: TransportProblem) -> PerturbationOperator:
+    """Rank-one operator for the problem; its regularizer, when there is
+    one, keeps the slow cross-check route available."""
     return PerturbationOperator.rank_one(
         problem.measure, problem.profile,
         regularized_profile=problem.regularizer)
@@ -438,7 +433,7 @@ def run_perturbed(problem: TransportProblem, t: float, spacing: float,
     acceptance configurations sit at 0.4 and 0.6 of that budget.  The
     engine needs no regularizer, so a problem without one runs too.
     """
-    op = build_rank_one(problem, require_regularized=False)
+    op = build_rank_one(problem)
     guard = op.analytic_volterra_bound(None, t0)
     if guard >= 1.0:
         raise GuardViolation(

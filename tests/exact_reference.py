@@ -19,7 +19,9 @@ scan bit for bit as the first does, and its one 2-D product must match
 the second to rounding.  The stacked variation-of-parameters residual is
 the library's earlier route, a list of rows stacked into the S table and
 a whole copied orbit table for T(t) x: the one-table route must give the
-same residual.
+same residual.  The per-row shift is the translation system's earlier
+``shift_values``, kept verbatim: every row of ``orbit_rows`` must equal
+it.
 """
 
 from __future__ import annotations
@@ -244,6 +246,19 @@ def lattice_scan_one_operand(E: np.ndarray, b: np.ndarray) -> np.ndarray:
         if s < m1:
             power = power @ power
     return cols.transpose(0, 2, 1).reshape(np.shape(b))
+
+
+def shift_values(values: np.ndarray, k: int) -> np.ndarray:
+    """values[i + k], the edge value filling past the edge."""
+    if k == 0:
+        return values.copy()
+    out = np.empty_like(values)
+    if k >= values.size:
+        out[:] = values[-1]
+        return out
+    out[:-k] = values[k:]
+    out[-k:] = values[-1]
+    return out
 
 
 def volterra_matrix_stacked(step, B, nodes, dt) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from exact_reference import (
     lattice_scan_one_operand,
     renewal_forward_substitution,
+    shift_values,
     varpar_residual_stacked,
     volterra_matrix_stacked,
 )
@@ -49,13 +50,10 @@ from semiperturb.perturbation import (
     admissibility_check,
     comparison_check,
     comparison_summary,
-    escaping_bumps,
-    favard_seminorm,
     generator_check,
     identity_check,
     neumann_nodes,
     neumann_semigroup,
-    perturbed_resolvent_check,
     translation_probes,
     varpar_residual,
     volterra_apply,
@@ -671,7 +669,7 @@ def test_neumann_semigroup_computes_the_guard_once(monkeypatch, kind):
                                 canonical_profile(), tent())
         dt = 1e-2
         system = make_system(prob, dt, 2.0, 0.5)
-        op, x = build_rank_one(prob, require_regularized=False), prob.initial
+        op, x = build_rank_one(prob), prob.initial
     _, diag = neumann_semigroup(system, op, x, 2.0, 0.5, dt,
                                 diagnostics=True)
     assert horizons == [0.5]
@@ -928,7 +926,6 @@ def test_grid_state_from_another_grid_is_refused():
             lambda: VectorTrajectory.orbit(here, x, 0.2, 1e-2),
             lambda: neumann_semigroup(here, op, x, 0.2, 0.2, 1e-2),
             lambda: neumann_nodes(here, op, x, 0.2, [20], 1e-2),
-            lambda: favard_seminorm(here, x, 1.0, [0.1]),
         )
         for call in calls:
             with pytest.raises(ValueError,
@@ -947,7 +944,6 @@ def test_raw_node_values_are_refused_as_grid_state():
     calls = (
         lambda: VectorTrajectory.orbit(system, x, 0.2, 1e-2),
         lambda: neumann_semigroup(system, op, x, 0.2, 0.2, 1e-2),
-        lambda: favard_seminorm(system, x, 1.0, [0.1]),
     )
     for call in calls:
         with pytest.raises(ValueError,
@@ -965,7 +961,6 @@ def test_matrix_state_of_wrong_shape_is_refused(x):
         lambda: VectorTrajectory.orbit(sys_m, x, 0.1, 1e-2),
         lambda: neumann_semigroup(sys_m, op, x, 0.1, 0.1, 1e-2),
         lambda: neumann_nodes(sys_m, op, x, 0.1, [10], 1e-2),
-        lambda: favard_seminorm(sys_m, x, 1.0, [0.1]),
     )
     for call in calls:
         with pytest.raises(ValueError,
@@ -1318,7 +1313,7 @@ def test_translation_orbit_matches_per_row_shift(k, edge):
                      edge)
     m = 10  # for k = 3 the last rows lie past the grid edge
     F = VectorTrajectory.orbit(sys_t, sys_t.make(vals), m * k * 0.1, k * 0.1)
-    want = [sys_t.shift_values(vals, j * k) for j in range(m + 1)]
+    want = [shift_values(vals, j * k) for j in range(m + 1)]
     assert np.array_equal(F.nodes, want)
     assert F.nodes.flags.writeable
 
@@ -1503,7 +1498,7 @@ def test_rank_one_series_meets_the_renewal_solve(monkeypatch, dx, tol):
         canonical_profile(), tent())
     t0 = 0.2
     sys_t = make_system(prob, dx, t0, t0)
-    op = build_rank_one(prob, require_regularized=False)
+    op = build_rank_one(prob)
     seen = _spy_renewal_weights(monkeypatch)
     _, diag = neumann_nodes(sys_t, op, prob.initial, t0, [0], dx, tol=tol)
     (phi0, got), = seen
@@ -1548,43 +1543,6 @@ def test_admissibility_report_serializes():
                       "smallness_observed", "smallness_analytic",
                       "volterra_norm_lower_bound", "admissible"}
     json.dumps(d)
-
-
-# ---------------------------------------------------------------------------
-# resolvent chain bound
-
-
-def test_resolvent_zero_operator():
-    sys_m = diag_system()
-    op = PerturbationOperator.matrix(np.zeros((2, 2)))
-    out = perturbed_resolvent_check(sys_m, op, [10.0], 0.5, 1e-2)
-    row = out["rows"][0]
-    assert row["observed"] == 0.0
-    assert row["within"]
-
-
-def test_resolvent_matrix_chain_bound():
-    sys_m = diag_system()
-    op = coupled_op()
-    out = perturbed_resolvent_check(sys_m, op, [10.0, 20.0, 40.0], 0.5, 1e-3)
-    assert out["all_within"]
-    assert out["decreasing"]
-
-
-def test_resolvent_rank_one_chain_bound():
-    prob = delta_problem()
-    dx = 4e-3
-    sys_t = make_system(prob, dx, 0.2, 0.2)
-    op = build_rank_one(prob)
-    out = perturbed_resolvent_check(sys_t, op, [5.0, 10.0, 20.0], 0.2, dx)
-    assert out["all_within"]
-    assert out["decreasing"]
-
-
-def test_resolvent_needs_lambda_above_growth():
-    sys_m = diag_system()
-    with pytest.raises(ValueError):
-        perturbed_resolvent_check(sys_m, coupled_op(), [-2.0], 0.5, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -1637,48 +1595,6 @@ def test_generator_rejects_mismatched_kinks():
         generator_check(sys_t, op, tent(), [1e-2], dx, t0=0.2)
     assert info.value.curvature is not None
     assert info.value.curvature > 0
-
-
-# ---------------------------------------------------------------------------
-# Favard quotients
-
-
-def test_favard_constant_is_zero():
-    prob = delta_problem()
-    sys_t = make_system(prob, 1e-2, 0.2, 0.2)
-    c = sys_t.make(np.ones(sys_t.count))
-    assert favard_seminorm(sys_t, c, 1.0, [0.05, 0.1, 0.2]) == 0.0
-
-
-def test_favard_tent_lipschitz_constant():
-    prob = delta_problem()
-    sys_t = make_system(prob, 1e-2, 0.2, 0.2)
-    got = favard_seminorm(sys_t, tent(), 1.0, [0.05, 0.1, 0.2])
-    assert got == pytest.approx(1.0, rel=1e-12)
-
-
-def test_favard_half_alpha_scaling():
-    prob = delta_problem()
-    sys_t = make_system(prob, 1e-2, 0.2, 0.2)
-    s_values = [0.04, 0.16, 0.36]
-    got = favard_seminorm(sys_t, tent(), 0.5, s_values)
-    # ||T(s) h - h|| = s for the tent, so the quotient is sqrt(s)
-    assert got == pytest.approx(math.sqrt(max(s_values)), rel=1e-12)
-
-
-def test_favard_step_below_one_spacing_is_refused():
-    sys_t = make_system(delta_problem(), 1e-2, 0.2, 0.2)
-    with pytest.raises(StepMismatch, match=r"dt = 1e-12 is 0 lattice "
-                       r"steps of spacing 0\.01"):
-        favard_seminorm(sys_t, tent(), 1.0, [1e-12])
-
-
-def test_favard_matrix_system():
-    sys_m = diag_system()
-    x = np.array([1.0, 0.0])
-    got = favard_seminorm(sys_m, x, 1.0, [0.01, 0.05, 0.1])
-    # |e^{-s} - 1|/s -> 1 as s -> 0, decreasing in s
-    assert got == pytest.approx((1.0 - math.exp(-0.01)) / 0.01, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1738,17 +1654,6 @@ def test_matrix_probes_deterministic():
     assert len(a) == len(b) == sys_m.dim + 3
     for p, q in zip(a, b):
         assert np.array_equal(p.nodes, q.nodes)
-
-
-def test_escaping_bumps_lose_window_mass():
-    prob = delta_problem()
-    sys_t = make_system(prob, 1e-2, 1.0, 0.2)
-    bumps = escaping_bumps(sys_t)
-    sups = [b.sup_norm() for b in bumps]
-    semis = [b.seminorm(prob.window) for b in bumps]
-    assert all(abs(s - 1.0) < 1e-12 for s in sups)
-    assert all(semis[i + 1] <= semis[i] + 1e-12 for i in range(len(semis) - 1))
-    assert semis[-1] == 0.0
 
 
 def _direct_profile_convolution(phi, m, prof, count, dt):

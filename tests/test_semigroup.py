@@ -92,7 +92,7 @@ def test_matrix_log_norm_is_the_top_eigenvalue_of_the_symmetric_part():
     sys = MatrixSystem(A)
     want = scipy.linalg.eigh((A + A.T) / 2, eigvals_only=True)[-1]
     assert sys.log_norm == pytest.approx(want, rel=1e-14)
-    assert sys.log_norm > 8.0 > sys.growth_bound
+    assert sys.log_norm > 8.0 > np.max(np.linalg.eigvals(A).real)
     assert validate(sys)
     assert validate(MatrixSystem(-1e300 * np.eye(2)))
     assert TranslationSystem.log_norm == 0.0
@@ -119,23 +119,6 @@ def test_matrix_system_validate_reports_identity_gap():
         proc = subprocess.run([executable, *flags, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "T(0) misses the identity by 1.000e-09"
-
-
-def test_matrix_resolvent_identity():
-    sys = _stable_system(seed=5)
-    lam, mu = 1.0, 2.5
-    Rl = sys.resolvent(lam, np.eye(4))
-    Rm = sys.resolvent(mu, np.eye(4))
-    assert opnorm2(Rl - Rm - (mu - lam) * Rl @ Rm) <= 1e-13
-
-
-def test_matrix_resolvent_inverts():
-    sys = _stable_system(seed=9)
-    x = np.array([1.0, -2.0, 0.5, 3.0])
-    y = sys.resolvent(1.0, x)
-    assert np.allclose((np.eye(4) - sys.A) @ y, x, atol=1e-12)
-    with pytest.raises(ValueError):
-        sys.resolvent(sys.growth_bound - 0.1, x)
 
 
 def test_matrix_horizon():
@@ -240,7 +223,7 @@ def test_translation_shift_is_exact():
     sys = make_translation()
     f = sys.sample(tent())
     k = sys.steps_of(0.5)
-    g = sys.make(sys.shift_values(f.values, k))
+    g = sys.make(sys.orbit_rows(f.values, 1, 0.5)[1])
     # exact index shift, no interpolation
     assert np.array_equal(g.values[:-k], f.values[k:])
     shifted = sys.sample(tent().translate(0.5))
@@ -251,9 +234,8 @@ def test_translation_shift_is_exact():
 def test_translation_semigroup_law_exact_on_window():
     sys = make_translation()
     f = sys.sample(tent()).values
-    lhs = sys.shift_values(sys.shift_values(f, sys.steps_of(0.2)),
-                           sys.steps_of(0.3))
-    rhs = sys.shift_values(f, sys.steps_of(0.5))
+    lhs = sys.orbit_rows(sys.orbit_rows(f, 1, 0.2)[1], 1, 0.3)[1]
+    rhs = sys.orbit_rows(f, 1, 0.5)[1]
     assert np.array_equal(lhs, rhs)
 
 
@@ -288,66 +270,8 @@ def test_translation_refuses_bad_horizon(horizon):
         TranslationSystem(-1.0, 0.01, 100, horizon)
 
 
-def test_resolvent_of_constant_one():
-    sys = make_translation(spacing=0.01)
-    one = sys.make(np.ones(sys.count))
-    r = sys.resolvent(1.0, one)
-    assert abs(r.values[sys.count // 2] - 1.0) <= 2e-5  # O(spacing^2)
-
-
-def test_resolvent_of_tent_closed_form():
-    # int_0^inf e^{-s} h(s) ds = 1/e at x = 0
-    errs = []
-    for spacing in (0.02, 0.01):
-        sys = make_translation(spacing=spacing)
-        r = sys.resolvent(1.0, sys.sample(tent()))
-        i0 = sys.steps_of(0.0 - sys.origin)
-        errs.append(abs(r.values[i0] - math.exp(-1.0)))
-    assert errs[1] <= errs[0] / 3.0  # second-order refinement
-    assert errs[1] <= 5e-5
-
-
-def test_resolvent_residual_on_window():
-    # (lam - d/dx) R f = f up to O(spacing^2), checked by centered differences
-    sys = make_translation(spacing=0.005)
-    xs = sys.nodes()
-    f = sys.make(np.exp(-(xs**2)))  # smooth probe keeps the check second order
-    lam = 1.5
-    r = sys.resolvent(lam, f)
-    dr = sys.derivative_values(r.values)
-    resid = lam * r.values - dr - f.values
-    mask = sys.window_mask()
-    assert np.max(np.abs(resid[mask])) <= 5e-4
-    # kinked probes lose one order only at the kink nodes
-    rk = sys.resolvent(lam, sys.sample(tent()))
-    resid_k = lam * rk.values - sys.derivative_values(rk.values) - sys.sample(tent()).values
-    assert np.max(np.abs(resid_k[mask])) <= 5 * sys.spacing
-
-
-def test_resolvent_requires_lam_above_growth_bound():
-    sys = make_translation()
-    with pytest.raises(ValueError):
-        sys.resolvent(0.0, sys.sample(tent()))
-
-
 # ---------------------------------------------------------------------------
-# regularized coordinates: x embeds as u = R(1, A) x, the generator image
-# A_ext x is u = R(1, A) x - x, and the extended semigroup acts on u
-
-
-def lift(sys, x):
-    return sys.resolvent(1.0, x)
-
-
-def generator_image(sys, x):
-    return sys.resolvent(1.0, x) - x
-
-
-def test_matrix_embedding_example():
-    sys = MatrixSystem(np.diag([-1.0]))
-    x = np.array([1.0])
-    assert np.allclose(lift(sys, x), [0.5])
-    assert np.allclose(generator_image(sys, x), [-0.5])
+# reconstruct: (1 - A) u from regularized coordinates u
 
 
 def test_matrix_reconstruct_is_refused():
@@ -355,67 +279,25 @@ def test_matrix_reconstruct_is_refused():
     sys = _stable_system(seed=11)
     with pytest.raises(TypeError, match="TranslationSystem, not on a "
                                         "MatrixSystem"):
-        reconstruct(sys, lift(sys, np.ones(4)))
+        reconstruct(sys, np.ones(4))
 
 
 def test_translation_reconstruct_smooth_round_trip():
+    # (1 - d/dx) exp(-x^2) = (1 + 2x) exp(-x^2), to O(spacing^2)
     sys = make_translation(spacing=0.005)
     xs = sys.nodes()
-    smooth = sys.make(np.exp(-(xs**2)))
-    out = reconstruct(sys, lift(sys, smooth))
+    out = reconstruct(sys, sys.make(np.exp(-(xs**2))))
+    want = (1 + 2 * xs) * np.exp(-(xs**2))
     mask = sys.window_mask()
-    assert np.max(np.abs(out.values[mask] - smooth.values[mask])) <= 5e-4
+    assert np.max(np.abs(out.values[mask] - want[mask])) <= 5e-5
 
 
 def test_reconstruct_rejects_tent_difference():
-    # lift(h) - generator_image(h) has regularized part h itself, and
-    # (1 - d/dx) h has jumps: the curvature test must fire
+    # (1 - d/dx) of the tent has jumps: the curvature test must fire
     sys = make_translation(spacing=0.005)
-    h = sys.sample(tent())
-    u = lift(sys, h) - generator_image(sys, h)
-    assert np.max(np.abs(u.values - h.values)) <= 1e-12
     with pytest.raises(NotInStateSpace) as exc:
-        reconstruct(sys, u)
+        reconstruct(sys, sys.sample(tent()))
     assert exc.value.curvature > exc.value.threshold
-
-
-def test_extrapolation_norm_and_seminorm():
-    sys = make_translation()
-    h = sys.sample(tent())
-    u = generator_image(sys, h)
-    assert u.sup_norm() <= 1.0 + 1e-12  # ||R(1)h - h|| <= 2 ||h||, usually smaller
-    K = CompactInterval(-1.0, 1.0)
-    assert u.seminorm(K) <= u.sup_norm() + 1e-12
-
-
-def test_seminorm_domination_identity():
-    # x = u - u_A pointwise, so p_K(x) <= p_K(u) + p_K(u_A) with L = 1
-    sys = make_translation()
-    K = CompactInterval(-2.0, 2.0)
-    for probe in (tent(), tent().translate(1.0)):
-        x = sys.sample(probe)
-        u = lift(sys, x)
-        uA = generator_image(sys, x)
-        assert x.seminorm(K) <= u.seminorm(K) + uA.seminorm(K) + 1e-10
-
-
-def test_extended_apply_commutes_with_lift():
-    sys = make_translation(spacing=0.01)
-    x = sys.sample(tent())
-    k = sys.steps_of(0.3)
-    lhs = sys.shift_values(lift(sys, x).values, k)
-    rhs = lift(sys, sys.make(sys.shift_values(x.values, k))).values
-    mask = sys.window_mask()
-    assert np.max(np.abs(lhs[mask] - rhs[mask])) <= 1e-12
-
-
-def test_extrapolated_element_algebra():
-    # regularized coordinates are linear in the state
-    sys = MatrixSystem(np.diag([-1.0, -2.0]))
-    a = lift(sys, np.array([1.0, 0.0]))
-    b = lift(sys, np.array([0.0, 1.0]))
-    assert np.allclose(a + b, lift(sys, np.array([1.0, 1.0])))
-    assert np.allclose(lift(sys, np.array([2.0, 0.0])), 2 * a)
 
 
 def test_translation_system_refuses_a_grid_past_the_ceiling(

@@ -90,10 +90,10 @@ def half_box_density():
 
 def test_canonical_profile_pointwise():
     g = canonical_profile()
-    assert g(-0.5) == -0.5
-    assert g(0.5) == 1.5
-    assert g(2.0) == 0
-    assert g(-3.0) == 0
+    assert g.eval(-0.5) == -0.5
+    assert g.eval(0.5) == 1.5
+    assert g.eval(2.0) == 0
+    assert g.eval(-3.0) == 0
     assert float(g.sup_norm()) == 2.0
 
 
@@ -127,7 +127,7 @@ def test_sawtooth_profile_jump_ladder():
     assert gaps[:8] == [-1.0] * 8
     assert gaps[8] == -0.5
     assert float(g.sup_norm()) == 1.0
-    assert g(10.0) == 0 and g(-10.0) == 0
+    assert g.eval(10.0) == 0 and g.eval(-10.0) == 0
 
 
 def test_corner_profile_matches_gaps():
@@ -147,8 +147,8 @@ def test_corner_profile_matches_gaps():
 
 def test_bump_function_shape():
     f = bump_function()
-    assert f(0) == 1
-    assert f(1) == 0 and f(-2) == 0
+    assert f.eval(0) == 1
+    assert f.eval(1) == 0 and f.eval(-2) == 0
     d = f.derivative()
     assert d.one_sided_limit(1, "left") == 0
     assert d.one_sided_limit(-1, "right") == 0
@@ -334,7 +334,7 @@ def test_oracle_free_term_is_left_limit_lag_sample(initial):
     u0 = initial()
     mu = BoundedMeasure(atoms=[(0, 1), (Fraction(3, 10), Fraction(1, 2))])
     dt, m_steps = 1e-3, 1500
-    free = oracle_weights(mu, PiecewiseFunction.constant(0), u0,
+    free = oracle_weights(mu, PiecewiseFunction([], [[0]]), u0,
                           m_steps * dt, dt)
     exact = np.array([float(mu.pair(u0.translate(Fraction(m, 1000))))
                       for m in range(m_steps + 1)])
@@ -573,7 +573,7 @@ def test_sawtooth_problem_runs_without_regularizer():
         profile=sawtooth_profile(),
         initial=tent(),
     )
-    op = build_rank_one(prob, require_regularized=False)
+    op = build_rank_one(prob)
     assert op.analytic_volterra_bound(None, 0.3) == pytest.approx(0.3)
     out = engine_vs_oracle(prob, 0.5, 4e-3, 0.3)
     assert out["gap"] <= 1e-3
@@ -592,16 +592,6 @@ def test_run_perturbed_zero_measure_identity():
     xs = run.system.nodes()
     mask = (xs >= -3.0) & (xs <= 3.0)
     assert np.max(np.abs(run.state.values[mask] - want[mask])) < 1e-14
-
-
-def test_require_regularized_rejects_bare_problem():
-    prob = TransportProblem(
-        measure=BoundedMeasure.dirac(0),
-        profile=sawtooth_profile(),
-        initial=tent(),
-    )
-    with pytest.raises(ValueError):
-        build_rank_one(prob, require_regularized=True)
 
 
 # ---------------------------------------------------------------------------
