@@ -42,7 +42,7 @@ class GuardViolation(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Series iteration showed no contraction (term ratio >= 1 repeatedly)."""
+    """The Neumann series did not reach its tolerance within the term cap."""
 
 
 class StepSizeError(ValueError):

@@ -178,16 +178,15 @@ class MatrixOperator(PerturbationOperator):
 
     def _series(self, system, m, node_steps, dt, tol, guard):
         """The series on [0, m dt], run once on the n x n identity: a term
-        is V^k T, its size the largest absolute row sum over the nodes, so
-        max|V^k T x| <= size max|x| for every vector or n x k state x.
-        Returns the read-only table of S(j dt) at the node steps and the
-        diagnostics."""
+        is V^k T, its size the largest Frobenius norm over the nodes.  That
+        bounds the spectral norm, which the guard bounds, so
+        ||(V^k T x)[j]||_2 <= size ||x||_2 for every vector x (spectral
+        norms for an n x k state).  Returns the read-only table of S(j dt)
+        at the node steps and the diagnostics."""
         step, eye = system.step(dt), np.eye(system.dim)
-        rows = np.tile(eye, (system.dim, 1))
 
-        def size(term):  # read column-major, as the scans leave it
-            cols = np.abs(term.transpose(0, 2, 1)).reshape(m + 1, -1)
-            return float(np.max(cols @ rows))
+        def size(term):
+            return float(np.sqrt(np.max(np.sum(term * term, axis=(1, 2)))))
 
         orbit = system.orbit_rows(eye, m, dt)
         total, diag = _neumann_sum(
@@ -244,7 +243,6 @@ class RankOneOperator(PerturbationOperator):
         self.regularized_profile = regularized_profile
         self.profile_sup = profile.sup_norm()
         self._profile_cache = {}
-        self._kernel_cache = {}
         self._segment_cache = {}
 
     def _guard(self, system, t0):
@@ -285,18 +283,18 @@ class RankOneOperator(PerturbationOperator):
         ``folded`` is the mid samples with entry 0 set to right[0] / 2
         (the diagonal term), ``column`` is left / 2 - mid (the first
         column's term), and once m_steps + 1 passes the direct size the
-        ``spectrum`` of ``folded`` at the length of the full product."""
-        def build():
-            left, mid, right = sample_lag_kernel(self.measure, self.profile,
-                                                 dt, m_steps)
-            folded = mid.copy()
-            folded[0] = 0.5 * right[0]
-            spectrum = None
-            if m_steps + 1 > _DIRECT_CONVOLVE_MAX:
-                spectrum = _spectrum(folded, _fft_length(2 * m_steps + 1))
-            return _KernelLattice(left, mid, right, folded, 0.5 * left - mid,
-                                  spectrum)
-        return recent_memo(self._kernel_cache, (dt, m_steps), build)
+        ``spectrum`` of ``folded`` at the length of the full product.
+        Its one caller, ``_series``, is memoised per segment, so this
+        keeps nothing."""
+        left, mid, right = sample_lag_kernel(self.measure, self.profile,
+                                             dt, m_steps)
+        folded = mid.copy()
+        folded[0] = 0.5 * right[0]
+        spectrum = None
+        if m_steps + 1 > _DIRECT_CONVOLVE_MAX:
+            spectrum = _spectrum(folded, _fft_length(2 * m_steps + 1))
+        return _KernelLattice(left, mid, right, folded, 0.5 * left - mid,
+                              spectrum)
 
     # -- the kind's half of the engine -------------------------------------
 
@@ -646,12 +644,13 @@ class SeriesDiagnostics:
         return self
 
 
-def _series_guard(op, system, t0, enforce, tol):
-    """The analytic guard of the horizon t0, once tol is checked."""
+def _series_guard(op, system, t0, tol):
+    """The analytic guard of the horizon t0, once tol is checked;
+    GuardViolation when it reaches 1."""
     if not tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     bound = op.analytic_volterra_bound(system, t0)
-    if enforce and bound >= 1.0:
+    if not bound < 1.0:
         raise GuardViolation(
             f"Volterra bound {bound:.4f} >= 1 on horizon t0={t0}; "
             "shorten t0 or shrink the perturbation")
@@ -659,23 +658,14 @@ def _series_guard(op, system, t0, enforce, tol):
 
 
 def _neumann_sum(total, term, apply_v, size, base, tol, guard):
-    """Add ``term``, ``apply_v(term)``, ... to ``total`` by the stop rule
-    of ``neumann_nodes``; ``base`` is the recorded size of the orbit."""
+    """Add ``term``, ``apply_v(term)``, ... to ``total`` until a term's
+    size is below tol (1 - guard); ``base`` is the recorded size of the
+    orbit, and the ratios of consecutive sizes are kept for the record."""
     norms = [base]
-    ratios = []
     k = 1
     while True:
-        nrm = size(term)
-        norms.append(nrm)
-        if len(norms) >= 3:
-            ratios.append(norms[-1] / max(norms[-2], 1e-300))
-            if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-                raise NonConvergence(
-                    "Neumann term norms failed to decay for three "
-                    "consecutive terms (latest ratios "
-                    f"{[round(r, 4) for r in ratios[-3:]]})")
-        q = ratios[-1] if ratios else guard
-        if nrm < tol * (1.0 - min(max(q, 0.0), 0.999)):
+        norms.append(size(term))
+        if norms[-1] < tol * (1.0 - guard):
             break
         if k >= MAX_NEUMANN_TERMS:
             raise NonConvergence(
@@ -684,30 +674,30 @@ def _neumann_sum(total, term, apply_v, size, base, tol, guard):
         total += term
         term = apply_v(term)
         k += 1
+    ratios = [b / max(a, 1e-300) for a, b in zip(norms[1:], norms[2:])]
     return total, SeriesDiagnostics(k, norms, ratios, guard)
 
 
 def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
-                  node_steps, dt: float, tol: float = 1e-9,
-                  enforce_guard: bool = True):
+                  node_steps, dt: float, tol: float = 1e-9):
     """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
 
     The trajectory of S is the sum of V^k T x, V the Volterra operator;
     the operator's ``_series`` says what a term is and how it is sized.
     It runs once per segment operator, for every state: on R^n a term is
-    V^k T itself, sized by its largest absolute row sum, which bounds
-    max|V^k T x| / max|x|; on grids it is the pair of renewal kernels of
-    K^k, sized to bound max|V^(k+1) T x| / max|x|.  So for both kinds
-    tol is relative to max|x|.
-    The sum stops at the first term of size below tol (1 - q), q the last
-    ratio of consecutive sizes clipped to [0, 0.999] (the guard before
-    the first ratio).  Three ratios >= 1 in a row, or MAX_NEUMANN_TERMS
-    terms, raise NonConvergence; a NaN or Inf state, or a NaN or negative
-    tol, raises ValueError.
+    V^k T itself, sized by its largest Frobenius norm, which bounds
+    ||V^k T x||_2 / ||x||_2, so tol is relative to ||x||_2; on grids it
+    is the pair of renewal kernels of K^k, sized to bound
+    max|V^(k+1) T x| / max|x|, so tol is relative to max|x|.
+    The guard g bounds V in the norm of the sizes, so the sum stops at
+    the first term of size below tol (1 - g): the omitted tail is at
+    most that size over 1 - g, below tol.  A guard >= 1 raises
+    GuardViolation and MAX_NEUMANN_TERMS terms raise NonConvergence; a
+    NaN or Inf state, or a NaN or negative tol, raises ValueError.
     """
     op._paired(system)
     m_steps = _lattice_steps(t0, dt, "t0")
-    guard = _series_guard(op, system, t0, enforce_guard, tol)
+    guard = _series_guard(op, system, t0, tol)
     return _neumann_segment(system, op, x, m_steps, node_steps, dt, tol,
                             guard)
 
@@ -736,7 +726,7 @@ def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
                       t0: float, dt: float, tol: float = 1e-9,
-                      enforce_guard: bool = True, diagnostics: bool = False):
+                      diagnostics: bool = False):
     """Perturbed semigroup S(t) x via Neumann series plus horizon splitting.
 
     t is split as n * t0 + t1 with both parts on the dt lattice; each
@@ -744,15 +734,15 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     all under the one analytic guard of the horizon t0.  The series of
     S(m dt) runs once for all states and segments of that length: on R^n
     with the one step T(dt) and its doubling powers, on grids as the
-    renewal kernels of the pairings.  Its sizes bound the terms over
-    max|x| (rank-one sizes bound max|V^(k+1) T x| / max|x|), so tol is
-    relative to max|x| for both kinds.
+    renewal kernels of the pairings.  It stops by the guard's tail bound
+    of ``neumann_nodes``, so tol is relative to ||x||_2 on R^n and to
+    max|x| on grids.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
-    term norms refuse to decay, ValueError for a NaN or negative tol,
-    HorizonExceeded for a negative t, and StepMismatch for a t0 shorter
-    than one step, a dt that is not positive and finite, a t or t0 that
-    is not finite or not on the dt lattice, or a t of more than
-    ``MAX_GRID_NODES`` steps, before any table is built.
+    MAX_NEUMANN_TERMS terms do not reach tol, ValueError for a NaN or
+    negative tol, HorizonExceeded for a negative t, and StepMismatch for
+    a t0 shorter than one step, a dt that is not positive and finite, a
+    t or t0 that is not finite or not on the dt lattice, or a t of more
+    than ``MAX_GRID_NODES`` steps, before any table is built.
     """
     op._paired(system)
     if t < -1e-12:
@@ -762,7 +752,7 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     if m0 == 0:
         raise StepMismatch(f"t0={t0!r} is shorter than one step dt={dt!r}")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
-    guard = _series_guard(op, system, t0, enforce_guard, tol)
+    guard = _series_guard(op, system, t0, tol)
     state = system.make(system.state_values(x))
     diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
     for steps in itertools.chain([m_rest] if m_rest else [],
@@ -877,19 +867,12 @@ class AdmissibilityReport:
         return self.lands_in_state_space and self.smallness_pass
 
     def to_dict(self) -> dict:
-        out = {
-            "lands_in_state_space": self.lands_in_state_space,
-            "worst_reconstruction_residual":
-                self.worst_reconstruction_residual,
-            "seminorm_constant": self.seminorm_constant,
-            "seminorm_window": list(self.seminorm_window),
-            "smallness_observed": self.smallness_observed,
-            "smallness_analytic": self.smallness_analytic,
-            "smallness_pass": self.smallness_pass,
-            "volterra_norm_lower_bound": self.volterra_norm_lower_bound,
-            "probes_used": self.probes_used,
-            "admissible": self.admissible,
-        }
+        """Every field but ``escape`` in field order, then ``admissible``
+        and, when a probe did not land, ``landing``."""
+        out = {f.name: getattr(self, f.name)
+               for f in dataclasses.fields(self) if f.name != "escape"}
+        out["seminorm_window"] = list(self.seminorm_window)
+        out["admissible"] = self.admissible
         if self.escape is not None:
             out["landing"] = {"outcome": "did not land",
                               "curvature": self.escape.curvature,

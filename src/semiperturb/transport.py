@@ -43,8 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateProfile, GridTooLarge, GuardViolation,
-                     StepSizeError)
+from .errors import DegenerateProfile, GridTooLarge, StepSizeError
 from .functions import (
     BoundedMeasure,
     CompactInterval,
@@ -65,6 +64,7 @@ from .perturbation import (
     PerturbationOperator,
     SeriesDiagnostics,
     _lattice_steps,
+    _series_guard,
     comparison_summary,
     neumann_semigroup,
 )
@@ -429,15 +429,13 @@ def run_perturbed(problem: TransportProblem, t: float, spacing: float,
     """Drive the Neumann engine on the transport problem.
 
     The operator's guard t0 * |mu|(R) * sup|g| < 1 certifies series
-    convergence; it is checked before the grid is built.  The
-    acceptance configurations sit at 0.4 and 0.6 of that budget.  The
-    engine needs no regularizer, so a problem without one runs too.
+    convergence; ``_series_guard`` checks it and tol before the grid is
+    built.  The acceptance configurations sit at 0.4 and 0.6 of that
+    budget.  The engine needs no regularizer, so a problem without one
+    runs too.
     """
     op = build_rank_one(problem)
-    guard = op.analytic_volterra_bound(None, t0)
-    if guard >= 1.0:
-        raise GuardViolation(
-            f"guard product {guard:.3f} >= 1 at t0={t0}; shorten the horizon")
+    _series_guard(op, None, t0, tol)
     system = make_system(problem, spacing, t, t0)
     state, diag = neumann_semigroup(system, op, problem.initial, t, t0,
                                     spacing, tol=tol, diagnostics=True)

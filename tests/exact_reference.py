@@ -21,7 +21,9 @@ the library's earlier route, a list of rows stacked into the S table and
 a whole copied orbit table for T(t) x: the one-table route must give the
 same residual.  The per-row shift is the translation system's earlier
 ``shift_values``, kept verbatim: every row of ``orbit_rows`` must equal
-it.
+it.  The matrix lattice solve is the truncation-only reference of the
+matrix series: it solves S = T + V S on the lattice step by step, so the
+Neumann table may differ from it only by the omitted tail and rounding.
 """
 
 from __future__ import annotations
@@ -259,6 +261,25 @@ def shift_values(values: np.ndarray, k: int) -> np.ndarray:
     out[:-k] = values[k:]
     out[-k:] = values[-1]
     return out
+
+
+def matrix_lattice_solve(E: np.ndarray, B: np.ndarray, m: int,
+                         dt: float) -> np.ndarray:
+    """The exact lattice solution S[0..m] of S = T + V S on R^n, V the
+    trapezoid ``perturbation._volterra_matrix`` and E = T(dt): S[0] = I
+    and (I - dt B / 2) S[j] = E^j + dt E C[j-1], with C[0] = B / 2 and
+    C[j] = E C[j-1] + B S[j]."""
+    n = len(E)
+    eye = np.eye(n)
+    lhs = eye - 0.5 * dt * B
+    S = np.empty((m + 1, n, n))
+    S[0] = eye
+    power, C = eye, 0.5 * B
+    for j in range(1, m + 1):
+        power = E @ power
+        S[j] = np.linalg.solve(lhs, power + dt * (E @ C))
+        C = E @ C + B @ S[j]
+    return S
 
 
 def volterra_matrix_stacked(step, B, nodes, dt) -> np.ndarray:
