@@ -66,15 +66,6 @@ from .transport import (
     sawtooth_profile,
 )
 
-SUBCOMMANDS = (
-    "matrix-demo",
-    "transport-demo",
-    "implemented-demo",
-    "admissibility",
-    "convergence",
-)
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -121,7 +112,8 @@ def deterministic_json(obj, indent: int = 0) -> str:
 
 
 def emit_convergence(rows, fh, floor=0.0) -> None:
-    """CSV rows (dt, error, observed order) from a refinement study.
+    """CSV rows (dt, error, observed order) from a refinement study,
+    written to the open text handle ``fh``.
 
     Orders come from successive log ratios.  A row whose error is at
     most ``floor`` is marked ``exact``, since no finite order describes
@@ -139,34 +131,35 @@ def emit_convergence(rows, fh, floor=0.0) -> None:
         raise ValueError("step sizes must be positive and strictly decreasing")
     if not all(0 <= err < math.inf for _, err in rows):
         raise ValueError("errors must be nonnegative and finite")
-    close = isinstance(fh, (str, bytes))
-    if close:
-        fh = open(fh, "w")
-    try:
-        fh.write("dt,error,order\n")
-        prev = None
-        for dt, err in rows:
-            if err <= floor:
-                order = "exact"
-            elif prev is None or max(prev[1], floor) == 0.0:
-                order = ""
-            else:
-                order = format(math.log(max(prev[1], floor) / err)
-                               / math.log(prev[0] / dt), ".17g")
-            fh.write(f"{dt:.17g},{err:.17g},{order}\n")
-            prev = (dt, err)
-    finally:
-        if close:
-            fh.close()
+    fh.write("dt,error,order\n")
+    prev = None
+    for dt, err in rows:
+        if err <= floor:
+            order = "exact"
+        elif prev is None or max(prev[1], floor) == 0.0:
+            order = ""
+        else:
+            order = format(math.log(max(prev[1], floor) / err)
+                           / math.log(prev[0] / dt), ".17g")
+        fh.write(f"{dt:.17g},{err:.17g},{order}\n")
+        prev = (dt, err)
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
+def _float(value) -> float:
+    """A JSON number as a float; an integer past the float range is inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _as_pos_float(field, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    f = float(value)
+    f = _float(value)
     if not math.isfinite(f) or f <= 0:
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
     return f
@@ -183,9 +176,10 @@ def _as_nonneg_int(field, value) -> int:
 def _as_finite(field, v, where=""):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(field, f"{where}non-numeric value {v!r}")
-    if not math.isfinite(v):
+    f = _float(v)
+    if not math.isfinite(f):
         raise ConfigError(field, f"{where}non-finite value {v!r}")
-    return float(v)
+    return f
 
 
 def _as_atoms(field, value):
@@ -200,22 +194,28 @@ def _as_atoms(field, value):
     return atoms
 
 
-# keys each subcommand accepts from the config file, beyond the flag names
-_FLAG_KEYS = ("tol", "seed", "dt", "grid_spacing", "t0", "profile")
-_EXTRA_KEYS = {
-    "matrix-demo": ("dimension", "shift", "b_scale", "systems", "t_values",
-                    "matrix", "perturbation"),
-    "transport-demo": ("atoms", "g", "initial", "t"),
-    "implemented-demo": ("dimension", "shift", "b_scale", "t"),
-    "admissibility": ("atoms", "g"),
-    "convergence": ("atoms", "g", "t", "spacings"),
+# the flags shared by the subcommands, each offered where its config key
+# is read
+_FLAGS = {
+    "tol": dict(type=float, metavar="X",
+                help="primary tolerance (minimum observed order for "
+                     "convergence)"),
+    "seed": dict(type=int, metavar="N", help="PCG64 seed for probe data"),
+    "dt": dict(type=float, metavar="X", help="time step"),
+    "grid_spacing": dict(type=float, metavar="X", help="spatial step"),
+    "t0": dict(type=float, metavar="X", help="series horizon per segment"),
+    "profile": dict(choices=["fast", "full"],
+                    help="experiment size (default fast)"),
 }
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, the optional JSON config file, then explicit flags."""
+    """Merge defaults, the optional JSON config file, then explicit flags.
+
+    A config key the subcommand does not read is refused by name."""
     sub = args.subcommand
-    cfg: dict = {"subcommand": sub, "profile": "fast", "seed": 0}
+    keys = _SUBCOMMANDS[sub][2]
+    cfg: dict = {"subcommand": sub, "profile": "fast"}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -226,18 +226,18 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        allowed = set(_FLAG_KEYS) | set(_EXTRA_KEYS[sub])
         for key in file_cfg:
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(key, f"unknown field for {sub}")
         cfg.update(file_cfg)
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
+    for key in _FLAGS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if cfg["profile"] not in ("fast", "full"):
         raise ConfigError("profile", f"must be fast or full, got {cfg['profile']!r}")
-    cfg["seed"] = _as_nonneg_int("seed", cfg["seed"])
+    if "seed" in keys:
+        cfg["seed"] = _as_nonneg_int("seed", cfg.get("seed", 0))
     for key in ("tol", "dt", "grid_spacing", "t0"):
         if key in cfg:
             cfg[key] = _as_pos_float(key, cfg[key])
@@ -279,6 +279,38 @@ def _resolve_transport_problem(cfg) -> TransportProblem:
         profile=profile, initial=initial, regularizer=reg)
 
 
+def _stock_transport_time(cfg) -> float:
+    """The stock transport run's atoms and final time, for the keys the
+    config leaves out: two atoms to t = 1 at ``--profile full``, one
+    atom to t = 1/2 at fast.  Returns the final time; the atoms go into
+    ``cfg``."""
+    full = cfg["profile"] == "full"
+    cfg.setdefault("atoms", [[0.0, 1.0], [0.3, 0.5]] if full
+                   else [[0.0, 1.0]])
+    return _as_pos_float("t", cfg.get("t", 1.0 if full else 0.5))
+
+
+def _random_pair_recipe(cfg, dimension: int):
+    """(n, shift, b_scale) for :func:`random_stable_pair`, defaulting to
+    ``dimension``, 0.5 and 0.1."""
+    n = _as_nonneg_int("dimension", cfg.get("dimension", dimension))
+    if n < 2:
+        raise ConfigError("dimension", f"must be >= 2, got {n}")
+    shift = _as_pos_float("shift", cfg.get("shift", 0.5))
+    b_scale = _as_pos_float("b_scale", cfg.get("b_scale", 0.1))
+    return n, shift, b_scale
+
+
+def _as_matrix(field, value) -> np.ndarray:
+    """A square matrix given as a list of rows of finite numbers."""
+    if not (isinstance(value, (list, tuple)) and value
+            and all(isinstance(row, (list, tuple)) and len(row) == len(value)
+                    for row in value)):
+        raise ConfigError(field, "expected a square list of rows")
+    return np.array([[_as_finite(field, v, f"row {i} has ") for v in row]
+                     for i, row in enumerate(value)])
+
+
 def _check(name: str, measured: float, bound: float, ok=None) -> dict:
     if ok is None:
         ok = measured <= bound
@@ -295,30 +327,21 @@ def _run_matrix_demo(cfg):
     dt = cfg.get("dt", 1e-3)
     t0 = cfg.get("t0", 0.5)
     t_values = cfg.get("t_values", [0.5, 1.0, 2.0] if full else [0.5, 1.0])
-    if not (isinstance(t_values, (list, tuple)) and t_values
-            and all(isinstance(t, (int, float)) and math.isfinite(t) and t > 0
-                    for t in t_values)):
-        raise ConfigError("t_values", "expected a list of positive finite times")
+    if not (isinstance(t_values, (list, tuple)) and t_values):
+        raise ConfigError("t_values", "expected a nonempty list of times")
+    t_values = [_as_pos_float("t_values", t) for t in t_values]
     if "matrix" in cfg or "perturbation" in cfg:
         if "matrix" not in cfg or "perturbation" not in cfg:
             raise ConfigError("matrix", "matrix and perturbation must be "
                                         "given together")
-        A = np.asarray(cfg["matrix"], dtype=float)
-        B = np.asarray(cfg["perturbation"], dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigError("matrix", f"must be square, got shape {A.shape}")
+        A = _as_matrix("matrix", cfg["matrix"])
+        B = _as_matrix("perturbation", cfg["perturbation"])
         if B.shape != A.shape:
             raise ConfigError("perturbation", f"shape {B.shape} does not "
                                               f"match matrix {A.shape}")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ConfigError("matrix", "entries must be finite")
         pairs = [(None, A, B)]
     else:
-        n = _as_nonneg_int("dimension", cfg.get("dimension", 4))
-        if n < 2:
-            raise ConfigError("dimension", f"must be >= 2, got {n}")
-        shift = _as_pos_float("shift", cfg.get("shift", 0.5))
-        b_scale = _as_pos_float("b_scale", cfg.get("b_scale", 0.1))
+        n, shift, b_scale = _random_pair_recipe(cfg, 4)
         count = _as_nonneg_int("systems", cfg.get("systems", 10 if full else 1))
         if count < 1:
             raise ConfigError("systems", "need at least one system")
@@ -342,10 +365,10 @@ def _run_matrix_demo(cfg):
         x = rng.standard_normal(A.shape[0])
         x /= np.linalg.norm(x)
         for t in t_values:
-            got = neumann_semigroup(system, op, x, float(t), t0, dt)
-            gap = float(np.linalg.norm(got - target.propagator(float(t)) @ x))
+            got = neumann_semigroup(system, op, x, t, t0, dt)
+            gap = float(np.linalg.norm(got - target.propagator(t) @ x))
             checks.append(_check(f"oracle-gap-{label}-t{t:g}", gap, tol))
-            rows.append((label, float(t), gap))
+            rows.append((label, t, gap))
 
     def write_gaps(fh):
         fh.write("system,t,gap\n")
@@ -354,23 +377,17 @@ def _run_matrix_demo(cfg):
 
     config_echo = {"profile": cfg["profile"], "seed": cfg["seed"],
                    "tol": tol, "dt": dt, "t0": t0,
-                   "t_values": [float(t) for t in t_values],
+                   "t_values": t_values,
                    "systems": len(pairs)}
     return config_echo, checks, {"matrix-demo-gaps.csv": write_gaps}
 
 
 def _run_transport_demo(cfg):
-    full = cfg["profile"] == "full"
     tol = cfg.get("tol", 1e-3)
     t0 = cfg.get("t0", 0.2)
-    if full:
-        defaults = dict(atoms=[[0.0, 1.0], [0.3, 0.5]], t=1.0, dx=1e-3)
-    else:
-        defaults = dict(atoms=[[0.0, 1.0]], t=0.5, dx=2e-3)
-    cfg.setdefault("atoms", defaults["atoms"])
-    t = _as_pos_float("t", cfg.get("t", defaults["t"]))
-    dx = cfg.get("grid_spacing", cfg.get("dt", defaults["dx"]))
-    dx = _as_pos_float("grid_spacing", dx)
+    t = _stock_transport_time(cfg)
+    dx = cfg.get("grid_spacing",
+                 1e-3 if cfg["profile"] == "full" else 2e-3)
     problem = _resolve_transport_problem(cfg)
 
     # the rank-one guard reads no system: it is known before any grid
@@ -403,11 +420,7 @@ def _run_implemented_demo(cfg):
     dt = cfg.get("dt", 1e-3)
     t0 = cfg.get("t0", 0.5)
     t = _as_pos_float("t", cfg.get("t", 1.0))
-    n = _as_nonneg_int("dimension", cfg.get("dimension", 4 if full else 3))
-    if n < 2:
-        raise ConfigError("dimension", f"must be >= 2, got {n}")
-    shift = _as_pos_float("shift", cfg.get("shift", 0.5))
-    b_scale = _as_pos_float("b_scale", cfg.get("b_scale", 0.1))
+    n, shift, b_scale = _random_pair_recipe(cfg, 4 if full else 3)
     seed = cfg["seed"]
 
     A, B = random_stable_pair(n, seed, shift=shift, b_scale=b_scale)
@@ -476,7 +489,7 @@ def _run_implemented_demo(cfg):
 
 def _run_admissibility(cfg):
     t0 = cfg.get("t0", 0.2)
-    dx = _as_pos_float("grid_spacing", cfg.get("grid_spacing", 4e-3))
+    dx = cfg.get("grid_spacing", 4e-3)
     problem = _resolve_transport_problem(cfg)
     system = make_system(problem, dx, t0, t0)
     op = build_rank_one(problem)
@@ -512,18 +525,11 @@ def _run_admissibility(cfg):
 
 
 def _run_convergence(cfg):
-    full = cfg["profile"] == "full"
     min_order = cfg.get("tol", 1.8)
     t0 = cfg.get("t0", 0.2)
-    if full:
-        defaults = dict(atoms=[[0.0, 1.0], [0.3, 0.5]], t=1.0,
-                        spacings=[5e-3, 2.5e-3, 1.25e-3, 6.25e-4])
-    else:
-        defaults = dict(atoms=[[0.0, 1.0]], t=0.5,
-                        spacings=[4e-3, 2e-3, 1e-3])
-    cfg.setdefault("atoms", defaults["atoms"])
-    t = _as_pos_float("t", cfg.get("t", defaults["t"]))
-    spacings = cfg.get("spacings", defaults["spacings"])
+    t = _stock_transport_time(cfg)
+    spacings = cfg.get("spacings", [5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
+                       if cfg["profile"] == "full" else [4e-3, 2e-3, 1e-3])
     if not isinstance(spacings, (list, tuple)):
         raise ConfigError("spacings", "expected a list of step sizes")
     spacings = [_as_pos_float("spacings", h) for h in spacings]
@@ -559,13 +565,32 @@ def _run_convergence(cfg):
     return config_echo, checks, {"convergence.csv": write_csv}
 
 
-_RUNNERS = {
-    "matrix-demo": _run_matrix_demo,
-    "transport-demo": _run_transport_demo,
-    "implemented-demo": _run_implemented_demo,
-    "admissibility": _run_admissibility,
-    "convergence": _run_convergence,
+_SUBCOMMANDS = {
+    # name: (runner, help, the config keys it reads)
+    "matrix-demo": (
+        _run_matrix_demo,
+        "Neumann engine vs matrix exponential on seeded stable systems",
+        ("tol", "seed", "dt", "t0", "profile", "dimension", "shift",
+         "b_scale", "systems", "t_values", "matrix", "perturbation")),
+    "transport-demo": (
+        _run_transport_demo, "perturbed transport vs the renewal oracle",
+        ("tol", "grid_spacing", "t0", "profile", "atoms", "g", "initial",
+         "t")),
+    "implemented-demo": (
+        _run_implemented_demo,
+        "operator-algebra correspondences and structural identities",
+        ("tol", "seed", "dt", "t0", "profile", "dimension", "shift",
+         "b_scale", "t")),
+    "admissibility": (
+        _run_admissibility,
+        "landing, seminorm and smallness battery for the rank-one "
+        "transport operator",
+        ("grid_spacing", "t0", "profile", "atoms", "g")),
+    "convergence": (
+        _run_convergence, "grid refinement study with observed orders",
+        ("tol", "t0", "profile", "atoms", "g", "t", "spacings")),
 }
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -577,41 +602,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perturbed-semigroup experiment runner; reports are "
                     "reproducible JSON plus CSV curves.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "matrix-demo": "Neumann engine vs matrix exponential on seeded "
-                       "stable systems",
-        "transport-demo": "perturbed transport vs the renewal oracle",
-        "implemented-demo": "operator-algebra correspondences and "
-                            "structural identities",
-        "admissibility": "landing, seminorm and smallness battery for the "
-                         "rank-one transport operator",
-        "convergence": "grid refinement study with observed orders",
-    }
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, (_, help_text, keys) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH",
                         help="JSON config file; flags override its fields")
         sp.add_argument("--out", metavar="DIR", default=".",
                         help="directory for report and CSV files")
-        sp.add_argument("--tol", type=float, metavar="X",
-                        help="primary tolerance (minimum observed order "
-                             "for convergence)")
-        sp.add_argument("--seed", type=int, metavar="N",
-                        help="PCG64 seed for probe data")
-        sp.add_argument("--dt", type=float, metavar="X",
-                        help="time step")
-        sp.add_argument("--grid-spacing", type=float, metavar="X",
-                        dest="grid_spacing", help="spatial step")
-        sp.add_argument("--t0", type=float, metavar="X",
-                        help="series horizon per segment")
-        sp.add_argument("--profile", choices=["fast", "full"],
-                        help="experiment size (default fast)")
+        for key, options in _FLAGS.items():
+            if key in keys:
+                sp.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
 def run(cfg: dict, out_dir: str) -> int:
     """Execute a resolved config, write artifacts, return the exit status."""
-    runner = _RUNNERS[cfg["subcommand"]]
+    runner = _SUBCOMMANDS[cfg["subcommand"]][0]
     config_echo, checks, csvs = runner(cfg)
     passed = all(c["pass"] for c in checks)
     report = {"schema": 1, "subcommand": cfg["subcommand"],

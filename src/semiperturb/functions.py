@@ -355,18 +355,11 @@ class GridFunction:
         return self.with_values(self.values - other.values)
 
     def to_csv(self, fh) -> None:
-        """Write (x, value) rows; comma separated, '.' decimals, header."""
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w")
-            close = True
-        try:
-            fh.write("x,value\n")
-            for x, v in zip(self.nodes(), self.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        finally:
-            if close:
-                fh.close()
+        """Write (x, value) rows to the open text handle ``fh``; comma
+        separated, '.' decimals, header."""
+        fh.write("x,value\n")
+        for x, v in zip(self.nodes(), self.values):
+            fh.write(f"{x:.17g},{v:.17g}\n")
 
 
 def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:

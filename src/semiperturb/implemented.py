@@ -197,9 +197,9 @@ def pseudoresolvent_extract(resolvent_fn, lam: float, mu: float) -> dict:
     }
 
 
-def hille_yosida_check(A, omega: float, M: float, lam_values,
-                       n_max: int = 6) -> dict:
-    """Worst power-resolvent ratio ||R(lam,A)^n|| (lam-omega)^n / M.
+def hille_yosida_check(A, omega: float, M: float, lam_values) -> dict:
+    """Worst power-resolvent ratio ||R(lam,A)^n|| (lam-omega)^n / M over
+    n = 1..6.
 
     At or below 1 (plus rounding) certifies the Hille--Yosida bounds on
     the sampled ray; omega below the spectral abscissa must fail.
@@ -213,7 +213,7 @@ def hille_yosida_check(A, omega: float, M: float, lam_values,
             raise ValueError("lambda samples must exceed omega")
         R = np.linalg.solve(lam * np.eye(n_dim) - A, np.eye(n_dim))
         P = np.eye(n_dim)
-        for n in range(1, n_max + 1):
+        for n in range(1, 7):
             P = P @ R
             ratio = opnorm2(P) * (lam - omega) ** n / M
             worst = max(worst, ratio)

@@ -57,9 +57,9 @@ from .functions import (
     support_cells,
 )
 from .semigroup import (
-    MAX_GRID_NODES,
     MatrixSystem,
     TranslationSystem,
+    _lattice_steps,
     expm,
     opnorm2,
     reconstruct,
@@ -91,27 +91,6 @@ _DIRECT_PROFILE_MAX = 128
 
 def _sup(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _lattice_steps(t, dt, what="time", ceiling=MAX_GRID_NODES):
-    """The m with t = m dt; StepMismatch names the argument when dt is
-    not positive and finite, t is not finite, t / dt overflows or passes
-    the ceiling of steps, or t is negative or off the dt lattice."""
-    if not 0.0 < dt < math.inf:
-        raise StepMismatch(f"dt must be positive and finite, got {dt!r}")
-    if not math.isfinite(t):
-        raise StepMismatch(f"{what} must be finite, got {t!r}")
-    ratio = float(t) / float(dt)
-    if not math.isfinite(ratio):
-        raise StepMismatch(f"{what} {t!r} is past the float range of "
-                           f"steps of dt={dt!r}")
-    if ratio > ceiling:
-        raise StepMismatch(f"{what} {t!r} is {ratio:.6g} steps of dt={dt!r}, "
-                           f"past the ceiling of {ceiling} steps")
-    m = int(round(ratio))
-    if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
-        raise StepMismatch(f"{what} {t!r} is not a multiple of dt={dt!r}")
-    return m
 
 
 class PerturbationOperator:

@@ -27,6 +27,28 @@ from .functions import CompactInterval, GridFunction, PiecewiseFunction, to_grid
 # the most grid nodes: 240 times the largest stock or benchmark grid (41 605)
 MAX_GRID_NODES = 10_000_000
 
+
+def _lattice_steps(t, dt, what="time", ceiling=MAX_GRID_NODES):
+    """The m with t = m dt; StepMismatch names the argument when dt is
+    not positive and finite, t is not finite, t / dt overflows or passes
+    the ceiling of steps, or t is negative or off the dt lattice."""
+    if not 0.0 < dt < inf:
+        raise StepMismatch(f"dt must be positive and finite, got {dt!r}")
+    if not isfinite(t):
+        raise StepMismatch(f"{what} must be finite, got {t!r}")
+    ratio = float(t) / float(dt)
+    if not isfinite(ratio):
+        raise StepMismatch(f"{what} {t!r} is past the float range of "
+                           f"steps of dt={dt!r}")
+    if ratio > ceiling:
+        raise StepMismatch(f"{what} {t!r} is {ratio:.6g} steps of dt={dt!r}, "
+                           f"past the ceiling of {ceiling} steps")
+    m = int(round(ratio))
+    if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
+        raise StepMismatch(f"{what} {t!r} is not a multiple of dt={dt!r}")
+    return m
+
+
 # Pade-13 numerator coefficients for the matrix exponential
 _PADE13 = (
     64764752532480000.0,
@@ -276,14 +298,6 @@ class TranslationSystem:
     def sample(self, f: PiecewiseFunction) -> GridFunction:
         return to_grid(f, self.origin, self.spacing, self.count)
 
-    def steps_of(self, t: float) -> int:
-        """Lattice step count for t; rejects off-lattice times."""
-        k = t / self.spacing
-        kr = round(k)
-        if abs(k - kr) > 1e-8 * max(1.0, abs(k)):
-            raise StepMismatch(f"t = {t} is not a lattice multiple of {self.spacing}")
-        return int(kr)
-
     def window_mask(self) -> np.ndarray:
         xs = self.nodes()
         return (xs >= self.window.lo - 1e-12) & (xs <= self.window.hi + 1e-12)
@@ -318,8 +332,10 @@ class TranslationSystem:
     def orbit_rows(self, vals, m: int, dt: float) -> np.ndarray:
         """Read-only (m+1) x count view whose row j is T(j dt) vals: for
         dt = k spacings, j k entries into vals padded with m k copies of
-        its edge value, so the rows share one buffer."""
-        k = self.steps_of(dt)
+        its edge value, so the rows share one buffer.  A dt that is not
+        a lattice multiple of at least one spacing, or not finite, or
+        past the ceiling of steps, is refused by StepMismatch."""
+        k = _lattice_steps(dt, self.spacing, "dt")
         if k < 1:
             raise StepMismatch(f"dt = {dt!r} is {k} lattice steps of "
                                f"spacing {self.spacing!r}")

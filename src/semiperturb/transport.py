@@ -63,12 +63,11 @@ from .functions import (
 from .perturbation import (
     PerturbationOperator,
     SeriesDiagnostics,
-    _lattice_steps,
     _series_guard,
     comparison_summary,
     neumann_semigroup,
 )
-from .semigroup import MAX_GRID_NODES, TranslationSystem
+from .semigroup import MAX_GRID_NODES, TranslationSystem, _lattice_steps
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +117,24 @@ def sawtooth_profile() -> PiecewiseFunction:
     return PiecewiseFunction(breaks, pieces)
 
 
-def corner_profile(profile: PiecewiseFunction,
-                   half_width=Fraction(1, 2)) -> PiecewiseFunction:
+def corner_profile(profile: PiecewiseFunction) -> PiecewiseFunction:
     """Piecewise-quadratic w whose derivative kink at each profile jump
     equals that jump's gap, and which is C^1 everywhere else.
 
     Built from one quadratic corner per jump: supported on
-    [z - a, z + a], value a/2 at z, derivative +1 then -1.  Scaling by
-    gap/2 makes the kink defect exactly the gap; all arithmetic stays
+    [z - 1/2, z + 1/2], value 1/4 at z, derivative +1 then -1.  Scaling
+    by gap/2 makes the kink defect exactly the gap; all arithmetic stays
     rational when the profile is rational.
     """
-    a = Fraction(half_width)
     total = None
     for z, lo, hi in profile.jumps():
         gap = hi - lo
         z = Fraction(z)
-        c_l = z - a
-        c_r = z + a
-        inv = Fraction(1, 2) / a
-        left = [c_l * c_l * inv, -2 * c_l * inv, inv]
-        right = [c_r * c_r * inv, -2 * c_r * inv, inv]
-        corner = PiecewiseFunction([c_l, z, c_r],
-                                   [[0], left, right, [0]])
+        c_l, c_r = z - Fraction(1, 2), z + Fraction(1, 2)
+        # (x - c_l)^2 on [c_l, z], (x - c_r)^2 on [z, c_r]
+        corner = PiecewiseFunction(
+            [c_l, z, c_r],
+            [[0], [c_l * c_l, -2 * c_l, 1], [c_r * c_r, -2 * c_r, 1], [0]])
         piece = corner.scale(Fraction(gap) / 2)
         total = piece if total is None else total + piece
     if total is None:
@@ -147,17 +142,11 @@ def corner_profile(profile: PiecewiseFunction,
     return total
 
 
-def bump_function(center=0, radius=1) -> PiecewiseFunction:
-    """C^1 bump (1 - ((x-c)/r)^2)^2 on (c - r, c + r], rational arithmetic."""
-    c = Fraction(center)
-    r = Fraction(radius)
-    base = PiecewiseFunction(
-        [-r, r],
-        [[0],
-         [1, 0, Fraction(-2, 1) / (r * r), 0,
-          Fraction(1, 1) / (r ** 4)],
-         [0]])
-    return base if c == 0 else base.translate(-c)
+def bump_function() -> PiecewiseFunction:
+    """C^1 bump (1 - x^2)^2 on (-1, 1], rational arithmetic."""
+    return PiecewiseFunction(
+        [Fraction(-1), Fraction(1)],
+        [[0], [1, 0, Fraction(-2), 0, Fraction(1)], [0]])
 
 
 @dataclasses.dataclass
@@ -196,20 +185,17 @@ def domain_check(f: PiecewiseFunction, problem: "TransportProblem"
     return DomainReport(ok, phi, resids, cont, worst)
 
 
-def build_domain_function(problem: "TransportProblem",
-                          smooth_part: PiecewiseFunction | None = None,
-                          corner_part: PiecewiseFunction | None = None,
-                          ) -> PiecewiseFunction:
+def build_domain_function(problem: "TransportProblem") -> PiecewiseFunction:
     """Smooth function plus scaled corners landing exactly in the domain.
 
-    With w the corner profile (kink defects equal to the profile gaps)
-    and f0 smooth, f = f0 + s w needs s = pairing(f0) + s * pairing(w),
-    solvable unless pairing(w) == 1, which is reported as a degenerate
-    profile rather than divided through.
+    With w the :func:`corner_profile` (kink defects equal to the profile
+    gaps) and f0 the :func:`bump_function`, f = f0 + s w needs
+    s = pairing(f0) + s * pairing(w), solvable unless pairing(w) == 1,
+    which is reported as a degenerate profile rather than divided
+    through.
     """
-    f0 = smooth_part if smooth_part is not None else bump_function()
-    w = corner_part if corner_part is not None \
-        else corner_profile(problem.profile)
+    f0 = bump_function()
+    w = corner_profile(problem.profile)
     pw = problem.measure.pair(w)
     denom = 1 - pw
     if denom == 0 or abs(float(denom)) < 1e-12:
@@ -370,7 +356,9 @@ class TransportProblem:
     profile: PiecewiseFunction
     initial: PiecewiseFunction
     regularizer: PiecewiseFunction | None = None
-    window: CompactInterval = CompactInterval(-3.0, 3.0)
+    # the comparison window, the same for every problem: a class
+    # attribute, not a field
+    window = CompactInterval(-3.0, 3.0)
 
 
 def build_rank_one(problem: TransportProblem) -> PerturbationOperator:
@@ -500,9 +488,7 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
     lo, hi = float(problem.window.lo), float(problem.window.hi)
     xs = np.linspace(lo, hi, 601)
     h = (hi - lo) / (xs.size - 1)
-    # a one-point window has no lattice to cut
-    first, end = support_cells(problem.profile, lo, h, xs.size) if h \
-        else (0, xs.size)
+    first, end = support_cells(problem.profile, lo, h, xs.size)
     rows = []
     for t in t_values:
         if t <= 0:
@@ -511,7 +497,7 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
         phi = oracle_weights(problem.measure, problem.profile,
                              problem.initial, t, dt)
         lags = dt * np.arange(len(phi) - 1, -1, -1)
-        a = max(first - math.ceil(t / h), 0) if first else 0
+        a = max(first - math.ceil(t / h), 0)
         mid = sample_sided(problem.profile, xs[a:end] + lags[:, None],
                            snap_tol=1e-9 * dt)[1]
         g = np.zeros((lags.size, xs.size))

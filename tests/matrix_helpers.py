@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from semiperturb.perturbation import VectorTrajectory, _lattice_steps
+from semiperturb.perturbation import VectorTrajectory
+from semiperturb.semigroup import _lattice_steps
 from semiperturb.semigroup import MatrixSystem, opnorm2
 
 

@@ -39,7 +39,7 @@ from semiperturb.perturbation import (
     translation_probes,
     varpar_residual,
 )
-from semiperturb.semigroup import MatrixSystem, opnorm2
+from semiperturb.semigroup import MatrixSystem, _lattice_steps, opnorm2
 from semiperturb.transport import (
     TransportProblem,
     build_domain_function,
@@ -175,7 +175,7 @@ def test_criterion_05_admissibility_bounds():
     assert rep.smallness_analytic == pytest.approx(0.4)
 
     _, diag = neumann_nodes(sys_t, op, sys_t.sample(prob.initial), t0,
-                            [sys_t.steps_of(t0)], dx)
+                            [_lattice_steps(t0, dx)], dx)
     tn = diag.term_norms
     term_ratio = max(tn[i + 1] / tn[i] for i in range(1, len(tn) - 1))
     ok = (rep.volterra_norm_lower_bound <= rep.smallness_analytic + 1e-12

@@ -5,14 +5,19 @@ contract (fixed field order, 17-digit floats) are all part of the
 interface, so they get tested like any other behavior.
 """
 
+import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiperturb import cli
 from semiperturb.cli import (
+    _SUBCOMMANDS,
     SUBCOMMANDS,
     build_parser,
     deterministic_json,
@@ -145,6 +150,25 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("sub, config", [
+    ("transport-demo", {"t": 10 ** 400}),
+    ("transport-demo", {"atoms": [[-10 ** 400, 1]]}),
+    ("matrix-demo", {"matrix": [[10 ** 400]], "perturbation": [[0]]}),
+], ids=["time", "atom", "matrix"])
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys, sub,
+                                              config):
+    # json.load reads a long integer exactly; refused by name, not an
+    # OverflowError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([sub, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {next(iter(config))}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, config, numbers", [
     (["transport-demo", "--grid-spacing", "0.3"], {}, ("0.2", "0.3")),
     (["admissibility", "--grid-spacing", "0.5"], {}, ("0.2", "0.5")),
@@ -215,6 +239,129 @@ def test_convergence_needs_three_levels(tmp_path):
     path.write_text(json.dumps({"spacings": [4e-3, 2e-3]}))
     assert main(["convergence", "--config", str(path),
                  "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# each subcommand offers only the inputs it reads
+
+# a valid value for each shared flag
+_SHARED = {"--tol": "1e-3", "--seed": "1", "--dt": "1e-3",
+           "--grid-spacing": "1e-3", "--t0": "0.2", "--profile": "fast"}
+_OFFERED = {
+    "matrix-demo": ["--tol", "--seed", "--dt", "--t0", "--profile"],
+    "transport-demo": ["--tol", "--grid-spacing", "--t0", "--profile"],
+    "implemented-demo": ["--tol", "--seed", "--dt", "--t0", "--profile"],
+    "admissibility": ["--grid-spacing", "--t0", "--profile"],
+    "convergence": ["--tol", "--t0", "--profile"],
+}
+_UNREAD = [(sub, flag) for sub in SUBCOMMANDS for flag in _SHARED
+           if flag not in _OFFERED[sub]]
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_help_lists_only_the_flags_read(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+    assert flags == ["--config", "--out"] + _OFFERED[sub]
+
+
+@pytest.mark.parametrize("sub, flag", _UNREAD)
+def test_unread_flag_exits_2(tmp_path, capsys, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, flag, _SHARED[flag], "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sub, flag", _UNREAD)
+def test_unread_config_key_exits_2(tmp_path, capsys, sub, flag):
+    key = flag[2:].replace("-", "_")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1}))
+    assert main([sub, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() \
+        == [f"config error: {key}: unknown field for {sub}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, words", [
+    ({"matrix": "abc", "perturbation": "x"},
+     "matrix: expected a square list of rows"),
+    ({"matrix": [[-1, 0], [0]], "perturbation": [[0, 0], [0, 0]]},
+     "matrix: expected a square list of rows"),
+    ({"matrix": [[-1, "x"], [0, -1]], "perturbation": [[0, 0], [0, 0]]},
+     "matrix: row 0 has non-numeric value 'x'"),
+    ({"matrix": [[-1, 0], [0, -1]], "perturbation": [[0, True], [0, 0]]},
+     "perturbation: row 0 has non-numeric value True"),
+    ({"t_values": [True]},
+     "t_values: expected a number, got True"),
+], ids=["not-a-list", "ragged", "string-entry", "bool-entry", "bool-time"])
+def test_malformed_matrix_demo_config_exits_2(tmp_path, capsys, config,
+                                              words):
+    # refused by name: not a ValueError traceback, and t = True is not
+    # run as t = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["matrix-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {words}"]
+    assert not (tmp_path / "out").exists()
+
+
+# strings that some key reads as a valid choice
+_CHOICES = {"fast", "full", "canonical", "sawtooth", "tent"}
+_BAD_SCALAR = st.one_of(
+    st.booleans(),
+    st.text(max_size=6).filter(lambda s: s not in _CHOICES),
+    st.just(math.nan),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9),
+)
+# a bad scalar, or a nonempty list of them for the keys that read lists
+_BAD_VALUE = st.one_of(_BAD_SCALAR,
+                       st.lists(_BAD_SCALAR, min_size=1, max_size=3))
+_ALL_KEYS = sorted({key for _, _, keys in _SUBCOMMANDS.values()
+                    for key in keys})
+
+
+@st.composite
+def _refused_configs(draw):
+    """(subcommand, config, the field its error names): one key the
+    subcommand does not read, or one key it reads with a value of the
+    wrong type or out of range."""
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    keys = _SUBCOMMANDS[sub][2]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([k for k in _ALL_KEYS if k not in keys])
+                   | st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True)
+                   .filter(lambda k: k not in keys))
+        return sub, {key: draw(st.integers(0, 3))}, key
+    key = draw(st.sampled_from(keys))
+    # matrix and perturbation alone are refused under matrix's name
+    return sub, {key: draw(_BAD_VALUE)}, \
+        "matrix" if key == "perturbation" else key
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_refused_configs())
+def test_every_refused_config_exits_2_by_name(tmp_path_factory, case):
+    # invalid by construction, so no draw runs a study or allocates
+    sub, config, field = case
+    tmp = tmp_path_factory.mktemp("cfg")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([sub, "--config", str(path), "--out", str(tmp / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: ")
+    assert not (tmp / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from semiperturb.semigroup import (
     LatticeStep,
     MatrixSystem,
     TranslationSystem,
+    _lattice_steps,
     opnorm2,
 )
 from semiperturb.transport import (
@@ -293,7 +294,7 @@ def test_volterra_rank_one_constant_probe_exact():
     t = 0.5
     sys_t = make_system(prob, dx, t, t)
     op = build_rank_one(prob)
-    m = sys_t.steps_of(t)
+    m = _lattice_steps(t, dx)
     ones = np.ones(sys_t.count)
     F = VectorTrajectory(sys_t, dx, np.tile(ones, (m + 1, 1)))
     out = volterra_apply(sys_t, op, F, t)
@@ -333,7 +334,7 @@ def test_volterra_rank_one_scales_with_measure_weight():
     base = delta_problem()
     scaled = delta_problem(weight=3)
     sys_t = make_system(base, dx, t, t)
-    m = sys_t.steps_of(t)
+    m = _lattice_steps(t, dx)
     vals = sys_t.sample(tent()).values
     F = VectorTrajectory(sys_t, dx, np.tile(vals, (m + 1, 1)))
     out1 = volterra_apply(sys_t, build_rank_one(base), F, t)
@@ -482,7 +483,7 @@ def test_truncation_ratio_below_norm_estimate():
     probes = translation_probes(sys_t, t0, dx)
     est = volterra_norm_estimate(sys_t, op, t0, dx, probes)
     _, diag = neumann_nodes(sys_t, op, sys_t.sample(prob.initial), t0,
-                            [sys_t.steps_of(t0)], dx)
+                            [_lattice_steps(t0, dx)], dx)
     # consecutive term-norm ratios after the first two terms
     tn = diag.term_norms
     ratios = [tn[i + 1] / tn[i] for i in range(2, len(tn) - 1)]
@@ -618,7 +619,7 @@ def test_neumann_refuses_non_finite_transport_state():
     vals[5] = math.nan
     with pytest.raises(ValueError, match=f"1 of {vals.size} entries"):
         neumann_nodes(sys_t, build_rank_one(prob), sys_t.make(vals), t0,
-                      [sys_t.steps_of(t0)], dx)
+                      [_lattice_steps(t0, dx)], dx)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
@@ -1812,9 +1813,9 @@ def test_profile_before_grid_leaves_the_free_translation():
     sys_t = make_system(prob, dx, t0, t0)
     g = canonical_profile().translate(5.0 - sys_t.origin)
     op = PerturbationOperator.rank_one(prob.measure, g)
-    assert op._profile_lattice(sys_t, sys_t.steps_of(t0))[1] == (0, 0)
+    assert op._profile_lattice(sys_t, _lattice_steps(t0, dx))[1] == (0, 0)
     x = sys_t.sample(prob.initial)
-    (got,), _ = neumann_nodes(sys_t, op, x, t0, [sys_t.steps_of(t0)], dx)
+    (got,), _ = neumann_nodes(sys_t, op, x, t0, [_lattice_steps(t0, dx)], dx)
     free = VectorTrajectory.orbit(sys_t, x, t0, dx).node(-1)
     assert np.array_equal(got.values, free.values)
 

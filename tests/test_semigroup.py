@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 from pathlib import Path
 from sys import executable
@@ -26,6 +27,7 @@ from semiperturb.semigroup import (
     LatticeStep,
     MatrixSystem,
     TranslationSystem,
+    _lattice_steps,
     expm,
     lattice_scan,
     opnorm2,
@@ -222,7 +224,7 @@ def make_translation(spacing=0.01, half_width=4.0, horizon=1.5):
 def test_translation_shift_is_exact():
     sys = make_translation()
     f = sys.sample(tent())
-    k = sys.steps_of(0.5)
+    k = _lattice_steps(0.5, sys.spacing)
     g = sys.make(sys.orbit_rows(f.values, 1, 0.5)[1])
     # exact index shift, no interpolation
     assert np.array_equal(g.values[:-k], f.values[k:])
@@ -240,8 +242,21 @@ def test_translation_semigroup_law_exact_on_window():
 
 
 def test_translation_rejects_off_lattice_steps():
-    with pytest.raises(StepMismatch):
-        make_translation().steps_of(0.005)
+    with pytest.raises(StepMismatch, match="dt 0.005 is not a multiple"):
+        make_translation().orbit_rows(np.zeros(801), 1, 0.005)
+
+
+@pytest.mark.parametrize("dt, words", [
+    (math.inf, "dt must be finite, got inf"),
+    (math.nan, "dt must be finite, got nan"),
+    (1e300, "dt 1e+300 is 1e+302 steps of dt=0.01, past the ceiling"),
+], ids=["inf", "nan", "past-ceiling"])
+def test_translation_orbit_refuses_non_finite_or_huge_dt(dt, words):
+    # refused by the one lattice-step rule, before any padding is built:
+    # not an OverflowError, a float-to-int ValueError or numpy's
+    # "Maximum allowed dimension exceeded"
+    with pytest.raises(StepMismatch, match=re.escape(words)):
+        make_translation().orbit_rows(np.zeros(801), 1, dt)
 
 
 def test_window_stays_clear_of_edges():

@@ -19,7 +19,6 @@ from semiperturb.errors import (
 )
 from semiperturb.functions import (
     BoundedMeasure,
-    CompactInterval,
     PiecewiseFunction,
     hat_moments,
     poly_eval,
@@ -224,10 +223,13 @@ def test_build_domain_function_without_atoms_stays_exact():
 
 
 def test_build_domain_function_degenerate_profile():
+    # the two-atom weights scaled by 100/27 pair the stock corner to 1
     prob = two_atom_problem()
-    w = corner_profile(prob.profile).scale(Fraction(100, 27))
+    prob.measure = BoundedMeasure(atoms=tuple(
+        (x, w * Fraction(100, 27)) for x, w in prob.measure.atoms))
+    assert prob.measure.pair(corner_profile(prob.profile)) == 1
     with pytest.raises(DegenerateProfile):
-        build_domain_function(prob, corner_part=w)
+        build_domain_function(prob)
 
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -754,15 +756,6 @@ def test_comparison_curve_cut_matches_uncut_table(monkeypatch, name):
         assert sum(sampled) < 0.5 * 129 * 601 * len(_CUT_TIMES)
     if name == "beyond-right":
         assert sampled[0] <= 129 * 2 and got["constant"] > 0
-
-
-def test_comparison_curve_one_point_window_is_not_cut():
-    # a window of one point has no lattice: every column is sampled
-    prob = TransportProblem(BoundedMeasure.dirac(0), canonical_profile(),
-                            tent(), window=CompactInterval(0.5, 0.5))
-    got = comparison_curve(prob, [0.1, 0.2])
-    assert got == comparison_curve_uncut(prob, [0.1, 0.2])
-    assert got["constant"] > 0
 
 
 def test_comparison_curve_dyadic_stability():
