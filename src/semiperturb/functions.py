@@ -134,7 +134,7 @@ class PiecewiseFunction:
         if not pieces[0] or not pieces[-1]:
             raise ValueError("empty coefficient list")
         for p in (pieces[0], pieces[-1]):
-            if any(c != 0 for c in p[1:]):
+            if any(p[1:]):
                 raise ValueError("unbounded pieces must be constant")
         self.breakpoints = breakpoints
         self.pieces = pieces
@@ -318,7 +318,7 @@ class GridFunction:
         return self.values.size
 
     def nodes(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.count)
+        return _grid_nodes(self.origin, self.spacing, self.count)
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (
@@ -362,21 +362,34 @@ class GridFunction:
             fh.write(f"{x:.17g},{v:.17g}\n")
 
 
-def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
-    """Sample a piecewise function on a uniform grid (left-limit values),
-    bit for bit ``float(f.eval(x))``: rational breakpoints compare exactly.
-    The nodes are sorted, so one search of the breakpoint floors in them
-    gives the run of nodes each piece owns, evaluated on its slice."""
+def _grid_nodes(origin, spacing, count) -> np.ndarray:
+    """The read-only nodes origin + spacing * k, k < count."""
     xs = float(origin) + float(spacing) * np.arange(count)
+    xs.flags.writeable = False
+    return xs
+
+
+def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
+    """Sample a piecewise function on the grid origin + spacing * k,
+    k < count (left-limit values), bit for bit ``float(f.eval(x))``:
+    rational breakpoints compare exactly."""
+    # the nodes are finite whenever origin and spacing are
+    return GridFunction(origin, spacing,
+                        _sample_nodes(f, _grid_nodes(origin, spacing, count)))
+
+
+def _sample_nodes(f: PiecewiseFunction, xs) -> np.ndarray:
+    """``to_grid``'s values at the sorted finite nodes xs: one search of
+    the breakpoint floors in them gives the run of nodes each piece owns,
+    evaluated on its slice."""
     # a float breakpoint is its own floor; an exact one may round up
     floors = [b if isinstance(b, float)
               else np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
               else float(b) for b in f.breakpoints]
     # piece i owns the nodes x with floors[i - 1] < x <= floors[i]
-    ends = [0, *np.searchsorted(xs, floors, side="right").tolist(), count]
+    ends = [0, *np.searchsorted(xs, floors, side="right").tolist(), xs.size]
     runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    # the nodes are finite whenever origin and spacing are
-    return GridFunction(origin, spacing, _horner_pieces(f, xs, runs))
+    return _horner_pieces(f, xs, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +549,21 @@ def _horner_pieces(f: PiecewiseFunction, xs, piece):
     pieces are converted on the first call and kept on f."""
     if f._floats is None:
         floats = [[float(c) for c in p] for p in f.pieces]
+        # keep the pieces whose coefficients are not all +0.0
         f._floats = [(i, cs) for i, cs in enumerate(floats)
-                     if any(c or copysign(1.0, c) < 0  # not all +0.0
-                            for c in cs)]
+                     if any(cs) or any(copysign(1.0, c) < 0 for c in cs)]
     out = np.zeros(np.shape(xs))
     for i, cs in f._floats:
         own = piece[i] if isinstance(piece, list) else piece == i
         x = xs[own]
-        acc = 0.0 * x + cs[-1]
+        # a slice of out is a view of it, so Horner runs in place there
+        acc = out[own] if isinstance(own, slice) else np.empty_like(x)
+        np.multiply(0.0, x, out=acc)
+        acc += cs[-1]
         for c in cs[-2::-1]:
             acc *= x
             acc += c
-        out[own] = acc
+        out[own] = acc  # on a slice, acc onto itself
     return out
 
 
@@ -586,10 +602,10 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
 
     Memoised on the function object and the exact lattice (origin, h, n),
     four entries deep, so a caller that revisits one lattice, such as
-    the renewal oracle at every time on one grid, or the density weights
-    of every pairing on one grid, pays once; the arrays are read-only.
+    the density weights of every pairing on one grid, or the renewal
+    oracle back on a grid it left, pays once; the arrays are read-only.
     """
-    xk = origin + h * np.arange(n + 1)
+    xk = _grid_nodes(origin, h, n + 1)
     breaks = np.array([float(b) for b in f.breakpoints])
     degree = max(len(p) for p in f.pieces)
     # whole cells first: piece i owns the cells whose start x_k lies in
@@ -641,12 +657,12 @@ def support_cells(f: PiecewiseFunction, origin: float, h: float, n: int):
     (lo, hi), and each one-sided limit there, is zero.  Always
     0 <= lo <= hi <= n, so [lo, hi) slices the lattice; empty (lo == hi)
     when f vanishes on the whole lattice."""
-    a, b = (float(v) for v in f.support_bounds())
+    a, b = f.support_bounds()
     lo, hi = 0, n
-    if all(c == 0 for c in f.pieces[0]):
-        lo = min(max(floor((a - origin) / h) - 1, 0), n)
-    if all(c == 0 for c in f.pieces[-1]):
-        hi = min(ceil((b - origin) / h) + 1, n)
+    if not any(f.pieces[0]):
+        lo = min(max(floor((float(a) - origin) / h) - 1, 0), n)
+    if not any(f.pieces[-1]):
+        hi = min(ceil((float(b) - origin) / h) + 1, n)
     return lo, max(hi, lo)
 
 

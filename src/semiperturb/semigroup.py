@@ -22,30 +22,31 @@ from math import ceil, inf, isfinite, log2
 import numpy as np
 
 from .errors import GridTooLarge, HorizonExceeded, NotInStateSpace, StepMismatch
-from .functions import CompactInterval, GridFunction, PiecewiseFunction, to_grid
+from .functions import (CompactInterval, GridFunction, PiecewiseFunction,
+                        _grid_nodes, _sample_nodes, seminorm_rows)
 
 # the most grid nodes: 240 times the largest stock or benchmark grid (41 605)
 MAX_GRID_NODES = 10_000_000
 
 
-def _lattice_steps(t, dt, what="time", ceiling=MAX_GRID_NODES):
-    """The m with t = m dt; StepMismatch names the argument when dt is
-    not positive and finite, t is not finite, t / dt overflows or passes
-    the ceiling of steps, or t is negative or off the dt lattice."""
+def _lattice_steps(t, dt, what="time", step="dt", ceiling=MAX_GRID_NODES):
+    """The m with t = m dt; StepMismatch names t ``what`` and dt ``step``
+    when dt is not positive and finite, t is not finite, t / dt overflows
+    or passes the ceiling of steps, or t is negative or off the lattice."""
     if not 0.0 < dt < inf:
-        raise StepMismatch(f"dt must be positive and finite, got {dt!r}")
+        raise StepMismatch(f"{step} must be positive and finite, got {dt!r}")
     if not isfinite(t):
         raise StepMismatch(f"{what} must be finite, got {t!r}")
     ratio = float(t) / float(dt)
     if not isfinite(ratio):
         raise StepMismatch(f"{what} {t!r} is past the float range of "
-                           f"steps of dt={dt!r}")
+                           f"steps of {step}={dt!r}")
     if ratio > ceiling:
-        raise StepMismatch(f"{what} {t!r} is {ratio:.6g} steps of dt={dt!r}, "
-                           f"past the ceiling of {ceiling} steps")
+        raise StepMismatch(f"{what} {t!r} is {ratio:.6g} steps of {step}="
+                           f"{dt!r}, past the ceiling of {ceiling} steps")
     m = int(round(ratio))
     if abs(t - m * dt) > 1e-8 * max(dt, abs(t)) or m < 0:
-        raise StepMismatch(f"{what} {t!r} is not a multiple of dt={dt!r}")
+        raise StepMismatch(f"{what} {t!r} is not a multiple of {step}={dt!r}")
     return m
 
 
@@ -286,17 +287,21 @@ class TranslationSystem:
                 f"window [{window.lo}, {window.hi}] must stay {horizon} away from grid edges"
             )
         self.window = window
+        self._nodes = None
 
     # -- grid plumbing ------------------------------------------------
 
     def nodes(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.count)
+        """The read-only node array, built on first use and kept."""
+        if self._nodes is None:
+            self._nodes = _grid_nodes(self.origin, self.spacing, self.count)
+        return self._nodes
 
     def make(self, values) -> GridFunction:
         return GridFunction(self.origin, self.spacing, values)
 
     def sample(self, f: PiecewiseFunction) -> GridFunction:
-        return to_grid(f, self.origin, self.spacing, self.count)
+        return self.make(_sample_nodes(f, self.nodes()))
 
     def window_mask(self) -> np.ndarray:
         xs = self.nodes()
@@ -324,8 +329,10 @@ class TranslationSystem:
         return x.values
 
     def seminorm(self, values) -> float:
-        """The seminorm over ``window`` of these node values."""
-        return self.make(values).seminorm(self.window)
+        """The seminorm over ``window`` of these node values, read off the
+        kept nodes."""
+        rows = self.make(values).values[None]
+        return float(seminorm_rows(self, rows, self.window)[0])
 
     # -- semigroup action ---------------------------------------------
 
@@ -335,7 +342,7 @@ class TranslationSystem:
         its edge value, so the rows share one buffer.  A dt that is not
         a lattice multiple of at least one spacing, or not finite, or
         past the ceiling of steps, is refused by StepMismatch."""
-        k = _lattice_steps(dt, self.spacing, "dt")
+        k = _lattice_steps(dt, self.spacing, "dt", "spacing")
         if k < 1:
             raise StepMismatch(f"dt = {dt!r} is {k} lattice steps of "
                                f"spacing {self.spacing!r}")

@@ -24,8 +24,8 @@ trapezoid system of the renewal equation over the kernel samples of
 weights equal ``oracle_weights`` to about 3e-15, so the gap between
 them cannot see an error that both make.  They share the sampling
 primitives, the exact panel quadrature ``hat_moments``, which the tests
-check against exact rational hat products (its memo lets the oracle at
-every time on one grid pay for the moments once), the lattice
+check against exact rational hat products (the oracle keeps its operand
+built from them, so every time on one grid pays for them once), the lattice
 convolution ``lattice_convolve``, which the tests check against
 ``np.convolve``, the reuse of a fixed kernel's spectrum across
 products, and the rule ``support_cells`` for where a profile can be
@@ -38,6 +38,7 @@ against the exact profile here, the sampled trapezoid there).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -314,9 +315,10 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     once both pass 512 entries), which also counts phi[0] I0[k+m] and
     phi[m] I1[k-1]; those two are taken off again.  The moments are
     taken only on the cells [lo, hi) where the profile can be nonzero,
-    the :func:`support_cells` rule the engine uses too.  They do not
-    depend on t, so the memo of :func:`hat_moments` serves every t on
-    one grid, and nodes outside [lo - m, hi] get the free part alone.
+    the :func:`support_cells` rule the engine uses too.  Unless those
+    reach the last node, they and c do not depend on t, so
+    ``_series_operand`` keeps them for every t on one grid; nodes
+    outside [lo - m, hi] get the free part alone.
     That is a second-order reconstruction with different plumbing (and a
     different error constant) than the engine's sampled trapezoid.
     """
@@ -329,11 +331,9 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     lo, hi = support_cells(profile, system.origin, dt,
                            system.count + m - 1)
     if m > 0 and hi > lo:
-        i0, i1 = hat_moments(profile, system.origin + lo * dt, dt, hi - lo)
-        # c[x] = I0[x] + I1[x - 1] on cells lo..hi; entry e of the product
-        # belongs to node lo - m + e
-        c = np.append(i0, 0.0)
-        c[1:] += i1
+        # entry e of the product belongs to node lo - m + e
+        i0, i1, c = _series_operand(profile, system.origin + lo * dt, dt,
+                                    hi - lo)
         series = lattice_convolve(c, phi, c.size + m)
         series[:hi - lo] -= phi[0] * i0
         series[m + 1:] -= phi[m] * i1
@@ -342,6 +342,18 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
         if k1 > k0:
             vals[k0:k1] += dt * series[k0 - first:k1 - first]
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _series_operand(profile: PiecewiseFunction, origin, h, n):
+    """The :func:`hat_moments` I0, I1 on the lattice (origin, h, n) and the
+    read-only c[x] = I0[x] + I1[x - 1], x <= n, kept for the lattice used
+    last: a deeper memo would hold more alive and save no time."""
+    i0, i1 = hat_moments(profile, origin, h, n)
+    c = np.append(i0, 0.0)
+    c[1:] += i1
+    c.flags.writeable = False
+    return i0, i1, c
 
 
 # ---------------------------------------------------------------------------

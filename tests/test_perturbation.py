@@ -32,7 +32,6 @@ from semiperturb.errors import (
 )
 from semiperturb.functions import (
     BoundedMeasure,
-    CompactInterval,
     PiecewiseFunction,
     lattice_convolve,
     pair_rows,

@@ -21,7 +21,12 @@ from semiperturb.errors import (
     NotInStateSpace,
     StepMismatch,
 )
-from semiperturb.functions import CompactInterval, PiecewiseFunction, tent
+from semiperturb.functions import (
+    CompactInterval,
+    tent,
+    three_jump_profile,
+    to_grid,
+)
 from semiperturb.semigroup import (
     MAX_GRID_NODES,
     LatticeStep,
@@ -33,6 +38,8 @@ from semiperturb.semigroup import (
     opnorm2,
     reconstruct,
 )
+from semiperturb.transport import (bump_function, corner_profile,
+                                   sawtooth_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +249,16 @@ def test_translation_semigroup_law_exact_on_window():
 
 
 def test_translation_rejects_off_lattice_steps():
-    with pytest.raises(StepMismatch, match="dt 0.005 is not a multiple"):
+    with pytest.raises(StepMismatch, match=re.escape(
+            "dt 0.005 is not a multiple of spacing=0.01")):
         make_translation().orbit_rows(np.zeros(801), 1, 0.005)
 
 
 @pytest.mark.parametrize("dt, words", [
     (math.inf, "dt must be finite, got inf"),
     (math.nan, "dt must be finite, got nan"),
-    (1e300, "dt 1e+300 is 1e+302 steps of dt=0.01, past the ceiling"),
+    (1e300, "dt 1e+300 is 1e+302 steps of spacing=0.01, past the "
+     "ceiling"),
 ], ids=["inf", "nan", "past-ceiling"])
 def test_translation_orbit_refuses_non_finite_or_huge_dt(dt, words):
     # refused by the one lattice-step rule, before any padding is built:
@@ -283,6 +292,25 @@ def test_translation_refuses_bad_spacing(spacing):
 def test_translation_refuses_bad_horizon(horizon):
     with pytest.raises(ValueError, match="horizon must be nonnegative"):
         TranslationSystem(-1.0, 0.01, 100, horizon)
+
+
+@pytest.mark.parametrize("origin, spacing, count", [
+    (-4.0, 0.01, 801), (-3.7, 0.013, 700), (-6.254, 2e-3, 3705)])
+def test_translation_nodes_are_kept_read_only(origin, spacing, count):
+    sys = TranslationSystem(origin, spacing, count, 0.5)
+    xs = sys.nodes()
+    assert xs is sys.nodes()
+    assert xs.tobytes() == (origin + spacing * np.arange(count)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 0.0
+    stock = [three_jump_profile(), tent(), tent().translate(0.37),
+             sawtooth_profile(), bump_function(),
+             corner_profile(three_jump_profile())]
+    for f in stock:
+        want = to_grid(f, origin, spacing, count)
+        got = sys.sample(f)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.origin, got.spacing) == (want.origin, want.spacing)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,20 @@ from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
     hat_moments,
+    lattice_convolve,
     poly_eval,
     sample_lag_kernel,
     sample_sided,
     support_cells,
     tent,
     three_jump_profile,
+    to_grid,
 )
 from semiperturb import transport
-from semiperturb.semigroup import MAX_GRID_NODES
+from semiperturb.semigroup import MAX_GRID_NODES, TranslationSystem
 from semiperturb.transport import (
     TransportProblem,
+    _series_operand,
     build_domain_function,
     build_rank_one,
     bump_function,
@@ -495,11 +498,61 @@ def test_oracle_per_step_loop_computes_hat_moments_once():
     system = make_system(prob, dx, t, 0.2)
     phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dx)
     hat_moments.cache_clear()
+    _series_operand.cache_clear()
     for k in range(len(phi)):
         oracle_solution(prob.measure, prob.profile, prob.initial, system,
                         k * dx, phi=phi[:k + 1])
+    # the operand is built once per grid and reused at every k > 0
     info = hat_moments.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    info = _series_operand.cache_info()
     assert (info.misses, info.hits) == (1, len(phi) - 2)
+
+
+def _oracle_by_the_formula(prob, system, t, phi):
+    # the reconstruction as one function of t: a fresh sample of the
+    # shifted initial profile, the moments on the support cells, the
+    # operand c, one product and its two corrections
+    dt, m = system.spacing, len(phi) - 1
+    vals = to_grid(prob.initial.translate(t), system.origin, dt,
+                   system.count).values
+    lo, hi = support_cells(prob.profile, system.origin, dt,
+                           system.count + m - 1)
+    if m > 0 and hi > lo:
+        i0, i1 = hat_moments(prob.profile, system.origin + lo * dt, dt,
+                             hi - lo)
+        c = np.append(i0, 0.0)
+        c[1:] += i1
+        series = lattice_convolve(c, phi, c.size + m)
+        series[:hi - lo] -= phi[0] * i0
+        series[m + 1:] -= phi[m] * i1
+        first = lo - m
+        k0, k1 = max(first, 0), min(first + series.size, system.count)
+        if k1 > k0:
+            vals[k0:k1] += dt * series[k0 - first:k1 - first]
+    return vals
+
+
+@pytest.mark.parametrize("t", [0.5, 1.1], ids=["direct", "fft"])
+@pytest.mark.parametrize("profile", [
+    three_jump_profile(),
+    PiecewiseFunction([1, 40], [[0], [Fraction(3, 2)], [0]]),
+], ids=["inside-grid", "past-right-edge"])
+def test_oracle_solution_is_the_formula_bit_for_bit(profile, t):
+    # every prefix row on two grids, half a spacing apart, called in turn:
+    # an operand kept for one grid and read on the other changes the bits
+    prob = TransportProblem(BoundedMeasure.dirac(0), profile, tent())
+    dt = 2e-3
+    grid = make_system(prob, dt, t, 0.2)
+    grids = (grid, TranslationSystem(grid.origin - dt / 2, dt, grid.count,
+                                     grid.horizon, window=grid.window))
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
+    for k in range(len(phi)):
+        for system in grids:
+            got = oracle_solution(prob.measure, prob.profile, prob.initial,
+                                  system, k * dt, phi=phi[:k + 1])
+            want = _oracle_by_the_formula(prob, system, k * dt, phi[:k + 1])
+            assert got.values.tobytes() == want.tobytes(), (k, system.origin)
 
 
 def test_oracle_solution_zero_measure_is_translation():
