@@ -584,7 +584,6 @@ def _gauss_panels(lo, width, degree):
         yield lo + tj * width, wj * width
 
 
-@functools.lru_cache(maxsize=4)
 def hat_moments(f: PiecewiseFunction, origin, h, n):
     """(I0, I1) on the cells [x_k, x_k + h], x_k = origin + k h, k < n:
     I0[k] = integral over sigma in (0, 1) of (1 - sigma) f(x_k + sigma h),
@@ -598,12 +597,8 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     each piece owns (slices, as in :func:`to_grid`); panels are built
     only for the few cells a breakpoint cuts (about two per breakpoint),
     whose moments are then taken again.  Every cell gets the bits of one
-    panel list over the whole lattice, summed back cell by cell.
-
-    Memoised on the function object and the exact lattice (origin, h, n),
-    four entries deep, so a caller that revisits one lattice, such as
-    the density weights of every pairing on one grid, or the renewal
-    oracle back on a grid it left, pays once; the arrays are read-only.
+    panel list over the whole lattice, summed back cell by cell.  The
+    arrays are read-only, so a caller may keep them.
     """
     xk = _grid_nodes(origin, h, n + 1)
     breaks = np.array([float(b) for b in f.breakpoints])
@@ -689,8 +684,6 @@ def _fft_length(n: int) -> int:
     return _FFT_LENGTHS[bisect_left(_FFT_LENGTHS, n)]
 
 
-_DIRECT_CONVOLVE_MAX = 512
-
 _Spectrum = namedtuple("_Spectrum", ["size", "values"])
 
 
@@ -713,23 +706,68 @@ def _spectrum_product(spec: _Spectrum, b) -> np.ndarray:
 
 def lattice_convolve(a, b, n):
     """First n entries (all, when fewer) of the linear convolution of
-    the 1-d arrays a and b.
+    the 1-d arrays a and b: the direct ``np.convolve`` of both cut to n,
+    since entries past n read no operand entry past n.  Its rounding is
+    causal: entry k reads a[:k+1] and b[:k+1] only."""
+    return np.convolve(a[:n], b[:n])[:n]
 
-    Entries past n need no operand entry past n, so both are cut there.
-    When the shorter operand has at most 512 entries this is the direct
-    ``np.convolve``, whose rounding is causal: entry k reads a[:k+1] and
-    b[:k+1] only.  Longer operands go through one real FFT product of the
-    smallest 5-smooth length 2^a 3^b 5^c >= L, L = len(a) + len(b) - 1:
-    on this path L > 1000, so that length is at most 7% past L, where a
-    power of two may nearly double it.  That is O(L log L), with rounding
-    that is global: about eps * ||a||_1 ||b||_inf on every entry.
+
+class KeptOperand:
+    """Read-only values c that many products phi * c share.
+
+    ``times`` takes the direct :func:`lattice_convolve` while c has at
+    most 512 entries or phi at most 128, where transforms cost more than
+    they save.  Past both it is one real FFT product at the product's
+    5-smooth length, the least 2^a 3^b 5^c >= len(phi) + len(c) - 1,
+    against the spectrum of c at that length, taken on the length's
+    first use and kept.  Its rounding is global, about
+    eps ||phi||_1 ||c||_inf on every entry, where the direct one is causal.
     """
-    a = np.asarray(a, dtype=float)[:n]
-    b = np.asarray(b, dtype=float)[:n]
-    if min(a.size, b.size) <= _DIRECT_CONVOLVE_MAX:
-        return np.convolve(a, b)[:n]
-    full = a.size + b.size - 1
-    return _spectrum_product(_spectrum(a, _fft_length(full)), b)[:min(n, full)]
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.values.flags.writeable = False
+        self._spectra = {}
+
+    def times(self, phi, n=None):
+        """The first n entries (all, when None or fewer) of phi * c."""
+        c = self.values
+        full = len(phi) + c.size - 1
+        n = full if n is None else min(n, full)
+        if c.size <= 512 or len(phi) <= 128:
+            return lattice_convolve(phi, c, n)
+        size = _fft_length(full)
+        if size not in self._spectra:
+            self._spectra[size] = _spectrum(c, size)
+        return _spectrum_product(self._spectra[size], phi)[:n]
+
+
+# a rank-one reconstruction (reconstruction_nodes): the operand c of the
+# lattice cells from lo on and its two end corrections
+Reconstruction = namedtuple("Reconstruction",
+                            ["lo", "operand", "first", "last", "shift"])
+
+
+def reconstruction_nodes(phi, rec: Reconstruction, count):
+    """Grid node values of the rank-one weights phi, m = len(phi) - 1.
+
+    Entry e of phi * c, less phi[0] first[e] and phi[m] last[e - m -
+    shift] where those exist, is node lo - m + e.  Returns (k0, values),
+    the nodes from k0 = max(lo - m, 0) on, cut at the ``count`` grid
+    nodes; all other nodes, and all nodes when m = 0, are zero.
+    """
+    m = len(phi) - 1
+    start = rec.lo - m
+    k0 = max(start, 0)
+    end = min(start + m + rec.operand.values.size, count)
+    if m == 0 or end <= k0:
+        return k0, np.zeros(0)
+    series = rec.operand.times(phi, end - start)
+    head = series[:rec.first.size]
+    head -= phi[0] * rec.first[:head.size]
+    tail = series[m + rec.shift:]
+    tail -= phi[m] * rec.last[:tail.size]
+    return k0, series[k0 - start:]
 
 
 def sample_sided(f: PiecewiseFunction, xs, snap_tol=0.0):

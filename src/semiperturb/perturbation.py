@@ -16,8 +16,10 @@ owns its half of the engine and the checks:
 * :class:`RankOneOperator` on a ``TranslationSystem`` -- B f = <f, mu> * g
   where mu is a bounded measure and g a piecewise-polynomial profile that
   need not lie in the grid state space.  The convolution collapses to
-  scalar recursions plus one profile convolution per evaluation point,
-  which is what makes fine grids cheap.
+  scalar recursions on the pairings plus one ``reconstruction_nodes`` of
+  the sampled profile per evaluation step, which is what makes fine
+  grids cheap; every product is against a fixed operand, a
+  ``functions.KeptOperand``, and none is taken here.
 
 All time quadrature is trapezoid with one-sided endpoint limits and
 midpoint values at interior lattice hits of profile jumps; without that
@@ -41,16 +43,14 @@ from .errors import (
     StepMismatch,
 )
 from .functions import (
-    _DIRECT_CONVOLVE_MAX,
     BoundedMeasure,
     CompactInterval,
     GridFunction,
+    KeptOperand,
     PiecewiseFunction,
-    _fft_length,
-    _spectrum,
-    _spectrum_product,
-    lattice_convolve,
+    Reconstruction,
     pair_rows,
+    reconstruction_nodes,
     sample_lag_kernel,
     sample_sided,
     seminorm_rows,
@@ -72,21 +72,11 @@ MAX_NEUMANN_TERMS = 60
 # how far a kink defect may miss its jump condition in generator_check
 KINK_TOL = 1e-9
 
-_SidedSamples = namedtuple("_SidedSamples", ["left", "mid", "right"])
-# the renewal kernel's sided samples and their folded form (_kernel_lattice)
-_KernelLattice = namedtuple("_KernelLattice", [*_SidedSamples._fields,
-                                               "folded", "column", "spectrum"])
-# the rank-one segment operator: sum B, sum A - sum B and, past the direct
-# size, the spectrum of sum B (RankOneOperator._series)
-_RenewalSeries = namedtuple("_RenewalSeries",
-                            ["kernel", "correction", "spectrum"])
-# the profile's sided samples and the spectrum of its support cells
-_ProfileLattice = namedtuple("_ProfileLattice",
-                             [*_SidedSamples._fields, "spectrum"])
-# the profile convolution takes the FFT once phi has more entries: the
-# crossover of the direct product and the cached spectrum on the canonical
-# and sawtooth profiles at h = 2.5e-4 (2-core Xeon, numpy pocketfft)
-_DIRECT_PROFILE_MAX = 128
+# the renewal kernel's folded form (_kernel_lattice)
+_KernelLattice = namedtuple("_KernelLattice", ["folded", "column"])
+# the rank-one segment operator: sum B, kept, and sum A - sum B
+# (RankOneOperator._series)
+_RenewalSeries = namedtuple("_RenewalSeries", ["kernel", "correction"])
 
 
 def _sup(a) -> float:
@@ -233,47 +223,39 @@ class RankOneOperator(PerturbationOperator):
     # -- lattice sample caches ---------------------------------------------
 
     def _profile_lattice(self, system: TranslationSystem, m_extra: int):
-        """Sided samples of g on the grid lattice extended m_extra steps,
-        and its ``support_cells`` [lo, hi): only those are sampled, the
-        samples outside are zero.  When m_extra + 1 passes
-        ``_DIRECT_PROFILE_MAX``, the samples carry the ``spectrum`` of
-        the mid samples on [lo, hi), at the FFT length of their product
-        with m_extra + 1 weights, which every ``_profile_convolution``
-        of up to m_extra steps on the lattice reuses."""
+        """The engine's :class:`Reconstruction` of g on the grid lattice
+        extended m_extra steps, over its ``support_cells`` [lo, hi), the
+        only cells sampled (g's sided samples vanish outside): the mid
+        samples kept, first = mid - left / 2 and last = mid - right / 2,
+        shift 0, in one read-only table.  ``reconstruction_nodes`` then
+        gives node k the trapezoid sum of phi[j] g(x_k + (m - j) dt) over
+        j = 0..m, with one-sided limits at both ends."""
         def build():
-            n = system.count + m_extra
             lo, hi = support_cells(self.profile, system.origin,
-                                   system.spacing, n)
+                                   system.spacing, system.count + m_extra)
             xs = system.origin + system.spacing * np.arange(lo, hi)
-            samples = np.zeros((3, n))
-            samples[:, lo:hi] = sample_sided(
+            left, mid, right = sample_sided(
                 self.profile, xs, snap_tol=1e-6 * system.spacing)
-            spectrum = None
-            if m_extra + 1 > _DIRECT_PROFILE_MAX and hi > lo:
-                spectrum = _spectrum(samples[1, lo:hi],
-                                     _fft_length(hi - lo + m_extra))
-            return _ProfileLattice(*samples, spectrum), (lo, hi)
+            # one block: glibc's mmap threshold follows the largest block
+            # freed; three smaller ones triple transport-refine's page faults
+            table = np.stack([mid, mid - 0.5 * left, mid - 0.5 * right])
+            table.flags.writeable = False
+            return Reconstruction(lo, KeptOperand(table[0]), *table[1:], 0)
         key = (system.origin, system.spacing, system.count, m_extra)
         return recent_memo(self._profile_cache, key, build)
 
     def _kernel_lattice(self, dt: float, m_steps: int):
         """Sided samples of s -> pairing of g(. + s) on the time lattice,
         with the step's corrections folded in once for ``_kernel_step``:
-        ``folded`` is the mid samples with entry 0 set to right[0] / 2
-        (the diagonal term), ``column`` is left / 2 - mid (the first
-        column's term), and once m_steps + 1 passes the direct size the
-        ``spectrum`` of ``folded`` at the length of the full product.
-        Its one caller, ``_series``, is memoised per segment, so this
-        keeps nothing."""
+        ``folded`` is the kept mid samples with entry 0 set to
+        right[0] / 2 (the diagonal term), ``column`` is left / 2 - mid
+        (the first column's term).  Its one caller, ``_series``, is
+        memoised per segment, so this keeps nothing."""
         left, mid, right = sample_lag_kernel(self.measure, self.profile,
                                              dt, m_steps)
-        folded = mid.copy()
-        folded[0] = 0.5 * right[0]
-        spectrum = None
-        if m_steps + 1 > _DIRECT_CONVOLVE_MAX:
-            spectrum = _spectrum(folded, _fft_length(2 * m_steps + 1))
-        return _KernelLattice(left, mid, right, folded, 0.5 * left - mid,
-                              spectrum)
+        column = 0.5 * left - mid
+        mid[0] = 0.5 * right[0]
+        return _KernelLattice(KeptOperand(mid), column)
 
     # -- the kind's half of the engine -------------------------------------
 
@@ -318,7 +300,7 @@ class RankOneOperator(PerturbationOperator):
         def apply_k(term):
             return np.stack([
                 _kernel_step(term[0], ker, dt),
-                dt * _causal_product(term[1], ker.folded, ker.spectrum)])
+                dt * ker.folded.times(term[1], m + 1)])
 
         first = np.zeros((2, m + 1))
         first[:, 0] = 1.0
@@ -326,15 +308,12 @@ class RankOneOperator(PerturbationOperator):
                                    size, 1.0, tol, guard)
         total[0] -= total[1]
         total.flags.writeable = False
-        spectrum = None
-        if m + 1 > _DIRECT_CONVOLVE_MAX:
-            spectrum = _spectrum(total[1], _fft_length(2 * m + 1))
-        return _RenewalSeries(total[1], total[0], spectrum), diag
+        return _RenewalSeries(KeptOperand(total[1]), total[0]), diag
 
     def _apply_series(self, system, series, vals, m, node_steps, dt):
-        """S(j dt) x at the node steps: the orbit window of x plus one
-        profile convolution of the summed pairings, ``_renewal_weights``
-        of the window's pairings, read in place."""
+        """S(j dt) x at the node steps: the orbit window of x plus the
+        reconstruction of the summed pairings, ``_renewal_weights`` of
+        the window's pairings, read in place."""
         window = system.orbit_rows(vals, m, dt)
         phi = _renewal_weights(series, pair_rows(self.measure, system,
                                                  window))
@@ -363,14 +342,11 @@ class RankOneOperator(PerturbationOperator):
     def _regularized_gap(self, system, phi, dt, fast_out) -> float:
         """Window sup gap between the fast path and the regularized
         detour; NotInStateSpace when the detour does not reconstruct."""
-        m = len(phi) - 1
         hvals = system.sample(self.regularized_profile).values
-        shifted = system.orbit_rows(hvals, m, dt)
-        u = np.zeros(system.count)
-        for j in range(m + 1):
-            w = 0.5 if j in (0, m) else 1.0
-            u += w * phi[j] * shifted[m - j]
-        u *= dt
+        shifted = system.orbit_rows(hvals, len(phi) - 1, dt)
+        w = phi.copy()
+        w[[0, -1]] *= 0.5
+        u = dt * (w[::-1] @ shifted)
         recon = reconstruct(system, system.make(u))
         return system.seminorm(recon.values - fast_out)
 
@@ -490,11 +466,15 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
 
 def _convolved_nodes(system, op, phi, dt, steps):
     """Rank-one Volterra node values at the steps from the node pairings
-    phi, on the profile lattice as long as the largest step."""
+    phi: ``reconstruction_nodes`` of phi[:m + 1], times dt, against the
+    profile lattice as long as the largest step."""
     _require_time_grid(system, dt)
-    prof, cells = op._profile_lattice(system, max(steps, default=0))
-    return [_profile_convolution(phi, m, prof, cells, system.count, dt)
-            for m in steps]
+    rec = op._profile_lattice(system, max(steps, default=0))
+    out = np.zeros((len(steps), system.count))
+    for row, m in zip(out, steps):
+        k0, vals = reconstruction_nodes(phi[:m + 1], rec, system.count)
+        row[k0:k0 + vals.size] = dt * vals
+    return out
 
 
 def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
@@ -518,55 +498,13 @@ def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
     return forcing.reshape(m1, k, n).transpose(0, 2, 1).reshape(nodes.shape)
 
 
-def _profile_convolution(phi, m, prof: _ProfileLattice, cells, count, dt):
-    """Trapezoid of phi(r) g(x + (m-j) dt) over j = 0..m on every grid node.
-
-    The samples vanish outside the lattice ``cells`` [lo, hi), so node k,
-    which reads entries k..k+m, is zero unless k lies in [lo - m, hi).
-    Only those nodes are built, from one convolution of phi with the
-    samples.  Up to ``_DIRECT_PROFILE_MAX`` weights it is the direct
-    product with the entries the nodes read, each node keeping all m + 1
-    terms, zeros included, so it rounds bit for bit as on the full grid.
-    Past that it is one FFT product of phi against the lattice's cached
-    ``spectrum`` of the support cells alone: node k is entry k + m - lo.
-    """
-    out = np.zeros(count)
-    lo, hi = cells
-    a, b = max(lo - m, 0), min(hi, count)
-    if m == 0 or b <= a or hi <= lo:
-        return out
-    mid = prof.mid[a:b + m]
-    if m + 1 > _DIRECT_PROFILE_MAX:
-        prod = _spectrum_product(prof.spectrum, phi[:m + 1])
-        prod = prod[a + m - lo:b + m - lo]
-    else:
-        prod = lattice_convolve(phi[:m + 1], mid, mid.size)[m:]
-    conv = prod - phi[0] * mid[m:] - phi[m] * mid[:b - a]
-    conv += 0.5 * phi[0] * prof.left[a + m:b + m]
-    conv += 0.5 * phi[m] * prof.right[a:b]
-    out[a:b] = dt * conv
-    return out
-
-
-def _causal_product(a, operand, spectrum):
-    """The first len(a) entries of the product a * operand: the direct
-    ``np.convolve`` when ``spectrum`` is None, else one FFT product
-    against it, the operand's cached spectrum."""
-    n = len(a)
-    if spectrum is None:
-        return np.convolve(a, operand[:n])[:n]
-    return _spectrum_product(spectrum, a)[:n]
-
-
 def _kernel_step(phi, ker: _KernelLattice, dt):
     """One scalar Volterra iteration: next(m) = int_0^{m dt} phi kernel.
 
-    The trapezoid is one product of phi with the ``folded`` kernel plus
-    phi[0] times the ``column`` vector: the direct ``np.convolve`` up to
-    the direct size, past it one FFT product against the kernel's cached
-    ``spectrum``.
+    The trapezoid is one product of phi with the kept ``folded`` kernel
+    plus phi[0] times the ``column`` vector.
     """
-    out = _causal_product(phi, ker.folded, ker.spectrum)
+    out = ker.folded.times(phi, len(phi))
     out += phi[0] * ker.column[:len(phi)]
     out *= dt
     out[0] = 0.0
@@ -577,7 +515,7 @@ def _renewal_weights(series: _RenewalSeries, phi0):
     """The summed pairings sum_k K^k phi0 of a rank-one segment: with
     sum_k K^k phi0 = phi0[0] sum A + sum B * (phi0 - phi0[0] e0), one
     product of phi0 with sum B plus phi0[0] (sum A - sum B)."""
-    out = _causal_product(phi0, series.kernel, series.spectrum)
+    out = series.kernel.times(phi0, len(phi0))
     out += phi0[0] * series.correction
     return out
 
@@ -610,7 +548,6 @@ def volterra_norm_estimate(system, op: PerturbationOperator, t0: float,
 class SeriesDiagnostics:
     terms_used: int
     term_norms: list
-    ratios: list
     guard_bound: float
     segments: int = 1
 
@@ -618,7 +555,6 @@ class SeriesDiagnostics:
         self.terms_used = max(self.terms_used, other.terms_used)
         if len(other.term_norms) > len(self.term_norms):
             self.term_norms = other.term_norms
-            self.ratios = other.ratios
         self.segments += 1
         return self
 
@@ -639,7 +575,7 @@ def _series_guard(op, system, t0, tol):
 def _neumann_sum(total, term, apply_v, size, base, tol, guard):
     """Add ``term``, ``apply_v(term)``, ... to ``total`` until a term's
     size is below tol (1 - guard); ``base`` is the recorded size of the
-    orbit, and the ratios of consecutive sizes are kept for the record."""
+    orbit."""
     norms = [base]
     k = 1
     while True:
@@ -653,8 +589,7 @@ def _neumann_sum(total, term, apply_v, size, base, tol, guard):
         total += term
         term = apply_v(term)
         k += 1
-    ratios = [b / max(a, 1e-300) for a, b in zip(norms[1:], norms[2:])]
-    return total, SeriesDiagnostics(k, norms, ratios, guard)
+    return total, SeriesDiagnostics(k, norms, guard)
 
 
 def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
@@ -699,8 +634,7 @@ def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
         op._segment_cache, key,
         lambda: op._series(system, m, node_steps, dt, tol, guard))
     nodes = op._apply_series(system, series, vals, m, node_steps, dt)
-    return nodes, dataclasses.replace(
-        diag, term_norms=list(diag.term_norms), ratios=list(diag.ratios))
+    return nodes, dataclasses.replace(diag, term_norms=list(diag.term_norms))
 
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
@@ -733,7 +667,7 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, tol)
     state = system.make(system.state_values(x))
-    diag_all = SeriesDiagnostics(0, [], [], guard, segments=0)
+    diag_all = SeriesDiagnostics(0, [], guard, segments=0)
     for steps in itertools.chain([m_rest] if m_rest else [],
                                  itertools.repeat(m0, n_full)):
         out, diag = _neumann_segment(system, op, state, steps, [steps], dt,

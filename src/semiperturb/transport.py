@@ -9,9 +9,9 @@ times the jump gaps.  This module owns
   system of the scalar renewal equation for phi(tau) = pairing of the
   perturbed orbit, on a tree of step ranges whose histories are FFT
   middle products (O(N log^2 N) for N steps), plus a reconstruction of
-  the solution from phi: the exact free sample, and one lattice product
-  of phi with the profile's hat moments on the cells where the profile
-  can be nonzero;
+  the solution from phi: the exact free sample, and the one
+  :func:`reconstruction_nodes` of phi against the profile's hat moments
+  on the cells where the profile can be nonzero;
 * domain bookkeeping with exact rational arithmetic (membership residuals
   are identically zero, not merely small, for the canonical examples);
 * constructors for the stock profiles and domain functions;
@@ -23,16 +23,15 @@ trapezoid system of the renewal equation over the kernel samples of
 ``sample_lag_kernel``.  On one segment the engine's summed renewal
 weights equal ``oracle_weights`` to about 3e-15, so the gap between
 them cannot see an error that both make.  They share the sampling
-primitives, the exact panel quadrature ``hat_moments``, which the tests
-check against exact rational hat products (the oracle keeps its operand
-built from them, so every time on one grid pays for them once), the lattice
-convolution ``lattice_convolve``, which the tests check against
-``np.convolve``, the reuse of a fixed kernel's spectrum across
-products, and the rule ``support_cells`` for where a profile can be
-nonzero.  They differ in how the system is solved (exactly, on the
-step tree, here; by a truncated Neumann series with segment restarts
-there) and in how the state is rebuilt from the weights (hat moments
-against the exact profile here, the sampled trapezoid there).
+primitives, the product against a fixed operand (``KeptOperand``, which
+the tests check against ``np.convolve``), the rule ``support_cells`` for
+where a profile can be nonzero, and the routine that rebuilds the state
+from the weights, ``reconstruction_nodes``.  They differ in how the
+system is solved (exactly, on the step tree, here; by a truncated
+Neumann series with segment restarts there) and in the operand of that
+rebuild: the exact panel quadrature ``hat_moments`` of the profile here,
+which the tests check against exact rational hat products and which the
+oracle keeps for every time on one grid, the sampled trapezoid there.
 """
 
 from __future__ import annotations
@@ -49,12 +48,15 @@ from .functions import (
     BoundedMeasure,
     CompactInterval,
     GridFunction,
+    KeptOperand,
     PiecewiseFunction,
+    Reconstruction,
     _fft_length,
     _spectrum,
     _spectrum_product,
     hat_moments,
     lattice_convolve,
+    reconstruction_nodes,
     sample_lag_kernel,
     sample_sided,
     support_cells,
@@ -211,7 +213,7 @@ def build_domain_function(problem: "TransportProblem") -> PiecewiseFunction:
 # scalar renewal oracle
 
 
-_BLOCK = 512  # the leaf size, at most the direct-convolution size
+_BLOCK = 512  # the leaf size; leaves take the direct product
 
 
 def oracle_weights(measure: BoundedMeasure, profile: PiecewiseFunction,
@@ -310,50 +312,43 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
 
         dt sum_{j=1..m} (phi[j] I0[k+m-j] + phi[j-1] I1[k+m-j]),
 
-    I0, I1 the profile's :func:`hat_moments`.  Both sums come from one
-    :func:`lattice_convolve` of phi with c[x] = I0[x] + I1[x-1] (the FFT
-    once both pass 512 entries), which also counts phi[0] I0[k+m] and
-    phi[m] I1[k-1]; those two are taken off again.  The moments are
-    taken only on the cells [lo, hi) where the profile can be nonzero,
-    the :func:`support_cells` rule the engine uses too.  Unless those
-    reach the last node, they and c do not depend on t, so
-    ``_series_operand`` keeps them for every t on one grid; nodes
-    outside [lo - m, hi] get the free part alone.
-    That is a second-order reconstruction with different plumbing (and a
-    different error constant) than the engine's sampled trapezoid.
+    I0, I1 the profile's :func:`hat_moments`: the
+    :func:`reconstruction_nodes` of phi against ``_series_operand``, the
+    one product with c[x] = I0[x] + I1[x-1] less the phi[0] I0[k+m] and
+    phi[m] I1[k-1] it also counts.  The moments are taken only on the
+    cells [lo, hi) where the profile can be nonzero, the
+    :func:`support_cells` rule the engine uses too.  Unless those reach
+    the last node, they do not depend on t, so ``_series_operand`` keeps
+    them for every t on one grid; nodes outside [lo - m, hi] get the free
+    part alone.  The engine rebuilds its state by the same routine, from
+    its trapezoid samples of g where this takes the hat moments.
     """
     dt = system.spacing
     if phi is None:
         phi = oracle_weights(measure, profile, u0, t, dt)
     m = len(phi) - 1
     out = system.sample(u0.translate(t))  # a fresh sample, edited in place
-    vals = out.values
     lo, hi = support_cells(profile, system.origin, dt,
                            system.count + m - 1)
     if m > 0 and hi > lo:
-        # entry e of the product belongs to node lo - m + e
-        i0, i1, c = _series_operand(profile, system.origin + lo * dt, dt,
-                                    hi - lo)
-        series = lattice_convolve(c, phi, c.size + m)
-        series[:hi - lo] -= phi[0] * i0
-        series[m + 1:] -= phi[m] * i1
-        first = lo - m
-        k0, k1 = max(first, 0), min(first + series.size, system.count)
-        if k1 > k0:
-            vals[k0:k1] += dt * series[k0 - first:k1 - first]
+        k0, series = reconstruction_nodes(
+            phi, _series_operand(profile, system.origin, dt, lo, hi),
+            system.count)
+        out.values[k0:k0 + series.size] += dt * series
     return out
 
 
 @functools.lru_cache(maxsize=1)
-def _series_operand(profile: PiecewiseFunction, origin, h, n):
-    """The :func:`hat_moments` I0, I1 on the lattice (origin, h, n) and the
-    read-only c[x] = I0[x] + I1[x - 1], x <= n, kept for the lattice used
-    last: a deeper memo would hold more alive and save no time."""
-    i0, i1 = hat_moments(profile, origin, h, n)
+def _series_operand(profile: PiecewiseFunction, origin, h, lo, hi):
+    """The oracle's :class:`Reconstruction` on the cells [lo, hi) of the
+    lattice (origin, h): the kept c[x] = I0[x] + I1[x - 1], x <= hi - lo,
+    of the read-only :func:`hat_moments` I0, I1 of those cells, first =
+    I0, last = I1, shift 1.  Kept for the cells used last: a deeper memo
+    would hold more alive and save no time."""
+    i0, i1 = hat_moments(profile, origin + lo * h, h, hi - lo)
     c = np.append(i0, 0.0)
     c[1:] += i1
-    c.flags.writeable = False
-    return i0, i1, c
+    return Reconstruction(lo, KeptOperand(c), i0, i1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from semiperturb.functions import (
     BoundedMeasure,
     CompactInterval,
     GridFunction,
+    KeptOperand,
     PiecewiseFunction,
     hat_moments,
     lattice_convolve,
@@ -379,10 +380,10 @@ def test_hat_moments_sawtooth_matches_point_by_point_bits(monkeypatch):
     f = sawtooth_profile()
     for origin, h, n in [(-6.0, 1e-2, 1300), (-5.3, 1 / 3, 40),
                          (-3.702, 2e-3, 3000)]:
-        got = hat_moments.__wrapped__(f, origin, h, n)
+        got = hat_moments(f, origin, h, n)
         with monkeypatch.context() as m:
             m.setattr(functions, "_eval_pieces", eval_pieces_by_point)
-            want = hat_moments.__wrapped__(f, origin, h, n)
+            want = hat_moments(f, origin, h, n)
         assert _same_bits(got, want)
 
 
@@ -617,7 +618,7 @@ def test_hat_moments_match_the_panel_rule_bit_for_bit(args):
     # whole cells plus the cut cells' panels give the bits of one panel
     # list over the whole lattice
     f, origin, h, n = args
-    got = hat_moments.__wrapped__(f, origin, h, n)
+    got = hat_moments(f, origin, h, n)
     want = hat_moments_by_panels(f, origin, h, n)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
@@ -631,24 +632,6 @@ def test_hat_moments_degree_seven_cell():
     assert abs(i1[0] - 1 / 9) <= 1e-16
     t, w = np.polynomial.legendre.leggauss(4)
     assert abs(0.5 * w @ (0.5 * t + 0.5) ** 8 - 1 / 9) > 1e-6
-
-
-def test_hat_moments_memo_returns_read_only_arrays():
-    # a hit returns the stored arrays, a fresh equal-valued profile misses
-    # and recomputes them bit for bit
-    hat_moments.cache_clear()
-    f = three_jump_profile()
-    first = hat_moments(f, -3.702, 2e-3, 3000)
-    hit = hat_moments(f, -3.702, 2e-3, 3000)
-    fresh = hat_moments(three_jump_profile(), -3.702, 2e-3, 3000)
-    info = hat_moments.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
-    assert all(a is b for a, b in zip(hit, first))
-    for a, b in zip(fresh, first):
-        assert a is not b and a.tobytes() == b.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
-    hat_moments.cache_clear()
 
 
 def test_hat_moments_build_each_gauss_rule_once(monkeypatch):
@@ -742,15 +725,17 @@ def test_translate_matches_shifted_eval(f, d, x):
 @given(la=st.integers(1, 2000), lb=st.integers(1, 2000),
        ea=st.integers(-8, 8), eb=st.integers(-8, 8), data=st.data())
 def test_lattice_convolve_matches_np_convolve(la, lb, ea, eb, data):
+    # and so does the kept operand b's product, on either side of its
+    # crossover
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal(la) * 10.0 ** ea
     b = rng.standard_normal(lb) * 10.0 ** eb
     n = data.draw(st.integers(1, la + lb - 1))
-    got = lattice_convolve(a, b, n)
     want = np.convolve(a, b)[:n]
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) \
-        <= 1e-12 * np.abs(a).sum() * np.abs(b).max()
+    for got in (lattice_convolve(a, b, n), KeptOperand(b).times(a, n)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) \
+            <= 1e-12 * np.abs(a).sum() * np.abs(b).max()
 
 
 def _five_smooth(k):
@@ -790,16 +775,56 @@ def test_fft_length_is_the_next_five_smooth_number(n):
     (512, 2000, True), (2000, 512, True), (513, 513, False),
     (2000, 1500, False)])
 def test_lattice_convolve_crossover(la, lb, direct):
-    # the direct side is np.convolve itself; past it a cut to n still
-    # gives the first n entries, and more than the length gives them all
+    # `direct` marks the side of the crossover lattice_convolve once had
+    # (the shorter operand at most 512 entries).  The FFT side moved to
+    # KeptOperand: on both sides the first n entries are np.convolve's,
+    # bit for bit, and more than the length gives them all
+    assert (min(la, lb) <= 512) == direct
     rng = np.random.default_rng(la + lb)
     a, b = rng.standard_normal(la), rng.standard_normal(lb)
     want = np.convolve(a, b)
     for n in (1, 600, la + lb - 1, la + lb + 5):
         got = lattice_convolve(a, b, n)
         assert got.shape == want[:n].shape
-        if direct:
-            assert np.array_equal(got, want[:n])
-        else:
+        assert np.array_equal(got, want[:n])
+
+
+@pytest.mark.parametrize("lc, lphi, direct", [
+    (512, 2000, True), (2000, 128, True), (513, 129, False),
+    (2000, 1500, False)])
+def test_kept_operand_on_both_sides_of_the_crossover(lc, lphi, direct,
+                                                      monkeypatch):
+    # direct while c has at most 512 entries or phi at most 128; past
+    # both, one rfft of c per FFT length, whatever phi is or how far the
+    # product is cut.  Values and spectra are read-only
+    rng = np.random.default_rng(lc + lphi)
+    c = rng.standard_normal(lc)
+    op = KeptOperand(c.copy())
+    with pytest.raises(ValueError, match="read-only"):
+        op.values[0] = 0.0
+    transformed = []
+    real = np.fft.rfft
+
+    def rfft(a, *args, **kwargs):
+        if np.array_equal(np.asarray(a), c):
+            transformed.append(args[0] if args else kwargs["n"])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    lengths = set()
+    # phi one entry shorter crosses over on the phi side, (513, 128)
+    for size in (lphi, lphi - 1, lphi):
+        phi = rng.standard_normal(size)
+        want = np.convolve(phi, c)
+        if lc > 512 and size > 128:
+            lengths.add(functions._fft_length(want.size))
+        for n in (None, 1, 600, want.size + 5):
+            got = op.times(phi, n)
+            assert got.shape == want[:n].shape
             assert np.max(np.abs(got - want[:n])) \
-                <= 1e-12 * np.abs(a).sum() * np.abs(b).max()
+                <= 1e-13 * np.abs(phi).sum() * np.abs(c).max()
+    assert bool(lengths) != direct
+    assert sorted(transformed) == sorted(lengths)
+    for spec in op._spectra.values():
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0] = 0.0

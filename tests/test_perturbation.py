@@ -33,8 +33,8 @@ from semiperturb.errors import (
 from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
-    lattice_convolve,
     pair_rows,
+    reconstruction_nodes,
     sample_lag_kernel,
     sample_sided,
     support_cells,
@@ -777,7 +777,6 @@ def test_matrix_segment_memo_returns_copies(monkeypatch):
     nodes[1][0] = 7.0
     for d in (diag, node_diag):
         d.term_norms.append(1.0)
-        d.ratios.clear()
         d.terms_used = 0
     again = neumann_semigroup(system, op, x, 0.5, 0.5, 1e-3,
                               diagnostics=True)
@@ -1221,14 +1220,40 @@ def test_admissibility_pairs_each_rank_one_probe_once(monkeypatch):
     rep = admissibility_check(sys_t, build_rank_one(prob), t0, dx, probes)
     assert len(probes) == 8
     assert len(calls) == 8
-    # pinned from the implementation that paired every probe twice
+    # pinned from the implementation that paired every probe twice, then
+    # moved by about 1 ulp when the engine took its node values from the
+    # one reconstruction product (0.38 became 0.37999999999999995) and the
+    # regularized route became one product (0.0020000000000032214 became
+    # 0.002000000000003197)
     assert rep.to_dict() == {
         "lands_in_state_space": True,
-        "worst_reconstruction_residual": 0.0020000000000032214,
-        "seminorm_constant": 0.38, "seminorm_window": [-3.0, 3.0],
-        "smallness_observed": 0.38, "smallness_analytic": 0.4,
-        "smallness_pass": True, "volterra_norm_lower_bound": 0.38,
+        "worst_reconstruction_residual": 0.002000000000003197,
+        "seminorm_constant": 0.37999999999999995,
+        "seminorm_window": [-3.0, 3.0],
+        "smallness_observed": 0.37999999999999995,
+        "smallness_analytic": 0.4, "smallness_pass": True,
+        "volterra_norm_lower_bound": 0.37999999999999995,
         "probes_used": 8, "admissible": True}
+
+
+def test_regularized_gap_matches_the_per_step_loop():
+    # the regularized route is one product of the trapezoid-weighted
+    # pairings with the shifted regularizer rows; the loop of m + 1
+    # whole-grid axpys it replaced is the reference, to rounding
+    prob = delta_problem()
+    dx, t0 = 2e-3, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    m = _lattice_steps(t0, dx)
+    phi = np.cos(3.0 * dx * np.arange(m + 1))
+    shifted = sys_t.orbit_rows(sys_t.sample(prob.regularizer).values, m, dx)
+    u = np.zeros(sys_t.count)
+    for j in range(m + 1):
+        u += (0.5 if j in (0, m) else 1.0) * phi[j] * shifted[m - j]
+    want = sys_t.seminorm(semigroup.reconstruct(sys_t, sys_t.make(dx * u))
+                          .values)
+    got = build_rank_one(prob)._regularized_gap(sys_t, phi, dx,
+                                                np.zeros(sys_t.count))
+    assert want > 0.1 and abs(got - want) <= 1e-13 * want
 
 
 def test_admissibility_rank_one_nodes_match_per_node_reference(monkeypatch):
@@ -1308,7 +1333,7 @@ def series_first_term(mp, system, op, x, t0, dt):
     segment operator; neither its guard nor its series is run, since a
     drawn measure may put the guard past 1."""
     def no_series(total, term, apply_v, size, base, tol, guard):
-        return total, perturbation.SeriesDiagnostics(1, [base], [], guard)
+        return total, perturbation.SeriesDiagnostics(1, [base], guard)
 
     def stop(series, phi0):
         raise _FirstTerm(phi0)
@@ -1660,12 +1685,13 @@ def test_matrix_probes_deterministic():
         assert np.array_equal(p.nodes, q.nodes)
 
 
-def _direct_profile_convolution(phi, m, prof, count, dt):
+def _direct_profile_convolution(phi, m, samples, count, dt):
     # the full-grid form: every node, one np.convolve
-    return (np.convolve(phi[:m + 1], prof.mid)[m:m + count]
-            - phi[0] * prof.mid[m:m + count] - phi[m] * prof.mid[:count]
-            + 0.5 * phi[0] * prof.left[m:m + count]
-            + 0.5 * phi[m] * prof.right[:count]) * dt
+    left, mid, right = samples
+    return (np.convolve(phi[:m + 1], mid)[m:m + count]
+            - phi[0] * mid[m:m + count] - phi[m] * mid[:count]
+            + 0.5 * phi[0] * left[m:m + count]
+            + 0.5 * phi[m] * right[:count]) * dt
 
 
 def _convolution_case(profile, m, dt=2.5e-4):
@@ -1673,9 +1699,8 @@ def _convolution_case(profile, m, dt=2.5e-4):
     op = PerturbationOperator.rank_one(BoundedMeasure.dirac(0), profile)
     phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
         * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
-    prof, cells = op._profile_lattice(sys_t, m)
-    assert cells == support_cells(profile, sys_t.origin, dt, sys_t.count + m)
-    return sys_t, prof, cells, phi
+    cells = support_cells(profile, sys_t.origin, dt, sys_t.count + m)
+    return sys_t, op._profile_lattice(sys_t, m), cells, phi
 
 
 @pytest.mark.parametrize("m", [100, 200, 400, 800],
@@ -1689,89 +1714,70 @@ def _convolution_case(profile, m, dt=2.5e-4):
 ], ids=["canonical", "sawtooth", "nonzero-end", "beyond-grid",
         "before-grid"])
 def test_profile_convolution_matches_full_grid_direct_form(profile, m):
-    # the support cut builds the nodes [lo - m, hi) only, and must agree
-    # with the direct form over all count + m cells: on the canonical
-    # profile it cuts both sides, the sawtooth covers the grid, a nonzero
-    # end piece cuts one side, and a profile wholly right (beyond) or left
-    # (before) of the grid leaves zeros
+    # the engine's reconstruction keeps the support cells only and builds
+    # the nodes [lo - m, hi), and must agree with the direct form over
+    # all count + m cells: on the canonical profile it cuts both sides,
+    # the sawtooth covers the grid, a nonzero end piece cuts one side,
+    # and a profile wholly right (beyond) or left (before) of the grid
+    # leaves zeros
     dt = 2.5e-4
-    sys_t, prof, cells, phi = _convolution_case(profile, m, dt)
-    # sampling the support cells only, zeros elsewhere, loses no sample
+    sys_t, rec, (lo, hi), phi = _convolution_case(profile, m, dt)
     full = sample_sided(profile, sys_t.origin + dt * np.arange(
         sys_t.count + m), snap_tol=1e-6 * dt)
-    assert all(np.array_equal(a, b) for a, b in zip(prof, full))
-    want = _direct_profile_convolution(
-        phi, m, perturbation._SidedSamples(*full), sys_t.count, dt)
-    got = perturbation._profile_convolution(phi, m, prof, cells,
-                                            sys_t.count, dt)
+    left, mid, right = (a[lo:hi] for a in full)
+    # keeping the support cells only loses no sample
+    assert not np.delete(np.array(full), np.s_[lo:hi], axis=1).any()
+    assert rec.lo == lo and rec.shift == 0
+    assert np.array_equal(rec.operand.values, mid)
+    assert np.array_equal(rec.first, mid - 0.5 * left)
+    assert np.array_equal(rec.last, mid - 0.5 * right)
+    want = _direct_profile_convolution(phi, m, full, sys_t.count, dt)
+    k0, vals = reconstruction_nodes(phi, rec, sys_t.count)
+    got = np.zeros(sys_t.count)
+    got[k0:k0 + vals.size] = dt * vals
     scale = dt * np.abs(phi).sum() * profile.sup_norm()
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
-    lo, hi = cells
     outside = np.ones(sys_t.count, bool)
     outside[max(lo - m, 0):min(hi, sys_t.count)] = False
     assert not got[outside].any()
 
 
-def test_profile_convolution_operand_spans_the_support():
-    # on the canonical profile the long operand of the one product spans
-    # the support, not the count + m cells of the lattice.  The direct
-    # path (m = 100) convolves the built nodes plus m, within
-    # hi - lo + 2m + 2: every built node keeps all m + 1 terms, zeros
-    # included, so it rounds as on the full grid.  The FFT path (m = 800)
-    # transforms the support cells alone, once, when the lattice is
-    # built, and its product spans hi - lo + m + 1 entries at most
+def test_profile_convolution_operand_spans_the_support(monkeypatch):
+    # on the canonical profile the kept operand is the support cells, not
+    # the count + m cells of the lattice, and the one product of a step
+    # spans the hi - lo + m entries of the nodes [lo - m, hi): the direct
+    # np.convolve at m = 100, one FFT product of that length at m = 800
+    real_convolve, real_irfft = np.convolve, np.fft.irfft
+    calls = []
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(
+        ("direct", len(a) + len(b) - 1)) or real_convolve(a, b))
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: calls.append(
+        ("fft", n)) or real_irfft(a, n))
     for m in (100, 800):
-        direct, spectra, products = [], [], []
-
-        def convolve(a, b, n):
-            direct.append(max(len(a), len(b)))
-            return lattice_convolve(a, b, n)
-
-        def spectrum(a, size):
-            spectra.append(np.array(a))
-            return functions._spectrum(a, size)
-
-        def product(spec, b):
-            products.append(len(b))
-            return functions._spectrum_product(spec, b)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perturbation, "lattice_convolve", convolve)
-            mp.setattr(perturbation, "_spectrum", spectrum)
-            mp.setattr(perturbation, "_spectrum_product", product)
-            sys_t, prof, (lo, hi), phi = _convolution_case(
-                canonical_profile(), m)
-            perturbation._profile_convolution(phi, m, prof, (lo, hi),
-                                              sys_t.count, 2.5e-4)
-        built = min(hi, sys_t.count) - max(lo - m, 0)
+        sys_t, rec, (lo, hi), phi = _convolution_case(canonical_profile(), m)
         assert 0 < lo - m and hi < sys_t.count  # the cut binds both sides
-        if m + 1 <= perturbation._DIRECT_PROFILE_MAX:
-            assert spectra == [] and products == []
-            assert direct == [built + m]
-            assert built + m <= hi - lo + 2 * m + 2 < (sys_t.count + m) / 2
-        else:
-            assert direct == []
-            assert len(spectra) == 1
-            assert np.array_equal(spectra[0], prof.mid[lo:hi])
-            assert products == [m + 1]
-            span = len(spectra[0]) + products[0] - 1
-            assert span <= hi - lo + m + 2 < (sys_t.count + m) / 2
+        assert rec.operand.values.size == hi - lo < (sys_t.count + m) / 2
+        calls.clear()
+        reconstruction_nodes(phi, rec, sys_t.count)
+        span = hi - lo + m
+        assert calls == ([("direct", span)] if m == 100
+                         else [("fft", functions._fft_length(span))])
 
 
 def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
     # one 10-segment run at h = 2.5e-4 (800 steps a segment, both engine
     # products on the FFT path) transforms the renewal kernel once and
-    # the profile lattice once; the oracle's 8000-step solve transforms
-    # k_mid once per level of its step tree, the splits of 512, 1024,
-    # 2048 and 4096 steps.  Every real FFT is counted, whichever route
-    # calls it
+    # the profile's kept operand once; the oracle's 8000-step solve
+    # transforms k_mid once per level of its step tree, the splits of
+    # 512, 1024, 2048 and 4096 steps.  Every real FFT is counted,
+    # whichever route calls it
     prob = delta_problem()
     dt, t, t0 = 2.5e-4, 2.0, 0.2
     k_mid = sample_lag_kernel(prob.measure, prob.profile, dt, 8000)[1]
     system = make_system(prob, dt, t, t0)
-    prof, _ = PerturbationOperator.rank_one(
+    rec = PerturbationOperator.rank_one(
         prob.measure, prob.profile)._profile_lattice(system, 800)
-    support = np.trim_zeros(prof.mid)
+    support = np.trim_zeros(rec.operand.values)
     operands = {
         # the folded kernel differs from the samples at entry 0 only
         "kernel": lambda a: a.size == 801 and np.array_equal(
@@ -1812,7 +1818,8 @@ def test_profile_before_grid_leaves_the_free_translation():
     sys_t = make_system(prob, dx, t0, t0)
     g = canonical_profile().translate(5.0 - sys_t.origin)
     op = PerturbationOperator.rank_one(prob.measure, g)
-    assert op._profile_lattice(sys_t, _lattice_steps(t0, dx))[1] == (0, 0)
+    rec = op._profile_lattice(sys_t, _lattice_steps(t0, dx))
+    assert (rec.lo, rec.operand.values.size, rec.first.size) == (0, 0, 0)
     x = sys_t.sample(prob.initial)
     (got,), _ = neumann_nodes(sys_t, op, x, t0, [_lattice_steps(t0, dx)], dx)
     free = VectorTrajectory.orbit(sys_t, x, t0, dx).node(-1)
@@ -1821,21 +1828,22 @@ def test_profile_before_grid_leaves_the_free_translation():
 
 def test_engine_convolutions_match_direct_form():
     # m = 800 puts the kernel step past the direct size, on the FFT
-    # product; the direct np.convolve form is the reference (the profile
-    # convolution is pinned by the test above)
+    # product against the kept folded kernel; the direct np.convolve form
+    # of the sided samples is the reference (the profile reconstruction
+    # is pinned by the tests above)
     dt, m = 2.5e-4, 800
     op = PerturbationOperator.rank_one(
         BoundedMeasure(atoms=[(0, 1), (Fraction(1, 3), 0.5)]),
         canonical_profile())
     phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
         * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
-    ker = op._kernel_lattice(dt, m)
-    want = (np.convolve(phi, ker.mid)[:m + 1] - phi[0] * ker.mid[:m + 1]
-            - phi * ker.mid[0] + 0.5 * phi[0] * ker.left[:m + 1]
-            + 0.5 * phi * ker.right[0]) * dt
+    left, mid, right = sample_lag_kernel(op.measure, op.profile, dt, m)
+    want = (np.convolve(phi, mid)[:m + 1] - phi[0] * mid[:m + 1]
+            - phi * mid[0] + 0.5 * phi[0] * left[:m + 1]
+            + 0.5 * phi * right[0]) * dt
     want[0] = 0.0
-    got = perturbation._kernel_step(phi, ker, dt)
-    scale = dt * np.abs(phi).sum() * np.abs(ker.mid).max()
+    got = perturbation._kernel_step(phi, op._kernel_lattice(dt, m), dt)
+    scale = dt * np.abs(phi).sum() * np.abs(mid).max()
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
@@ -1867,5 +1875,6 @@ def test_rank_one_caches_keep_the_four_keys_used_last():
     key = (systems[0].origin, systems[0].spacing, systems[0].count, 20)
     assert key not in op._profile_cache
     fresh = op._profile_lattice(systems[0], 20)
-    assert fresh[1] == support_cells(prob.profile, systems[0].origin,
-                                     systems[0].spacing, systems[0].count + 20)
+    lo, hi = support_cells(prob.profile, systems[0].origin,
+                           systems[0].spacing, systems[0].count + 20)
+    assert (fresh.lo, fresh.operand.values.size) == (lo, hi - lo)

@@ -21,7 +21,6 @@ from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
     hat_moments,
-    lattice_convolve,
     poly_eval,
     sample_lag_kernel,
     sample_sided,
@@ -30,7 +29,7 @@ from semiperturb.functions import (
     three_jump_profile,
     to_grid,
 )
-from semiperturb import transport
+from semiperturb import functions, transport
 from semiperturb.semigroup import MAX_GRID_NODES, TranslationSystem
 from semiperturb.transport import (
     TransportProblem,
@@ -491,28 +490,39 @@ def test_oracle_solution_support_cells_match_reference(profile):
     _assert_every_prefix_row(prob, 1e-2, 0.5)
 
 
-def test_oracle_per_step_loop_computes_hat_moments_once():
+def test_oracle_per_step_loop_computes_hat_moments_once(monkeypatch):
     # criterion 03's loop: one oracle call per lattice time on one grid
     prob = delta_problem()
     dx, t = 2e-3, 0.5
     system = make_system(prob, dx, t, 0.2)
     phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dx)
-    hat_moments.cache_clear()
+    real, calls = transport.hat_moments, []
+    monkeypatch.setattr(transport, "hat_moments",
+                        lambda *args: calls.append(args) or real(*args))
     _series_operand.cache_clear()
     for k in range(len(phi)):
         oracle_solution(prob.measure, prob.profile, prob.initial, system,
                         k * dx, phi=phi[:k + 1])
     # the operand is built once per grid and reused at every k > 0
-    info = hat_moments.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert len(calls) == 1
     info = _series_operand.cache_info()
     assert (info.misses, info.hits) == (1, len(phi) - 2)
+    # what the memo holds is read-only
+    lo, hi = support_cells(prob.profile, system.origin, dx,
+                           system.count + len(phi) - 2)
+    rec = _series_operand(prob.profile, system.origin, dx, lo, hi)
+    for a in (rec.operand.values, rec.first, rec.last):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def _oracle_by_the_formula(prob, system, t, phi):
     # the reconstruction as one function of t: a fresh sample of the
     # shifted initial profile, the moments on the support cells, the
-    # operand c, one product and its two corrections
+    # operand c, one product cut at the last grid node and its two
+    # corrections.  The product follows the one rule: np.convolve while c
+    # has at most 512 entries or phi at most 128, else one real FFT
+    # product at the 5-smooth length of the whole product
     dt, m = system.spacing, len(phi) - 1
     vals = to_grid(prob.initial.translate(t), system.origin, dt,
                    system.count).values
@@ -523,13 +533,19 @@ def _oracle_by_the_formula(prob, system, t, phi):
                              hi - lo)
         c = np.append(i0, 0.0)
         c[1:] += i1
-        series = lattice_convolve(c, phi, c.size + m)
-        series[:hi - lo] -= phi[0] * i0
-        series[m + 1:] -= phi[m] * i1
         first = lo - m
-        k0, k1 = max(first, 0), min(first + series.size, system.count)
+        k0, k1 = max(first, 0), min(first + c.size + m, system.count)
+        n = k1 - first
+        if c.size <= 512 or m + 1 <= 128:
+            series = np.convolve(phi[:n], c[:n])[:n]
+        else:
+            size = functions._fft_length(c.size + m)
+            series = np.fft.irfft(np.fft.rfft(c, size)
+                                  * np.fft.rfft(phi, size), size)[:n]
+        series[:hi - lo] -= phi[0] * i0[:n]
+        series[m + 1:] -= phi[m] * i1[:max(n - m - 1, 0)]
         if k1 > k0:
-            vals[k0:k1] += dt * series[k0 - first:k1 - first]
+            vals[k0:k1] += dt * series[k0 - first:]
     return vals
 
 
