@@ -138,7 +138,13 @@ class PiecewiseFunction:
                 raise ValueError("unbounded pieces must be constant")
         self.breakpoints = breakpoints
         self.pieces = pieces
-        self._floats = None  # what _horner_pieces reads, on first use
+
+    @functools.cached_property
+    def _floats(self):
+        """(i, float coefficients) of the pieces not all +0.0; built once."""
+        floats = [[float(c) for c in p] for p in self.pieces]
+        return [(i, cs) for i, cs in enumerate(floats)
+                if any(cs) or any(copysign(1.0, c) < 0 for c in cs)]
 
     # -- evaluation ---------------------------------------------------
 
@@ -378,18 +384,27 @@ def to_grid(f: PiecewiseFunction, origin, spacing, count) -> GridFunction:
                         _sample_nodes(f, _grid_nodes(origin, spacing, count)))
 
 
-def _sample_nodes(f: PiecewiseFunction, xs) -> np.ndarray:
+def _sample_nodes(f: PiecewiseFunction, xs, shift=None) -> np.ndarray:
     """``to_grid``'s values at the sorted finite nodes xs: one search of
     the breakpoint floors in them gives the run of nodes each piece owns,
-    evaluated on its slice."""
+    evaluated on its slice.  A ``shift`` t gives ``f.translate(t)``'s
+    bits with no function built (0.0 too, which rounds exact cuts)."""
+    cuts = f.breakpoints if shift is None else [b - shift
+                                                for b in f.breakpoints]
     # a float breakpoint is its own floor; an exact one may round up
     floors = [b if isinstance(b, float)
               else np.nextafter(float(b), -np.inf) if Fraction(float(b)) > b
-              else float(b) for b in f.breakpoints]
+              else float(b) for b in cuts]
     # piece i owns the nodes x with floors[i - 1] < x <= floors[i]
     ends = [0, *np.searchsorted(xs, floors, side="right").tolist(), xs.size]
     runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    return _horner_pieces(f, xs, runs)
+    # poly_shift leaves a constant piece's float as it is, and a shifted
+    # piece of +0.0 alone writes the +0.0 its nodes start at
+    floats = f._floats if shift is None else [
+        (i, cs) for i, cs in f._floats if len(cs) == 1] + [
+        (i, [float(c) for c in poly_shift(p, shift)]) for i, (p, run) in
+        enumerate(zip(f.pieces, runs)) if len(p) > 1 and run.stop > run.start]
+    return _horner_pieces(floats, xs, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,29 +546,23 @@ def _eval_pieces(f: PiecewiseFunction, xs, piece):
     piece's constant (the end pieces are constant), and a NaN point reads
     NaN."""
     if np.isfinite(xs).all():
-        return _horner_pieces(f, xs, piece)
+        return _horner_pieces(f._floats, xs, piece)
     bad = ~np.isfinite(xs)
-    out = _horner_pieces(f, np.where(bad, 0.0, xs), piece)
+    out = _horner_pieces(f._floats, np.where(bad, 0.0, xs), piece)
     constants = np.array([np.nan if any(p[1:]) else float(p[0])
                           for p in f.pieces])
     out[bad] = np.where(np.isnan(xs[bad]), np.nan, constants[piece[bad]])
     return out
 
 
-def _horner_pieces(f: PiecewiseFunction, xs, piece):
+def _horner_pieces(floats, xs, piece):
     """``poly_eval`` of piece ``piece[i]`` at the finite point ``xs[i]``,
-    or of piece i at ``xs[piece[i]]`` for a list: Horner once per piece,
-    float coefficients as scalars, over the points it owns.  The output
-    starts at +0.0, as a zero-padded table's leading zero steps leave it,
-    so all-zero pieces are skipped.  The float coefficients of the other
-    pieces are converted on the first call and kept on f."""
-    if f._floats is None:
-        floats = [[float(c) for c in p] for p in f.pieces]
-        # keep the pieces whose coefficients are not all +0.0
-        f._floats = [(i, cs) for i, cs in enumerate(floats)
-                     if any(cs) or any(copysign(1.0, c) < 0 for c in cs)]
+    or of piece i at ``xs[piece[i]]`` for a list, for the (i, float
+    coefficients) in ``floats``: Horner once per piece, the coefficients
+    as scalars, over the points it owns.  The output starts at +0.0, as a
+    zero-padded table's leading zero steps leave it."""
     out = np.zeros(np.shape(xs))
-    for i, cs in f._floats:
+    for i, cs in floats:
         own = piece[i] if isinstance(piece, list) else piece == i
         x = xs[own]
         # a slice of out is a view of it, so Horner runs in place there
@@ -609,7 +618,7 @@ def hat_moments(f: PiecewiseFunction, origin, h, n):
     runs = [slice(a, b) for a, b in zip(ends, ends[1:])]
     i0, i1 = np.zeros(n), np.zeros(n)
     for sigma, wts in _gauss_panels(0.0, 1.0, degree):
-        vals = _horner_pieces(f, xk[:n] + h * sigma, runs)
+        vals = _horner_pieces(f._floats, xk[:n] + h * sigma, runs)
         vals *= wts
         i0 += (1.0 - sigma) * vals
         i1 += sigma * vals

@@ -213,6 +213,7 @@ class RankOneOperator(PerturbationOperator):
         self.profile_sup = profile.sup_norm()
         self._profile_cache = {}
         self._segment_cache = {}
+        self._regularized_cache = {}
 
     def _guard(self, system, t0):
         """t0 * |mu|(R) * sup|g|, an upper bound, from pulling the
@@ -341,8 +342,11 @@ class RankOneOperator(PerturbationOperator):
 
     def _regularized_gap(self, system, phi, dt, fast_out) -> float:
         """Window sup gap between the fast path and the regularized
-        detour; NotInStateSpace when the detour does not reconstruct."""
-        hvals = system.sample(self.regularized_profile).values
+        detour; NotInStateSpace when the detour does not reconstruct.  The
+        regularizer's sample is kept for the four grids used last."""
+        key = system.origin, system.spacing, system.count
+        hvals = recent_memo(self._regularized_cache, key, lambda:
+                            system.sample(self.regularized_profile).values)
         shifted = system.orbit_rows(hvals, len(phi) - 1, dt)
         w = phi.copy()
         w[[0, -1]] *= 0.5
@@ -406,7 +410,7 @@ class VectorTrajectory:
         """Unperturbed orbit T(j dt) x, j = 0..t0/dt.
 
         The system's ``orbit_rows``; on grids a writable copy of the
-        orbit window, the rows the Neumann series pairs in place.
+        read-only window that the trajectory owns (every caller only reads).
         """
         m = _lattice_steps(t0, dt, "t0")
         rows = system.orbit_rows(system.state_values(x), m, dt)
@@ -910,24 +914,22 @@ def comparison_summary(consts):
 def translation_probes(system: TranslationSystem, t0: float, dt: float):
     """Constant, static, orbit, and oscillating trajectories on the grid.
 
-    The shapes are the unit tent and its copies centred at 1.5 and -1;
-    each gives a static probe and an orbit, and the tent also oscillates.
-    The constant and static probes are read-only ``np.broadcast_to``
-    views of one row.
+    The shapes are the unit tent and its copies centred at 1.5 and -1,
+    each sampled once; each gives a static probe and an orbit, and the
+    tent also oscillates.  All are read-only: the constant and static
+    probes broadcast views of one row, the orbits ``orbit_rows`` views.
     """
     from .functions import tent
     shapes = [tent(), tent().translate(-1.5), tent().translate(1.0)]
     m = _lattice_steps(t0, dt, "t0")
     shape = (m + 1, system.count)
     probes = [VectorTrajectory(system, dt, np.broadcast_to(1.0, shape))]
-    for s in shapes:
-        vals = system.sample(s).values
-        probes.append(VectorTrajectory(system, dt,
-                                       np.broadcast_to(vals, shape)))
-        probes.append(VectorTrajectory.orbit(system, system.make(vals),
-                                             t0, dt))
-    vals = system.sample(shapes[0]).values
-    rows = np.array([np.cos(3.0 * j * dt) * vals for j in range(m + 1)])
+    samples = [system.sample(s).values for s in shapes]
+    for row in samples:
+        probes += [VectorTrajectory(system, dt, np.broadcast_to(row, shape)),
+                   VectorTrajectory(system, dt, system.orbit_rows(row, m, dt))]
+    rows = np.array([np.cos(3.0 * j * dt) * samples[0] for j in range(m + 1)])
+    rows.flags.writeable = False
     probes.append(VectorTrajectory(system, dt, rows))
     return probes
 

@@ -43,7 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateProfile, GridTooLarge, StepSizeError
+from .errors import (DegenerateProfile, GridTooLarge, StepMismatch,
+                     StepSizeError)
 from .functions import (
     BoundedMeasure,
     CompactInterval,
@@ -52,6 +53,7 @@ from .functions import (
     PiecewiseFunction,
     Reconstruction,
     _fft_length,
+    _sample_nodes,
     _spectrum,
     _spectrum_product,
     hat_moments,
@@ -306,9 +308,11 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
                     t: float, phi: np.ndarray | None = None) -> GridFunction:
     """Oracle value of the perturbed evolution at time t on the grid.
 
-    Free part sampled exactly from the shifted initial profile.  The
-    series part integrates the linear interpolant of the renewal weights
-    against the exact profile, cell by cell: node k adds
+    Free part: u0(x + t) sampled exactly on the kept nodes, with no
+    translated function built.  Given weights phi must number t / dt + 1,
+    or StepMismatch names t, dt and len(phi).  The series part
+    integrates the linear interpolant of phi against the exact profile,
+    cell by cell: node k adds
 
         dt sum_{j=1..m} (phi[j] I0[k+m-j] + phi[j-1] I1[k+m-j]),
 
@@ -326,14 +330,14 @@ def oracle_solution(measure: BoundedMeasure, profile: PiecewiseFunction,
     dt = system.spacing
     if phi is None:
         phi = oracle_weights(measure, profile, u0, t, dt)
+    elif len(phi) != _lattice_steps(t, dt, "t") + 1:
+        raise StepMismatch(f"phi of {len(phi)} weights at t={t!r}, dt={dt!r}")
     m = len(phi) - 1
-    out = system.sample(u0.translate(t))  # a fresh sample, edited in place
-    lo, hi = support_cells(profile, system.origin, dt,
-                           system.count + m - 1)
+    out = system.make(_sample_nodes(u0, system.nodes(), t))  # edited in place
+    lo, hi = support_cells(profile, system.origin, dt, system.count + m - 1)
     if m > 0 and hi > lo:
-        k0, series = reconstruction_nodes(
-            phi, _series_operand(profile, system.origin, dt, lo, hi),
-            system.count)
+        rec = _series_operand(profile, system.origin, dt, lo, hi)
+        k0, series = reconstruction_nodes(phi, rec, system.count)
         out.values[k0:k0 + series.size] += dt * series
     return out
 

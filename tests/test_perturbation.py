@@ -1298,16 +1298,51 @@ def test_pair_rows_off_lattice_matches_per_row_eval(edge):
 
 def test_translation_probes_share_read_only_rows():
     # the constant and the three static probes are broadcast views of one
-    # row, equal bit for bit to the tiled tables they replace
+    # row, equal bit for bit to the tiled tables they replace; the orbits
+    # are views of the system's orbit window, equal bit for bit to the
+    # copies of it they replace; every table is read-only
     prob = delta_problem()
     dx, t0 = 1e-2, 0.2
     system = make_system(prob, dx, t0, t0)
     probes = translation_probes(system, t0, dx)
     shapes = [tent(), tent().translate(-1.5), tent().translate(1.0)]
-    rows = [np.ones(system.count)] + [system.sample(s).values for s in shapes]
-    for probe, row in zip([probes[i] for i in (0, 1, 3, 5)], rows):
+    rows = [system.sample(s).values for s in shapes]
+    want = [np.ones((21, system.count))]
+    for row in rows:
+        want += [np.tile(row, (21, 1)),
+                 VectorTrajectory.orbit(system, system.make(row), t0,
+                                        dx).nodes]
+    want.append(np.array([np.cos(3.0 * j * dx) * rows[0]
+                          for j in range(21)]))
+    assert len(probes) == 8
+    for probe, table in zip(probes, want):
         assert not probe.nodes.flags.writeable
-        assert probe.nodes.tobytes() == np.tile(row, (21, 1)).tobytes()
+        assert probe.nodes.shape == table.shape
+        assert probe.nodes.tobytes() == table.tobytes()
+
+
+def test_admissibility_samples_the_regularizer_once_per_grid(monkeypatch):
+    # one sample of the regularized profile per (operator, grid), however
+    # many probes and checks read it
+    prob = delta_problem()
+    dx, t0 = 1e-2, 0.2
+    real = semigroup._sample_nodes
+    sampled = []
+
+    def spy(f, *args):
+        sampled.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(semigroup, "_sample_nodes", spy)
+    systems = [make_system(prob, h, t0, t0) for h in (dx, dx / 2)]
+    ops = [build_rank_one(prob), build_rank_one(prob)]
+    for op in ops:
+        for system in systems + systems:
+            h = system.spacing
+            admissibility_check(system, op, t0, h,
+                                translation_probes(system, t0, h))
+    regs = [f for f in sampled if f is prob.regularizer]
+    assert len(regs) == len(ops) * len(systems)
 
 
 
@@ -1872,6 +1907,12 @@ def test_rank_one_caches_keep_the_four_keys_used_last():
     for s in systems:
         op._profile_lattice(s, 20)
     assert len(op._profile_cache) == 4
+    # the regularizer's samples are kept apart: they evict no lattice
+    kept = list(op._profile_cache)
+    for s in systems:
+        op._regularized_gap(s, np.ones(3), s.spacing, np.zeros(s.count))
+    assert list(op._profile_cache) == kept
+    assert len(op._regularized_cache) == 4
     key = (systems[0].origin, systems[0].spacing, systems[0].count, 20)
     assert key not in op._profile_cache
     fresh = op._profile_lattice(systems[0], 20)

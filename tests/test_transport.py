@@ -550,18 +550,31 @@ def _oracle_by_the_formula(prob, system, t, phi):
 
 
 @pytest.mark.parametrize("t", [0.5, 1.1], ids=["direct", "fft"])
-@pytest.mark.parametrize("profile", [
-    three_jump_profile(),
-    PiecewiseFunction([1, 40], [[0], [Fraction(3, 2)], [0]]),
-], ids=["inside-grid", "past-right-edge"])
-def test_oracle_solution_is_the_formula_bit_for_bit(profile, t):
-    # every prefix row on two grids, half a spacing apart, called in turn:
-    # an operand kept for one grid and read on the other changes the bits
-    prob = TransportProblem(BoundedMeasure.dirac(0), profile, tent())
+@pytest.mark.parametrize("profile, u0", [
+    (three_jump_profile(), tent()),
+    (PiecewiseFunction([1, 40], [[0], [Fraction(3, 2)], [0]]), tent()),
+    (three_jump_profile(), three_jump_profile()),
+    # float(1/10) > 1/10 is node 50 of the grid from 0.0: at k = 0 the
+    # free part reads translate(0.0)'s float cut there, not its floor
+    (three_jump_profile(),
+     PiecewiseFunction([Fraction(-1, 2), Fraction(1, 10)], [[0], [1], [0]])),
+    # x^2 - x with a -0.0 constant: -0.0 at the node 0.0, but +0.0 after
+    # translate(0.0)
+    (three_jump_profile(),
+     PiecewiseFunction([-1.0, 1.0], [[0.0], [-0.0, -1.0, 1.0], [0.0]])),
+], ids=["inside-grid", "past-right-edge", "jump-u0", "fraction-cut-u0",
+        "negative-zero-u0"])
+def test_oracle_solution_is_the_formula_bit_for_bit(profile, u0, t):
+    # every prefix row, k = 0 too, on three grids called in turn: an
+    # operand kept for one grid and read on another changes the bits.
+    # The second is half a spacing off the first; the third starts at 0.0
+    prob = TransportProblem(BoundedMeasure.dirac(0), profile, u0)
     dt = 2e-3
     grid = make_system(prob, dt, t, 0.2)
     grids = (grid, TranslationSystem(grid.origin - dt / 2, dt, grid.count,
-                                     grid.horizon, window=grid.window))
+                                     grid.horizon, window=grid.window),
+             TranslationSystem(0.0, dt, grid.count, grid.horizon))
+    assert grids[2].nodes()[50] == 0.1 and 0.0 in grid.nodes()
     phi = oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
     for k in range(len(phi)):
         for system in grids:
@@ -569,6 +582,25 @@ def test_oracle_solution_is_the_formula_bit_for_bit(profile, t):
                                   system, k * dt, phi=phi[:k + 1])
             want = _oracle_by_the_formula(prob, system, k * dt, phi[:k + 1])
             assert got.values.tobytes() == want.tobytes(), (k, system.origin)
+
+
+def test_oracle_solution_refuses_weights_that_do_not_end_at_t():
+    prob = delta_problem()
+    dx = 1e-2
+    system = make_system(prob, dx, 0.5, 0.2)
+    args = prob.measure, prob.profile, prob.initial, system
+    # a prefix of 2 steps at a t of 50
+    with pytest.raises(StepMismatch,
+                       match=r"phi of 3 weights at t=0\.5, dt=0\.01"):
+        oracle_solution(*args, 0.5, phi=np.ones(3))
+    # a t off the lattice, whatever the weights
+    with pytest.raises(StepMismatch,
+                       match=r"t 0\.505 is not a multiple of dt=0\.01"):
+        oracle_solution(*args, 0.505, phi=np.ones(51))
+    # the matching prefix is taken
+    phi = oracle_weights(prob.measure, prob.profile, prob.initial, 0.5, dx)
+    assert np.array_equal(oracle_solution(*args, 0.02, phi=phi[:3]).values,
+                          oracle_solution(*args, 0.02).values)
 
 
 def test_oracle_solution_zero_measure_is_translation():
