@@ -241,9 +241,15 @@ class PiecewiseFunction:
     __rmul__ = __mul__
 
     def translate(self, dx) -> "PiecewiseFunction":
-        """The function x -> f(x + dx)."""
-        cuts = [b - dx for b in self.breakpoints]
-        pieces = [poly_shift(p, dx) for p in self.pieces]
+        """The function x -> f(x + dx).  A piece whose two cuts b - dx
+        round onto one float owns no point, and is dropped."""
+        cuts, pieces = [], [poly_shift(self.pieces[0], dx)]
+        for b, p in zip(self.breakpoints, self.pieces[1:]):
+            if cuts and b - dx == cuts[-1]:
+                pieces.pop()
+            else:
+                cuts.append(b - dx)
+            pieces.append(poly_shift(p, dx))
         return PiecewiseFunction(cuts, pieces)
 
     # -- norms and jump structure ------------------------------------

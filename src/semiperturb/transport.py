@@ -58,9 +58,10 @@ from .functions import (
     _spectrum_product,
     hat_moments,
     lattice_convolve,
+    poly_eval,
+    poly_shift,
     reconstruction_nodes,
     sample_lag_kernel,
-    sample_sided,
     support_cells,
     tent,
     three_jump_profile,
@@ -489,32 +490,57 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
     problem's initial state u.
 
     Evaluated straight from the renewal weights on 601 evenly spaced
-    points of the window, with a fresh lattice of 128 time steps per t,
-    so dyadic t values need no common grid; per t, one trapezoid product
-    with the lag x point table of the profile's mid samples.  Column x
-    reads g on [x, x + t], so ``sample_sided`` fills only the columns of
-    the :func:`support_cells` of the window lattice, widened left by
-    ceil(t / spacing); the others are exact zeros, adding nothing.
+    points x of the window, with a fresh lattice of 128 time steps per t,
+    so dyadic t values need no common grid: the trapezoid sum over the
+    lags l = i dt of the weights v times the profile's mid value at
+    x + l.  No point is sampled.  At each x, piece k owns a run of lags,
+    and p_k(x + l) = sum_s q_s(x) l^s, q_s the coefficients of
+    ``poly_shift(p_k, x)``, so the run adds sum_s q_s(x) times the prefix
+    moments of v l^s across it.  Lags within 1e-9 dt of a breakpoint add
+    its jump midpoint (the left one's, when two are in reach), and
+    all-zero pieces exact zeros.  A boolean t, or one not positive and
+    finite, raises ValueError naming it.
     """
-    lo, hi = float(problem.window.lo), float(problem.window.hi)
-    xs = np.linspace(lo, hi, 601)
-    h = (hi - lo) / (xs.size - 1)
-    first, end = support_cells(problem.profile, lo, h, xs.size)
+    t_values = list(t_values)
+    for t in t_values:
+        if isinstance(t, (bool, np.bool_)) or not (
+                math.isfinite(t) and t > 0):
+            raise ValueError(
+                f"comparison time t must be positive and finite, got {t!r}")
+    f = problem.profile
+    xs = np.linspace(float(problem.window.lo), float(problem.window.hi), 601)
+    breaks = [float(b) for b in f.breakpoints]
+    reach = np.array(breaks)[:, None] - xs  # b - x
+    # coef[s, r] weighs the order-s moments over run r of each x: run 2k
+    # is piece k's, run 2j + 1 the lags at breakpoint j
+    floats = dict(f._floats)
+    coef = np.zeros((max(map(len, floats.values()), default=1),
+                     2 * len(breaks) + 1, xs.size))
+    for k, cs in floats.items():
+        for s, q in enumerate(poly_shift(cs, xs)):
+            coef[s, 2 * k] = q
+    for j, b in enumerate(breaks):
+        coef[0, 2 * j + 1] = 0.5 * sum(poly_eval(floats.get(k, [0.0]), b)
+                                       for k in (j, j + 1))
     rows = []
     for t in t_values:
-        if t <= 0:
-            raise ValueError("comparison times must be positive")
         dt = t / 128
-        phi = oracle_weights(problem.measure, problem.profile,
-                             problem.initial, t, dt)
-        lags = dt * np.arange(len(phi) - 1, -1, -1)
-        a = max(first - math.ceil(t / h), 0)
-        mid = sample_sided(problem.profile, xs[a:end] + lags[:, None],
-                           snap_tol=1e-9 * dt)[1]
-        g = np.zeros((lags.size, xs.size))
-        g[:, a:end] = mid
-        phi[[0, -1]] *= 0.5
-        worst = float(np.max(np.abs(phi @ g))) * dt
+        v = oracle_weights(problem.measure, f, problem.initial, t, dt)[::-1]
+        v[[0, -1]] *= 0.5
+        lags = dt * np.arange(v.size)
+        moments = np.zeros((len(coef), v.size + 1))  # sums over lags < i
+        np.cumsum(v * lags ** np.arange(len(coef))[:, None], axis=1,
+                  out=moments[:, 1:])
+        # run r holds the lags [edges[r], edges[r + 1]); the running max
+        # gives a lag in reach of two breakpoints to the left one
+        edges = np.zeros((coef.shape[1] + 1, xs.size), dtype=np.intp)
+        edges[-1] = v.size
+        edges[1:-1:2] = np.searchsorted(lags, reach - 1e-9 * dt)
+        edges[2:-1:2] = np.searchsorted(lags, reach + 1e-9 * dt, "right")
+        np.maximum.accumulate(edges, axis=0, out=edges)
+        value = sum(np.einsum("rx,rx->x", c, np.diff(m.take(edges), axis=0))
+                    for c, m in zip(coef, moments))
+        worst = float(np.max(np.abs(value))) * dt
         rows.append({"t": float(t), "constant": worst / t})
     top, ratio = comparison_summary([r["constant"] for r in rows])
     return {"rows": rows, "constant": top, "stability_ratio": ratio}

@@ -12,8 +12,9 @@ over the whole grid, with one product per hat moment.  The point-by-point
 samplers are the library's earlier ``_eval_pieces``, ``to_grid`` and
 ``sample_sided``, kept verbatim but for the rule at +-inf and NaN
 points, with the uncut comparison table built on them: the
-piece-by-piece samplers and the support cut must match them bit for
-bit.  The one-operand matrix scan and the stacked B F product
+piece-by-piece samplers must match them bit for bit, and the prefix
+moments of ``comparison_curve`` the table to rounding.  The one-operand
+matrix scan and the stacked B F product
 are the library's earlier forms, kept verbatim: its prepared step must
 scan bit for bit as the first does, and its one 2-D product must match
 the second to rounding.  The stacked variation-of-parameters residual is
@@ -216,8 +217,8 @@ def sample_sided_by_point(f: PiecewiseFunction, xs, snap_tol=0.0):
 
 
 def comparison_curve_uncut(problem, t_values) -> dict:
-    """``transport.comparison_curve`` sampling the profile on the whole
-    129 x 601 lag-by-point table for every t."""
+    """``transport.comparison_curve``'s constants from the profile's mid
+    samples on the whole 129 x 601 lag-by-point table for every t."""
     lo, hi = float(problem.window.lo), float(problem.window.hi)
     xs = np.linspace(lo, hi, 601)
     rows = []

@@ -135,6 +135,27 @@ def test_translate():
         assert ht.eval(float(x)) == pytest.approx(h.eval(float(x) + 0.5), abs=1e-12)
 
 
+@pytest.mark.parametrize("f, t", [
+    # the shift rounds both cuts onto -1.0: the middle piece owns nothing
+    (PiecewiseFunction([1e-17, 2e-17], [[0.0], [1.0], [0.0]]), 1.0),
+    # three cuts onto -1.0, between nonzero end pieces
+    (PiecewiseFunction([1e-17, 2e-17, 3e-17],
+                       [[0.5], [1.0], [2.0], [3.0]]), 1.0),
+    (three_jump_profile(), 0.1),
+    (sawtooth_profile(), Fraction(1, 3)),
+])
+def test_translate_drops_the_pieces_a_shift_empties(f, t):
+    # the translated function samples as the shifted sampler, bit for bit
+    g = f.translate(t)
+    assert len(g.pieces) == len(g.breakpoints) + 1
+    cuts = np.array([float(b - t) for b in f.breakpoints])
+    near = np.concatenate([np.nextafter(cuts, -np.inf), cuts,
+                           np.nextafter(cuts, np.inf)])
+    xs = np.unique(np.concatenate([np.linspace(-7, 7, 141), near]))
+    assert (functions._sample_nodes(g, xs).tobytes()
+            == functions._sample_nodes(f, xs, t).tobytes())
+
+
 def test_algebra_exact_with_fractions():
     h = tent()
     f = h.scale(Fraction(1, 3)) + h

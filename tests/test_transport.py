@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -826,37 +827,86 @@ def _comparison_profiles():
         "open-ends": PiecewiseFunction([-1, 1], [[0.5], [1, 1], [0.25]]),
         # wholly left of the window [-3, 3]: nothing to sample
         "outside": canonical_profile().translate(10),
-        # on [3.5, 5.5], right of the window: only the columns widened
-        # left from its edge reach it, within t
+        # on [3.5, 5.5], right of the window: only the points within t
+        # of its left edge reach it
         "beyond-right": canonical_profile().translate(-4.5),
+        # two breakpoints within the snap tolerance 1e-9 dt of each other
+        # for t >= 0.016: a lag in reach of both takes the left one's
+        # jump midpoint, 3, not the right one's, 2.5
+        "close-breaks": PiecewiseFunction([0.0, 1e-13], [[1], [5], [0]]),
     }
 
 
 @pytest.mark.parametrize("name", list(_comparison_profiles()))
 def test_comparison_curve_cut_matches_uncut_table(monkeypatch, name):
-    # the support cut gives the uncut table's constants bit for bit, and
-    # samples at most 129 (support columns + ceil(t / 0.01) + 2) points
+    # the prefix moments give the uncut table's constants to 1e-14
+    # relative, with no profile sample of their own: every sample_sided
+    # call comes from the weight solve's kernel and free term
     profile = _comparison_profiles()[name]
     prob = TransportProblem(BoundedMeasure.dirac(Fraction(1, 3)), profile,
                             tent())
-    sampled = []
-    real = transport.sample_sided
-    monkeypatch.setattr(transport, "sample_sided", lambda f, xs, **kw: (
-        sampled.append(np.size(xs)) or real(f, xs, **kw)))
+    want = comparison_curve_uncut(prob, _CUT_TIMES)
+    callers = []
+    real = functions.sample_sided
+
+    def spy(f, xs, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(f, xs, **kw)
+
+    monkeypatch.setattr(functions, "sample_sided", spy)
+    monkeypatch.setattr(transport, "sample_sided", spy, raising=False)
     got = comparison_curve(prob, _CUT_TIMES)
-    assert got == comparison_curve_uncut(prob, _CUT_TIMES)
-    lo, hi = support_cells(profile, -3.0, 0.01, 601)
-    for t, n in zip(_CUT_TIMES, sampled):
-        assert n <= 129 * (hi - lo + math.ceil(t / 0.01) + 2)
-    if name == "open-ends":
-        assert sampled == [129 * 601] * len(_CUT_TIMES)
+    assert callers == ["sample_lag_kernel"] * (2 * len(_CUT_TIMES))
+    for g, w in zip(got["rows"], want["rows"]):
+        assert g["t"] == w["t"]
+        assert g["constant"] == pytest.approx(w["constant"], rel=1e-14,
+                                              abs=0.0)
     if name == "outside":
-        assert sampled == [0] * len(_CUT_TIMES)
+        assert [r["constant"] for r in got["rows"]] == [0.0] * len(_CUT_TIMES)
         assert got["constant"] == 0.0
-    if name == "canonical":
-        assert sum(sampled) < 0.5 * 129 * 601 * len(_CUT_TIMES)
     if name == "beyond-right":
-        assert sampled[0] <= 129 * 2 and got["constant"] > 0
+        assert got["constant"] > 0
+
+
+@pytest.mark.parametrize("t", [True, np.True_, float("nan"), float("inf"),
+                               -float("inf"), 0.0, -0.5])
+def test_comparison_curve_refuses_a_bad_time_by_name(monkeypatch, t):
+    # refused up front: no weight solve runs, not even for the good t
+    monkeypatch.setattr(transport, "oracle_weights",
+                        lambda *args: pytest.fail("solved before refusing"))
+    with pytest.raises(ValueError, match=r"comparison time t .* got "
+                       + re.escape(repr(t))):
+        comparison_curve(delta_problem(), [0.5, t])
+
+
+@st.composite
+def comparison_profiles(draw):
+    """Piecewise polynomials of degree <= 3 on 1-4 breakpoints in
+    [-2, 2] whose denominators divide 100, so that lags x + i dt of the
+    0.01 window lattice can land on them, with nonzero constant ends."""
+    denominators = [1, 2, 4, 5, 10, 20, 25, 50, 100]
+    breaks = draw(st.lists(
+        st.builds(lambda d, k: Fraction(k, d), st.sampled_from(denominators),
+                  st.integers(-200, 200)).filter(lambda b: abs(b) <= 2),
+        min_size=1, max_size=4, unique=True))
+    coeff = st.fractions(-2, 2, max_denominator=8)
+    nonzero = coeff.filter(lambda c: c != 0)
+    inner = [draw(st.lists(coeff, min_size=1, max_size=4))
+             for _ in breaks[1:]]
+    return PiecewiseFunction(sorted(breaks),
+                             [[draw(nonzero)], *inner, [draw(nonzero)]])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(profile=comparison_profiles(),
+       atom=st.sampled_from([Fraction(0), Fraction(1, 3)]),
+       t=st.sampled_from([1e-3 * 2 ** k for k in range(10)] + [1.0]))
+def test_comparison_curve_matches_uncut_table_on_drawn_profiles(profile, atom,
+                                                                 t):
+    prob = TransportProblem(BoundedMeasure.dirac(atom), profile, tent())
+    got = comparison_curve(prob, [t])["rows"][0]["constant"]
+    want = comparison_curve_uncut(prob, [t])["rows"][0]["constant"]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_comparison_curve_dyadic_stability():
