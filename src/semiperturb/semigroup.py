@@ -25,7 +25,7 @@ from .errors import GridTooLarge, HorizonExceeded, NotInStateSpace, StepMismatch
 from .functions import (CompactInterval, GridFunction, PiecewiseFunction,
                         _grid_nodes, _sample_nodes, seminorm_rows)
 
-# the most grid nodes: 240 times the largest stock or benchmark grid (41 605)
+# the most grid nodes: 300 times the largest stock or benchmark grid (32 805)
 MAX_GRID_NODES = 10_000_000
 
 
@@ -252,9 +252,12 @@ class TranslationSystem:
     """Left translation semigroup on a uniform grid.
 
     Time steps must be lattice multiples of the spacing so translation is
-    an exact index shift.  ``window`` is the interior comparison region,
-    kept ``horizon`` away from both grid edges so no admissible operation
-    reads continued edge values inside it.
+    an exact index shift.  ``window`` is the interior comparison region.
+    The value at x at time t reads only the forward orbit [x, x + t], so a
+    continued edge value moves leftward from the right edge alone: the
+    window keeps ``horizon`` away from the right edge, and from the left
+    edge only the two spacings that the centred differences of
+    :func:`reconstruct` and the interpolation at ``window.lo`` read.
     """
 
     log_norm = 0.0  # translation is a contraction
@@ -276,16 +279,18 @@ class TranslationSystem:
         self.horizon = float(horizon)
         x_last = self.origin + self.spacing * (self.count - 1)
         self.x_last = x_last
-        safe_lo = self.origin + self.horizon
+        safe_lo = self.origin + 2 * self.spacing
         safe_hi = x_last - self.horizon
         if window is None:
             if safe_lo >= safe_hi:
                 raise ValueError("horizon leaves no interior window")
             window = CompactInterval(safe_lo, safe_hi)
-        if window.lo < safe_lo - 1e-12 or window.hi > safe_hi + 1e-12:
-            raise ValueError(
-                f"window [{window.lo}, {window.hi}] must stay {horizon} away from grid edges"
-            )
+        if window.lo < safe_lo - 1e-12:
+            raise ValueError(f"window [{window.lo}, {window.hi}] must start "
+                             f"two spacings right of the origin {self.origin}")
+        if window.hi > safe_hi + 1e-12:
+            raise ValueError(f"window [{window.lo}, {window.hi}] must end "
+                             f"{horizon} left of the right edge {x_last}")
         self.window = window
         self._nodes = None
 

@@ -385,9 +385,11 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
                 t0: float) -> TranslationSystem:
     """Grid sized so the window stays clean for times up to t.
 
-    Left translation pulls values in from the right, so the grid must
-    extend ``t + t0`` beyond the window (and past the measure's support)
-    on both sides; the origin is snapped to the spacing lattice so that
+    Left translation pulls values in from the right only, so the grid
+    extends ``t + t0`` beyond the window (and past the measure's support)
+    on the right, and on the left just the two spacings that the
+    system's window needs: no node left of them is ever read into the
+    window.  The origin is snapped to the spacing lattice so that
     lattice-rational atoms land exactly on nodes.  A spacing that is not
     positive and finite, or a t or t0 that is not nonnegative and finite,
     raises ValueError before anything is divided, and a grid of more
@@ -403,9 +405,8 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
     pts = [float(p) for p in problem.measure.support_points()]
     lo_pt = min([float(problem.window.lo)] + pts)
     hi_pt = max([float(problem.window.hi)] + pts)
-    margin = t + t0 + 2 * spacing
-    origin = np.floor((lo_pt - margin) / spacing) * spacing
-    x_last = np.ceil((hi_pt + margin) / spacing) * spacing
+    origin = np.floor((lo_pt - 2 * spacing) / spacing) * spacing
+    x_last = np.ceil((hi_pt + (t + t0 + 2 * spacing)) / spacing) * spacing
     steps = float((x_last - origin) / spacing)
     if not steps < MAX_GRID_NODES:  # inf and NaN too
         raise GridTooLarge(steps + 1, spacing, MAX_GRID_NODES)
@@ -496,10 +497,11 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
     x + l.  No point is sampled.  At each x, piece k owns a run of lags,
     and p_k(x + l) = sum_s q_s(x) l^s, q_s the coefficients of
     ``poly_shift(p_k, x)``, so the run adds sum_s q_s(x) times the prefix
-    moments of v l^s across it.  Lags within 1e-9 dt of a breakpoint add
-    its jump midpoint (the left one's, when two are in reach), and
-    all-zero pieces exact zeros.  A boolean t, or one not positive and
-    finite, raises ValueError naming it.
+    moments of v l^s across it, each prefix sum carrying its rounding
+    error, so that a short run late in the lags keeps its own accuracy.
+    Lags within 1e-9 dt of a breakpoint add its jump midpoint (the left
+    one's, when two are in reach), and all-zero pieces exact zeros.  A
+    boolean t, or one not positive and finite, raises ValueError naming it.
     """
     t_values = list(t_values)
     for t in t_values:
@@ -528,9 +530,14 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
         v = oracle_weights(problem.measure, f, problem.initial, t, dt)[::-1]
         v[[0, -1]] *= 0.5
         lags = dt * np.arange(v.size)
-        moments = np.zeros((len(coef), v.size + 1))  # sums over lags < i
-        np.cumsum(v * lags ** np.arange(len(coef))[:, None], axis=1,
-                  out=moments[:, 1:])
+        terms = v * lags ** np.arange(len(coef))[:, None]
+        # sums over lags < i, and the sums of their rounding errors: cumsum
+        # adds in sequence, so each step's error is an exact TwoSum (Knuth)
+        sums, errs = np.zeros((2, len(coef), v.size + 1))
+        np.cumsum(terms, axis=1, out=sums[:, 1:])
+        added = sums[:, 1:] - sums[:, :-1]
+        np.cumsum((sums[:, :-1] - (sums[:, 1:] - added)) + (terms - added),
+                  axis=1, out=errs[:, 1:])
         # run r holds the lags [edges[r], edges[r + 1]); the running max
         # gives a lag in reach of two breakpoints to the left one
         edges = np.zeros((coef.shape[1] + 1, xs.size), dtype=np.intp)
@@ -538,8 +545,9 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
         edges[1:-1:2] = np.searchsorted(lags, reach - 1e-9 * dt)
         edges[2:-1:2] = np.searchsorted(lags, reach + 1e-9 * dt, "right")
         np.maximum.accumulate(edges, axis=0, out=edges)
-        value = sum(np.einsum("rx,rx->x", c, np.diff(m.take(edges), axis=0))
-                    for c, m in zip(coef, moments))
+        value = sum(np.einsum("rx,rx->x", c, np.diff(p.take(edges), axis=0)
+                              + np.diff(e.take(edges), axis=0))
+                    for c, p, e in zip(coef, sums, errs))
         worst = float(np.max(np.abs(value))) * dt
         rows.append({"t": float(t), "constant": worst / t})
     top, ratio = comparison_summary([r["constant"] for r in rows])

@@ -364,6 +364,52 @@ def test_every_refused_config_exits_2_by_name(tmp_path_factory, case):
     assert not (tmp / "out").exists()
 
 
+# atoms at k/10, |k| <= 40: those below -3 lie left of the window, so the
+# grid's left edge follows them
+_ATOM = st.tuples(st.integers(-40, -31) | st.integers(-40, 40),
+                  st.sampled_from([0.25, -0.25, 0.5, -0.5])).map(
+    lambda kw: [kw[0] / 10, kw[1]])
+
+
+@st.composite
+def _valid_configs(draw):
+    """(subcommand, config) for transport-demo or admissibility, every
+    value valid by construction."""
+    sub = draw(st.sampled_from(["transport-demo", "admissibility"]))
+    config = {"grid_spacing": draw(st.sampled_from([1e-2, 5e-3])),
+              "t0": draw(st.sampled_from([0.1, 0.2])),
+              "atoms": draw(st.lists(_ATOM, min_size=1, max_size=2)),
+              "g": draw(st.sampled_from(["canonical", "sawtooth"]))}
+    if sub == "transport-demo":
+        config["t"] = draw(st.sampled_from([0.1, 0.2, 0.4]))
+    return sub, config
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=_valid_configs())
+def test_every_valid_config_ends_in_a_report_or_a_named_refusal(
+        tmp_path_factory, case):
+    # a report (exit 0 or 1), one engine-refused line (exit 1) or one
+    # config-error line (exit 2); never a traceback
+    sub, config = case
+    tmp = tmp_path_factory.mktemp("cfg")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([sub, "--config", str(path), "--out", str(tmp / "out")])
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+    elif lines:
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("engine refused the configuration: ")
+    else:
+        report = json.loads((tmp / "out" / f"{sub}-report.json").read_text())
+        assert code == (0 if report["passed"] else 1)
+
+
 # ---------------------------------------------------------------------------
 # subcommand runs
 

@@ -273,6 +273,27 @@ def test_window_stays_clear_of_edges():
         TranslationSystem(-4.0, 0.01, 801, 1.0, window=CompactInterval(-4.0, 4.0))
 
 
+@pytest.mark.parametrize("lo, hi, words", [
+    (-3.99, 3.0, "must start two spacings right of the origin -4.0"),
+    (-4.0, 3.0, "must start two spacings right of the origin -4.0"),
+    (-3.98, 3.01, "must end 1.0 left of the right edge 4.0"),
+], ids=["one-spacing-in", "at-origin", "inside-horizon"])
+def test_window_refusal_names_the_side(lo, hi, words):
+    # the left edge needs two spacings only: translation never moves a
+    # continued value rightward, so horizon guards the right edge alone
+    with pytest.raises(ValueError, match=re.escape(words)):
+        TranslationSystem(-4.0, 0.01, 801, 1.0,
+                          window=CompactInterval(lo, hi))
+
+
+def test_window_two_spacings_in_is_accepted():
+    sys = TranslationSystem(-4.0, 0.01, 801, 1.0,
+                            window=CompactInterval(-3.98, 3.0))
+    assert (sys.window.lo, sys.window.hi) == (-3.98, 3.0)
+    default = TranslationSystem(-4.0, 0.01, 801, 1.0).window
+    assert (default.lo, default.hi) == (-4.0 + 2 * 0.01, 4.0 - 1.0)
+
+
 def test_translation_orbit_step_below_one_spacing_is_refused():
     # dt = 1e-12 rounds to 0 lattice steps: a named StepMismatch, not
     # numpy's "slice step cannot be zero"
