@@ -332,7 +332,8 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return _grid_nodes(self.origin, self.spacing, self.count)
 
-    def same_grid(self, other: "GridFunction") -> bool:
+    def same_grid(self, other) -> bool:
+        """Whether the grid function or system ``other`` has this grid."""
         return (
             self.count == other.count
             and abs(self.origin - other.origin) <= 1e-12 * max(1.0, abs(self.origin))

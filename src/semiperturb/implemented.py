@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonMultiplicative
 from .perturbation import (
     PerturbationOperator,
-    comparison_summary,
+    comparison_constants,
     neumann_semigroup,
 )
 from .semigroup import MatrixSystem, expm, opnorm2
@@ -232,24 +232,27 @@ def comparison_equivalence(T_system: MatrixSystem, S_system: MatrixSystem,
     lhs is the flat-norm distance of the two implemented semigroups,
     rhs the spectral-norm distance of the matrix semigroups; the two are
     computed by independent decompositions (n^2 and n dimensional) and
-    must agree to rounding.
+    must agree to rounding.  rhs is the distance of
+    :func:`~semiperturb.perturbation.comparison_constants`, which gives
+    the linear constant and refuses a bad t first.
     """
     n = T_system.dim
     eye = np.eye(n)
     rows = []
-    worst = 0.0
-    for t in t_values:
+
+    def distance(t):
         D = T_system.propagator(t) - S_system.propagator(t)
         lhs = superop_norm(SuperOperator.general(np.kron(D, eye), n))
         rhs = opnorm2(D)
-        gap = abs(lhs - rhs)
-        worst = max(worst, gap)
         rows.append({"t": float(t), "lhs": float(lhs), "rhs": float(rhs),
-                     "gap": float(gap)})
-    top, ratio = comparison_summary([r["rhs"] / r["t"] for r in rows
-                                     if r["t"] > 0])
-    return {"rows": rows, "worst_gap": float(worst), "linear_constant": top,
-            "stability_ratio": ratio}
+                     "gap": float(abs(lhs - rhs))})
+        return rhs
+
+    out = comparison_constants(t_values, distance)
+    return {"rows": rows,
+            "worst_gap": max([r["gap"] for r in rows], default=0.0),
+            "linear_constant": out["constant"],
+            "stability_ratio": out["stability_ratio"]}
 
 
 def euler_check(K: SuperOperator, t: float, C, n_values) -> dict:

@@ -180,11 +180,7 @@ class MatrixOperator(PerturbationOperator):
     def _generator_values(self, system, f):
         """f and (A + B) f."""
         x = system.state_values(f)
-        return x, self._perturbed_generator(system) @ x
-
-    def _perturbed_generator(self, system):
-        """A + B."""
-        return system.A + self.matrix_data
+        return x, (system.A + self.matrix_data) @ x
 
 
 class RankOneOperator(PerturbationOperator):
@@ -211,9 +207,8 @@ class RankOneOperator(PerturbationOperator):
         self.profile = profile
         self.regularized_profile = regularized_profile
         self.profile_sup = profile.sup_norm()
-        self._profile_cache = {}
+        self._lattice_cache = {}
         self._segment_cache = {}
-        self._regularized_cache = {}
 
     def _guard(self, system, t0):
         """t0 * |mu|(R) * sup|g|, an upper bound, from pulling the
@@ -223,27 +218,28 @@ class RankOneOperator(PerturbationOperator):
 
     # -- lattice sample caches ---------------------------------------------
 
-    def _profile_lattice(self, system: TranslationSystem, m_extra: int):
-        """The engine's :class:`Reconstruction` of g on the grid lattice
-        extended m_extra steps, over its ``support_cells`` [lo, hi), the
-        only cells sampled (g's sided samples vanish outside): the mid
-        samples kept, first = mid - left / 2 and last = mid - right / 2,
-        shift 0, in one read-only table.  ``reconstruction_nodes`` then
-        gives node k the trapezoid sum of phi[j] g(x_k + (m - j) dt) over
-        j = 0..m, with one-sided limits at both ends."""
+    def _lattice(self, f, system: TranslationSystem, m_extra: int):
+        """The :class:`Reconstruction` of f, the profile g or the
+        regularizer h, on the grid lattice extended m_extra steps, over
+        its ``support_cells`` [lo, hi), the only cells sampled (f's sided
+        samples vanish outside): the mid samples kept, first = mid -
+        left / 2 and last = mid - right / 2, shift 0, in one read-only
+        table.  ``reconstruction_nodes`` then gives node k the trapezoid
+        sum of phi[j] f(x_k + (m - j) dt) over j = 0..m, with one-sided
+        limits at both ends.  The four lattices used last are kept."""
         def build():
-            lo, hi = support_cells(self.profile, system.origin,
-                                   system.spacing, system.count + m_extra)
+            lo, hi = support_cells(f, system.origin, system.spacing,
+                                   system.count + m_extra)
             xs = system.origin + system.spacing * np.arange(lo, hi)
             left, mid, right = sample_sided(
-                self.profile, xs, snap_tol=1e-6 * system.spacing)
+                f, xs, snap_tol=1e-6 * system.spacing)
             # one block: glibc's mmap threshold follows the largest block
             # freed; three smaller ones triple transport-refine's page faults
             table = np.stack([mid, mid - 0.5 * left, mid - 0.5 * right])
             table.flags.writeable = False
             return Reconstruction(lo, KeptOperand(table[0]), *table[1:], 0)
-        key = (system.origin, system.spacing, system.count, m_extra)
-        return recent_memo(self._profile_cache, key, build)
+        key = (f, system.origin, system.spacing, system.count, m_extra)
+        return recent_memo(self._lattice_cache, key, build)
 
     def _kernel_lattice(self, dt: float, m_steps: int):
         """Sided samples of s -> pairing of g(. + s) on the time lattice,
@@ -331,7 +327,7 @@ class RankOneOperator(PerturbationOperator):
         gap, miss = 0.0, None
         if self.regularized_profile is not None:
             try:
-                gap = self._regularized_gap(system, phi, F.dt, rows[0])
+                gap = self._regularized_gap(system, phi, F.dt, rows[-1])
             except NotInStateSpace as exc:
                 miss = exc
         pts = self.measure.support_points()
@@ -342,15 +338,13 @@ class RankOneOperator(PerturbationOperator):
 
     def _regularized_gap(self, system, phi, dt, fast_out) -> float:
         """Window sup gap between the fast path and the regularized
-        detour; NotInStateSpace when the detour does not reconstruct.  The
-        regularizer's sample is kept for the four grids used last."""
-        key = system.origin, system.spacing, system.count
-        hvals = recent_memo(self._regularized_cache, key, lambda:
-                            system.sample(self.regularized_profile).values)
-        shifted = system.orbit_rows(hvals, len(phi) - 1, dt)
-        w = phi.copy()
-        w[[0, -1]] *= 0.5
-        u = dt * (w[::-1] @ shifted)
+        detour: the ``reconstruction_nodes`` of phi against h's lattice,
+        times dt, then ``reconstruct``, which raises NotInStateSpace when
+        the detour does not land."""
+        rec = self._lattice(self.regularized_profile, system, len(phi) - 1)
+        k0, vals = reconstruction_nodes(phi, rec, system.count)
+        u = np.zeros(system.count)
+        u[k0:k0 + vals.size] = dt * vals
         recon = reconstruct(system, system.make(u))
         return system.seminorm(recon.values - fast_out)
 
@@ -372,12 +366,6 @@ class RankOneOperator(PerturbationOperator):
         cf_vals = system.sample(f.derivative()
                                 + self.profile.scale(phi_f)).values
         return system.sample(f).values, cf_vals
-
-    def _perturbed_generator(self, system):
-        """Refused: the perturbed generator is no matrix here."""
-        raise ValueError(
-            "comparison_check takes matrix perturbations; use "
-            "transport.comparison_curve for a rank-one transport operator")
 
 
 @dataclasses.dataclass
@@ -473,7 +461,7 @@ def _convolved_nodes(system, op, phi, dt, steps):
     phi: ``reconstruction_nodes`` of phi[:m + 1], times dt, against the
     profile lattice as long as the largest step."""
     _require_time_grid(system, dt)
-    rec = op._profile_lattice(system, max(steps, default=0))
+    rec = op._lattice(op.profile, system, max(steps, default=0))
     out = np.zeros((len(steps), system.count))
     for row, m in zip(out, steps):
         k0, vals = reconstruction_nodes(phi[:m + 1], rec, system.count)
@@ -826,9 +814,10 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         fn = F.norm()
         if fn == 0:
             continue
-        steps = [F.step_of(r) for r in [t0] + [j * dt for j in sample_steps]]
-        (out, *sampled), src, gap, miss = op._admissibility_probe(
-            system, F, steps, fn)
+        # the last sample step is t0's: step_of refuses a shorter probe
+        steps = [F.step_of(j * dt) for j in sample_steps]
+        rows, src, gap, miss = op._admissibility_probe(system, F, steps, fn)
+        out = rows[-1]
         worst_recon = max(worst_recon, gap)
         if miss is not None and (escape is None
                                  or miss.curvature > escape.curvature):
@@ -836,7 +825,7 @@ def admissibility_check(system, op: PerturbationOperator, t0: float,
         m_obs = max(m_obs, _sup(out) / fn)
         if src > 1e-300:
             khat = max(khat, system.seminorm(out) / src)
-        for v in sampled:
+        for v in rows:
             v_lower = max(v_lower, _sup(v) / fn)
 
     analytic = op.analytic_volterra_bound(system, t0)
@@ -881,30 +870,38 @@ def comparison_check(system, op: PerturbationOperator, t_values) -> dict:
 
     S is the dense exponential of A + B.  Rank-one transport operators
     are refused: ``transport.comparison_curve`` computes their constants
-    from the renewal weights.  Returns per-t constants, their max, and
-    the max/min stability ratio.
+    from the renewal weights.
     """
     op._paired(system)
-    C = op._perturbed_generator(system)
-    rows = []
+    if not isinstance(op, MatrixOperator):
+        raise ValueError(
+            "comparison_check takes matrix perturbations; use "
+            "transport.comparison_curve for a rank-one transport operator")
+    C = system.A + op.matrix_data
+    return comparison_constants(
+        t_values, lambda t: opnorm2(expm(t * C) - system.propagator(t)))
+
+
+def comparison_constants(t_values, distance) -> dict:
+    """The constants distance(t) / t of every comparison routine, on
+    R^n, C_b and L(E): the per-t ``rows``, the largest ``constant`` (0.0
+    when there are none) and the ``stability_ratio``, max/min over the
+    positive constants (inf when none is positive).  A boolean t, or one
+    not positive and finite, raises ValueError naming it before any
+    distance is taken."""
+    t_values = list(t_values)
     for t in t_values:
-        if t <= 0:
-            raise ValueError("comparison times must be positive")
-        c = opnorm2(expm(t * C) - system.propagator(t)) / t
-        rows.append({"t": float(t), "constant": float(c)})
-    top, ratio = comparison_summary([r["constant"] for r in rows])
-    return {"rows": rows, "constant": top, "stability_ratio": ratio}
-
-
-def comparison_summary(consts):
-    """(largest constant, max/min ratio of the positive constants).
-
-    The ratio is inf when no constant is positive, and the largest
-    constant 0.0 when there are none.
-    """
+        if isinstance(t, (bool, np.bool_)) or not (
+                math.isfinite(t) and t > 0):
+            raise ValueError(
+                f"comparison time t must be positive and finite, got {t!r}")
+    rows = [{"t": float(t), "constant": float(distance(t)) / t}
+            for t in t_values]
+    consts = [r["constant"] for r in rows]
     pos = [c for c in consts if c > 0]
     top = max(consts, default=0.0)
-    return top, (top / min(pos)) if pos else float("inf")
+    return {"rows": rows, "constant": top,
+            "stability_ratio": (top / min(pos)) if pos else math.inf}
 
 
 # ---------------------------------------------------------------------------

@@ -317,11 +317,7 @@ class TranslationSystem:
             raise ValueError(
                 f"state of type {type(f).__name__} is not a grid function; "
                 f"wrap node values with make()")
-        if (
-            f.count != self.count
-            or abs(f.origin - self.origin) > 1e-12 * max(1.0, abs(self.origin))
-            or abs(f.spacing - self.spacing) > 1e-12 * self.spacing
-        ):
+        if not f.same_grid(self):
             raise ValueError("grid function does not live on this system's grid")
 
     def state_values(self, x) -> np.ndarray:

@@ -70,7 +70,7 @@ from .perturbation import (
     PerturbationOperator,
     SeriesDiagnostics,
     _series_guard,
-    comparison_summary,
+    comparison_constants,
     neumann_semigroup,
 )
 from .semigroup import MAX_GRID_NODES, TranslationSystem, _lattice_steps
@@ -419,10 +419,7 @@ def make_system(problem: TransportProblem, spacing: float, t: float,
 class TransportRun:
     state: GridFunction
     system: TranslationSystem
-    operator: PerturbationOperator
     diagnostics: SeriesDiagnostics
-    t: float
-    t0: float
 
 
 def run_perturbed(problem: TransportProblem, t: float, spacing: float,
@@ -440,7 +437,7 @@ def run_perturbed(problem: TransportProblem, t: float, spacing: float,
     system = make_system(problem, spacing, t, t0)
     state, diag = neumann_semigroup(system, op, problem.initial, t, t0,
                                     spacing, tol=tol, diagnostics=True)
-    return TransportRun(state, system, op, diag, t, t0)
+    return TransportRun(state, system, diag)
 
 
 def engine_vs_oracle(problem: TransportProblem, t: float, spacing: float,
@@ -465,25 +462,33 @@ GAP_FLOOR = 10.0
 
 def refinement_study(problem: TransportProblem, t: float, spacings,
                      t0: float) -> dict:
-    """Engine-oracle gaps across grid refinements plus observed orders;
-    the series runs to tol 1e-11.  Orders are taken between gaps above the
-    floor ``GAP_FLOOR`` * tol * sup|u0|, where series truncation and
-    roundoff hide the discretisation error: a finer gap at or below it
-    reads as exact (order inf), as a zero gap does, and a coarser gap
-    below it is taken at the floor.  The floor is returned with the rows
-    and orders."""
+    """Engine-oracle gaps across grid refinements plus their
+    :func:`observed_orders`; the series runs to tol 1e-11.  Orders are
+    taken against the floor ``GAP_FLOOR`` * tol * sup|u0|, below which
+    series truncation and roundoff hide the discretisation error.  The
+    floor is returned with the rows and orders."""
     tol = 1e-11
     rows = [engine_vs_oracle(problem, t, h, t0, tol=tol) for h in spacings]
     floor = GAP_FLOOR * tol * problem.initial.sup_norm()
-    orders = []
-    for a, b in zip(rows, rows[1:]):
-        ratio = a["spacing"] / b["spacing"]
-        if b["gap"] <= floor:
-            orders.append(float("inf"))
-        else:
-            orders.append(float(np.log(max(a["gap"], floor) / b["gap"])
-                                / np.log(ratio)))
+    orders = observed_orders([(r["spacing"], r["gap"]) for r in rows], floor)
     return {"rows": rows, "orders": orders, "floor": floor}
+
+
+def observed_orders(rows, floor) -> list:
+    """The order between each two successive (spacing, gap) rows (h0,
+    coarser) and (h1, finer), log(max(coarser, floor) / finer) /
+    log(h0 / h1): inf (exact) when the finer gap is at or below the
+    floor, None when the coarser gap and the floor are both 0."""
+    orders = []
+    for (h0, coarser), (h1, finer) in zip(rows, rows[1:]):
+        if finer <= floor:
+            orders.append(math.inf)
+        elif max(coarser, floor) == 0.0:
+            orders.append(None)
+        else:
+            orders.append(math.log(max(coarser, floor) / finer)
+                          / math.log(h0 / h1))
+    return orders
 
 
 def comparison_curve(problem: TransportProblem, t_values) -> dict:
@@ -500,15 +505,10 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
     moments of v l^s across it, each prefix sum carrying its rounding
     error, so that a short run late in the lags keeps its own accuracy.
     Lags within 1e-9 dt of a breakpoint add its jump midpoint (the left
-    one's, when two are in reach), and all-zero pieces exact zeros.  A
-    boolean t, or one not positive and finite, raises ValueError naming it.
+    one's, when two are in reach), and all-zero pieces exact zeros.  The
+    constants, and the refusal of a bad t, are
+    :func:`~semiperturb.perturbation.comparison_constants`'s.
     """
-    t_values = list(t_values)
-    for t in t_values:
-        if isinstance(t, (bool, np.bool_)) or not (
-                math.isfinite(t) and t > 0):
-            raise ValueError(
-                f"comparison time t must be positive and finite, got {t!r}")
     f = problem.profile
     xs = np.linspace(float(problem.window.lo), float(problem.window.hi), 601)
     breaks = [float(b) for b in f.breakpoints]
@@ -524,8 +524,8 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
     for j, b in enumerate(breaks):
         coef[0, 2 * j + 1] = 0.5 * sum(poly_eval(floats.get(k, [0.0]), b)
                                        for k in (j, j + 1))
-    rows = []
-    for t in t_values:
+
+    def distance(t):
         dt = t / 128
         v = oracle_weights(problem.measure, f, problem.initial, t, dt)[::-1]
         v[[0, -1]] *= 0.5
@@ -548,7 +548,6 @@ def comparison_curve(problem: TransportProblem, t_values) -> dict:
         value = sum(np.einsum("rx,rx->x", c, np.diff(p.take(edges), axis=0)
                               + np.diff(e.take(edges), axis=0))
                     for c, p, e in zip(coef, sums, errs))
-        worst = float(np.max(np.abs(value))) * dt
-        rows.append({"t": float(t), "constant": worst / t})
-    top, ratio = comparison_summary([r["constant"] for r in rows])
-    return {"rows": rows, "constant": top, "stability_ratio": ratio}
+        return float(np.max(np.abs(value))) * dt
+
+    return comparison_constants(t_values, distance)

@@ -47,7 +47,6 @@ from semiperturb.functions import (
 from semiperturb.perturbation import (
     VectorTrajectory,
     _element_diff_norm,
-    comparison_summary,
     volterra_apply,
 )
 from semiperturb.semigroup import TranslationSystem, lattice_orbit
@@ -218,7 +217,9 @@ def sample_sided_by_point(f: PiecewiseFunction, xs, snap_tol=0.0):
 
 def comparison_curve_uncut(problem, t_values) -> dict:
     """``transport.comparison_curve``'s constants from the profile's mid
-    samples on the whole 129 x 601 lag-by-point table for every t."""
+    samples on the whole 129 x 601 lag-by-point table for every t, with
+    its own max and max/min ratio: no code shared with the summary of
+    ``perturbation.comparison_constants``."""
     lo, hi = float(problem.window.lo), float(problem.window.hi)
     xs = np.linspace(lo, hi, 601)
     rows = []
@@ -232,8 +233,11 @@ def comparison_curve_uncut(problem, t_values) -> dict:
         phi[[0, -1]] *= 0.5
         worst = float(np.max(np.abs(phi @ g))) * dt
         rows.append({"t": float(t), "constant": worst / t})
-    top, ratio = comparison_summary([r["constant"] for r in rows])
-    return {"rows": rows, "constant": top, "stability_ratio": ratio}
+    consts = sorted(r["constant"] for r in rows)
+    pos = [c for c in consts if c > 0]
+    top = consts[-1] if consts else 0.0
+    return {"rows": rows, "constant": top,
+            "stability_ratio": top / pos[0] if pos else float("inf")}
 
 
 def lattice_scan_one_operand(E: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from semiperturb.cli import (
     load_config,
     main,
 )
+from semiperturb.transport import observed_orders
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,36 @@ def test_emit_convergence_exact_marker():
               for line in buf.getvalue().strip().splitlines()[1:]]
     assert orders[0] == orders[2] == "exact"
     assert float(orders[1]) == math.log(1e-10 / 4e-10) / math.log(2.0)
+
+
+def test_observed_orders_edges():
+    # a zero finer gap is exact; a coarser gap below the floor is taken at
+    # the floor; with floor 0 a zero coarser gap gives no order
+    assert observed_orders([(2.0, 1e-3), (1.0, 0.0)], 0.0) == [math.inf]
+    assert observed_orders([(2.0, 1e-12), (1.0, 4e-10)], 1e-10) \
+        == [math.log(1e-10 / 4e-10) / math.log(2.0)]
+    assert observed_orders([(2.0, 1e-10), (1.0, 1e-10)], 1e-10) == [math.inf]
+    assert observed_orders([(2.0, 0.0), (1.0, 1e-5)], 0.0) == [None]
+    assert observed_orders([(2.0, 0.0), (1.0, 1e-5)], 1e-6) \
+        == [math.log(1e-6 / 1e-5) / math.log(2.0)]
+    assert observed_orders([(4.0, 1.6e-5)], 0.0) == []
+
+
+@pytest.mark.parametrize("rows, floor", [
+    ([(4e-3, 1.6e-5), (2e-3, 4e-6), (1e-3, 1e-6)], 0.0),
+    ([(4e-3, 1e-4), (2e-3, 0.0), (1e-3, 0.0)], 0.0),
+    ([(4e-3, 1e-12), (2e-3, 4e-10), (1e-3, 1e-10)], 1e-10),
+    ([(4e-3, 0.0), (2e-3, 1e-5), (1e-3, 2e-6)], 0.0),
+])
+def test_observed_orders_are_the_csv_column(rows, floor):
+    # the CSV's order column is observed_orders, the first row aside
+    buf = io.StringIO()
+    emit_convergence(rows, buf, floor=floor)
+    cells = [line.split(",")[2]
+             for line in buf.getvalue().strip().splitlines()[2:]]
+    want = ["exact" if o == math.inf else "" if o is None
+            else format(o, ".17g") for o in observed_orders(rows, floor)]
+    assert cells == want
 
 
 def test_emit_convergence_preconditions():
@@ -252,7 +283,7 @@ _OFFERED = {
     "transport-demo": ["--tol", "--grid-spacing", "--t0", "--profile"],
     "implemented-demo": ["--tol", "--seed", "--dt", "--t0", "--profile"],
     "admissibility": ["--grid-spacing", "--t0", "--profile"],
-    "convergence": ["--tol", "--t0", "--profile"],
+    "convergence": ["--t0", "--profile"],
 }
 _UNREAD = [(sub, flag) for sub in SUBCOMMANDS for flag in _SHARED
            if flag not in _OFFERED[sub]]

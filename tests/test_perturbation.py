@@ -40,8 +40,8 @@ from semiperturb.functions import (
     support_cells,
     tent,
 )
-from semiperturb import functions, perturbation, semigroup
-from semiperturb.implemented import random_stable_pair
+from semiperturb import functions, perturbation, semigroup, transport
+from semiperturb.implemented import comparison_equivalence, random_stable_pair
 from semiperturb.perturbation import (
     MAX_NEUMANN_TERMS,
     AdmissibilityReport,
@@ -49,7 +49,7 @@ from semiperturb.perturbation import (
     VectorTrajectory,
     admissibility_check,
     comparison_check,
-    comparison_summary,
+    comparison_constants,
     generator_check,
     identity_check,
     neumann_nodes,
@@ -1225,10 +1225,13 @@ def test_admissibility_pairs_each_rank_one_probe_once(monkeypatch):
     # one reconstruction product (0.38 became 0.37999999999999995) and the
     # regularized route became one product (0.0020000000000032214 became
     # 0.002000000000003197), then by 7e-18 when the grid lost its left
-    # margin and the FFT products their length (0.00200000000000319)
+    # margin and the FFT products their length (0.00200000000000319),
+    # then by 3.7e-15 when the regularized route became the reconstruction
+    # of the pairings against h's lattice, the engine's rule for g
+    # (0.001999999999999485)
     assert rep.to_dict() == {
         "lands_in_state_space": True,
-        "worst_reconstruction_residual": 0.00200000000000319,
+        "worst_reconstruction_residual": 0.001999999999999485,
         "seminorm_constant": 0.37999999999999995,
         "seminorm_window": [-3.0, 3.0],
         "smallness_observed": 0.37999999999999995,
@@ -1237,10 +1240,30 @@ def test_admissibility_pairs_each_rank_one_probe_once(monkeypatch):
         "probes_used": 8, "admissible": True}
 
 
+def test_admissibility_reconstructs_each_sample_step_once(monkeypatch):
+    # t0's step is the last sample step, so a probe asks for the rows of
+    # its four distinct sample steps, t0's among them, and no row twice
+    prob = delta_problem()
+    dx, t0 = 4e-3, 0.2
+    sys_t = make_system(prob, dx, t0, t0)
+    probes = translation_probes(sys_t, t0, dx)
+    real = perturbation._convolved_nodes
+    asked = []
+
+    def counted(s, o, phi, dt, steps):
+        asked.append(list(steps))
+        return real(s, o, phi, dt, steps)
+
+    monkeypatch.setattr(perturbation, "_convolved_nodes", counted)
+    admissibility_check(sys_t, build_rank_one(prob), t0, dx, probes)
+    m = _lattice_steps(t0, dx)
+    assert asked == [[m // 4, m // 2, 3 * m // 4, m]] * len(probes)
+
+
 def test_regularized_gap_matches_the_per_step_loop():
-    # the regularized route is one product of the trapezoid-weighted
-    # pairings with the shifted regularizer rows; the loop of m + 1
-    # whole-grid axpys it replaced is the reference, to rounding
+    # the regularized route is one reconstruction of the pairings
+    # against h's lattice; the loop of m + 1 whole-grid axpys of the
+    # shifted regularizer rows is the reference, to rounding
     prob = delta_problem()
     dx, t0 = 2e-3, 0.2
     sys_t = make_system(prob, dx, t0, t0)
@@ -1324,17 +1347,17 @@ def test_translation_probes_share_read_only_rows():
 
 def test_admissibility_samples_the_regularizer_once_per_grid(monkeypatch):
     # one sample of the regularized profile per (operator, grid), however
-    # many probes and checks read it
+    # many probes and checks read it: its lattice, kept with g's
     prob = delta_problem()
     dx, t0 = 1e-2, 0.2
-    real = semigroup._sample_nodes
+    real = perturbation.sample_sided
     sampled = []
 
-    def spy(f, *args):
+    def spy(f, *args, **kwargs):
         sampled.append(f)
-        return real(f, *args)
+        return real(f, *args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "_sample_nodes", spy)
+    monkeypatch.setattr(perturbation, "sample_sided", spy)
     systems = [make_system(prob, h, t0, t0) for h in (dx, dx / 2)]
     ops = [build_rank_one(prob), build_rank_one(prob)]
     for op in ops:
@@ -1702,10 +1725,47 @@ def test_comparison_check_refuses_rank_one():
         comparison_check(sys_t, build_rank_one(prob), [0.25, 0.5])
 
 
-def test_comparison_summary_edges():
-    assert comparison_summary([]) == (0.0, math.inf)
-    assert comparison_summary([0.0, 0.0]) == (0.0, math.inf)
-    assert comparison_summary([0.5, 0.0, 2.0]) == (2.0, 4.0)
+def test_comparison_constants_edges():
+    # no rows, all-zero constants, and max/min over the positive constants
+    for consts, want in [([], (0.0, math.inf)), ([0.0, 0.0], (0.0, math.inf)),
+                         ([0.5, 0.0, 2.0], (2.0, 4.0))]:
+        ts = [2.0 ** k for k in range(len(consts))]
+        dist = dict(zip(ts, [c * t for c, t in zip(consts, ts)]))
+        out = comparison_constants(ts, dist.__getitem__)
+        assert out["rows"] == [{"t": t, "constant": c}
+                               for t, c in zip(ts, consts)]
+        assert (out["constant"], out["stability_ratio"]) == want
+
+
+def _comparison_routines(monkeypatch):
+    """The three comparison routines on good data, each with its distance
+    replaced by a failure: the matrix propagators and the renewal weights
+    are where each distance starts."""
+    monkeypatch.setattr(MatrixSystem, "propagator", lambda self, t:
+                        pytest.fail("distance taken before refusing"))
+    monkeypatch.setattr(transport, "oracle_weights", lambda *args:
+                        pytest.fail("distance taken before refusing"))
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    B = 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return {
+        "check": lambda ts: comparison_check(
+            MatrixSystem(A), PerturbationOperator.matrix(B), ts),
+        "equivalence": lambda ts: comparison_equivalence(
+            MatrixSystem(A), MatrixSystem(A + B), ts),
+        "curve": lambda ts: transport.comparison_curve(delta_problem(), ts),
+    }
+
+
+@pytest.mark.parametrize("t", [True, 0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("routine", ["check", "equivalence", "curve"])
+def test_comparison_routines_refuse_a_bad_time_by_one_rule(monkeypatch,
+                                                          routine, t):
+    # one rule, comparison_constants', refuses t before any distance runs,
+    # even the good time's before it
+    run = _comparison_routines(monkeypatch)[routine]
+    with pytest.raises(ValueError, match=r"comparison time t must be "
+                       r"positive and finite, got " + re.escape(repr(t))):
+        run([0.5, t])
 
 
 # ---------------------------------------------------------------------------
@@ -1736,7 +1796,7 @@ def _convolution_case(profile, m, dt=2.5e-4):
     phi = np.exp(np.linspace(0.0, 1.0, m + 1)) \
         * np.random.default_rng(5).uniform(0.5, 1.5, m + 1)
     cells = support_cells(profile, sys_t.origin, dt, sys_t.count + m)
-    return sys_t, op._profile_lattice(sys_t, m), cells, phi
+    return sys_t, op._lattice(profile, sys_t, m), cells, phi
 
 
 @pytest.mark.parametrize("m", [100, 200, 400, 800],
@@ -1812,7 +1872,7 @@ def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
     k_mid = sample_lag_kernel(prob.measure, prob.profile, dt, 8000)[1]
     system = make_system(prob, dt, t, t0)
     rec = PerturbationOperator.rank_one(
-        prob.measure, prob.profile)._profile_lattice(system, 800)
+        prob.measure, prob.profile)._lattice(prob.profile, system, 800)
     support = np.trim_zeros(rec.operand.values)
     operands = {
         # the folded kernel differs from the samples at entry 0 only
@@ -1854,7 +1914,7 @@ def test_profile_before_grid_leaves_the_free_translation():
     sys_t = make_system(prob, dx, t0, t0)
     g = canonical_profile().translate(5.0 - sys_t.origin)
     op = PerturbationOperator.rank_one(prob.measure, g)
-    rec = op._profile_lattice(sys_t, _lattice_steps(t0, dx))
+    rec = op._lattice(g, sys_t, _lattice_steps(t0, dx))
     assert (rec.lo, rec.operand.values.size, rec.first.size) == (0, 0, 0)
     x = sys_t.sample(prob.initial)
     (got,), _ = neumann_nodes(sys_t, op, x, t0, [_lattice_steps(t0, dx)], dx)
@@ -1901,22 +1961,24 @@ def test_profile_sup_computed_once_per_operator(monkeypatch):
 
 
 def test_rank_one_caches_keep_the_four_keys_used_last():
+    # g's and h's lattices share one memo of the four keys used last
     prob = delta_problem()
     op = build_rank_one(prob)
     systems = [make_system(prob, h, 0.2, 0.2)
                for h in (2e-2, 1e-2, 5e-3, 4e-3, 2.5e-3)]
     for s in systems:
-        op._profile_lattice(s, 20)
-    assert len(op._profile_cache) == 4
-    # the regularizer's samples are kept apart: they evict no lattice
-    kept = list(op._profile_cache)
-    for s in systems:
-        op._regularized_gap(s, np.ones(3), s.spacing, np.zeros(s.count))
-    assert list(op._profile_cache) == kept
-    assert len(op._regularized_cache) == 4
-    key = (systems[0].origin, systems[0].spacing, systems[0].count, 20)
-    assert key not in op._profile_cache
-    fresh = op._profile_lattice(systems[0], 20)
+        op._lattice(prob.profile, s, 20)
+    assert len(op._lattice_cache) == 4
+    key = (prob.profile, systems[0].origin, systems[0].spacing,
+           systems[0].count, 20)
+    assert key not in op._lattice_cache
+    # the regularized detour reads h's lattice from the same memo
+    for s in systems[3:]:
+        op._regularized_gap(s, np.ones(21), s.spacing, np.zeros(s.count))
+    assert [k[0] for k in op._lattice_cache] \
+        == [prob.profile, prob.profile, prob.regularizer, prob.regularizer]
+    fresh = op._lattice(prob.profile, systems[0], 20)
     lo, hi = support_cells(prob.profile, systems[0].origin,
                            systems[0].spacing, systems[0].count + 20)
     assert (fresh.lo, fresh.operand.values.size) == (lo, hi - lo)
+    assert list(op._lattice_cache)[-1] == key
