@@ -505,46 +505,88 @@ def pair_rows(measure: BoundedMeasure, grid, rows) -> np.ndarray:
     a read-only strided view, such as the sliding window of an orbit, and
     is never copied whole.
     """
-    out = np.zeros(rows.shape[0])
+    return _pair_reads(
+        measure, grid, rows.shape[0], lambda i: rows[:, i],
+        lambda lo, wts: np.ascontiguousarray(rows[:, lo:lo + wts.size]) @ wts)
+
+
+def pair_shifts(measure: BoundedMeasure, grid, values, n, start=0,
+                fill=0.0) -> np.ndarray:
+    """``pair_rows`` of the n rows v(k + s), s = 0..n-1, k the nodes of
+    ``grid``, with v(z) = values[z - start] on [start, start +
+    len(values)), 0 below and ``fill`` above: the rows of an orbit
+    (start 0, fill the edge value) or of a lattice's shifts, never
+    built.  An atom reads one slice of v (two off the lattice), the
+    density one correlation of its node weights with v."""
+    def column(i):
+        return _extended(values, i, n, start, fill)
+
+    def weighted(lo, wts):
+        span = wts.size - 1
+        return KeptOperand(wts[::-1]).times(
+            _extended(values, lo, span + n, start, fill), span + n)[span:]
+
+    return _pair_reads(measure, grid, n, column, weighted)
+
+
+def _pair_reads(measure: BoundedMeasure, grid, n, column, weighted):
+    """The one pairing rule of :func:`pair_rows`, over n rows read by
+    ``column(i)``, the n entries of column i, and ``weighted(lo, wts)``,
+    the n sums of wts[k] times column lo + k."""
+    out = np.zeros(n)
     for loc, w in measure.atoms:
         x = float(loc)
         pos = (x - grid.origin) / grid.spacing
         i = int(round(pos))
         if abs(pos - i) <= 1e-8 and 0 <= i < grid.count:
-            out += float(w) * rows[:, i]
+            out += float(w) * column(i)
         else:
-            out += float(w) * _interp_rows(grid, rows, x)
+            out += float(w) * _interp_columns(grid, column, x)
     if measure.density is not None:
         wts = _density_node_weights(measure.density, grid)
         nz = np.flatnonzero(wts)
         if nz.size:
-            lo, hi = nz[0], nz[-1] + 1
-            out += np.ascontiguousarray(rows[:, lo:hi]) @ wts[lo:hi]
+            out += weighted(nz[0], wts[nz[0]:nz[-1] + 1])
     return out
+
+
+def _extended(values, lo, size, start=0, fill=0.0) -> np.ndarray:
+    """v(z), z = lo..lo+size-1, for v(z) = values[z - start] on [start,
+    start + len(values)), 0 below and ``fill`` above."""
+    i = lo - start
+    head = min(max(-i, 0), size)
+    body = values[max(i, 0):max(i + size, 0)]
+    return np.concatenate([np.zeros(head), body,
+                           np.full(size - head - body.size, fill)])
 
 
 def seminorm_rows(grid, rows, K: CompactInterval) -> np.ndarray:
     """``GridFunction.seminorm(K)`` of every row of ``rows`` at once: the
     largest |value| over the nodes in K and the interpolated values at
     its two ends."""
+    def column(i):
+        return rows[:, i]
+
     xs = grid.nodes()
     inside = np.flatnonzero((xs >= K.lo) & (xs <= K.hi))
-    out = np.maximum(np.abs(_interp_rows(grid, rows, K.lo)),
-                     np.abs(_interp_rows(grid, rows, K.hi)))
+    out = np.maximum(np.abs(_interp_columns(grid, column, K.lo)),
+                     np.abs(_interp_columns(grid, column, K.hi)))
     if inside.size:
         out = np.maximum(out, np.max(
             np.abs(rows[:, inside[0]:inside[-1] + 1]), axis=1))
     return out
 
 
-def _interp_rows(grid, rows, x: float):
-    """``GridFunction.eval(x)`` of every row, in np.interp's arithmetic."""
+def _interp_columns(grid, column, x: float):
+    """``GridFunction.eval(x)`` of every row, read by ``column(i)``, in
+    np.interp's arithmetic."""
     xp = grid.nodes()
     j = int(np.searchsorted(xp, x, side="right")) - 1
     if 0 <= j < len(xp) - 1 and xp[j] != x:
-        slope = (rows[:, j + 1] - rows[:, j]) / (xp[j + 1] - xp[j])
-        return slope * (x - xp[j]) + rows[:, j]
-    return rows[:, max(j, 0)]
+        left = column(j)
+        slope = (column(j + 1) - left) / (xp[j + 1] - xp[j])
+        return slope * (x - xp[j]) + left
+    return column(max(j, 0))
 
 
 def _eval_pieces(f: PiecewiseFunction, xs, piece):

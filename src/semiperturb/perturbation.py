@@ -16,9 +16,11 @@ owns its half of the engine and the checks:
 * :class:`RankOneOperator` on a ``TranslationSystem`` -- B f = <f, mu> * g
   where mu is a bounded measure and g a piecewise-polynomial profile that
   need not lie in the grid state space.  The convolution collapses to
-  scalar recursions on the pairings plus one ``reconstruction_nodes`` of
-  the sampled profile per evaluation step, which is what makes fine
-  grids cheap; every product is against a fixed operand, a
+  scalar recursions on the pairings, and the state reads the
+  perturbation only through them: ``neumann_semigroup`` joins its
+  segments in weight space and builds the grid state once, at t, by one
+  ``reconstruction_nodes`` of the sampled profile, which is what makes
+  fine grids cheap; every product is against a fixed operand, a
   ``functions.KeptOperand``, and none is taken here.
 
 All time quadrature is trapezoid with one-sided endpoint limits and
@@ -49,7 +51,9 @@ from .functions import (
     KeptOperand,
     PiecewiseFunction,
     Reconstruction,
+    _extended,
     pair_rows,
+    pair_shifts,
     reconstruction_nodes,
     sample_lag_kernel,
     sample_sided,
@@ -171,6 +175,16 @@ class MatrixOperator(PerturbationOperator):
         nodes = table @ vals
         require_finite(f"S(j dt) x at dt = {dt!r}, j in {node_steps}", nodes)
         return list(nodes)
+
+    def _run_segments(self, system, vals, n, lengths, dt, tol, guard):
+        """S(n dt) x by the segments in turn, each applied to the state the
+        one before left, and each segment's diagnostics."""
+        diags = []
+        for m in lengths:
+            (vals,), diag = _neumann_segment(system, self, vals, m, [m], dt,
+                                             tol, guard)
+            diags.append(diag)
+        return system.make(vals), diags
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps and its norm; on R^n
@@ -317,6 +331,86 @@ class RankOneOperator(PerturbationOperator):
         conv = _convolved_nodes(system, self, phi, dt, node_steps)
         return [system.make(window[j] + c)
                 for j, c in zip(node_steps, conv)]
+
+    def _run_segments(self, system, vals, n, lengths, dt, tol, guard):
+        """S(t) x from the segments' weights, t = n dt = sum(lengths) dt.
+
+        By variation of parameters the state reads the perturbation only
+        through the pairings phi(r) = <mu, S(r) x>, so each segment
+        carries its summed pairings (``_segment_weights``) and no grid
+        state.  Translation is an index shift, so S(t) x is T(t) x plus
+        one ``reconstruction_nodes`` of the merged weights Phi against
+        the profile lattice extended n steps, less at each inner boundary
+        T the phi_j[0] first + phi_(j-1)[m] last that Phi[T] counts there
+        in place of the two segments' end terms.  Unlike a grid state,
+        the rebuilt part is not continued past the right edge, which
+        changes only nodes whose reads reach beyond the grid.  Returns
+        the state, refused by ``require_finite`` if not finite, and each
+        segment's diagnostics.
+        """
+        _require_time_grid(system, dt)
+        rec = self._lattice(self.profile, system, n)
+        weights, inner, diags = self._segment_weights(
+            system, vals, rec, n, lengths, dt, tol, guard)
+        k0, rebuilt = reconstruction_nodes(weights, rec, system.count)
+        for at, head, tail in inner:
+            # first[0] and last[0] fall on rebuilt entry -off
+            off = k0 + n - at - rec.lo
+            a, b = max(-off, 0), min(rebuilt.size, rec.first.size - off)
+            rebuilt[a:b] -= (head * rec.first[a + off:b + off]
+                             + tail * rec.last[a + off:b + off])
+        rebuilt *= dt
+        out = _extended(vals, n, system.count, fill=vals[-1])  # T(t) x
+        out[k0:k0 + rebuilt.size] += rebuilt
+        require_finite(f"S(n dt) x at n = {n}, dt = {dt!r}", out)
+        return system.make(out), diags
+
+    def _segment_weights(self, system, vals, rec, n, lengths, dt, tol,
+                         guard):
+        """Each segment's summed pairings phi_j, merged into Phi (phi_j
+        placed at its start T_j, the entries at a boundary added); the
+        inner boundaries (T_j, phi_j[0], phi_(j-1)[m]); the diagnostics.
+
+        A segment's input pairings are those of the free orbit, taken
+        once, plus the history H of the segments before it: each adds
+        the ``reconstruction_nodes`` of its phi against the pairings of
+        the shifted lattice (``_history_kernel``), by ``pair_rows``'
+        rule, so H holds the pairings of the rebuilt part of the state.
+        """
+        free = pair_shifts(self.measure, system, vals, n + 1, fill=vals[-1])
+        kappa = self._history_kernel(system, rec, n + 1)
+        history, weights = np.zeros(n + 1), np.zeros(n + 1)
+        inner, diags, start, last = [], [], 0, None
+        for m in lengths:
+            series, diag = _segment_series(system, self, m, [m], dt, tol,
+                                           guard)
+            stop = start + m
+            phi = _renewal_weights(series, free[start:stop + 1]
+                                   + history[start:stop + 1])
+            weights[start:stop + 1] += phi
+            if start:
+                inner.append((start, phi[0], last))
+            last = phi[-1]
+            if stop < n:
+                k0, h = reconstruction_nodes(phi, kappa, n - stop + 1)
+                history[stop + k0:stop + k0 + h.size] += dt * h
+            diags.append(diag)
+            start = stop
+        return weights, inner, diags
+
+    def _history_kernel(self, system, rec, n):
+        """The pairings, by ``pair_rows``' rule (``pair_shifts``), of the
+        lattice ``rec``'s three arrays shifted s = 0..n-1 nodes, as one
+        :class:`Reconstruction` of s cut to where one is nonzero: node p
+        of its ``reconstruction_nodes`` of a segment's phi is the pairing
+        of that segment's rebuilt part p steps after its end."""
+        table = np.array([
+            pair_shifts(self.measure, system, a, n, start=rec.lo)
+            for a in (rec.operand.values, rec.first, rec.last)])
+        nz = np.flatnonzero(table.any(axis=0))
+        lo, hi = (nz[0], nz[-1] + 1) if nz.size else (0, 0)
+        return Reconstruction(lo, KeptOperand(table[0, lo:hi]),
+                              table[1, lo:hi], table[2, lo:hi], 0)
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps from one pairing, F's sup
@@ -609,24 +703,26 @@ def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
 
 
 def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
-    """The series of ``neumann_nodes`` on [0, m dt] under a given guard.
-
-    The kind's ``_series`` runs once per ``_series_key``, and the segment
-    operators of the four keys used last are kept (``recent_memo``):
-    every state on the segment reads one through the kind's
-    ``_apply_series``.  Each call returns fresh nodes and a copy of the
-    diagnostics.
-    """
+    """The series of ``neumann_nodes`` on [0, m dt] under a given guard,
+    applied to x by the kind's ``_apply_series``: fresh nodes and a copy
+    of the diagnostics."""
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
     vals = system.state_values(x)
     require_finite("state x", vals)
+    series, diag = _segment_series(system, op, m, node_steps, dt, tol, guard)
+    return op._apply_series(system, series, vals, m, node_steps, dt), diag
+
+
+def _segment_series(system, op, m, node_steps, dt, tol, guard):
+    """The kind's ``_series`` on [0, m dt], run once per ``_series_key``;
+    the segment operators of the four keys used last are kept
+    (``recent_memo``), and every call gets a copy of the diagnostics."""
     key = op._series_key(system, m, node_steps, dt, tol, guard)
     series, diag = recent_memo(
         op._segment_cache, key,
         lambda: op._series(system, m, node_steps, dt, tol, guard))
-    nodes = op._apply_series(system, series, vals, m, node_steps, dt)
-    return nodes, dataclasses.replace(diag, term_norms=list(diag.term_norms))
+    return series, dataclasses.replace(diag, term_norms=list(diag.term_norms))
 
 
 def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
@@ -634,20 +730,22 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
                       diagnostics: bool = False):
     """Perturbed semigroup S(t) x via Neumann series plus horizon splitting.
 
-    t is split as n * t0 + t1 with both parts on the dt lattice; each
-    segment applies S(m dt) to the previous output, the short one first,
-    all under the one analytic guard of the horizon t0.  The series of
-    S(m dt) runs once for all states and segments of that length: on R^n
-    with the one step T(dt) and its doubling powers, on grids as the
-    renewal kernels of the pairings.  It stops by the guard's tail bound
-    of ``neumann_nodes``, so tol is relative to ||x||_2 on R^n and to
-    max|x| on grids.
+    t is split as n * t0 + t1 with both parts on the dt lattice, the
+    short segment first, all under the one analytic guard of the horizon
+    t0.  The series of S(m dt) runs once for all states and segments of
+    that length: on R^n with the one step T(dt) and its doubling powers,
+    each segment applied to the previous output; on grids as the renewal
+    kernels of the pairings, the segments joined in weight space and the
+    grid state built once, at t (``RankOneOperator._run_segments``).  It
+    stops by the guard's tail bound of ``neumann_nodes``, so tol is
+    relative to ||x||_2 on R^n and to max|x| on grids.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     MAX_NEUMANN_TERMS terms do not reach tol, ValueError for a NaN or
-    negative tol, HorizonExceeded for a negative t, and StepMismatch for
-    a t0 shorter than one step, a dt that is not positive and finite, a
-    t or t0 that is not finite or not on the dt lattice, or a t of more
-    than ``MAX_GRID_NODES`` steps, before any table is built.
+    negative tol, for a NaN or Inf state and for a result that is not
+    finite, HorizonExceeded for a negative t, and StepMismatch for a t0
+    shorter than one step, a dt that is not positive and finite, a t or
+    t0 that is not finite or not on the dt lattice, or a t of more than
+    ``MAX_GRID_NODES`` steps, before any table is built.
     """
     op._paired(system)
     if t < -1e-12:
@@ -658,13 +756,14 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
         raise StepMismatch(f"t0={t0!r} is shorter than one step dt={dt!r}")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, tol)
-    state = system.make(system.state_values(x))
+    vals = system.state_values(x)
+    require_finite("state x", vals)
+    lengths = itertools.chain([m_rest] if m_rest else [],
+                              itertools.repeat(m0, n_full))
+    state, diags = op._run_segments(system, vals, n_full * m0 + m_rest,
+                                    lengths, dt, tol, guard)
     diag_all = SeriesDiagnostics(0, [], guard, segments=0)
-    for steps in itertools.chain([m_rest] if m_rest else [],
-                                 itertools.repeat(m0, n_full)):
-        out, diag = _neumann_segment(system, op, state, steps, [steps], dt,
-                                     tol, guard)
-        state = out[0]
+    for diag in diags:
         diag_all = diag_all.merge(diag)
     return (state, diag_all) if diagnostics else state
 

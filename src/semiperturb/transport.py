@@ -28,10 +28,11 @@ the tests check against ``np.convolve``), the rule ``support_cells`` for
 where a profile can be nonzero, and the routine that rebuilds the state
 from the weights, ``reconstruction_nodes``.  They differ in how the
 system is solved (exactly, on the step tree, here; by a truncated
-Neumann series with segment restarts there) and in the operand of that
-rebuild: the exact panel quadrature ``hat_moments`` of the profile here,
-which the tests check against exact rational hat products and which the
-oracle keeps for every time on one grid, the sampled trapezoid there.
+Neumann series per segment there, the segments joined in weight space)
+and in the operand of that rebuild: the exact panel quadrature
+``hat_moments`` of the profile here, which the tests check against
+exact rational hat products and which the oracle keeps for every time
+on one grid, the sampled trapezoid there.
 """
 
 from __future__ import annotations

@@ -108,6 +108,47 @@ def test_bench_pairs_writes_json(tmp_path):
                                                          "higher")
 
 
+# writes and keeps ``touch`` bytes, a page fault for every 4 KiB page,
+# then reports its passes as run.py does
+FAULT_STUB = '''
+import json
+block = bytearray(b"\\x01") * %d
+print("# passes: %d (scaled 0.1 s); digest 0")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"run_s": {"value": 0.3, "unit": "s"},
+                              "order.min": {"value": 2.0, "unit": "order"}}}))
+'''
+
+
+def test_bench_pairs_reports_minor_faults_per_pass(tmp_path):
+    # the change writes 32 MiB more than the parent over 4 passes: at
+    # least 8192 more minor faults, 2048 a pass, in each run and median
+    touched = {"parent": 1, "change": 32 << 20}
+    sides = [_checkout(tmp_path, side, 0.3, 2.0) for side in touched]
+    for side in sides:
+        (side / "bench" / "run.py").write_text(
+            FAULT_STUB % (touched[side.name], 4))
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), *map(str, sides), "--workload", "w",
+         "--seed", "7", "--pairs", "2", "--seconds", "1", "--json",
+         str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    faults = json.loads(out.read_text())["workloads"]["w"][
+        "minor_faults_per_pass"]
+    for run_p, run_c in zip(faults["parent"]["runs"],
+                            faults["change"]["runs"]):
+        assert 0 < run_p and run_c - run_p >= 0.9 * 2048
+    printed = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("minor faults per pass, "):
+            side, median = line.split()[4:6]
+            printed[side.rstrip(":")] = float(median)
+    assert printed == pytest.approx(
+        {side: faults[side]["median"] for side in touched}, rel=1e-5)
+    assert printed["change"] - printed["parent"] >= 0.9 * 2048
+
+
 # counts its runs in its own checkout's bench/out/, so a second copy of
 # the checkout would count from 1 again, and logs side, workload and
 # count; its run_s depends on the workload

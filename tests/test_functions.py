@@ -31,6 +31,7 @@ from semiperturb.functions import (
     hat_moments,
     lattice_convolve,
     pair_rows,
+    pair_shifts,
     piecewise_from_dict,
     poly_eval,
     sample_lag_kernel,
@@ -727,6 +728,37 @@ def test_pair_rows_is_linear(data):
     lhs = pair_rows(mu, grid, a * U + b * V)
     rhs = a * pair_rows(mu, grid, U) + b * pair_rows(mu, grid, V)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_pair_shifts_pairs_the_rows_it_never_builds(data):
+    # row s is v(k + s) over the 33 nodes k, v the values placed at
+    # ``start``, 0 below and ``fill`` above; atoms read the same entries
+    # as pair_rows in the same arithmetic, bit for bit, and the density's
+    # correlation matches its matrix product to rounding
+    grid = GridFunction(-1.0, 1 / 16, np.zeros(33))
+    on_node = st.integers(-20, 52).map(lambda k: -1.0 + k / 16)
+    atoms = data.draw(st.lists(st.tuples(
+        st.one_of(on_node, st.floats(-1.5, 1.5)), st.floats(-2, 2)),
+        max_size=4))
+    density = data.draw(st.one_of(st.none(), rational_density()))
+    mu = BoundedMeasure(atoms=atoms, density=density)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(-1, 1, data.draw(st.integers(0, 60)))
+    start = data.draw(st.integers(-40, 40))
+    n = data.draw(st.integers(1, 30))
+    fill = data.draw(st.sampled_from([0.0, 0.5]))
+    z = np.arange(33 + n - 1) - start
+    inside = (z >= 0) & (z < values.size)
+    v = np.where(inside, values[np.clip(z, 0, max(values.size - 1, 0))]
+                 if values.size else 0.0, np.where(z < 0, 0.0, fill))
+    rows = np.lib.stride_tricks.sliding_window_view(v, 33)
+    want = pair_rows(mu, grid, rows)
+    got = pair_shifts(mu, grid, values, n, start=start, fill=fill)
+    if density is None:
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1 + mu.total_variation())
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -1861,25 +1861,29 @@ def test_profile_convolution_operand_spans_the_support(monkeypatch):
 
 
 def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
-    # one 10-segment run at h = 2.5e-4 (800 steps a segment, both engine
-    # products on the FFT path) transforms the renewal kernel once and
-    # the profile's kept operand once; the oracle's 8000-step solve
-    # transforms k_mid once per level of its step tree, the splits of
-    # 512, 1024, 2048 and 4096 steps.  Every real FFT is counted,
-    # whichever route calls it
+    # one 10-segment run at h = 2.5e-4 (800 steps a segment, every engine
+    # product on the FFT path) transforms the renewal kernel once, the
+    # profile's kept operand once, for the one rebuild of the grid at t,
+    # and the history kernel once, for the nine history products; the
+    # oracle's 8000-step solve transforms k_mid once per level of its
+    # step tree, the splits of 512, 1024, 2048 and 4096 steps.  Every
+    # real FFT is counted, whichever route calls it
     prob = delta_problem()
     dt, t, t0 = 2.5e-4, 2.0, 0.2
     k_mid = sample_lag_kernel(prob.measure, prob.profile, dt, 8000)[1]
     system = make_system(prob, dt, t, t0)
-    rec = PerturbationOperator.rank_one(
-        prob.measure, prob.profile)._lattice(prob.profile, system, 800)
+    op = PerturbationOperator.rank_one(prob.measure, prob.profile)
+    rec = op._lattice(prob.profile, system, 8000)
     support = np.trim_zeros(rec.operand.values)
+    kappa = op._history_kernel(system, rec, 8001).operand.values
     operands = {
         # the folded kernel differs from the samples at entry 0 only
         "kernel": lambda a: a.size == 801 and np.array_equal(
             a[1:], k_mid[1:801]),
         # the profile samples, with or without zero cells around them
         "profile": lambda a: np.array_equal(np.trim_zeros(a), support),
+        # the pairings of the shifted profile lattice, cut to their support
+        "history": lambda a: np.array_equal(a, kappa),
         # k_mid, cut to the spectrum length of a tree level
         "k_mid": lambda a: a.size > 801 and np.array_equal(
             a, k_mid[:a.size]),
@@ -1899,9 +1903,10 @@ def test_each_fixed_operand_is_transformed_once_per_lattice(monkeypatch):
     run = run_perturbed(prob, t, dt, t0)
     assert run.diagnostics.segments == 10
     assert run.system.count == system.count
-    assert counts == {"kernel": 1, "profile": 1, "k_mid": 0}
+    assert kappa.size > 512 and 0 < kappa.size < 8001
+    assert counts == {"kernel": 1, "profile": 1, "history": 1, "k_mid": 0}
     oracle_weights(prob.measure, prob.profile, prob.initial, t, dt)
-    assert counts == {"kernel": 1, "profile": 1, "k_mid": 4}
+    assert counts == {"kernel": 1, "profile": 1, "history": 1, "k_mid": 4}
     # a split of s steps reads lags below min(2 s, 8000)
     assert k_mid_sizes == [1024, 2048, 4096, 8000]
 

@@ -29,12 +29,20 @@ values and which side ran first, each side's failed and attempted units,
 and per metric the medians, quartiles, wins and verdicts printed above.
 Entries for other workloads already in PATH are kept, so one file can
 hold several runs.
+
+Each run's minor page faults per pass are the ``ru_minflt`` of the
+children (``resource.getrusage``) gained over the run, divided by the
+count on ``run.py``'s ``# passes:`` line (by 1 when it prints none).  A
+change that alters which large blocks are freed can move run_s through
+them, so each side's median and quartiles are printed after the table
+and written under ``minor_faults_per_pass`` with ``--json``.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import signal
 import statistics
@@ -48,14 +56,19 @@ SKIP = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis",
 SIDES = ("parent", "change")
 
 
-def _result(copy: Path, workload: str, args) -> dict:
+def _result(copy: Path, workload: str, args):
+    """The run's result line and its minor page faults per pass."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", "0"], cwd=copy, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
+    passes = next((int(line.split()[2]) for line in lines
+                   if line.startswith("# passes:")), 1)
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), faults / max(passes, 1)
     except (IndexError, ValueError):
         raise SystemExit(f"{copy.name}: no result line (exit "
                          f"{proc.returncode})\n{proc.stderr}") from None
@@ -104,12 +117,15 @@ def _compare(copies, workload: str, spec: dict, args) -> bool:
     ``--json``, write its entry; True when it fails the comparison."""
     print(f"workload {workload}", flush=True)
     results = {side: [] for side in SIDES}
+    faults = {side: [] for side in SIDES}
     firsts = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         firsts.append(order[0])
         for side in order:
-            results[side].append(_result(copies[side], workload, args))
+            result, per_pass = _result(copies[side], workload, args)
+            results[side].append(result)
+            faults[side].append(per_pass)
         run_s = {side: results[side][-1]["metrics"].get("run_s", {})
                  .get("value") for side in SIDES}
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
@@ -150,6 +166,13 @@ def _compare(copies, workload: str, spec: dict, args) -> bool:
               f"{f'{wins}/{args.pairs}':6s} "
               f"{'yes' if gain else 'no':8s} "
               f"{'yes' if within else 'NO'} ({m['bound']})")
+    fault_spread = {}
+    for side in SIDES:
+        med, q1, q3 = _spread(faults[side])
+        fault_spread[side] = {"median": med, "q1": q1, "q3": q3,
+                              "runs": faults[side]}
+        print(f"minor faults per pass, {side}: {med:.6g} [{q1:.6g}, "
+              f"{q3:.6g}]")
     if args.json is not None:
         pairs = [{"first": first, **{
             side: {n: results[side][i]["metrics"][n]["value"]
@@ -160,6 +183,7 @@ def _compare(copies, workload: str, spec: dict, args) -> bool:
             "machine": {"platform": platform.platform(),
                         "cpus": os.cpu_count()},
             "units": units, "pairs": pairs, "metrics": summary,
+            "minor_faults_per_pass": fault_spread,
             "exit": 1 if worst else 0})
     return worst
 
