@@ -423,14 +423,22 @@ class BoundedMeasure:
     ``atoms`` is a sequence of ``(location, weight)`` pairs; ``density`` a
     PiecewiseFunction that must vanish on its unbounded pieces.  Pairing
     integrates exactly against piecewise polynomials and against the
-    linear interpolant of grid functions.
+    linear interpolant of grid functions.  Atoms and density data that
+    are not finite are refused by a ValueError.
     """
 
     def __init__(self, atoms=(), density: PiecewiseFunction | None = None):
         self.atoms = [(loc, w) for loc, w in atoms]
+        for i, (loc, w) in enumerate(self.atoms):
+            if not (isfinite(loc) and isfinite(w)):
+                raise ValueError(f"atom {i} ({loc!r}, {w!r}) is not finite")
         if density is not None:
             if density.pieces[0][0] != 0 or density.pieces[-1][0] != 0:
                 raise ValueError("density must have compact support")
+            if not all(map(isfinite, sum(density.pieces,
+                                         density.breakpoints))):
+                raise ValueError("density breakpoints and coefficients "
+                                 "must be finite")
         self.density = density
 
     @classmethod

@@ -7,7 +7,8 @@ battery of consistency checks (composition identity, variation of
 parameters, admissibility, generator action, comparison constants).
 
 Each perturbation kind is one class that acts on one system class and
-owns its half of the engine and the checks:
+owns its half of the engine, with ``_run_segments`` the one series runner
+of ``neumann_nodes`` and ``neumann_semigroup``, and of the checks:
 
 * :class:`MatrixOperator` on a ``MatrixSystem`` -- B is a plain matrix on
   R^n, where the extrapolation space is the state space itself, so B F is
@@ -17,11 +18,10 @@ owns its half of the engine and the checks:
   where mu is a bounded measure and g a piecewise-polynomial profile that
   need not lie in the grid state space.  The convolution collapses to
   scalar recursions on the pairings, and the state reads the
-  perturbation only through them: ``neumann_semigroup`` joins its
-  segments in weight space and builds the grid state once, at t, by one
-  ``reconstruction_nodes`` of the sampled profile, which is what makes
-  fine grids cheap; every product is against a fixed operand, a
-  ``functions.KeptOperand``, and none is taken here.
+  perturbation only through them, so segments are joined in weight
+  space and a grid state is built only at the nodes asked for, which is
+  what makes fine grids cheap; every product is against a fixed
+  operand, a ``functions.KeptOperand``, and none is taken here.
 
 All time quadrature is trapezoid with one-sided endpoint limits and
 midpoint values at interior lattice hits of profile jumps; without that
@@ -31,7 +31,6 @@ convention every jump crossing would cost an order of accuracy.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections import namedtuple
 
@@ -170,21 +169,20 @@ class MatrixOperator(PerturbationOperator):
         table.flags.writeable = False
         return table, diag
 
-    def _apply_series(self, system, table, vals, m, node_steps, dt):
-        """The fresh products S(j dt) x, refused if one overflows."""
-        nodes = table @ vals
-        require_finite(f"S(j dt) x at dt = {dt!r}, j in {node_steps}", nodes)
-        return list(nodes)
-
-    def _run_segments(self, system, vals, n, lengths, dt, tol, guard):
-        """S(n dt) x by the segments in turn, each applied to the state the
-        one before left, and each segment's diagnostics."""
-        diags = []
-        for m in lengths:
-            (vals,), diag = _neumann_segment(system, self, vals, m, [m], dt,
-                                             tol, guard)
+    def _run_segments(self, system, vals, lengths, node_steps, dt, tol,
+                      guard):
+        """S(j dt) x at the node steps j of the last segment, each table
+        applied to the state the one before left; the diagnostics."""
+        nodes, diags, start = [vals], [], sum(lengths[:-1])
+        for i, m in enumerate(lengths):
+            steps = [j - start for j in node_steps] \
+                if i == len(lengths) - 1 else [m]
+            table, diag = _segment_series(system, self, m, steps, dt, tol,
+                                          guard)
+            nodes = require_finite(f"S(j dt) x, dt = {dt!r}", table @ vals)
+            vals = nodes[-1]
             diags.append(diag)
-        return system.make(vals), diags
+        return [system.make(v) for v in nodes], diags
 
     def _admissibility_probe(self, system, F, steps, fn):
         """The Volterra rows of F at the steps and its norm; on R^n
@@ -273,12 +271,11 @@ class RankOneOperator(PerturbationOperator):
     def _volterra_rows(self, system, F, steps):
         """Node values of the Volterra operator applied to F at the steps."""
         phi = pair_rows(self.measure, system, F.nodes)
-        return _convolved_nodes(system, self, phi, F.dt, steps)
+        return _convolved_nodes(system, self, phi, F.dt, steps, (),
+                                np.zeros(system.count))
 
     def _series_key(self, system, m, node_steps, dt, tol, guard):
-        """The renewal series reads neither the grid, whose spacing must
-        be dt, nor the node steps."""
-        _require_time_grid(system, dt)
+        """The renewal series reads neither the grid nor the node steps."""
         return m, dt, tol, guard
 
     def _series(self, system, m, node_steps, dt, tol, guard):
@@ -321,76 +318,54 @@ class RankOneOperator(PerturbationOperator):
         total.flags.writeable = False
         return _RenewalSeries(KeptOperand(total[1]), total[0]), diag
 
-    def _apply_series(self, system, series, vals, m, node_steps, dt):
-        """S(j dt) x at the node steps: the orbit window of x plus the
-        reconstruction of the summed pairings, ``_renewal_weights`` of
-        the window's pairings, read in place."""
-        window = system.orbit_rows(vals, m, dt)
-        phi = _renewal_weights(series, pair_rows(self.measure, system,
-                                                 window))
-        conv = _convolved_nodes(system, self, phi, dt, node_steps)
-        return [system.make(window[j] + c)
-                for j, c in zip(node_steps, conv)]
+    def _run_segments(self, system, vals, lengths, node_steps, dt, tol,
+                      guard):
+        """S(j dt) x at the node steps j of the last segment (past its
+        start when it follows another), and each segment's diagnostics.
 
-    def _run_segments(self, system, vals, n, lengths, dt, tol, guard):
-        """S(t) x from the segments' weights, t = n dt = sum(lengths) dt.
-
-        By variation of parameters the state reads the perturbation only
-        through the pairings phi(r) = <mu, S(r) x>, so each segment
-        carries its summed pairings (``_segment_weights``) and no grid
-        state.  Translation is an index shift, so S(t) x is T(t) x plus
-        one ``reconstruction_nodes`` of the merged weights Phi against
-        the profile lattice extended n steps, less at each inner boundary
-        T the phi_j[0] first + phi_(j-1)[m] last that Phi[T] counts there
-        in place of the two segments' end terms.  Unlike a grid state,
-        the rebuilt part is not continued past the right edge, which
-        changes only nodes whose reads reach beyond the grid.  Returns
-        the state, refused by ``require_finite`` if not finite, and each
-        segment's diagnostics.
+        The state reads the perturbation only through the pairings
+        <mu, S(r) x>, so a segment carries only its summed pairings
+        (``_segment_weights``), and S(j dt) x is T(j dt) x plus the
+        ``_convolved_nodes`` of the merged weights, not continued past
+        the right edge as a grid state would be: only nodes that read
+        beyond the grid see it.  A node that is not finite is refused.
         """
         _require_time_grid(system, dt)
-        rec = self._lattice(self.profile, system, n)
-        weights, inner, diags = self._segment_weights(
-            system, vals, rec, n, lengths, dt, tol, guard)
-        k0, rebuilt = reconstruction_nodes(weights, rec, system.count)
-        for at, head, tail in inner:
-            # first[0] and last[0] fall on rebuilt entry -off
-            off = k0 + n - at - rec.lo
-            a, b = max(-off, 0), min(rebuilt.size, rec.first.size - off)
-            rebuilt[a:b] -= (head * rec.first[a + off:b + off]
-                             + tail * rec.last[a + off:b + off])
-        rebuilt *= dt
-        out = _extended(vals, n, system.count, fill=vals[-1])  # T(t) x
-        out[k0:k0 + rebuilt.size] += rebuilt
-        require_finite(f"S(n dt) x at n = {n}, dt = {dt!r}", out)
-        return system.make(out), diags
+        weights, inner, diags = self._segment_weights(system, vals, lengths,
+                                                      dt, tol, guard)
+        rows = _convolved_nodes(system, self, weights, dt, node_steps, inner,
+                                vals)
+        for j, row in zip(node_steps, rows):
+            require_finite(f"S(n dt) x at n = {j}, dt = {dt!r}", row)
+        return [system.make(row) for row in rows], diags
 
-    def _segment_weights(self, system, vals, rec, n, lengths, dt, tol,
-                         guard):
+    def _segment_weights(self, system, vals, lengths, dt, tol, guard):
         """Each segment's summed pairings phi_j, merged into Phi (phi_j
         placed at its start T_j, the entries at a boundary added); the
         inner boundaries (T_j, phi_j[0], phi_(j-1)[m]); the diagnostics.
 
-        A segment's input pairings are those of the free orbit, taken
-        once, plus the history H of the segments before it: each adds
-        the ``reconstruction_nodes`` of its phi against the pairings of
-        the shifted lattice (``_history_kernel``), by ``pair_rows``'
-        rule, so H holds the pairings of the rebuilt part of the state.
+        A segment's input pairings are the free orbit's, taken once
+        (``pair_shifts``), plus the history H of the segments before it:
+        each adds the ``reconstruction_nodes`` of its phi against the
+        pairings of the shifted lattice (``_history_kernel``, built only
+        when a later segment reads it), the pairings of its rebuilt part.
         """
+        n = sum(lengths)
         free = pair_shifts(self.measure, system, vals, n + 1, fill=vals[-1])
-        kappa = self._history_kernel(system, rec, n + 1)
+        if len(lengths) > 1:
+            kappa = self._history_kernel(
+                system, self._lattice(self.profile, system, n), n + 1)
         history, weights = np.zeros(n + 1), np.zeros(n + 1)
-        inner, diags, start, last = [], [], 0, None
+        inner, diags, start = [], [], 0
         for m in lengths:
             series, diag = _segment_series(system, self, m, [m], dt, tol,
                                            guard)
             stop = start + m
             phi = _renewal_weights(series, free[start:stop + 1]
                                    + history[start:stop + 1])
+            if start:  # weights[start] holds the last segment's end term
+                inner.append((start, phi[0], weights[start]))
             weights[start:stop + 1] += phi
-            if start:
-                inner.append((start, phi[0], last))
-            last = phi[-1]
             if stop < n:
                 k0, h = reconstruction_nodes(phi, kappa, n - stop + 1)
                 history[stop + k0:stop + k0 + h.size] += dt * h
@@ -417,7 +392,8 @@ class RankOneOperator(PerturbationOperator):
         over the measure's support hull (else its norm ``fn``), and the
         regularized route's gap or NotInStateSpace."""
         phi = pair_rows(self.measure, system, F.nodes)
-        rows = _convolved_nodes(system, self, phi, F.dt, steps)
+        rows = _convolved_nodes(system, self, phi, F.dt, steps, (),
+                                np.zeros(system.count))
         gap, miss = 0.0, None
         if self.regularized_profile is not None:
             try:
@@ -550,17 +526,30 @@ def volterra_apply(system, op: PerturbationOperator, F: VectorTrajectory,
     return system.make(op._volterra_rows(system, F, [F.step_of(t)])[0])
 
 
-def _convolved_nodes(system, op, phi, dt, steps):
-    """Rank-one Volterra node values at the steps from the node pairings
-    phi: ``reconstruction_nodes`` of phi[:m + 1], times dt, against the
-    profile lattice as long as the largest step."""
+def _convolved_nodes(system, op, phi, dt, steps, inner, x):
+    """T(m dt) x plus the rank-one Volterra node values of the node
+    pairings phi at each step m, one row per step: the
+    ``reconstruction_nodes`` of phi[:m + 1], times dt, against the
+    profile lattice as long as the largest step, less head first + tail
+    last at each ``inner`` boundary (at, head, tail) where phi[at] sums
+    two segments' end terms."""
     _require_time_grid(system, dt)
     rec = op._lattice(op.profile, system, max(steps, default=0))
-    out = np.zeros((len(steps), system.count))
-    for row, m in zip(out, steps):
+    rows = []
+    for m in steps:
         k0, vals = reconstruction_nodes(phi[:m + 1], rec, system.count)
-        row[k0:k0 + vals.size] = dt * vals
-    return out
+        for at, head, tail in inner:
+            # first[0] and last[0] fall on entry -off
+            off = k0 + m - at - rec.lo
+            a, b = max(-off, 0), min(vals.size, rec.first.size - off)
+            vals[a:b] -= (head * rec.first[a + off:b + off]
+                          + tail * rec.last[a + off:b + off])
+        vals *= dt
+        # T(m dt) x after the product, whose freed blocks it can reuse
+        row = _extended(x, m, system.count, fill=x[-1])
+        row[k0:k0 + vals.size] += vals
+        rows.append(row)
+    return rows
 
 
 def _volterra_matrix(step, op, nodes, dt) -> np.ndarray:
@@ -680,38 +669,29 @@ def _neumann_sum(total, term, apply_v, size, base, tol, guard):
 
 def neumann_nodes(system, op: PerturbationOperator, x, t0: float,
                   node_steps, dt: float, tol: float = 1e-9):
-    """One Neumann series on [0, t0]; returns S(j dt) x at the given steps.
+    """One Neumann series on [0, t0]: S(j dt) x at the given steps and
+    the series' diagnostics, by the kind's ``_run_segments`` of one
+    segment, the hook that ``neumann_semigroup`` runs too.
 
-    The trajectory of S is the sum of V^k T x, V the Volterra operator;
-    the operator's ``_series`` says what a term is and how it is sized.
-    It runs once per segment operator, for every state: on R^n a term is
-    V^k T itself, sized by its largest Frobenius norm, which bounds
-    ||V^k T x||_2 / ||x||_2, so tol is relative to ||x||_2; on grids it
-    is the pair of renewal kernels of K^k, sized to bound
-    max|V^(k+1) T x| / max|x|, so tol is relative to max|x|.
-    The guard g bounds V in the norm of the sizes, so the sum stops at
-    the first term of size below tol (1 - g): the omitted tail is at
-    most that size over 1 - g, below tol.  A guard >= 1 raises
-    GuardViolation and MAX_NEUMANN_TERMS terms raise NonConvergence; a
-    NaN or Inf state, or a NaN or negative tol, raises ValueError.
+    The trajectory of S is the sum of V^k T x, V the Volterra operator.
+    The kind's ``_series`` runs it once per segment operator, for every
+    state, and sizes its terms so that tol is relative to ||x||_2 on R^n
+    and to max|x| on grids.  The guard g bounds V in the norm of the
+    sizes, so the sum stops at the first term of size below tol (1 - g):
+    the omitted tail is at most that size over 1 - g, below tol.  A guard
+    >= 1 raises GuardViolation and MAX_NEUMANN_TERMS terms raise
+    NonConvergence; a step outside [0, t0] raises StepMismatch; a NaN or
+    Inf state or node, or a NaN or negative tol, raises ValueError.
     """
     op._paired(system)
-    m_steps = _lattice_steps(t0, dt, "t0")
+    m = _lattice_steps(t0, dt, "t0")
     guard = _series_guard(op, system, t0, tol)
-    return _neumann_segment(system, op, x, m_steps, node_steps, dt, tol,
-                            guard)
-
-
-def _neumann_segment(system, op, x, m, node_steps, dt, tol, guard):
-    """The series of ``neumann_nodes`` on [0, m dt] under a given guard,
-    applied to x by the kind's ``_apply_series``: fresh nodes and a copy
-    of the diagnostics."""
     if any(j < 0 or j > m for j in node_steps):
         raise StepMismatch("requested node outside [0, t0]")
-    vals = system.state_values(x)
-    require_finite("state x", vals)
-    series, diag = _segment_series(system, op, m, node_steps, dt, tol, guard)
-    return op._apply_series(system, series, vals, m, node_steps, dt), diag
+    vals = require_finite("state x", system.state_values(x))
+    nodes, (diag,) = op._run_segments(system, vals, [m], node_steps, dt,
+                                      tol, guard)
+    return nodes, diag
 
 
 def _segment_series(system, op, m, node_steps, dt, tol, guard):
@@ -733,12 +713,9 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
     t is split as n * t0 + t1 with both parts on the dt lattice, the
     short segment first, all under the one analytic guard of the horizon
     t0.  The series of S(m dt) runs once for all states and segments of
-    that length: on R^n with the one step T(dt) and its doubling powers,
-    each segment applied to the previous output; on grids as the renewal
-    kernels of the pairings, the segments joined in weight space and the
-    grid state built once, at t (``RankOneOperator._run_segments``).  It
-    stops by the guard's tail bound of ``neumann_nodes``, so tol is
-    relative to ||x||_2 on R^n and to max|x| on grids.
+    that length.  Like ``neumann_nodes`` it drives the kind's
+    ``_run_segments``, here for the one node at t, so tol is relative
+    to ||x||_2 on R^n and to max|x| on grids.
     Raises GuardViolation when that bound reaches 1, NonConvergence when
     MAX_NEUMANN_TERMS terms do not reach tol, ValueError for a NaN or
     negative tol, for a NaN or Inf state and for a result that is not
@@ -756,12 +733,10 @@ def neumann_semigroup(system, op: PerturbationOperator, x, t: float,
         raise StepMismatch(f"t0={t0!r} is shorter than one step dt={dt!r}")
     n_full, m_rest = divmod(_lattice_steps(t, dt, "t"), m0)
     guard = _series_guard(op, system, t0, tol)
-    vals = system.state_values(x)
-    require_finite("state x", vals)
-    lengths = itertools.chain([m_rest] if m_rest else [],
-                              itertools.repeat(m0, n_full))
-    state, diags = op._run_segments(system, vals, n_full * m0 + m_rest,
-                                    lengths, dt, tol, guard)
+    vals = require_finite("state x", system.state_values(x))
+    lengths = [m_rest] * bool(m_rest) + [m0] * n_full
+    (state,), diags = op._run_segments(system, vals, lengths, [sum(lengths)],
+                                       dt, tol, guard)
     diag_all = SeriesDiagnostics(0, [], guard, segments=0)
     for diag in diags:
         diag_all = diag_all.merge(diag)

@@ -109,12 +109,13 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 
 def require_finite(what: str, values: np.ndarray):
-    """Refuse values with NaN or Inf entries, by a ValueError that says
-    how many there are."""
+    """The values, refused if they have NaN or Inf entries, by a
+    ValueError that says how many there are."""
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise ValueError(
             f"{what}: {bad} of {values.size} entries are NaN or Inf")
+    return values
 
 
 def recent_memo(cache: dict, key, build):

@@ -473,6 +473,32 @@ def test_density_must_have_compact_support():
         BoundedMeasure(density=PiecewiseFunction([], [[1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["location", "weight"])
+def test_measure_refuses_non_finite_atom_by_name(field, bad):
+    # a NaN location once crashed the engine's pairing on an int cast,
+    # paired a piecewise function to 0.0 and the oracle to NaN; a NaN or
+    # inf weight surfaced only as a NaN guard
+    atom = (bad, 1) if field == "location" else (Fraction(1, 3), bad)
+    with pytest.raises(ValueError, match=re.escape(
+            f"atom 1 ({atom[0]!r}, {atom[1]!r}) is not finite")):
+        BoundedMeasure(atoms=[(Fraction(1, 4), Fraction(1, 2)), atom])
+    # exact atoms still pass
+    assert BoundedMeasure(atoms=[(Fraction(1, 3), Fraction(2, 3))]) \
+        .total_variation() == 2 / 3
+
+
+@pytest.mark.parametrize("breaks, value", [
+    ([-1, 1], math.nan), ([-1, math.inf], 1), ([-math.inf, 1], 1)],
+    ids=["nan-coefficient", "inf-breakpoint", "-inf-breakpoint"])
+def test_measure_refuses_non_finite_density(breaks, value):
+    # a NaN coefficient once gave a NaN total variation
+    density = PiecewiseFunction(breaks, [[0], [Fraction(1, 2), value], [0]])
+    with pytest.raises(ValueError, match="density breakpoints and "
+                       "coefficients must be finite"):
+        BoundedMeasure(density=density)
+
+
 def test_measure_density_beyond_grid_uses_extension():
     dens = PiecewiseFunction([-4, -3], [[0], [1], [0]])
     mu = BoundedMeasure(density=dens)

@@ -34,6 +34,7 @@ from semiperturb.functions import (
     BoundedMeasure,
     PiecewiseFunction,
     pair_rows,
+    pair_shifts,
     reconstruction_nodes,
     sample_lag_kernel,
     sample_sided,
@@ -1250,9 +1251,9 @@ def test_admissibility_reconstructs_each_sample_step_once(monkeypatch):
     real = perturbation._convolved_nodes
     asked = []
 
-    def counted(s, o, phi, dt, steps):
+    def counted(s, o, phi, dt, steps, inner, x):
         asked.append(list(steps))
-        return real(s, o, phi, dt, steps)
+        return real(s, o, phi, dt, steps, inner, x)
 
     monkeypatch.setattr(perturbation, "_convolved_nodes", counted)
     admissibility_check(sys_t, build_rank_one(prob), t0, dx, probes)
@@ -1289,8 +1290,9 @@ def test_admissibility_rank_one_nodes_match_per_node_reference(monkeypatch):
     rep = admissibility_check(sys_t, op, t0, dx, probes)
     real = perturbation._convolved_nodes
     monkeypatch.setattr(perturbation, "_convolved_nodes",
-                        lambda s, o, phi, dt, steps:
-                        [real(s, o, phi, dt, [m])[0] for m in steps])
+                        lambda s, o, phi, dt, steps, inner, x:
+                        [real(s, o, phi, dt, [m], inner, x)[0]
+                         for m in steps])
     ref = admissibility_check(sys_t, op, t0, dx, probes)
     assert rep.to_dict() == ref.to_dict()
 
@@ -1406,13 +1408,21 @@ def series_first_term(mp, system, op, x, t0, dt):
 
 
 def assert_first_term_pairs_orbit(system, measure, vals, m):
+    # the atoms pair the materialised orbit bit for bit; the density's
+    # correlation is pinned to pair_shifts, the one orbit pairing, which
+    # test_pair_shifts_pairs_the_rows_it_never_builds ties to pair_rows
     dt = system.spacing
     x = system.make(vals)
     op = PerturbationOperator.rank_one(measure, canonical_profile())
     with pytest.MonkeyPatch.context() as mp:
         first = series_first_term(mp, system, op, x, m * dt, dt)
+    atoms = BoundedMeasure(atoms=measure.atoms)
     orbit = VectorTrajectory.orbit(system, x, m * dt, dt)
-    assert np.array_equal(first, pair_rows(measure, system, orbit.nodes))
+    want = pair_rows(atoms, system, orbit.nodes)
+    if measure.density is not None:
+        want += pair_shifts(BoundedMeasure(density=measure.density), system,
+                            vals, m + 1, fill=vals[-1])
+    assert np.array_equal(first, want)
 
 
 _HALF_BOX = PiecewiseFunction([Fraction(-1, 2), Fraction(1, 2)],
@@ -1525,8 +1535,8 @@ def test_rank_one_segment_operator_serves_every_state(measure, m, seed,
         assert np.max(np.abs(window)) <= sizes[0] * np.max(np.abs(x))
         phi = pair_rows(measure, sys_t, window)
         for size in sizes[1:]:
-            nodes = perturbation._convolved_nodes(sys_t, op, phi, dt,
-                                                  range(m + 1))
+            nodes = perturbation._convolved_nodes(
+                sys_t, op, phi, dt, range(m + 1), (), np.zeros(sys_t.count))
             assert np.max(np.abs(nodes)) \
                 <= size * np.max(np.abs(x)) * (1 + 1e-12)
             phi = perturbation._kernel_step(phi, ker, dt)

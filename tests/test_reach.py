@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 from semiperturb import cli
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "reach.py"
 
 
 def _reach():
@@ -35,9 +37,14 @@ def test_recorder_lists_what_matrix_demo_never_enters(tmp_path):
              for name, _, first, last in reach.functions()}
     assert len(set(names)) == len(names)
     assert all(spans[name] == lines for name, lines in rows)
+    # the last line also gives the package's size, as wc -l counts it
+    wc = subprocess.run(["wc", "-l", *sorted(
+        str(p) for p in (ROOT / "src" / "semiperturb").glob("*.py"))],
+        capture_output=True, text=True, check=True).stdout
+    total = int(wc.splitlines()[-1].split()[0])
     assert reach.listing(rows).splitlines()[-1] == (
         f"{len(rows)} functions, {sum(n for _, n in rows)} lines never "
-        "entered")
+        f"entered, {total} lines in src/")
 
 
 def test_nested_functions_are_counted_in_their_parent():

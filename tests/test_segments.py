@@ -3,7 +3,8 @@
 ``neumann_semigroup`` on a grid carries each segment's summed pairings
 and builds the grid state once, at t.  Its reference is the per-segment
 restart: each segment's series applied to the grid state the segment
-before it left, by ``neumann_nodes`` (the per-state ``_apply_series``).
+before it left, by ``neumann_nodes`` or by a one-segment
+``_run_segments`` under the run's guard.
 """
 
 from __future__ import annotations
@@ -150,14 +151,68 @@ def test_weight_space_run_matches_restarts_on_drawn_problems(
     assert guard < 1
 
     def restart(state, m):
-        (out,), diag = perturbation._neumann_segment(
-            system, op, state, m, [m], dt, 1e-11, guard)
+        (out,), (diag,) = op._run_segments(system, state.values, [m], [m],
+                                           dt, 1e-11, guard)
         return out, diag
 
     got = neumann_semigroup(system, op, prob.initial, t, t0, dt, tol=1e-11,
                             diagnostics=True)
     want = _restarted(system, op, prob.initial, t, t0, dt, 1e-11, restart)
     _assert_agrees(system, got, want)
+
+
+def _per_state_nodes(system, op, x, m, steps, dt, tol):
+    """The retired per-state formula of one segment: the materialised
+    orbit window of x plus the reconstruction of the renewal weights of
+    the window's ``pair_rows`` pairings, at the steps."""
+    series, _ = perturbation._segment_series(
+        system, op, m, [m], dt, tol, op.analytic_volterra_bound(system,
+                                                                m * dt))
+    window = system.orbit_rows(system.state_values(x), m, dt)
+    phi = perturbation._renewal_weights(series,
+                                        pair_rows(op.measure, system, window))
+    conv = perturbation._convolved_nodes(system, op, phi, dt, steps, (),
+                                         np.zeros(system.count))
+    return [window[j] + c for j, c in zip(steps, conv)]
+
+
+@pytest.mark.parametrize("name, rtol", [
+    ("two-atom", 0.0), ("dirac-1/3", 0.0), ("sawtooth", 0.0),
+    ("density", 1e-15)])
+def test_neumann_nodes_keeps_the_per_state_formula(name, rtol):
+    # neumann_nodes now runs the one segment hook, whose free pairings
+    # come from pair_shifts; the atoms read it bit for bit as pair_rows
+    # of the materialised window, the density's correlation to rounding
+    prob = PROBLEMS[name]()
+    dt, t0, tol = 4e-3, 0.2, 1e-11
+    m = _lattice_steps(t0, dt)
+    steps = [0, 1, m // 4, m // 2, m]
+    system = make_system(prob, dt, t0, t0)
+    op = build_rank_one(prob)
+    got, _ = neumann_nodes(system, op, prob.initial, t0, steps, dt, tol)
+    want = _per_state_nodes(system, op, prob.initial, m, steps, dt, tol)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.values - w)) <= rtol * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("run, builds", [
+    (lambda s, op, x: neumann_nodes(s, op, x, 0.2, [0, 25, 50], 4e-3), 0),
+    (lambda s, op, x: neumann_semigroup(s, op, x, 0.2, 0.2, 4e-3), 0),
+    (lambda s, op, x: neumann_semigroup(s, op, x, 0.1, 0.2, 4e-3), 0),
+    (lambda s, op, x: neumann_semigroup(s, op, x, 2.0, 0.2, 4e-3), 1)],
+    ids=["nodes", "semigroup-t0", "semigroup-below-t0",
+         "semigroup-ten-segments"])
+def test_history_kernel_is_built_only_for_a_later_segment(monkeypatch, run,
+                                                           builds):
+    # a single segment reads no history, so its run builds no kernel
+    prob = PROBLEMS["two-atom"]()
+    system = make_system(prob, 4e-3, 2.0, 0.2)
+    real = perturbation.RankOneOperator._history_kernel
+    calls = []
+    monkeypatch.setattr(perturbation.RankOneOperator, "_history_kernel",
+                        lambda *args: calls.append(args) or real(*args))
+    run(system, build_rank_one(prob), prob.initial)
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("name", ["two-atom", "dirac-1/3", "density+atom"])

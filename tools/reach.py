@@ -13,7 +13,10 @@ Three drivers run in this process under one ``sys.setprofile`` recorder:
 The package is imported from the ``src/`` of the checkout this file
 sits in.  Each ``def`` under ``src/semiperturb`` that none of the
 drivers entered gets one line, ``module.qualname  N lines`` (N counts
-its decorators, docstring and body), and a last line gives the totals.
+its decorators, docstring and body), and a last line gives the totals,
+``N functions, L lines never entered, S lines in src/``, S the line
+count of the package's modules as ``wc -l src/semiperturb/*.py`` gives
+it, so one command gives both of a change's size figures.
 A function nested in an unentered one is not listed on its own: its
 lines are already in its parent's count.  The exit status is 1 when a
 driver fails, since the listing would then overstate what is unused,
@@ -92,11 +95,18 @@ def unreached(entered):
     return out
 
 
+def src_lines() -> int:
+    """The newlines in the package's modules, as ``wc -l`` counts them."""
+    return sum(path.read_text().count("\n")
+               for path in PACKAGE.glob("*.py"))
+
+
 def listing(rows) -> str:
     width = max((len(name) for name, _ in rows), default=0)
     lines = [f"{name:<{width}}  {n} lines" for name, n in rows]
     lines.append(f"{len(rows)} functions, "
-                 f"{sum(n for _, n in rows)} lines never entered")
+                 f"{sum(n for _, n in rows)} lines never entered, "
+                 f"{src_lines()} lines in src/")
     return "\n".join(lines)
 
 
